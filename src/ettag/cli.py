@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
 from .catalog import EntityCatalog, Vocabulary, build_vocabularies, tokenize
 from .decoding import DecodeConfig, beam_decode, parse_output
-from .errors import ContractError, EttagError, InputError
+from .errors import ContractError, EttagError, InputError, SchemaError
 from .ingest import (
     aida_split,
     convert_documents,
@@ -71,47 +71,51 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(args: argparse.Namespace, cfg: dict, section: str) -> dict:
-    """Flag > config-file > parser default. Flags left at None fall through."""
-    merged = dict(cfg.get(section, {}))
-    out = {}
-    for key, val in vars(args).items():
-        if key in ("command", "config", "func"):
-            continue
-        if val is None and key in merged:
-            out[key] = merged[key]
-        else:
-            out[key] = val
-    return out
+# flag dest -> the DecodeConfig/TrainConfig field or callee parameter it sets, where they differ
+_FIELD_OF = {"beam": "beam_size", "renormalize": "renormalize_constrained", "dim": "d", "window": "k",
+             "kb_format": "format"}
+
+
+def _resolve(args: argparse.Namespace, cfg: dict, *callees, **defaults) -> dict:
+    """Every option of the command: its flag, else the command's config-file
+    section, else the default of the parameter it sets in ``callees``
+    (dataclasses included), else its entry in ``defaults``.
+    """
+    opts = {k: v for k, v in vars(args).items() if k not in ("command", "config", "func")}
+    section = args.command.replace("-", "_")
+    given = cfg.get(section, {})
+    if not isinstance(given, dict):
+        raise InputError(f"config section {section!r} must be a JSON object")
+    unknown = sorted(set(given) - set(opts))
+    if unknown:
+        raise InputError(f"config section {section!r}: unknown keys {unknown}")
+    for fn in callees:
+        for name, param in inspect.signature(fn).parameters.items():
+            if param.default is not param.empty:
+                defaults.setdefault(name, param.default)
+    for key, val in opts.items():
+        if val is None:
+            val = given.get(key)
+        opts[key] = defaults.get(_FIELD_OF.get(key, key)) if val is None else val
+    return opts
+
+
+def _config(cls, opts: dict, **override):
+    """A DecodeConfig or TrainConfig from the resolved options it has fields for."""
+    names = {f.name for f in fields(cls)}
+    kwargs = {_FIELD_OF.get(k, k): v for k, v in opts.items()}
+    return cls(**{**{k: v for k, v in kwargs.items() if k in names}, **override})
 
 
 def _write_runconfig(out_path: str, command: str, resolved: dict) -> None:
-    payload = {
-        "command": command,
-        "version": __version__,
-        "config": {k: v for k, v in resolved.items() if not k.startswith("_")},
-    }
+    payload = {"command": command, "version": __version__, "config": resolved}
     with open(str(out_path) + ".runconfig.json", "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True, default=str)
         f.write("\n")
 
 
-def _load_kb(path: str, fmt: str) -> EntityCatalog:
-    return EntityCatalog.load(path, format=fmt)
-
-
-def _decode_config(opts: dict) -> DecodeConfig:
-    return DecodeConfig(
-        beam_size=opts.get("beam") or 20,
-        max_entities=opts.get("max_entities") or 64,
-        max_tokens=opts.get("max_tokens") or 256,
-        no_repeat=True if opts.get("no_repeat") is None else opts["no_repeat"],
-        allow_empty=bool(opts.get("allow_empty")),
-        length_normalize=bool(opts.get("length_normalize")),
-        renormalize_constrained=True
-        if opts.get("renormalize") is None
-        else opts["renormalize"],
-    )
+def _load_kb(opts: dict) -> EntityCatalog:
+    return EntityCatalog.load(opts["kb"], format=opts["kb_format"])
 
 
 # ---------------------------------------------------------------------------
@@ -119,29 +123,28 @@ def _decode_config(opts: dict) -> DecodeConfig:
 
 
 def cmd_build_kb(args, cfg) -> int:
-    opts = _resolve(args, cfg, "build_kb")
-    catalog = _load_kb(opts["kb"], opts["kb_format"] or "plain-lines")
+    opts = _resolve(args, cfg, EntityCatalog.load)
+    catalog = _load_kb(opts)
     _, vocab_out = build_vocabularies(catalog, [])
     trie = build_trie(catalog, vocab_out)
     key = content_hash(catalog, vocab_out)
     save_trie_cache(trie, opts["cache_out"], key)
-    vocab_path = opts["vocab_out"] or str(opts["cache_out"]) + ".outvocab.tsv"
-    vocab_out.dump_tsv(vocab_path)
+    opts["vocab_out"] = opts["vocab_out"] or str(opts["cache_out"]) + ".outvocab.tsv"
+    vocab_out.dump_tsv(opts["vocab_out"])
     _write_runconfig(opts["cache_out"], "build-kb", opts)
     print(json.dumps(trie_stats(trie)))
     return 0
 
 
 def cmd_convert(args, cfg) -> int:
-    opts = _resolve(args, cfg, "convert")
-    catalog = _load_kb(opts["kb"], opts["kb_format"] or "plain-lines")
+    opts = _resolve(args, cfg, EntityCatalog.load, convert_documents, split="all")
+    catalog = _load_kb(opts)
     fmt = opts["format"]
-    keep_empty = bool(opts["keep_empty"])
+    keep_empty = opts["keep_empty"]
     if fmt == "aida-conll":
         docs = parse_aida_conll(opts["in_path"])
-        split = opts["split"] or "all"
-        if split != "all":
-            docs = [d for d in docs if aida_split(d.doc_id) == split]
+        if opts["split"] != "all":
+            docs = [d for d in docs if aida_split(d.doc_id) == opts["split"]]
         examples, stats = convert_documents(docs, catalog, keep_empty=keep_empty)
     elif fmt == "el-jsonl":
         docs = parse_normalized_jsonl(opts["in_path"])
@@ -161,30 +164,17 @@ def cmd_convert(args, cfg) -> int:
     return 0
 
 
-def _train_config(opts: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=opts.get("epochs") or 50,
-        seed=0 if opts.get("seed") is None else opts["seed"],
-        lr=opts.get("lr") or 1e-2,
-        order_strategy=opts.get("order_strategy") or "shuffle",
-        batch_size=opts.get("batch_size") or 1,
-        optimizer=opts.get("optimizer") or "adam",
-        d=opts.get("dim") or 32,
-        k=opts.get("window") or 3,
-    )
-
-
 def cmd_train(args, cfg) -> int:
-    opts = _resolve(args, cfg, "train")
-    catalog = _load_kb(opts["kb"], opts["kb_format"] or "plain-lines")
+    opts = _resolve(args, cfg, EntityCatalog.load, build_vocabularies, TrainConfig)
+    tc = _config(TrainConfig, opts)
+    catalog = _load_kb(opts)
     corpus = read_et_jsonl(opts["train"], catalog)
     if not corpus:
         raise InputError(f"{opts['train']}: no training examples")
     vocab_in, vocab_out = build_vocabularies(
-        catalog, (ex.text for ex in corpus), min_count=opts.get("min_count") or 1
+        catalog, (ex.text for ex in corpus), min_count=opts["min_count"]
     )
     corpus = encode_examples(corpus, vocab_in)
-    tc = _train_config(opts)
     params, curve = train(corpus, tc, catalog, vocab_in, vocab_out)
     model_out = opts["model_out"]
     save_checkpoint(params, model_out, vocab_pair_hash(vocab_in, vocab_out))
@@ -201,45 +191,37 @@ def cmd_train(args, cfg) -> int:
 
 def _load_model_stack(opts: dict):
     """catalog + vocabs + trie + scorer for tagging commands."""
-    catalog = _load_kb(opts["kb"], opts["kb_format"] or "plain-lines")
+    catalog = _load_kb(opts)
     _, vocab_out = build_vocabularies(catalog, [])
     params, stored_hash = load_checkpoint(opts["model"])
-    vocab_in = Vocabulary.load_tsv(opts.get("in_vocab") or str(opts["model"]) + ".invocab.tsv")
+    opts["in_vocab"] = opts["in_vocab"] or str(opts["model"]) + ".invocab.tsv"
+    vocab_in = Vocabulary.load_tsv(opts["in_vocab"])
     if stored_hash != vocab_pair_hash(vocab_in, vocab_out):
         raise InputError("checkpoint was trained against different vocabularies")
     trie = None
-    if opts.get("kb_cache"):
+    if opts["kb_cache"]:
         trie = load_trie_cache(opts["kb_cache"], content_hash(catalog, vocab_out))
     if trie is None:
         trie = build_trie(catalog, vocab_out)
     return catalog, vocab_in, vocab_out, trie, ToyScorer(params)
 
 
-def _tag_documents(docs, scorer, trie, vocab_in, config, threads: int):
-    def run(item):
-        doc_id, text = item
-        input_ids = tokenize(text, vocab_in, mode="input")
-        ranked = beam_decode(scorer, trie, input_ids, config)
-        tokens, score = ranked[0]
+def _tag_documents(docs, scorer, trie, vocab_in, config):
+    """(doc_id, entity ids, score, dropped) for each document, sorted by doc_id."""
+    results = []
+    for doc_id, text in docs:
+        tokens, score = beam_decode(scorer, trie, tokenize(text, vocab_in, mode="input"), config)[0]
         entities, dropped = parse_output(tokens, trie)
-        return doc_id, entities, score, dropped
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, docs))
-    else:
-        results = [run(d) for d in docs]
-    results.sort(key=lambda r: r[0])
-    return results
+        results.append((doc_id, entities, score, dropped))
+    return sorted(results, key=lambda r: r[0])
 
 
 def cmd_tag(args, cfg) -> int:
-    opts = _resolve(args, cfg, "tag")
+    opts = _resolve(args, cfg, EntityCatalog.load, DecodeConfig)
+    config = _config(DecodeConfig, opts)
     catalog, vocab_in, _, trie, scorer = _load_model_stack(opts)
     docs = read_text_jsonl(opts["in_path"])
-    config = _decode_config(opts)
-    threads = opts.get("threads") or int(os.environ.get("ETTAG_THREADS", "1"))
-    results = _tag_documents(docs, scorer, trie, vocab_in, config, threads)
+    results = _tag_documents(docs, scorer, trie, vocab_in, config)
     with open(opts["out"], "w", encoding="utf-8") as f:
         for doc_id, entities, score, dropped in results:
             rec = {
@@ -254,33 +236,35 @@ def cmd_tag(args, cfg) -> int:
     return 0
 
 
-def _read_pred_jsonl(path) -> dict[str, set[str]]:
-    preds: dict[str, set[str]] = {}
+def _read_name_sets(path, field: str) -> dict[str, set[str]]:
+    """doc_id -> the set of names in ``field``, one JSONL record per doc_id."""
+    sets: dict[str, set[str]] = {}
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for line_no, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
-            preds[rec["doc_id"]] = set(rec["entities"])
-    return preds
+            doc_id = rec.get("doc_id") if isinstance(rec, dict) else None
+            if not isinstance(doc_id, str):
+                raise SchemaError(f"<line {line_no}>", "doc_id", "missing or not a string")
+            names = rec.get(field)
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise SchemaError(doc_id, field, "missing or not a list of names")
+            if doc_id in sets:
+                raise SchemaError(doc_id, "doc_id", f"duplicate on line {line_no}")
+            sets[doc_id] = set(names)
+    return sets
 
 
 def cmd_eval(args, cfg) -> int:
-    opts = _resolve(args, cfg, "eval")
-    preds = _read_pred_jsonl(opts["pred"])
-    golds: dict[str, set[str]] = {}
-    with open(opts["gold"], "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            golds[rec["doc_id"]] = set(rec["gold"])
+    opts = _resolve(args, cfg, format_report, dataset_name="dataset")
+    preds = _read_name_sets(opts["pred"], "entities")
+    golds = _read_name_sets(opts["gold"], "gold")
     report = score_predictions(preds, golds)
-    name = opts.get("dataset_name") or "dataset"
-    print(format_report({name: report}, style=opts.get("style") or "table2"))
-    if opts.get("json_out"):
+    name = opts["dataset_name"]
+    print(format_report({name: report}, style=opts["style"]))
+    if opts["json_out"]:
         with open(opts["json_out"], "w", encoding="utf-8") as f:
             json.dump({name: report.as_dict()}, f, indent=2, sort_keys=True)
             f.write("\n")
@@ -288,25 +272,24 @@ def cmd_eval(args, cfg) -> int:
     return 0
 
 
-def _eval_decoded(eval_corpus, scorer, trie, vocab_in, config, threads=1):
+def _eval_decoded(eval_corpus, scorer, trie, vocab_in, config):
     docs = [(ex.doc_id, ex.text) for ex in eval_corpus]
-    results = _tag_documents(docs, scorer, trie, vocab_in, config, threads)
+    results = _tag_documents(docs, scorer, trie, vocab_in, config)
     gold_by_id = {ex.doc_id: ex.gold for ex in eval_corpus}
     return aggregate([prf1(ents, gold_by_id[doc_id]) for doc_id, ents, _, _ in results])
 
 
 def cmd_ablate_beam(args, cfg) -> int:
-    opts = _resolve(args, cfg, "ablate_beam")
+    opts = _resolve(args, cfg, EntityCatalog.load, DecodeConfig, beams="1,5,10,20,30")
     catalog, vocab_in, _, trie, scorer = _load_model_stack(opts)
     eval_corpus = read_et_jsonl(opts["eval"], catalog)
     beams = [int(b) for b in str(opts["beams"]).split(",") if b.strip()]
     if not beams:
         raise InputError("--beams is empty")
-    threads = opts.get("threads") or int(os.environ.get("ETTAG_THREADS", "1"))
     rows = []
     for beam in beams:
-        config = _decode_config({**opts, "beam": beam})
-        report = _eval_decoded(eval_corpus, scorer, trie, vocab_in, config, threads)
+        config = _config(DecodeConfig, opts, beam_size=beam)
+        report = _eval_decoded(eval_corpus, scorer, trie, vocab_in, config)
         rows.append((beam, report.micro.f1, report.macro_f1))
     with open(opts["out"], "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
@@ -319,22 +302,23 @@ def cmd_ablate_beam(args, cfg) -> int:
 
 
 def cmd_ablate_order(args, cfg) -> int:
-    opts = _resolve(args, cfg, "ablate_order")
-    catalog = _load_kb(opts["kb"], opts["kb_format"] or "plain-lines")
+    opts = _resolve(args, cfg, EntityCatalog.load, build_vocabularies, TrainConfig, DecodeConfig,
+                    strategies="shuffle,mention_order,lexicographic")
+    config = _config(DecodeConfig, opts)
+    catalog = _load_kb(opts)
     train_corpus = read_et_jsonl(opts["train"], catalog)
     eval_corpus = read_et_jsonl(opts["eval"], catalog)
     strategies = [s.strip() for s in str(opts["strategies"]).split(",") if s.strip()]
     if not strategies:
         raise InputError("--strategies is empty")
     vocab_in, vocab_out = build_vocabularies(
-        catalog, (ex.text for ex in train_corpus), min_count=opts.get("min_count") or 1
+        catalog, (ex.text for ex in train_corpus), min_count=opts["min_count"]
     )
     bound = encode_examples(train_corpus, vocab_in)
     trie = build_trie(catalog, vocab_out)
-    config = _decode_config(opts)
     rows = []
     for strategy in strategies:
-        tc = _train_config({**opts, "order_strategy": strategy})
+        tc = _config(TrainConfig, opts, order_strategy=strategy)
         params, curve = train(bound, tc, catalog, vocab_in, vocab_out)
         report = _eval_decoded(eval_corpus, ToyScorer(params), trie, vocab_in, config)
         rows.append((strategy, report.micro.f1, report.macro_f1, curve[-1]))
@@ -349,14 +333,15 @@ def cmd_ablate_order(args, cfg) -> int:
 
 
 def cmd_bench(args, cfg) -> int:
-    opts = _resolve(args, cfg, "bench")
-    if opts.get("synthetic"):
-        from .synthetic import synthetic_kb_names
+    from .synthetic import synthetic_kb_names
 
-        names = synthetic_kb_names(int(opts["synthetic"]), seed=opts.get("seed") or 0)
-        catalog = EntityCatalog(names)
-    elif opts.get("kb"):
-        catalog = _load_kb(opts["kb"], opts["kb_format"] or "plain-lines")
+    opts = _resolve(args, cfg, EntityCatalog.load, synthetic_kb_names, latency_samples=200_000)
+    if opts["latency_samples"] < 1:
+        raise InputError("--latency-samples must be >= 1")
+    if opts["synthetic"]:
+        catalog = EntityCatalog(synthetic_kb_names(int(opts["synthetic"]), seed=opts["seed"]))
+    elif opts["kb"]:
+        catalog = _load_kb(opts)
     else:
         raise InputError("bench needs --kb or --synthetic N")
     _, vocab_out = build_vocabularies(catalog, [])
@@ -369,13 +354,12 @@ def cmd_bench(args, cfg) -> int:
 
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
-    from .decoding import DecodeConfig as _DC
     from .trie import TrieCursor, allowed_tokens
 
-    n_samples = opts.get("latency_samples") or 200_000
-    rng = np.random.default_rng(opts.get("seed") or 0)
+    n_samples = opts["latency_samples"]
+    rng = np.random.default_rng(opts["seed"])
     nodes = rng.integers(0, trie.node_count, size=n_samples)
-    config = _DC()
+    config = DecodeConfig()
     empty: frozenset[int] = frozenset()
     lat = np.empty(n_samples)
     clock = time.perf_counter_ns
@@ -427,7 +411,6 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--optimizer", choices=["adam", "sgd"], default=None)
     p.add_argument("--dim", type=int, default=None, help="embedding dimension")
     p.add_argument("--window", type=int, default=None, help="decoder context window")
-    p.add_argument("--min-count", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,6 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kb_args(p)
     p.add_argument("--model-out", required=True)
     p.add_argument("--order-strategy", choices=["shuffle", "mention_order", "lexicographic"], default=None)
+    p.add_argument("--min-count", type=int, default=None)
     _add_train_args(p)
     p.set_defaults(func=cmd_train)
 
@@ -466,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb-cache", default=None)
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=None)
     _add_decode_args(p)
     p.set_defaults(func=cmd_tag)
 
@@ -484,9 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kb_args(p)
     p.add_argument("--kb-cache", default=None)
     p.add_argument("--eval", required=True)
-    p.add_argument("--beams", default="1,5,10,20,30")
+    p.add_argument("--beams", default=None, help="comma-separated beam sizes (default 1,5,10,20,30)")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=None)
     _add_decode_args(p)
     p.set_defaults(func=cmd_ablate_beam)
 
@@ -494,8 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--eval", required=True)
     _add_kb_args(p)
-    p.add_argument("--strategies", default="shuffle,mention_order,lexicographic")
+    p.add_argument("--strategies", default=None, help="comma-separated order strategies (default: all three)")
     p.add_argument("--out", required=True)
+    p.add_argument("--min-count", type=int, default=None)
     _add_train_args(p)
     _add_decode_args(p)
     p.set_defaults(func=cmd_ablate_order)
@@ -520,10 +503,7 @@ def main(argv=None) -> int:
     except ContractError as exc:
         _report_error(exc)
         return 2
-    except (InputError, OSError, json.JSONDecodeError) as exc:
-        _report_error(exc)
-        return 1
-    except EttagError as exc:
+    except (EttagError, OSError, json.JSONDecodeError) as exc:
         _report_error(exc)
         return 1
 

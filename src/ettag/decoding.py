@@ -14,7 +14,7 @@ from typing import Any, Protocol, Sequence
 import numpy as np
 
 from .catalog import EOS, SEP, TokenSeq
-from .errors import NoFinishedHypothesis, ScorerContractViolation
+from .errors import InvalidConfig, NoFinishedHypothesis, ScorerContractViolation, require_ints
 from .trie import FINISHED, TokenTrie, TrieCursor, advance, allowed_tokens
 
 _LSE_TOL = 1e-6
@@ -39,10 +39,10 @@ class DecodeConfig:
     renormalize_constrained: bool = True
 
     def __post_init__(self):
-        if self.beam_size < 1:
-            raise ValueError("beam_size must be >= 1")
-        if self.max_entities < 1 or self.max_tokens < 1:
-            raise ValueError("max_entities and max_tokens must be >= 1")
+        require_ints(self, 1, "beam_size", "max_entities", "max_tokens")
+        for name in ("no_repeat", "allow_empty", "length_normalize", "renormalize_constrained"):
+            if not isinstance(getattr(self, name), bool):
+                raise InvalidConfig(f"{name} must be true or false, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ bad flags, malformed data -> exit 1) and ContractError (an internal
 invariant was violated -> exit 2).
 """
 
+import numbers
+
 
 class EttagError(Exception):
     pass
@@ -16,6 +18,14 @@ class InputError(EttagError):
 
 class ContractError(EttagError):
     """An internal contract was violated; indicates a bug or mismatched artifacts."""
+
+
+class InvalidConfig(InputError, ValueError):
+    """A decode or train setting is out of range."""
+
+
+class CorruptCheckpoint(InputError, ValueError):
+    """A model checkpoint is not a complete, well-formed ETMDL1 file."""
 
 
 class InvalidName(InputError):
@@ -83,3 +93,11 @@ class ScorerContractViolation(ContractError):
 
 class NoFinishedHypothesis(ContractError):
     """Decoding ran out of token budget before any hypothesis reached EOS."""
+
+
+def require_ints(config, low: int, *names: str) -> None:
+    """Raise InvalidConfig unless each named attribute of ``config`` is an int >= low."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise InvalidConfig(f"{name} must be an integer >= {low}, got {value!r}")

@@ -351,8 +351,9 @@ def convert_wiki_jsonl(
 
 
 def read_text_jsonl(path) -> list[tuple[str, str]]:
-    """Lenient reader for tagging input: any JSONL with doc_id and text."""
+    """Lenient reader for tagging input: any JSONL with unique doc_id and text."""
     out: list[tuple[str, str]] = []
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
             line = line.strip()
@@ -365,6 +366,9 @@ def read_text_jsonl(path) -> list[tuple[str, str]]:
             doc_id, text = rec.get("doc_id"), rec.get("text")
             if not isinstance(doc_id, str) or not isinstance(text, str):
                 raise SchemaError(f"<line {line_no}>", "doc_id/text", "missing or wrong type")
+            if doc_id in seen:
+                raise SchemaError(doc_id, "doc_id", f"duplicate on line {line_no}")
+            seen.add(doc_id)
             out.append((doc_id, text))
     return out
 
@@ -411,7 +415,7 @@ def read_et_jsonl(path, catalog: EntityCatalog) -> list[ETExample]:
             gold = frozenset(resolve(n) for n in rec["gold"])
             raw_order = rec.get("gold_order")
             order = None if raw_order is None else tuple(resolve(n) for n in raw_order)
-            if order is not None and set(order) != set(gold):
+            if order is not None and (len(order) != len(gold) or set(order) != gold):
                 raise SchemaError(doc_id, "gold_order", "not a permutation of gold")
             out.append(ETExample(doc_id=doc_id, text=rec["text"], gold=gold, gold_order=order))
     return out

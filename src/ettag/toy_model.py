@@ -9,6 +9,8 @@ can replace it. Everything runs in float64 so gradient checks are meaningful.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -16,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .catalog import BOS, EOS, SEP, EntityCatalog, TokenSeq, Vocabulary, tokenize
-from .errors import UnknownEntity
+from .errors import CorruptCheckpoint, InvalidConfig, UnknownEntity, require_ints
 from .ingest import ETExample
 
 _CKPT_MAGIC = b"ETMDL1"
@@ -55,9 +57,7 @@ class ToyModelParams:
         return (self.e_in, self.e_out, self.w, self.b)
 
 
-def init_params(
-    v_in: int, v_out: int, d: int = 32, k: int = 3, seed: int = 0
-) -> ToyModelParams:
+def init_params(v_in: int, v_out: int, d: int, k: int, seed: int) -> ToyModelParams:
     rng = np.random.default_rng(seed)
     return ToyModelParams(
         e_in=rng.uniform(-0.1, 0.1, size=(v_in, d)),
@@ -179,7 +179,7 @@ def backward(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int
+    epochs: int = 50
     seed: int = 0
     lr: float = 1e-2
     order_strategy: str = "shuffle"  # shuffle | mention_order | lexicographic
@@ -189,12 +189,15 @@ class TrainConfig:
     k: int = 3
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        require_ints(self, 1, "epochs", "batch_size", "d", "k")
+        require_ints(self, 0, "seed")
+        lr = self.lr
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 < lr < math.inf:
+            raise InvalidConfig(f"lr must be a finite number > 0, got {lr!r}")
         if self.order_strategy not in ("shuffle", "mention_order", "lexicographic"):
-            raise ValueError(f"unknown order_strategy {self.order_strategy!r}")
+            raise InvalidConfig(f"unknown order_strategy {self.order_strategy!r}")
         if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise InvalidConfig(f"unknown optimizer {self.optimizer!r}")
 
 
 class _Adam:
@@ -323,25 +326,28 @@ def save_checkpoint(params: ToyModelParams, path, vocab_hash: bytes) -> None:
 
 
 def load_checkpoint(path) -> tuple[ToyModelParams, bytes]:
+    """Read a checkpoint; CorruptCheckpoint unless magic, dims and size all agree."""
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint")
+    header = len(_CKPT_MAGIC) + 16 + 32
+    if len(blob) < header or blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
+        raise CorruptCheckpoint(f"{path}: not a model checkpoint")
     d, k, v_in, v_out = struct.unpack_from("<iiii", blob, len(_CKPT_MAGIC))
-    off = len(_CKPT_MAGIC) + 16
-    vocab_hash = blob[off: off + 32]
-    off += 32
+    if min(d, k, v_in, v_out) < 1:
+        raise CorruptCheckpoint(f"{path}: non-positive dims {(d, k, v_in, v_out)}")
+    vocab_hash = blob[header - 32: header]
     shapes = [(v_in, d), (v_out, d), (d + k * d, v_out), (v_out,)]
+    counts = [math.prod(shape) for shape in shapes]
+    if len(blob) != header + 8 * sum(counts):
+        raise CorruptCheckpoint(f"{path}: {len(blob)} bytes do not match dims {(d, k, v_in, v_out)}")
     arrays = []
-    for shape in shapes:
-        count = int(np.prod(shape))
+    off = header
+    for shape, count in zip(shapes, counts):
         arrays.append(
             np.frombuffer(blob, dtype="<f8", count=count, offset=off)
             .reshape(shape)
             .astype(np.float64)
         )
         off += count * 8
-    if off != len(blob):
-        raise ValueError(f"{path}: trailing bytes in checkpoint")
     params = ToyModelParams(e_in=arrays[0], e_out=arrays[1], w=arrays[2], b=arrays[3], k=k)
     return params, vocab_hash

@@ -1,14 +1,19 @@
+import argparse
 import csv
+import dataclasses
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 from ettag.catalog import EntityCatalog
-from ettag.cli import main
+from ettag.cli import _FIELD_OF, build_parser, main
+from ettag.decoding import DecodeConfig
 from ettag.ingest import read_et_jsonl, write_et_jsonl
 from ettag.synthetic import synthetic_benchmark
+from ettag.toy_model import TrainConfig
 
 from helpers import write_aida_file
 
@@ -129,11 +134,6 @@ class TestTagAndEval:
             assert set(r) == {"doc_id", "entities", "score", "dropped"}
             assert r["dropped"] == 0
             assert r["entities"] == sorted(r["entities"])
-
-    def test_threads_deterministic(self, world):
-        a = self.run_tag(world, "pred_t1.jsonl", ("--threads", "1"))
-        b = self.run_tag(world, "pred_t4.jsonl", ("--threads", "4"))
-        assert a.read_text() == b.read_text()
 
     def test_eval_pipes_cleanly(self, world, capsys):
         pred = self.run_tag(world, "pred_eval.jsonl")
@@ -281,6 +281,92 @@ class TestErrorHandling:
         rc = main(["build-kb", "--kb", str(kb), "--cache-out", str(tmp_path / "t.trie")])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "command, bad, config",
+        [
+            ("tag", ["--beam", "0"], None),
+            ("tag", ["--beam", "-3"], None),
+            ("tag", ["--max-tokens", "0"], None),
+            ("train", ["--epochs", "0"], None),
+            ("train", ["--lr", "0"], None),
+            ("train", ["--dim", "0"], None),
+            ("train", ["--batch-size", "-1"], None),
+            ("tag", [], {"tag": {"beam": 0}}),
+            ("tag", [], {"tag": {"no_repeat": "false"}}),
+            ("train", [], {"train": {"window": 0}}),
+        ],
+    )
+    def test_out_of_range_setting_exit_1(self, world, tmp_path, capsys, command, bad, config):
+        argv = [command, "--kb", str(world["kb"])]
+        if command == "tag":
+            argv += ["--model", str(world["model"]), "--in", str(world["eval"])]
+            argv += ["--out", str(tmp_path / "p.jsonl")]
+        else:
+            argv += ["--train", str(world["train"]), "--model-out", str(tmp_path / "m.bin")]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            argv = ["--config", str(cfg), *argv]
+        capsys.readouterr()
+        assert main(argv + bad) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "InvalidConfig"
+        assert not (tmp_path / "p.jsonl").exists() and not (tmp_path / "m.bin").exists()
+
+    def test_truncated_checkpoint_exit_1(self, world, tmp_path, capsys):
+        model = tmp_path / "cut.bin"
+        model.write_bytes(world["model"].read_bytes()[:200])
+        shutil.copy(world["root"] / "model.bin.invocab.tsv", tmp_path / "cut.bin.invocab.tsv")
+        rc = main(
+            [
+                "tag", "--model", str(model), "--kb", str(world["kb"]),
+                "--in", str(world["eval"]), "--out", str(tmp_path / "p.jsonl"),
+            ]
+        )
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "CorruptCheckpoint"
+
+    def test_tag_duplicate_doc_id_exit_1(self, world, tmp_path, capsys):
+        lines = world["eval"].read_text(encoding="utf-8").splitlines()
+        docs = tmp_path / "dup.jsonl"
+        docs.write_text("\n".join(lines + lines[3:4]) + "\n", encoding="utf-8")
+        rc = main(
+            [
+                "tag", "--model", str(world["model"]), "--kb", str(world["kb"]),
+                "--in", str(docs), "--out", str(tmp_path / "p.jsonl"), "--beam", "1",
+            ]
+        )
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+    @pytest.mark.parametrize(
+        "pred, gold",
+        [
+            ({"doc_id": "a", "score": 0.0}, {"doc_id": "a", "gold": []}),
+            ({"doc_id": "a", "entities": "Earth"}, {"doc_id": "a", "gold": []}),
+            ({"doc_id": "a", "entities": []}, {"doc_id": "a", "text": "x"}),
+            ({"entities": []}, {"doc_id": "a", "gold": []}),
+        ],
+    )
+    def test_eval_malformed_record_exit_1(self, tmp_path, capsys, pred, gold):
+        (tmp_path / "pred.jsonl").write_text(json.dumps(pred) + "\n", encoding="utf-8")
+        (tmp_path / "gold.jsonl").write_text(json.dumps(gold) + "\n", encoding="utf-8")
+        rc = main(["eval", "--pred", str(tmp_path / "pred.jsonl"), "--gold", str(tmp_path / "gold.jsonl")])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+    @pytest.mark.parametrize("which", ["pred", "gold"])
+    def test_eval_duplicate_doc_id_exit_1(self, tmp_path, capsys, which):
+        recs = {"pred": [{"doc_id": "a", "entities": []}], "gold": [{"doc_id": "a", "gold": []}]}
+        recs[which] = recs[which] * 2
+        for name, rows in recs.items():
+            text = "".join(json.dumps(r) + "\n" for r in rows)
+            (tmp_path / f"{name}.jsonl").write_text(text, encoding="utf-8")
+        rc = main(["eval", "--pred", str(tmp_path / "pred.jsonl"), "--gold", str(tmp_path / "gold.jsonl")])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, world, tmp_path, capsys):
@@ -299,6 +385,58 @@ class TestConfigFile:
         assert run["config"]["epochs"] == 3  # flag wins
         assert run["config"]["dim"] == 8  # config fills the gap
         assert run["config"]["seed"] == 11
+
+    def test_unknown_config_key_exit_1(self, world, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tag": {"beams": 5}}), encoding="utf-8")
+        rc = main(
+            [
+                "--config", str(cfg),
+                "tag", "--model", str(world["model"]), "--kb", str(world["kb"]),
+                "--in", str(world["eval"]), "--out", str(tmp_path / "p.jsonl"),
+            ]
+        )
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError" and "beams" in err["message"]
+
+    def test_flagless_runconfig_records_dataclass_defaults(self, world, tmp_path, capsys):
+        flag_of = {field: flag for flag, field in _FIELD_OF.items()}
+        pred = tmp_path / "p.jsonl"
+        model = tmp_path / "m.bin"
+        assert main(
+            [
+                "tag", "--model", str(world["model"]), "--kb", str(world["kb"]),
+                "--in", str(world["eval"]), "--out", str(pred),
+            ]
+        ) == 0
+        assert main(
+            ["train", "--train", str(world["train"]), "--kb", str(world["kb"]), "--model-out", str(model)]
+        ) == 0
+        for out, cls in ((pred, DecodeConfig), (model, TrainConfig)):
+            recorded = json.loads(out.with_name(out.name + ".runconfig.json").read_text())["config"]
+            for field in dataclasses.fields(cls):
+                assert recorded[flag_of.get(field.name, field.name)] == getattr(cls(), field.name)
+
+
+# Options of the decode/train commands that configure neither dataclass.
+NON_CONFIG_DESTS = {
+    "help", "model", "in_vocab", "kb", "kb_format", "kb_cache", "in_path", "out",
+    "train", "model_out", "min_count", "eval", "beams", "strategies",
+}
+
+
+def test_every_default_lives_in_one_place():
+    """No flag carries its own default, and every decode/train flag sets a dataclass field."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    fields = {f.name for cls in (DecodeConfig, TrainConfig) for f in dataclasses.fields(cls)}
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.dest == "help":
+                continue
+            assert action.default is None, (name, action.dest)
+            if name in ("tag", "train", "ablate-beam", "ablate-order") and action.dest not in NON_CONFIG_DESTS:
+                assert _FIELD_OF.get(action.dest, action.dest) in fields, (name, action.dest)
 
 
 class TestOtherFormats:
@@ -360,27 +498,6 @@ class TestBenchAndEnv:
         assert stats["entity_count"] == 1500
         assert stats["build_seconds"] >= 0
         assert {"p50", "p90", "p99"} <= set(stats["latency_us"])
-
-    def test_threads_env_var(self, world, monkeypatch):
-        out1 = world["root"] / "pred_env1.jsonl"
-        monkeypatch.setenv("ETTAG_THREADS", "3")
-        rc = main(
-            [
-                "tag", "--model", str(world["model"]), "--kb", str(world["kb"]),
-                "--in", str(world["eval"]), "--out", str(out1), "--beam", "3",
-            ]
-        )
-        assert rc == 0
-        monkeypatch.delenv("ETTAG_THREADS")
-        out2 = world["root"] / "pred_env2.jsonl"
-        rc = main(
-            [
-                "tag", "--model", str(world["model"]), "--kb", str(world["kb"]),
-                "--in", str(world["eval"]), "--out", str(out2), "--beam", "3",
-            ]
-        )
-        assert rc == 0
-        assert out1.read_text() == out2.read_text()
 
     def test_eval_table4_style(self, world, capsys):
         pred = world["root"] / "pred_t4.jsonl"

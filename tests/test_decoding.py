@@ -8,7 +8,7 @@ from ettag.decoding import (
     greedy_decode,
     parse_output,
 )
-from ettag.errors import NoFinishedHypothesis, ScorerContractViolation
+from ettag.errors import InvalidConfig, NoFinishedHypothesis, ScorerContractViolation
 
 from helpers import (
     OracleScorer,
@@ -250,3 +250,13 @@ class TestParseOutput:
             entities, dropped = parse_output(seq, trie)
             assert dropped >= 0
             assert all(0 <= e < len(cat) for e in entities)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"beam_size": 0}, {"beam_size": -3}, {"max_entities": 0}, {"max_tokens": 0},
+     {"beam_size": True}, {"beam_size": "5"}, {"no_repeat": "false"}, {"allow_empty": 1}],
+)
+def test_decode_config_rejects_out_of_range(kwargs):
+    with pytest.raises(InvalidConfig):
+        DecodeConfig(**kwargs)

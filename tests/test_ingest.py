@@ -395,6 +395,14 @@ class TestEtJsonl:
         with pytest.raises(SchemaError):
             read_et_jsonl(path, catalog)
 
+    def test_order_rejects_repeated_names(self, tmp_path):
+        catalog = EntityCatalog(["Earth", "Mars"])
+        path = tmp_path / "et.jsonl"
+        rec = {"doc_id": "a", "text": "x", "gold": ["Earth", "Mars"], "gold_order": ["Earth", "Mars", "Earth"]}
+        path.write_text(json.dumps(rec), encoding="utf-8")
+        with pytest.raises(SchemaError):
+            read_et_jsonl(path, catalog)
+
     def test_encode_examples_binds_inputs(self):
         catalog = EntityCatalog(["Earth"])
         vin, _ = build_vocabularies(catalog, ["hello earth"])
@@ -413,3 +421,9 @@ class TestEtJsonl:
             encoding="utf-8",
         )
         assert read_text_jsonl(path) == [("a", "x"), ("b", "y")]
+
+    def test_read_text_jsonl_rejects_duplicate_doc_id(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        path.write_text("".join(json.dumps({"doc_id": d, "text": "x"}) + "\n" for d in "aba"), encoding="utf-8")
+        with pytest.raises(SchemaError):
+            read_text_jsonl(path)

@@ -3,7 +3,7 @@ import pytest
 
 from ettag.catalog import BOS, EOS, SEP, EntityCatalog, build_vocabularies, tokenize
 from ettag.decoding import DecodeConfig, greedy_decode, parse_output
-from ettag.errors import MissingMentionOrder, UnknownEntity
+from ettag.errors import CorruptCheckpoint, InvalidConfig, MissingMentionOrder, UnknownEntity
 from ettag.ingest import ETExample
 from ettag.toy_model import (
     ToyModelParams,
@@ -345,3 +345,24 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    def test_rejects_truncated_padded_and_bad_dims(self, small_world, tmp_path):
+        _, vin, vout = small_world
+        path = tmp_path / "model.bin"
+        save_checkpoint(init_params(len(vin), len(vout), d=3, k=2, seed=0), path, vocab_pair_hash(vin, vout))
+        blob = path.read_bytes()
+        zero_d = blob[:6] + (0).to_bytes(4, "little") + blob[10:]
+        for bad in (blob[:5], blob[:54], blob[:200], blob[:-1], blob + b"\0", zero_d):
+            path.write_bytes(bad)
+            with pytest.raises(CorruptCheckpoint):
+                load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"epochs": 0}, {"batch_size": -1}, {"d": 0}, {"k": 0}, {"seed": -1}, {"lr": 0.0},
+     {"lr": float("nan")}, {"epochs": 2.0}, {"optimizer": "rmsprop"}],
+)
+def test_train_config_rejects_out_of_range(kwargs):
+    with pytest.raises(InvalidConfig):
+        TrainConfig(**kwargs)
