@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .catalog import EntityCatalog, Vocabulary, build_vocabularies, tokenize
 from .decoding import DecodeConfig, beam_decode, parse_output
-from .errors import ContractError, EttagError, InputError, SchemaError
+from .errors import ContractError, EttagError, InputError
 from .ingest import (
     aida_split,
     convert_documents,
@@ -31,6 +31,7 @@ from .ingest import (
     parse_aida_conll,
     parse_normalized_jsonl,
     read_et_jsonl,
+    read_name_sets,
     read_text_jsonl,
     write_et_jsonl,
 )
@@ -43,13 +44,7 @@ from .toy_model import (
     train,
     vocab_pair_hash,
 )
-from .trie import (
-    build_trie,
-    content_hash,
-    load_trie_cache,
-    save_trie_cache,
-    trie_stats,
-)
+from .trie import build_trie, load_trie_cache, save_trie_cache, trie_stats
 
 
 def _bool_flag(value: str) -> bool:
@@ -127,8 +122,7 @@ def cmd_build_kb(args, cfg) -> int:
     catalog = _load_kb(opts)
     _, vocab_out = build_vocabularies(catalog, [])
     trie = build_trie(catalog, vocab_out)
-    key = content_hash(catalog, vocab_out)
-    save_trie_cache(trie, opts["cache_out"], key)
+    save_trie_cache(trie, opts["cache_out"], catalog, vocab_out)
     opts["vocab_out"] = opts["vocab_out"] or str(opts["cache_out"]) + ".outvocab.tsv"
     vocab_out.dump_tsv(opts["vocab_out"])
     _write_runconfig(opts["cache_out"], "build-kb", opts)
@@ -198,10 +192,9 @@ def _load_model_stack(opts: dict):
     vocab_in = Vocabulary.load_tsv(opts["in_vocab"])
     if stored_hash != vocab_pair_hash(vocab_in, vocab_out):
         raise InputError("checkpoint was trained against different vocabularies")
-    trie = None
     if opts["kb_cache"]:
-        trie = load_trie_cache(opts["kb_cache"], content_hash(catalog, vocab_out))
-    if trie is None:
+        trie = load_trie_cache(opts["kb_cache"], catalog, vocab_out)
+    else:
         trie = build_trie(catalog, vocab_out)
     return catalog, vocab_in, vocab_out, trie, ToyScorer(params)
 
@@ -236,31 +229,10 @@ def cmd_tag(args, cfg) -> int:
     return 0
 
 
-def _read_name_sets(path, field: str) -> dict[str, set[str]]:
-    """doc_id -> the set of names in ``field``, one JSONL record per doc_id."""
-    sets: dict[str, set[str]] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            doc_id = rec.get("doc_id") if isinstance(rec, dict) else None
-            if not isinstance(doc_id, str):
-                raise SchemaError(f"<line {line_no}>", "doc_id", "missing or not a string")
-            names = rec.get(field)
-            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-                raise SchemaError(doc_id, field, "missing or not a list of names")
-            if doc_id in sets:
-                raise SchemaError(doc_id, "doc_id", f"duplicate on line {line_no}")
-            sets[doc_id] = set(names)
-    return sets
-
-
 def cmd_eval(args, cfg) -> int:
     opts = _resolve(args, cfg, format_report, dataset_name="dataset")
-    preds = _read_name_sets(opts["pred"], "entities")
-    golds = _read_name_sets(opts["gold"], "gold")
+    preds = read_name_sets(opts["pred"], "entities")
+    golds = read_name_sets(opts["gold"], "gold")
     report = score_predictions(preds, golds)
     name = opts["dataset_name"]
     print(format_report({name: report}, style=opts["style"]))
@@ -283,7 +255,10 @@ def cmd_ablate_beam(args, cfg) -> int:
     opts = _resolve(args, cfg, EntityCatalog.load, DecodeConfig, beams="1,5,10,20,30")
     catalog, vocab_in, _, trie, scorer = _load_model_stack(opts)
     eval_corpus = read_et_jsonl(opts["eval"], catalog)
-    beams = [int(b) for b in str(opts["beams"]).split(",") if b.strip()]
+    try:
+        beams = [int(b) for b in str(opts["beams"]).split(",") if b.strip()]
+    except ValueError:
+        raise InputError(f"--beams must be comma-separated integers, got {opts['beams']!r}") from None
     if not beams:
         raise InputError("--beams is empty")
     rows = []
@@ -503,7 +478,7 @@ def main(argv=None) -> int:
     except ContractError as exc:
         _report_error(exc)
         return 2
-    except (EttagError, OSError, json.JSONDecodeError) as exc:
+    except (EttagError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _report_error(exc)
         return 1
 

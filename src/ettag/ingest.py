@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 from urllib.parse import unquote
 
 from .catalog import EntityCatalog, TokenSeq, Vocabulary, canonicalize, tokenize
@@ -25,6 +25,38 @@ from .errors import (
 )
 
 NIL = None  # entity slot of a mention with no KB entry
+
+
+def jsonl_records(path, key: str) -> Iterator[dict]:
+    """The record on each non-blank line of a JSONL file. Each
+    record must be a JSON object holding a string under ``key``, and no two
+    records may hold the same one."""
+    seen: set[str] = set()
+    with open(path, "r", encoding="utf-8") as f:
+        for line_no, line in enumerate(f, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedLine(line_no, f"bad JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise SchemaError(f"<line {line_no}>", key, "record is not a JSON object")
+            rid = rec.get(key)
+            if not isinstance(rid, str):
+                raise SchemaError(f"<line {line_no}>", key, "missing or not a string")
+            if rid in seen:
+                raise SchemaError(rid, key, f"duplicate on line {line_no}")
+            seen.add(rid)
+            yield rec
+
+
+def _names(rec: dict, rid: str, field: str) -> list[str]:
+    value = rec.get(field)
+    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
+        raise SchemaError(rid, field, "missing or not a list of names")
+    return value
 
 
 @dataclass(frozen=True)
@@ -197,42 +229,32 @@ def parse_normalized_jsonl(path) -> list[ELDocument]:
     """Read the normalized EL interchange: one JSON object per line with
     doc_id, text, and mentions [{start, end, entity|null}]."""
     docs: list[ELDocument] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
+    for rec in jsonl_records(path, "doc_id"):
+        doc_id = rec["doc_id"]
+        text = rec.get("text")
+        if not isinstance(text, str):
+            raise SchemaError(doc_id, "text", "missing or not a string")
+        raw_mentions = rec.get("mentions")
+        if not isinstance(raw_mentions, list):
+            raise SchemaError(doc_id, "mentions", "missing or not a list")
+        mentions = []
+        for m in raw_mentions:
+            if not isinstance(m, dict):
+                raise SchemaError(doc_id, "mentions", "entry is not an object")
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(line_no, f"bad JSON: {exc}") from exc
-            doc_id = rec.get("doc_id")
-            if not isinstance(doc_id, str):
-                raise SchemaError(f"<line {line_no}>", "doc_id", "missing or not a string")
-            text = rec.get("text")
-            if not isinstance(text, str):
-                raise SchemaError(doc_id, "text", "missing or not a string")
-            raw_mentions = rec.get("mentions")
-            if not isinstance(raw_mentions, list):
-                raise SchemaError(doc_id, "mentions", "missing or not a list")
-            mentions = []
-            for m in raw_mentions:
-                if not isinstance(m, dict):
-                    raise SchemaError(doc_id, "mentions", "entry is not an object")
-                try:
-                    start, end = int(m["start"]), int(m["end"])
-                except (KeyError, TypeError, ValueError):
-                    raise SchemaError(doc_id, "mentions", "bad start/end") from None
-                ent = m.get("entity")
-                if ent is not None and not isinstance(ent, str):
-                    raise SchemaError(doc_id, "mentions", "entity must be string or null")
-                try:
-                    mentions.append(Mention(start, end, None if ent is None else canonicalize(ent)))
-                except InvalidName as exc:
-                    raise SchemaError(doc_id, "mentions", str(exc)) from None
-            doc = ELDocument(doc_id, text, mentions)
-            doc.validate()
-            docs.append(doc)
+                start, end = int(m["start"]), int(m["end"])
+            except (KeyError, TypeError, ValueError, OverflowError):
+                raise SchemaError(doc_id, "mentions", "bad start/end") from None
+            ent = m.get("entity")
+            if ent is not None and not isinstance(ent, str):
+                raise SchemaError(doc_id, "mentions", "entity must be string or null")
+            try:
+                mentions.append(Mention(start, end, None if ent is None else canonicalize(ent)))
+            except InvalidName as exc:
+                raise SchemaError(doc_id, "mentions", str(exc)) from None
+        doc = ELDocument(doc_id, text, mentions)
+        doc.validate()
+        docs.append(doc)
     return docs
 
 
@@ -319,58 +341,41 @@ def convert_wiki_jsonl(
     and convert each to an example with the title as an extra gold entity."""
     stats = ConversionStats()
     out: list[ETExample] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
+    for rec in jsonl_records(path, "title"):
+        title, text, raw_anchors = rec["title"], rec.get("text"), rec.get("anchors", [])
+        if not isinstance(text, str):
+            raise SchemaError(title, "text", "missing or not a string")
+        if not isinstance(raw_anchors, list):
+            raise SchemaError(title, "anchors", "not a list")
+        anchors = []
+        for m in raw_anchors:
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(line_no, f"bad JSON: {exc}") from exc
-            title = rec.get("title")
-            text = rec.get("text")
-            if not isinstance(title, str):
-                raise SchemaError(f"<line {line_no}>", "title", "missing or not a string")
-            if not isinstance(text, str):
-                raise SchemaError(title, "text", "missing or not a string")
-            anchors = []
-            for m in rec.get("anchors", []):
-                try:
-                    anchors.append((int(m["start"]), int(m["end"]), str(m["entity"])))
-                except (KeyError, TypeError, ValueError):
-                    raise SchemaError(title, "anchors", "bad anchor entry") from None
-            stats.docs_in += 1
-            ex = wiki_abstract_to_et(title, text, anchors, catalog, stats)
-            if not ex.gold and not keep_empty:
-                stats.dropped_empty_docs += 1
-                continue
-            stats.docs_out += 1
-            out.append(ex)
+                anchors.append((int(m["start"]), int(m["end"]), str(m["entity"])))
+            except (KeyError, TypeError, ValueError, OverflowError):
+                raise SchemaError(title, "anchors", "bad anchor entry") from None
+        stats.docs_in += 1
+        ex = wiki_abstract_to_et(title, text, anchors, catalog, stats)
+        if not ex.gold and not keep_empty:
+            stats.dropped_empty_docs += 1
+            continue
+        stats.docs_out += 1
+        out.append(ex)
     return out, stats
 
 
 def read_text_jsonl(path) -> list[tuple[str, str]]:
     """Lenient reader for tagging input: any JSONL with unique doc_id and text."""
     out: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(line_no, f"bad JSON: {exc}") from exc
-            doc_id, text = rec.get("doc_id"), rec.get("text")
-            if not isinstance(doc_id, str) or not isinstance(text, str):
-                raise SchemaError(f"<line {line_no}>", "doc_id/text", "missing or wrong type")
-            if doc_id in seen:
-                raise SchemaError(doc_id, "doc_id", f"duplicate on line {line_no}")
-            seen.add(doc_id)
-            out.append((doc_id, text))
+    for rec in jsonl_records(path, "doc_id"):
+        if not isinstance(rec.get("text"), str):
+            raise SchemaError(rec["doc_id"], "text", "missing or not a string")
+        out.append((rec["doc_id"], rec["text"]))
     return out
+
+
+def read_name_sets(path, field: str) -> dict[str, set[str]]:
+    """doc_id -> the set of names in ``field``, one JSONL record per doc_id."""
+    return {rec["doc_id"]: set(_names(rec, rec["doc_id"], field)) for rec in jsonl_records(path, "doc_id")}
 
 
 def write_et_jsonl(examples: Iterable[ETExample], path, catalog: EntityCatalog) -> None:
@@ -389,33 +394,22 @@ def write_et_jsonl(examples: Iterable[ETExample], path, catalog: EntityCatalog) 
 
 def read_et_jsonl(path, catalog: EntityCatalog) -> list[ETExample]:
     out: list[ETExample] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(line_no, f"bad JSON: {exc}") from exc
-            doc_id = rec.get("doc_id")
-            if not isinstance(doc_id, str):
-                raise SchemaError(f"<line {line_no}>", "doc_id", "missing or not a string")
-            if not isinstance(rec.get("text"), str):
-                raise SchemaError(doc_id, "text", "missing or not a string")
-            if not isinstance(rec.get("gold"), list):
-                raise SchemaError(doc_id, "gold", "missing or not a list")
+    for rec in jsonl_records(path, "doc_id"):
+        doc_id = rec["doc_id"]
+        if not isinstance(rec.get("text"), str):
+            raise SchemaError(doc_id, "text", "missing or not a string")
 
-            def resolve(name: str) -> int:
-                eid = catalog.id_of(name)
-                if eid is None:
-                    raise UnknownEntity(f"{doc_id!r}: entity {name!r} not in catalog")
-                return eid
+        def resolve(name: str) -> int:
+            eid = catalog.id_of(name)
+            if eid is None:
+                raise UnknownEntity(f"{doc_id!r}: entity {name!r} not in catalog")
+            return eid
 
-            gold = frozenset(resolve(n) for n in rec["gold"])
-            raw_order = rec.get("gold_order")
-            order = None if raw_order is None else tuple(resolve(n) for n in raw_order)
-            if order is not None and (len(order) != len(gold) or set(order) != gold):
+        gold = frozenset(resolve(n) for n in _names(rec, doc_id, "gold"))
+        order = None
+        if rec.get("gold_order") is not None:
+            order = tuple(resolve(n) for n in _names(rec, doc_id, "gold_order"))
+            if len(order) != len(gold) or set(order) != gold:
                 raise SchemaError(doc_id, "gold_order", "not a permutation of gold")
-            out.append(ETExample(doc_id=doc_id, text=rec["text"], gold=gold, gold_order=order))
+        out.append(ETExample(doc_id=doc_id, text=rec["text"], gold=gold, gold_order=order))
     return out

@@ -13,18 +13,22 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .catalog import EOS, SEP, EntityCatalog, Vocabulary, tokenize
+from .catalog import EOS, N_RESERVED, SEP, EntityCatalog, Vocabulary, tokenize
 from .errors import CacheMismatch, DisallowedToken, EmptyCatalog, OutputOOV
 
 ROOT = 0
 FINISHED = -1
 
-_MAGIC = b"ETRIE1"
+_MAGIC = b"ETRIE2\0\0"  # 8 bytes, so the int32 sections after the header are aligned
+# magic, catalog/vocabulary key, SHA-256 of every byte after it, node count, edge count
+_HEADER = struct.Struct("<8s32s32sii")
+_HASHED_FROM = _HEADER.size - 8
 
 
 class TrieCursor(NamedTuple):
@@ -53,31 +57,94 @@ class TokenTrie:
     child_hi: np.ndarray      # int64 [n_edges]
     entity_rank: np.ndarray   # int64 [n_entities], catalog id -> rank
     entity_count: int
-    _max_depth: int = field(default=-1, repr=False)
+    max_depth: int
+
+    @classmethod
+    def from_arrays(
+        cls,
+        terminal: np.ndarray,
+        child_counts: np.ndarray,
+        child_keys: np.ndarray,
+        child_vals: np.ndarray,
+        n_entities: int,
+        vocab_size: int,
+    ) -> TokenTrie:
+        """The trie stored as ``terminal``, per-node child counts and the CSR
+        edge arrays, with every derived field worked out one depth level at a
+        time. Raises CacheMismatch unless the arrays are a preorder trie whose
+        terminals are exactly the ids ``0..n_entities-1`` and whose keys are
+        content ids below ``vocab_size``."""
+
+        def require(ok, what: str) -> None:
+            if not ok:
+                raise CacheMismatch(what)
+
+        n, n_edges = len(terminal), len(child_keys)
+        require(child_counts.min() >= 0 and child_counts.sum() == n_edges,
+                "child counts do not sum to the edge count")
+        term_nodes = np.flatnonzero(terminal >= 0)
+        require(terminal[ROOT] == -1 and terminal.min() >= -1
+                and np.array_equal(np.sort(terminal[term_nodes]), np.arange(n_entities)),
+                "terminal ids are not the catalog ids, each once and none at the root")
+        # a non-terminal leaf would be a decode dead end; the root is one unless it has children
+        require((terminal[child_counts == 0] >= 0).all(), "a leaf is not terminal")
+
+        child_start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(child_counts, out=child_start[1:])
+        first = child_start[:-1][child_counts > 0]  # edge index of each node's first child
+        rising = np.diff(child_keys) > 0
+        rising[first[1:] - 1] = True  # keys restart at each node's first child
+        require(child_keys.min() >= N_RESERVED and child_keys.max() < vocab_size and rising.all(),
+                "child keys are not increasing content ids of the output vocabulary")
+        require(child_vals.min() > ROOT and child_vals.max() < n, "child index out of range")
+
+        # breadth-first levels; more visits than nodes means a node has two parents
+        levels = [np.array([ROOT], dtype=np.int32)]
+        visited = 1
+        while True:
+            starts, counts = child_start[levels[-1]], child_counts[levels[-1]]
+            total = int(counts.sum())
+            if total == 0:
+                break
+            visited += total
+            require(visited <= n, "a node has more than one parent")
+            offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+            levels.append(child_vals[offsets + np.arange(total)])
+
+        # subtree of v is the index range [v, end[v]) when the nodes are in preorder
+        end = np.arange(1, n + 1, dtype=np.int32)
+        for level in reversed(levels):
+            inner = level[child_counts[level] > 0]
+            end[inner] = end[child_vals[child_start[inner + 1] - 1]]
+        expected = np.empty(n_edges, dtype=np.int32)
+        expected[1:] = end[child_vals[:-1]]
+        expected[first] = np.flatnonzero(child_counts) + 1
+        require(end[ROOT] == n and np.array_equal(expected, child_vals), "nodes are not in preorder")
+
+        # preorder visits terminals in sorted-name order, so the terminals
+        # before a node are its entity rank
+        rank = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(terminal >= 0, out=rank[1:])
+        ent_lo, ent_hi = rank[:n], rank[end]
+        entity_rank = np.empty(n_entities, dtype=np.int64)
+        entity_rank[terminal[term_nodes]] = rank[term_nodes]
+        return cls(
+            terminal=terminal,
+            child_start=child_start,
+            child_keys=child_keys,
+            child_vals=child_vals,
+            ent_lo=ent_lo,
+            ent_hi=ent_hi,
+            child_lo=ent_lo[child_vals],
+            child_hi=ent_hi[child_vals],
+            entity_rank=entity_rank,
+            entity_count=n_entities,
+            max_depth=len(levels) - 1,
+        )
 
     @property
     def node_count(self) -> int:
         return len(self.terminal)
-
-    @property
-    def max_depth(self) -> int:
-        if self._max_depth < 0:
-            cs, cv = self.child_start, self.child_vals
-            frontier = np.array([ROOT], dtype=np.int64)
-            depth = 0
-            while True:
-                starts = cs[frontier]
-                counts = cs[frontier + 1] - starts
-                total = int(counts.sum())
-                if total == 0:
-                    break
-                idx = np.repeat(starts, counts) + (
-                    np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-                )
-                frontier = cv[idx].astype(np.int64)
-                depth += 1
-            self._max_depth = depth
-        return self._max_depth
 
     def start_cursor(self) -> TrieCursor:
         return TrieCursor(ROOT)
@@ -119,21 +186,14 @@ def build_trie(catalog: EntityCatalog, vocab: Vocabulary) -> TokenTrie:
         seqs.append((tuple(ids), eid))
     seqs.sort()
 
-    from array import array
-
+    # inserting the names in sorted order creates the nodes in preorder, each
+    # node's children in ascending key order; edge i creates node i + 1
     terminal = array("i", [-1])
-    ent_lo = array("q", [0])
-    ent_hi = array("q", [0])
     parents = array("i")
     keys = array("i")
-    vals = array("i")
-
     stack = [ROOT]
     prev: tuple[int, ...] = ()
-    entity_rank = np.empty(n_entities, dtype=np.int64)
-    max_depth = 0
-    n_nodes = 1
-    for rank, (seq, eid) in enumerate(seqs):
+    for seq, eid in seqs:
         lcp = 0
         limit = min(len(prev), len(seq))
         while lcp < limit and prev[lcp] == seq[lcp]:
@@ -142,50 +202,25 @@ def build_trie(catalog: EntityCatalog, vocab: Vocabulary) -> TokenTrie:
         for tok in seq[lcp:]:
             parents.append(stack[-1])
             keys.append(tok)
-            vals.append(n_nodes)
+            stack.append(len(terminal))
             terminal.append(-1)
-            ent_lo.append(rank)
-            ent_hi.append(rank)
-            stack.append(n_nodes)
-            n_nodes += 1
         # distinct canonical names cannot tokenize identically (tokenize is
         # invertible on canonical text), so the terminal slot is free
         assert terminal[stack[-1]] == -1, "duplicate token sequence in catalog"
         terminal[stack[-1]] = eid
-        entity_rank[eid] = rank
-        for node in stack:
-            ent_hi[node] = rank + 1
-        max_depth = max(max_depth, len(seq))
         prev = seq
+    del seqs
 
-    terminal_np = np.asarray(terminal, dtype=np.int32)
-    ent_lo_np = np.asarray(ent_lo, dtype=np.int64)
-    ent_hi_np = np.asarray(ent_hi, dtype=np.int64)
-    parents_np = np.asarray(parents, dtype=np.int64)
-    keys_np = np.asarray(keys, dtype=np.int32)
-    vals_np = np.asarray(vals, dtype=np.int32)
-
-    # per-node child order follows sorted-name insertion, i.e. ascending key;
-    # a stable sort on parent alone preserves it
+    parents_np = np.asarray(parents, dtype=np.int32)
+    # a stable sort on parent alone keeps each node's children in key order
     order = np.argsort(parents_np, kind="stable")
-    child_counts = np.bincount(parents_np, minlength=n_nodes)
-    child_start = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(child_counts, out=child_start[1:])
-    child_keys = keys_np[order]
-    child_vals = vals_np[order]
-
-    return TokenTrie(
-        terminal=terminal_np,
-        child_start=child_start,
-        child_keys=child_keys,
-        child_vals=child_vals,
-        ent_lo=ent_lo_np,
-        ent_hi=ent_hi_np,
-        child_lo=ent_lo_np[child_vals],
-        child_hi=ent_hi_np[child_vals],
-        entity_rank=entity_rank,
-        entity_count=n_entities,
-        _max_depth=max_depth,
+    return TokenTrie.from_arrays(
+        terminal=np.asarray(terminal, dtype=np.int32),
+        child_counts=np.bincount(parents_np, minlength=len(terminal)).astype(np.int32),
+        child_keys=np.asarray(keys, dtype=np.int32)[order],
+        child_vals=(order + 1).astype(np.int32),
+        n_entities=n_entities,
+        vocab_size=len(vocab),
     )
 
 
@@ -299,90 +334,39 @@ def content_hash(catalog: EntityCatalog, vocab: Vocabulary) -> bytes:
     return h.digest()
 
 
-def save_trie_cache(trie: TokenTrie, path, key: bytes) -> None:
-    """Write the binary cache: magic, 32-byte content hash, node count, then
-    per node (terminal|-1, child_count, sorted (token, child) pairs), all
-    little-endian int32."""
-    if len(key) != 32:
-        raise ValueError("cache key must be a 32-byte digest")
-    n = trie.node_count
-    counts = np.diff(trie.child_start).astype(np.int64)
-    sizes = 2 + 2 * counts
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    buf = np.empty(int(offsets[-1]), dtype="<i4")
-    buf[offsets[:-1]] = trie.terminal
-    buf[offsets[:-1] + 1] = counts.astype(np.int32)
-    edge_node = np.repeat(np.arange(n, dtype=np.int64), counts)
-    intra = np.arange(len(trie.child_keys), dtype=np.int64) - np.repeat(
-        trie.child_start[:-1], counts
-    )
-    pair_pos = offsets[edge_node] + 2 + 2 * intra
-    buf[pair_pos] = trie.child_keys
-    buf[pair_pos + 1] = trie.child_vals
+def save_trie_cache(trie: TokenTrie, path, catalog: EntityCatalog, vocab: Vocabulary) -> None:
+    """Write the binary cache: ``_HEADER``, then terminal, child counts,
+    child keys and child values as little-endian int32 sections."""
+    sections = [struct.pack("<ii", trie.node_count, len(trie.child_keys))] + [
+        np.asarray(a, dtype="<i4").tobytes()
+        for a in (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)
+    ]
+    digest = hashlib.sha256()
+    for section in sections:
+        digest.update(section)
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(key)
-        f.write(struct.pack("<i", n))
-        f.write(buf.tobytes())
+        f.write(_MAGIC + content_hash(catalog, vocab) + digest.digest())
+        f.writelines(sections)
 
 
-def load_trie_cache(path, key: bytes) -> TokenTrie:
-    """Read a cache written by save_trie_cache, verifying the content hash."""
+def load_trie_cache(path, catalog: EntityCatalog, vocab: Vocabulary) -> TokenTrie:
+    """Read a cache written by save_trie_cache for this catalog and output
+    vocabulary. Raises CacheMismatch unless the file is intact and holds a
+    well-formed trie over the catalog."""
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[: len(_MAGIC)] != _MAGIC:
+    if len(blob) < _HEADER.size or not blob.startswith(_MAGIC):
         raise CacheMismatch(f"{path}: not a trie cache")
-    stored = blob[len(_MAGIC): len(_MAGIC) + 32]
-    if stored != key:
+    _, key, digest, n, n_edges = _HEADER.unpack_from(blob)
+    if key != content_hash(catalog, vocab):
         raise CacheMismatch(f"{path}: cache was built for a different catalog/vocabulary")
-    (n,) = struct.unpack_from("<i", blob, len(_MAGIC) + 32)
-    body = np.frombuffer(blob, dtype="<i4", offset=len(_MAGIC) + 36)
-
-    terminal = np.empty(n, dtype=np.int32)
-    child_start = np.zeros(n + 1, dtype=np.int64)
-    pos = 0
-    for v in range(n):
-        terminal[v] = body[pos]
-        child_start[v + 1] = child_start[v] + body[pos + 1]
-        pos += 2 + 2 * int(body[pos + 1])
-    if pos != len(body):
-        raise CacheMismatch(f"{path}: truncated or padded node block")
-    n_edges = int(child_start[-1])
-    counts = np.diff(child_start)
-    sizes = 2 + 2 * counts
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    edge_node = np.repeat(np.arange(n, dtype=np.int64), counts)
-    intra = np.arange(n_edges, dtype=np.int64) - np.repeat(child_start[:-1], counts)
-    pair_pos = offsets[edge_node] + 2 + 2 * intra
-    child_keys = body[pair_pos].astype(np.int32)
-    child_vals = body[pair_pos + 1].astype(np.int32)
-
-    # preorder arena: subtree of v is the contiguous index range [v, end[v])
-    end = np.arange(1, n + 1, dtype=np.int64)
-    for v in range(n - 1, -1, -1):
-        s, e = child_start[v], child_start[v + 1]
-        if s != e:
-            end[v] = end[child_vals[e - 1]]
-    tprefix = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(terminal >= 0, out=tprefix[1:])
-    ent_lo = tprefix[:n].copy()
-    ent_hi = tprefix[end]
-    term_nodes = np.nonzero(terminal >= 0)[0]
-    n_entities = len(term_nodes)
-    entity_rank = np.empty(n_entities, dtype=np.int64)
-    entity_rank[terminal[term_nodes]] = tprefix[term_nodes]
-
-    return TokenTrie(
-        terminal=terminal,
-        child_start=child_start,
-        child_keys=child_keys,
-        child_vals=child_vals,
-        ent_lo=ent_lo,
-        ent_hi=ent_hi,
-        child_lo=ent_lo[child_vals],
-        child_hi=ent_hi[child_vals],
-        entity_rank=entity_rank,
-        entity_count=n_entities,
-    )
+    if n < 1 or n_edges < 0 or len(blob) != _HEADER.size + 8 * (n + n_edges):
+        raise CacheMismatch(f"{path}: truncated or padded")
+    if hashlib.sha256(memoryview(blob)[_HASHED_FROM:]).digest() != digest:
+        raise CacheMismatch(f"{path}: contents do not match their SHA-256")
+    body = np.frombuffer(blob, dtype="<i4", offset=_HEADER.size)
+    terminal, counts, keys, vals = np.split(body, [n, 2 * n, 2 * n + n_edges])
+    try:
+        return TokenTrie.from_arrays(terminal, counts, keys, vals, len(catalog), len(vocab))
+    except CacheMismatch as exc:
+        raise CacheMismatch(f"{path}: {exc}") from None

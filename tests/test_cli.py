@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ettag.catalog import EntityCatalog
@@ -366,6 +367,126 @@ class TestErrorHandling:
         rc = main(["eval", "--pred", str(tmp_path / "pred.jsonl"), "--gold", str(tmp_path / "gold.jsonl")])
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+    @pytest.mark.parametrize("kind", ["kb", "text", "vocab"])
+    def test_non_utf8_input_exit_1(self, world, tmp_path, capsys, kind):
+        bad = tmp_path / "bad"
+        bad.write_bytes(VALID[kind](world).read_bytes() + b"\xff\n")
+        assert main(CONSUMERS[kind](world, str(bad), str(tmp_path / "out"))) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "UnicodeDecodeError"
+
+    @pytest.mark.parametrize("kind", ["text", "et", "el-jsonl", "wiki", "pred"])
+    def test_non_object_record_exit_1(self, world, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("[1]\n", encoding="utf-8")
+        assert main(CONSUMERS[kind](world, str(bad), str(tmp_path / "out"))) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError" and "not a JSON object" in err["message"]
+
+    @pytest.mark.parametrize(
+        "kind, record, field",
+        [
+            ("et", {"doc_id": "a", "text": "x", "gold": [], "gold_order": 5}, "gold_order"),
+            ("et", {"doc_id": "a", "text": "x", "gold": [["a"]]}, "gold"),
+            ("wiki", {"title": "a", "text": "x", "anchors": 5}, "anchors"),
+        ],
+    )
+    def test_wrongly_typed_field_exit_1(self, world, tmp_path, capsys, kind, record, field):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(CONSUMERS[kind](world, str(bad), str(tmp_path / "out"))) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError" and repr(field) in err["message"]
+
+    def test_ablate_beam_duplicate_doc_id_exit_1(self, world, tmp_path, capsys):
+        lines = world["eval"].read_text(encoding="utf-8").splitlines()
+        docs = tmp_path / "dup.jsonl"
+        docs.write_text("\n".join(lines[:5] + lines[2:3]) + "\n", encoding="utf-8")
+        out = tmp_path / "beam.csv"
+        assert main(CONSUMERS["et"](world, str(docs), str(out))) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beams, error", [("1,x", "InputError"), (",", "InputError"), ("1,0", "InvalidConfig")])
+    def test_ablate_beam_bad_beams_exit_1(self, world, tmp_path, capsys, beams, error):
+        argv = CONSUMERS["et"](world, str(world["eval"]), str(tmp_path / "beam.csv"))
+        assert main(argv + ["--beams", beams]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+def _tag_argv(world, out, flag, path):
+    files = {
+        "--model": world["model"],
+        "--in-vocab": world["root"] / "model.bin.invocab.tsv",
+        "--kb": world["kb"],
+        "--in": world["eval"],
+        flag: path,
+    }
+    return ["tag", "--beam", "1", "--out", out, *(str(x) for pair in files.items() for x in pair)]
+
+
+# kind of input file -> argv of a command that reads the file at ``path``
+CONSUMERS = {
+    "kb": lambda w, path, out: ["build-kb", "--kb", path, "--cache-out", out],
+    "text": lambda w, path, out: _tag_argv(w, out, "--in", path),
+    "checkpoint": lambda w, path, out: _tag_argv(w, out, "--model", path),
+    "vocab": lambda w, path, out: _tag_argv(w, out, "--in-vocab", path),
+    "cache": lambda w, path, out: _tag_argv(w, out, "--kb-cache", path),
+    "et": lambda w, path, out: [
+        "ablate-beam", "--model", str(w["model"]), "--kb", str(w["kb"]), "--eval", path,
+        "--beams", "1", "--out", out,
+    ],
+    "el-jsonl": lambda w, path, out: ["convert", "--format", "el-jsonl", "--in", path, "--out", out, "--kb", str(w["kb"])],
+    "wiki": lambda w, path, out: [
+        "convert", "--format", "wiki-abstracts", "--in", path, "--out", out, "--kb", str(w["kb"]),
+    ],
+    "pred": lambda w, path, out: ["eval", "--pred", path, "--gold", str(w["eval"])],
+}
+
+# kind of input file -> a valid one
+VALID = {
+    "kb": lambda w: w["kb"],
+    "text": lambda w: w["eval"],
+    "et": lambda w: w["eval"],
+    "checkpoint": lambda w: w["model"],
+    "vocab": lambda w: w["root"] / "model.bin.invocab.tsv",
+}
+
+
+def test_cli_fuzz_corrupted_inputs(world, tmp_path, capsys):
+    """Truncated and byte-flipped input files end in exit 0, 1 or 2, never a
+    traceback; a failure is one JSON line on stderr, and a damaged trie cache
+    always exits 1."""
+    cache = tmp_path / "kb.trie"
+    assert main(["build-kb", "--kb", str(world["kb"]), "--cache-out", str(cache)]) == 0
+    originals = {kind: valid(world) for kind, valid in VALID.items()}
+    originals["cache"] = cache
+    rng = np.random.default_rng(2024)
+    bad, out = tmp_path / "bad", str(tmp_path / "out")
+    for kind, path in originals.items():
+        data = path.read_bytes()
+        capsys.readouterr()
+        assert main(CONSUMERS[kind](world, str(path), out)) == 0, kind
+        for trial in range(20):
+            if trial % 3 == 0:
+                mutated = data[: int(rng.integers(0, len(data)))]
+            else:
+                buf = bytearray(data)
+                for pos in rng.integers(0, len(data), size=int(rng.integers(1, 4))):
+                    buf[pos] ^= int(rng.integers(1, 256))
+                mutated = bytes(buf)
+            bad.write_bytes(mutated)
+            capsys.readouterr()
+            rc = main(CONSUMERS[kind](world, str(bad), out))
+            err = capsys.readouterr().err
+            case = (kind, trial, rc, err)
+            assert "Traceback" not in err, case
+            assert rc in (0, 1, 2), case
+            if rc:
+                lines = err.splitlines()
+                assert len(lines) == 1 and {"error", "message"} <= set(json.loads(lines[0])), case
+            if kind == "cache":
+                assert rc == 1, case
 
 
 class TestConfigFile:

@@ -23,6 +23,7 @@ from ettag.ingest import (
     parse_aida_conll,
     parse_normalized_jsonl,
     read_et_jsonl,
+    read_name_sets,
     read_text_jsonl,
     wiki_abstract_to_et,
     write_et_jsonl,
@@ -427,3 +428,28 @@ class TestEtJsonl:
         path.write_text("".join(json.dumps({"doc_id": d, "text": "x"}) + "\n" for d in "aba"), encoding="utf-8")
         with pytest.raises(SchemaError):
             read_text_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        read_text_jsonl,
+        parse_normalized_jsonl,
+        lambda path: read_et_jsonl(path, EntityCatalog(["Earth"])),
+        lambda path: convert_wiki_jsonl(path, EntityCatalog(["Earth"])),
+        lambda path: read_name_sets(path, "gold"),
+    ],
+    ids=["text", "el", "et", "wiki", "name-sets"],
+)
+class TestJsonlRecords:
+    def test_non_object_line(self, tmp_path, read):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('\n[1]\n', encoding="utf-8")
+        with pytest.raises(SchemaError, match="line 2"):
+            read(path)
+
+    def test_bad_json_line(self, tmp_path, read):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"doc_id": \n', encoding="utf-8")
+        with pytest.raises(MalformedLine):
+            read(path)

@@ -1,7 +1,11 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from ettag.catalog import EOS, SEP, EntityCatalog, build_vocabularies, tokenize
+from ettag.cli import main
 from ettag.decoding import DecodeConfig
 from ettag.errors import CacheMismatch, DisallowedToken, EmptyCatalog, OutputOOV
 from ettag.trie import (
@@ -10,7 +14,6 @@ from ettag.trie import (
     advance,
     allowed_tokens,
     build_trie,
-    content_hash,
     load_trie_cache,
     save_trie_cache,
     trie_stats,
@@ -76,6 +79,27 @@ class TestBuild:
         assert stats["max_depth"] == 3
         # root + a,b,c + x
         assert stats["node_count"] == 5
+
+    def test_derived_fields_match_the_sorted_names(self):
+        # reference: ranks, depth and entity intervals read off the sorted token sequences
+        rng = np.random.default_rng(11)
+        cat, vout, trie = catalog_stack(random_catalog(rng, 60))
+        seqs = name_token_seqs(cat, vout)
+        rank = {eid: r for r, eid in enumerate(sorted(range(len(seqs)), key=seqs.__getitem__))}
+        assert trie.entity_rank.tolist() == [rank[eid] for eid in range(len(seqs))]
+        assert trie.max_depth == max(len(seq) for seq in seqs)
+        under: dict[int, list[int]] = {}
+        for eid, seq in enumerate(seqs):
+            path = [0]
+            for tok in seq:
+                path.append(trie.child(path[-1], tok))
+            for node in path:
+                under.setdefault(node, []).append(rank[eid])
+        assert sorted(under) == list(range(trie.node_count))
+        assert trie.ent_lo.tolist() == [min(under[v]) for v in range(trie.node_count)]
+        assert trie.ent_hi.tolist() == [max(under[v]) + 1 for v in range(trie.node_count)]
+        assert np.array_equal(trie.child_lo, trie.ent_lo[trie.child_vals])
+        assert np.array_equal(trie.child_hi, trie.ent_hi[trie.child_vals])
 
     def test_deterministic_build(self):
         rng = np.random.default_rng(9)
@@ -234,16 +258,18 @@ class TestCache:
         rng = np.random.default_rng(23)
         cat = random_catalog(rng, 50)
         cat, vout, trie = catalog_stack(cat)
-        key = content_hash(cat, vout)
         path = tmp_path / "kb.trie"
-        save_trie_cache(trie, path, key)
-        loaded = load_trie_cache(path, key)
+        save_trie_cache(trie, path, cat, vout)
+        loaded = load_trie_cache(path, cat, vout)
         assert trie_stats(loaded) == trie_stats(trie)
         assert np.array_equal(loaded.terminal, trie.terminal)
         assert np.array_equal(loaded.child_keys, trie.child_keys)
         assert np.array_equal(loaded.child_vals, trie.child_vals)
         assert np.array_equal(loaded.ent_lo, trie.ent_lo)
         assert np.array_equal(loaded.ent_hi, trie.ent_hi)
+        assert np.array_equal(loaded.child_lo, trie.child_lo)
+        assert np.array_equal(loaded.child_hi, trie.child_hi)
+        assert loaded.max_depth == trie.max_depth
         assert np.array_equal(loaded.entity_rank, trie.entity_rank)
         config = DecodeConfig(max_entities=3)
         assert enumerate_trie_language(loaded, config) == enumerate_trie_language(trie, config)
@@ -251,14 +277,122 @@ class TestCache:
     def test_hash_mismatch(self, tmp_path):
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth", "Mars"]))
         path = tmp_path / "kb.trie"
-        save_trie_cache(trie, path, content_hash(cat, vout))
+        save_trie_cache(trie, path, cat, vout)
         other = EntityCatalog(["Earth", "Venus"])
         _, vout2 = build_vocabularies(other, [])
         with pytest.raises(CacheMismatch):
-            load_trie_cache(path, content_hash(other, vout2))
+            load_trie_cache(path, other, vout2)
 
     def test_not_a_cache(self, tmp_path):
+        cat, vout, _ = catalog_stack(EntityCatalog(["Earth"]))
         path = tmp_path / "junk"
         path.write_bytes(b"hello world")
+        with pytest.raises(CacheMismatch, match="not a trie cache"):
+            load_trie_cache(path, cat, vout)
+
+    def test_every_byte_is_checked(self, tmp_path):
+        cat, vout, trie = catalog_stack(EntityCatalog(["Earth", "Mars", "Mars rover"]))
+        path = tmp_path / "kb.trie"
+        save_trie_cache(trie, path, cat, vout)
+        good = path.read_bytes()
+        for i in range(len(good)):
+            path.write_bytes(good[:i] + bytes([good[i] ^ 0x10]) + good[i + 1:])
+            with pytest.raises(CacheMismatch):
+                load_trie_cache(path, cat, vout)
+        for cut in (0, 40, len(good) - 1):
+            path.write_bytes(good[:cut])
+            with pytest.raises(CacheMismatch):
+                load_trie_cache(path, cat, vout)
+        path.write_bytes(good + b"\0\0\0\0")
         with pytest.raises(CacheMismatch):
-            load_trie_cache(path, b"\x00" * 32)
+            load_trie_cache(path, cat, vout)
+
+
+# The trie over "a b", "a c" and "d" (tokens a=4, b=5, c=6, d=7), nodes in
+# preorder root, a, b, c, d:
+#   terminal      [-1, -1, 0, 1, 2]
+#   child counts  [ 2,  2, 0, 0, 0]
+#   child keys    [ 4,  7, 5, 6]
+#   child values  [ 1,  4, 2, 3]
+TINY_NAMES = ["a b", "a c", "d"]
+
+
+def _add_edge_from_b_to_a(t):
+    t.child_start[3:] += 1
+    t.child_keys = np.insert(t.child_keys, 4, 4)
+    t.child_vals = np.insert(t.child_vals, 4, 1)
+
+
+def _set(name, index, value):
+    def tamper(t):
+        getattr(t, name)[index] = value
+    return tamper
+
+
+TAMPERS = [
+    pytest.param(_set("child_start", [2, 3, 4, 5], 5), "child counts", id="counts-sum-past-edges"),
+    pytest.param(_set("child_start", 2, 5), "child counts", id="negative-count"),
+    pytest.param(_set("child_keys", [0, 1], [7, 4]), "child keys", id="keys-descending"),
+    pytest.param(_set("child_keys", 3, 5), "child keys", id="keys-repeated"),
+    pytest.param(_set("child_keys", 2, SEP), "child keys", id="reserved-key"),
+    pytest.param(_set("child_keys", 3, 8), "child keys", id="key-past-vocab"),
+    pytest.param(_set("child_vals", 3, 99), "child index out of range", id="child-out-of-range"),
+    pytest.param(_set("child_vals", 1, 0), "child index out of range", id="child-is-root"),
+    pytest.param(_set("child_vals", 1, 2), "preorder", id="two-parents-one-orphan"),
+    pytest.param(_set("child_vals", [2, 3], [3, 2]), "preorder", id="siblings-swapped"),
+    pytest.param(_add_edge_from_b_to_a, "more than one parent", id="cycle"),
+    pytest.param(_set("terminal", 0, 0), "terminal ids", id="root-terminal"),
+    pytest.param(_set("terminal", 2, 1), "terminal ids", id="id-twice"),
+    pytest.param(_set("terminal", 4, 3), "terminal ids", id="id-past-catalog"),
+    pytest.param(_set("terminal", 1, -2), "terminal ids", id="below-minus-one"),
+    pytest.param(_set("terminal", [1, 4], [2, -1]), "leaf is not terminal", id="leaf-not-terminal"),
+]
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """The tiny catalog, its trie, and a model trained on it for ``tag``."""
+    root = tmp_path_factory.mktemp("tiny")
+    kb, docs, model = root / "kb.txt", root / "docs.jsonl", root / "m.bin"
+    kb.write_text("".join(n + "\n" for n in TINY_NAMES), encoding="utf-8")
+    docs.write_text(json.dumps({"doc_id": "x", "text": "a b", "gold": ["a b"]}) + "\n", encoding="utf-8")
+    argv = ["train", "--train", str(docs), "--kb", str(kb), "--model-out", str(model)]
+    assert main(argv + ["--epochs", "1", "--dim", "4", "--window", "2"]) == 0
+    cat, vout, trie = catalog_stack(EntityCatalog.load(kb))
+    assert trie.terminal.tolist() == [-1, -1, 0, 1, 2]
+    assert np.diff(trie.child_start).tolist() == [2, 2, 0, 0, 0]
+    assert trie.child_keys.tolist() == [4, 7, 5, 6] and trie.child_vals.tolist() == [1, 4, 2, 3]
+    assert len(vout) == 8
+    tag = ["tag", "--model", str(model), "--kb", str(kb), "--in", str(docs), "--out", str(root / "p.jsonl")]
+    return cat, vout, trie, tag
+
+
+class TestCacheStructure:
+    """Each structural check: a tampered trie saved with a valid hash is
+    rejected on load, and ``tag --kb-cache`` on it exits 1 with one JSON line."""
+
+    def test_untampered_cache_tags(self, tiny, tmp_path, capsys):
+        cat, vout, trie, tag = tiny
+        save_trie_cache(trie, tmp_path / "kb.trie", cat, vout)
+        assert main(tag + ["--kb-cache", str(tmp_path / "kb.trie")]) == 0
+
+    @pytest.mark.parametrize("tamper, message", TAMPERS)
+    def test_tampered_cache_rejected(self, tiny, tmp_path, capsys, tamper, message):
+        cat, vout, trie, tag = tiny
+        bad = dataclasses.replace(
+            trie,
+            terminal=trie.terminal.copy(),
+            child_start=trie.child_start.copy(),
+            child_keys=trie.child_keys.copy(),
+            child_vals=trie.child_vals.copy(),
+        )
+        tamper(bad)
+        path = tmp_path / "kb.trie"
+        save_trie_cache(bad, path, cat, vout)
+        with pytest.raises(CacheMismatch, match=message):
+            load_trie_cache(path, cat, vout)
+        capsys.readouterr()
+        assert main(tag + ["--kb-cache", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "CacheMismatch"
