@@ -79,6 +79,12 @@ def join_tokens(tokens: Iterable[str]) -> str:
     return "".join(tokens).replace(WORD_MARK, " ").lstrip(" ")
 
 
+def nul_terminated(strings: Sequence[str]) -> bytes:
+    """Each string as UTF-8 followed by a NUL byte: the bytes a content hash
+    covers, and the checkpoint's input-vocabulary section."""
+    return "\0".join((*strings, "")).encode("utf-8")
+
+
 class Vocabulary:
     """Immutable token table. Reserved tokens occupy ids 0..3, content follows.
 
@@ -106,43 +112,11 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self._index
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vocabulary) and self.tokens == other.tokens
-
     def id_of(self, token: str) -> int | None:
         return self._index.get(token)
 
     def content_hash(self) -> bytes:
-        h = hashlib.sha256()
-        for t in self.tokens:
-            h.update(t.encode("utf-8"))
-            h.update(b"\x00")
-        return h.digest()
-
-    def dump_tsv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            for i, t in enumerate(self.tokens):
-                f.write(f"{i}\t{t}\n")
-
-    @classmethod
-    def load_tsv(cls, path) -> "Vocabulary":
-        tokens: list[str] = []
-        with open(path, "r", encoding="utf-8") as f:
-            for line_no, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    idx_s, tok = line.split("\t", 1)
-                    idx = int(idx_s)
-                except ValueError as exc:
-                    raise MalformedLine(line_no, f"bad vocabulary row: {line!r}") from exc
-                if idx != len(tokens):
-                    raise MalformedLine(line_no, f"non-contiguous token id {idx}")
-                tokens.append(tok)
-        if tuple(tokens[:N_RESERVED]) != RESERVED_TOKENS:
-            raise MalformedLine(1, "reserved tokens missing or out of order")
-        return cls(tokens[N_RESERVED:])
+        return hashlib.sha256(nul_terminated(self.tokens)).digest()
 
 
 def tokenize(text: str, vocab: Vocabulary, mode: str = "input") -> TokenSeq:
@@ -205,11 +179,7 @@ class EntityCatalog:
         return self._index.get(name)
 
     def content_hash(self) -> bytes:
-        h = hashlib.sha256()
-        for n in self.names:
-            h.update(n.encode("utf-8"))
-            h.update(b"\x00")
-        return h.digest()
+        return hashlib.sha256(nul_terminated(self.names)).digest()
 
     @classmethod
     def load(cls, path, format: str = "plain-lines") -> "EntityCatalog":

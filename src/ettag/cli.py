@@ -20,7 +20,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .catalog import EntityCatalog, Vocabulary, build_vocabularies, tokenize
+from .catalog import EntityCatalog, build_vocabularies, tokenize
 from .decoding import DecodeConfig, beam_decode, parse_output
 from .errors import ContractError, EttagError, InputError
 from .ingest import (
@@ -36,14 +36,7 @@ from .ingest import (
     write_et_jsonl,
 )
 from .metrics import aggregate, format_report, prf1, score_predictions
-from .toy_model import (
-    ToyScorer,
-    TrainConfig,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-    vocab_pair_hash,
-)
+from .toy_model import ToyScorer, TrainConfig, load_checkpoint, save_checkpoint, train
 from .trie import build_trie, load_trie_cache, save_trie_cache, trie_stats
 
 
@@ -123,8 +116,6 @@ def cmd_build_kb(args, cfg) -> int:
     _, vocab_out = build_vocabularies(catalog, [])
     trie = build_trie(catalog, vocab_out)
     save_trie_cache(trie, opts["cache_out"], catalog, vocab_out)
-    opts["vocab_out"] = opts["vocab_out"] or str(opts["cache_out"]) + ".outvocab.tsv"
-    vocab_out.dump_tsv(opts["vocab_out"])
     _write_runconfig(opts["cache_out"], "build-kb", opts)
     print(json.dumps(trie_stats(trie)))
     return 0
@@ -171,8 +162,7 @@ def cmd_train(args, cfg) -> int:
     corpus = encode_examples(corpus, vocab_in)
     params, curve = train(corpus, tc, catalog, vocab_in, vocab_out)
     model_out = opts["model_out"]
-    save_checkpoint(params, model_out, vocab_pair_hash(vocab_in, vocab_out))
-    vocab_in.dump_tsv(str(model_out) + ".invocab.tsv")
+    save_checkpoint(params, model_out, vocab_in, vocab_out)
     with open(str(model_out) + ".loss.csv", "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "mean_nll"])
@@ -184,19 +174,13 @@ def cmd_train(args, cfg) -> int:
 
 
 def _load_model_stack(opts: dict):
-    """catalog + vocabs + trie + scorer for tagging commands."""
+    """catalog + input vocabulary + trie + scorer for tagging commands."""
     catalog = _load_kb(opts)
     _, vocab_out = build_vocabularies(catalog, [])
-    params, stored_hash = load_checkpoint(opts["model"])
-    opts["in_vocab"] = opts["in_vocab"] or str(opts["model"]) + ".invocab.tsv"
-    vocab_in = Vocabulary.load_tsv(opts["in_vocab"])
-    if stored_hash != vocab_pair_hash(vocab_in, vocab_out):
-        raise InputError("checkpoint was trained against different vocabularies")
-    if opts["kb_cache"]:
-        trie = load_trie_cache(opts["kb_cache"], catalog, vocab_out)
-    else:
-        trie = build_trie(catalog, vocab_out)
-    return catalog, vocab_in, vocab_out, trie, ToyScorer(params)
+    params, vocab_in = load_checkpoint(opts["model"], vocab_out)
+    cache = opts["kb_cache"]
+    trie = load_trie_cache(cache, catalog, vocab_out) if cache else build_trie(catalog, vocab_out)
+    return catalog, vocab_in, trie, ToyScorer(params)
 
 
 def _tag_documents(docs, scorer, trie, vocab_in, config):
@@ -212,7 +196,7 @@ def _tag_documents(docs, scorer, trie, vocab_in, config):
 def cmd_tag(args, cfg) -> int:
     opts = _resolve(args, cfg, EntityCatalog.load, DecodeConfig)
     config = _config(DecodeConfig, opts)
-    catalog, vocab_in, _, trie, scorer = _load_model_stack(opts)
+    catalog, vocab_in, trie, scorer = _load_model_stack(opts)
     docs = read_text_jsonl(opts["in_path"])
     results = _tag_documents(docs, scorer, trie, vocab_in, config)
     with open(opts["out"], "w", encoding="utf-8") as f:
@@ -253,7 +237,7 @@ def _eval_decoded(eval_corpus, scorer, trie, vocab_in, config):
 
 def cmd_ablate_beam(args, cfg) -> int:
     opts = _resolve(args, cfg, EntityCatalog.load, DecodeConfig, beams="1,5,10,20,30")
-    catalog, vocab_in, _, trie, scorer = _load_model_stack(opts)
+    catalog, vocab_in, trie, scorer = _load_model_stack(opts)
     eval_corpus = read_et_jsonl(opts["eval"], catalog)
     try:
         beams = [int(b) for b in str(opts["beams"]).split(",") if b.strip()]
@@ -396,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-kb", help="build and cache the constraint trie")
     _add_kb_args(p)
     p.add_argument("--cache-out", required=True)
-    p.add_argument("--vocab-out", default=None)
     p.set_defaults(func=cmd_build_kb)
 
     p = sub.add_parser("convert", help="convert an EL corpus to entity-tagging JSONL")
@@ -420,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tag", help="decode entity sets for documents")
     p.add_argument("--model", required=True)
-    p.add_argument("--in-vocab", default=None)
     _add_kb_args(p)
     p.add_argument("--kb-cache", default=None)
     p.add_argument("--in", dest="in_path", required=True)
@@ -438,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate-beam", help="F1 against beam size, CSV out")
     p.add_argument("--model", required=True)
-    p.add_argument("--in-vocab", default=None)
     _add_kb_args(p)
     p.add_argument("--kb-cache", default=None)
     p.add_argument("--eval", required=True)

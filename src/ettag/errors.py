@@ -25,7 +25,8 @@ class InvalidConfig(InputError, ValueError):
 
 
 class CorruptCheckpoint(InputError, ValueError):
-    """A model checkpoint is not a complete, well-formed ETMDL1 file."""
+    """A model checkpoint is not an intact ETMDL2 file for this output vocabulary,
+    or holds a bad input-vocabulary section or non-finite weights."""
 
 
 class InvalidName(InputError):

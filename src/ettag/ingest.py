@@ -43,6 +43,11 @@ def jsonl_records(path, key: str) -> Iterator[dict]:
                 raise MalformedLine(line_no, f"bad JSON: {exc}") from exc
             if not isinstance(rec, dict):
                 raise SchemaError(f"<line {line_no}>", key, "record is not a JSON object")
+            if "\\u" in line:  # an escape can spell a lone surrogate, which UTF-8 cannot hold
+                try:
+                    json.dumps(rec, ensure_ascii=False).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise MalformedLine(line_no, "a string holds a lone surrogate, not UTF-8") from None
             rid = rec.get(key)
             if not isinstance(rid, str):
                 raise SchemaError(f"<line {line_no}>", key, "missing or not a string")

@@ -8,7 +8,6 @@ can replace it. Everything runs in float64 so gradient checks are meaningful.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import numbers
 import struct
@@ -17,11 +16,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .catalog import BOS, EOS, SEP, EntityCatalog, TokenSeq, Vocabulary, tokenize
-from .errors import CorruptCheckpoint, InvalidConfig, UnknownEntity, require_ints
+from .catalog import BOS, EOS, N_RESERVED, SEP, EntityCatalog, TokenSeq, Vocabulary, nul_terminated, tokenize
+from .errors import CorruptCheckpoint, InputError, InvalidConfig, UnknownEntity, require_ints
 from .ingest import ETExample
-
-_CKPT_MAGIC = b"ETMDL1"
+from .sealed import SealedFormat
 
 
 @dataclass
@@ -244,6 +242,7 @@ def _example_order(
     return [base[i] for i in perm]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence is reported once, as an InputError
 def train(
     corpus: Sequence[ETExample],
     config: TrainConfig,
@@ -256,7 +255,8 @@ def train(
     With the shuffle strategy a new uniform permutation is drawn every epoch;
     mention_order and lexicographic targets are fixed. Returns the trained
     parameters and the per-epoch mean loss curve. Fully deterministic in the
-    config seed.
+    config seed. Raises InputError when an epoch ends with a non-finite mean
+    loss or parameter (the optimizer diverged).
     """
     if not corpus:
         raise ValueError("empty training corpus")
@@ -269,7 +269,7 @@ def train(
 
     curve: list[float] = []
     n = len(corpus)
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for lo in range(0, n, config.batch_size):
@@ -289,6 +289,8 @@ def train(
                 a *= scale
             opt.step(params, acc)
         curve.append(epoch_loss / n)
+        if not (math.isfinite(curve[-1]) and all(np.isfinite(a).all() for a in params.arrays())):
+            raise InputError(f"training diverged: epoch {epoch} ended with mean loss {curve[-1]}; lower lr")
     return params, curve
 
 
@@ -305,49 +307,45 @@ class ToyScorer:
         return next_logprobs(self.params, encoding, prefix)
 
 
-def vocab_pair_hash(vocab_in: Vocabulary, vocab_out: Vocabulary) -> bytes:
-    h = hashlib.sha256()
-    h.update(vocab_in.content_hash())
-    h.update(vocab_out.content_hash())
-    return h.digest()
+def _shapes(d: int, k: int, v_in: int, v_out: int) -> list[tuple[int, ...]]:
+    return [(v_in, d), (v_out, d), (d + k * d, v_out), (v_out,)]
 
 
-def save_checkpoint(params: ToyModelParams, path, vocab_hash: bytes) -> None:
-    """magic, (d, k, V_in, V_out), 32-byte vocab hash, then E_in, E_out, W, b
-    row-major little-endian float64."""
-    if len(vocab_hash) != 32:
-        raise ValueError("vocab_hash must be a 32-byte digest")
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<iiii", params.d, params.k, params.v_in, params.v_out))
-        f.write(vocab_hash)
-        for a in params.arrays():
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+def _checkpoint_body_size(d: int, k: int, v_in: int, v_out: int, vocab_bytes: int) -> int:
+    ok = min(d, k, v_in, v_out, vocab_bytes) >= 1
+    return vocab_bytes + 8 * sum(map(math.prod, _shapes(d, k, v_in, v_out))) if ok else -1
 
 
-def load_checkpoint(path) -> tuple[ToyModelParams, bytes]:
-    """Read a checkpoint; CorruptCheckpoint unless magic, dims and size all agree."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    header = len(_CKPT_MAGIC) + 16 + 32
-    if len(blob) < header or blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-        raise CorruptCheckpoint(f"{path}: not a model checkpoint")
-    d, k, v_in, v_out = struct.unpack_from("<iiii", blob, len(_CKPT_MAGIC))
-    if min(d, k, v_in, v_out) < 1:
-        raise CorruptCheckpoint(f"{path}: non-positive dims {(d, k, v_in, v_out)}")
-    vocab_hash = blob[header - 32: header]
-    shapes = [(v_in, d), (v_out, d), (d + k * d, v_out), (v_out,)]
-    counts = [math.prod(shape) for shape in shapes]
-    if len(blob) != header + 8 * sum(counts):
-        raise CorruptCheckpoint(f"{path}: {len(blob)} bytes do not match dims {(d, k, v_in, v_out)}")
-    arrays = []
-    off = header
-    for shape, count in zip(shapes, counts):
-        arrays.append(
-            np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-            .reshape(shape)
-            .astype(np.float64)
-        )
-        off += count * 8
-    params = ToyModelParams(e_in=arrays[0], e_out=arrays[1], w=arrays[2], b=arrays[3], k=k)
-    return params, vocab_hash
+_CHECKPOINT = SealedFormat(
+    b"ETMDL2\0\0", "model checkpoint", CorruptCheckpoint, struct.Struct("<iiiii"), _checkpoint_body_size
+)
+
+
+def save_checkpoint(params: ToyModelParams, path, vocab_in: Vocabulary, vocab_out: Vocabulary) -> None:
+    """Write the ``ETMDL2`` checkpoint, keyed by ``vocab_out``: dims (d, k, V_in, V_out, vocabulary
+    bytes), ``vocab_in`` as NUL-terminated UTF-8, then E_in, E_out, W, b as little-endian float64."""
+    vocab = nul_terminated(vocab_in.tokens)
+    dims = (params.d, params.k, params.v_in, params.v_out, len(vocab))
+    arrays = [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in params.arrays()]
+    _CHECKPOINT.write(path, vocab_out.content_hash(), dims, [vocab, *arrays])
+
+
+def load_checkpoint(path, vocab_out: Vocabulary) -> tuple[ToyModelParams, Vocabulary]:
+    """The parameters and input vocabulary of a checkpoint trained on
+    ``vocab_out``. Raises CorruptCheckpoint unless the file is intact, its
+    vocabulary section spells V_in distinct tokens (reserved first) and every
+    weight is finite; a checkpoint for another output vocabulary is rejected
+    too, since its key cannot be told from a damaged one."""
+    (d, k, v_in, v_out, n_vocab), body = _CHECKPOINT.read(path, vocab_out.content_hash())
+    section = bytes(body[:n_vocab])
+    vocab_in = Vocabulary(section.decode("utf-8", "replace").split("\0")[N_RESERVED:-1])
+    if nul_terminated(vocab_in.tokens) != section or len(vocab_in) != v_in:
+        raise CorruptCheckpoint(f"{path}: bad vocabulary section")
+    if v_out != len(vocab_out):
+        raise CorruptCheckpoint(f"{path}: V_out {v_out} does not match the output vocabulary")
+    flat = np.frombuffer(body, dtype="<f8", offset=n_vocab).astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise CorruptCheckpoint(f"{path}: non-finite weights")
+    shapes = _shapes(d, k, v_in, v_out)
+    arrays = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
+    return ToyModelParams(*(a.reshape(shape) for a, shape in zip(arrays, shapes)), k=k), vocab_in

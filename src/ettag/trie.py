@@ -21,14 +21,16 @@ import numpy as np
 
 from .catalog import EOS, N_RESERVED, SEP, EntityCatalog, Vocabulary, tokenize
 from .errors import CacheMismatch, DisallowedToken, EmptyCatalog, OutputOOV
+from .sealed import SealedFormat
 
 ROOT = 0
 FINISHED = -1
 
-_MAGIC = b"ETRIE2\0\0"  # 8 bytes, so the int32 sections after the header are aligned
-# magic, catalog/vocabulary key, SHA-256 of every byte after it, node count, edge count
-_HEADER = struct.Struct("<8s32s32sii")
-_HASHED_FROM = _HEADER.size - 8
+# dims (n nodes, e edges); body: terminal, child counts (n), child keys, child values (e), int32
+_CACHE = SealedFormat(
+    b"ETRIE2\0\0", "trie cache", CacheMismatch, struct.Struct("<ii"),
+    lambda n, e: 8 * (n + e) if n >= 1 and e >= 0 else -1,
+)
 
 
 class TrieCursor(NamedTuple):
@@ -335,37 +337,20 @@ def content_hash(catalog: EntityCatalog, vocab: Vocabulary) -> bytes:
 
 
 def save_trie_cache(trie: TokenTrie, path, catalog: EntityCatalog, vocab: Vocabulary) -> None:
-    """Write the binary cache: ``_HEADER``, then terminal, child counts,
-    child keys and child values as little-endian int32 sections."""
-    sections = [struct.pack("<ii", trie.node_count, len(trie.child_keys))] + [
+    """Write the ``ETRIE2`` cache of ``trie`` over this catalog and output vocabulary."""
+    sections = [
         np.asarray(a, dtype="<i4").tobytes()
         for a in (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)
     ]
-    digest = hashlib.sha256()
-    for section in sections:
-        digest.update(section)
-    with open(path, "wb") as f:
-        f.write(_MAGIC + content_hash(catalog, vocab) + digest.digest())
-        f.writelines(sections)
+    _CACHE.write(path, content_hash(catalog, vocab), (trie.node_count, len(trie.child_keys)), sections)
 
 
 def load_trie_cache(path, catalog: EntityCatalog, vocab: Vocabulary) -> TokenTrie:
     """Read a cache written by save_trie_cache for this catalog and output
     vocabulary. Raises CacheMismatch unless the file is intact and holds a
     well-formed trie over the catalog."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < _HEADER.size or not blob.startswith(_MAGIC):
-        raise CacheMismatch(f"{path}: not a trie cache")
-    _, key, digest, n, n_edges = _HEADER.unpack_from(blob)
-    if key != content_hash(catalog, vocab):
-        raise CacheMismatch(f"{path}: cache was built for a different catalog/vocabulary")
-    if n < 1 or n_edges < 0 or len(blob) != _HEADER.size + 8 * (n + n_edges):
-        raise CacheMismatch(f"{path}: truncated or padded")
-    if hashlib.sha256(memoryview(blob)[_HASHED_FROM:]).digest() != digest:
-        raise CacheMismatch(f"{path}: contents do not match their SHA-256")
-    body = np.frombuffer(blob, dtype="<i4", offset=_HEADER.size)
-    terminal, counts, keys, vals = np.split(body, [n, 2 * n, 2 * n + n_edges])
+    (n, n_edges), body = _CACHE.read(path, content_hash(catalog, vocab))
+    terminal, counts, keys, vals = np.split(np.frombuffer(body, dtype="<i4"), [n, 2 * n, 2 * n + n_edges])
     try:
         return TokenTrie.from_arrays(terminal, counts, keys, vals, len(catalog), len(vocab))
     except CacheMismatch as exc:

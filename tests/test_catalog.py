@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -121,20 +123,15 @@ class TestVocabulary:
             for tok in word_tokens(text):
                 assert tok not in RESERVED_TOKENS
 
-    def test_dump_and_load_tsv(self, tmp_path):
-        cat = EntityCatalog(["Solar System", "Earth"])
-        _, vout = build_vocabularies(cat, [])
-        path = tmp_path / "vocab.tsv"
-        vout.dump_tsv(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "0\t<bos>"
-        assert Vocabulary.load_tsv(path) == vout
-
-    def test_load_rejects_gaps(self, tmp_path):
-        path = tmp_path / "vocab.tsv"
-        path.write_text("0\t<bos>\n1\t<eos>\n3\t<unk>\n", encoding="utf-8")
-        with pytest.raises(MalformedLine):
-            Vocabulary.load_tsv(path)
+    def test_content_hashes_pinned(self):
+        """Both content hashes keep the digests of earlier versions, so the
+        trie caches and checkpoints they key still load."""
+        cat = EntityCatalog(["Solar System", "Earth", "Zürich", "Astronomy & Astrophysics", "東京"])
+        vin, vout = build_vocabularies(cat, ["the Earth orbits, Zürich", "naïve café"])
+        assert cat.content_hash().hex() == "a8f2b491cb22f95ced6915f9614883cc10c7ebe5141c565806da286abc3205d4"
+        assert vout.content_hash().hex() == "46ca477f0a9a4dd13b81502b3af33a25cd0f9e49629bafee4ae6bd13bb3f3cfa"
+        assert vin.content_hash().hex() == "a98c7836f2e857a87c74924f7a89189de09608515a6a97f79d0ea7c240015d0a"
+        assert EntityCatalog([]).content_hash() == hashlib.sha256(b"").digest()
 
 
 class TestCatalog:

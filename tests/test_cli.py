@@ -2,19 +2,18 @@ import argparse
 import csv
 import dataclasses
 import json
-import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from ettag.catalog import EntityCatalog
+from ettag.catalog import EntityCatalog, build_vocabularies, nul_terminated
 from ettag.cli import _FIELD_OF, build_parser, main
 from ettag.decoding import DecodeConfig
 from ettag.ingest import read_et_jsonl, write_et_jsonl
 from ettag.synthetic import synthetic_benchmark
-from ettag.toy_model import TrainConfig
+from ettag.toy_model import _CHECKPOINT, TrainConfig, load_checkpoint, save_checkpoint
 
 from helpers import write_aida_file
 
@@ -59,9 +58,8 @@ class TestBuildKb:
         assert rc == 0
         stats = json.loads(capsys.readouterr().out.strip())
         assert stats["entity_count"] == len(world["catalog"])
-        assert cache.exists()
-        assert (world["root"] / "kb.trie.outvocab.tsv").exists()
-        assert (world["root"] / "kb.trie.runconfig.json").exists()
+        written = {p.name for p in world["root"].glob("kb.trie*")}
+        assert written == {"kb.trie", "kb.trie.runconfig.json"}
 
 
 class TestConvert:
@@ -91,9 +89,8 @@ class TestConvert:
 
 class TestTrainArtifacts:
     def test_sidecars_written(self, world):
-        model = world["model"]
-        assert model.exists()
-        assert (world["root"] / "model.bin.invocab.tsv").exists()
+        written = {p.name for p in world["root"].glob("model.bin*")}
+        assert written == {"model.bin", "model.bin.loss.csv", "model.bin.runconfig.json"}
         loss_rows = list(csv.reader((world["root"] / "model.bin.loss.csv").open()))
         assert loss_rows[0] == ["epoch", "mean_nll"]
         assert len(loss_rows) == 61
@@ -318,7 +315,6 @@ class TestErrorHandling:
     def test_truncated_checkpoint_exit_1(self, world, tmp_path, capsys):
         model = tmp_path / "cut.bin"
         model.write_bytes(world["model"].read_bytes()[:200])
-        shutil.copy(world["root"] / "model.bin.invocab.tsv", tmp_path / "cut.bin.invocab.tsv")
         rc = main(
             [
                 "tag", "--model", str(model), "--kb", str(world["kb"]),
@@ -327,6 +323,61 @@ class TestErrorHandling:
         )
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "CorruptCheckpoint"
+
+    @pytest.mark.parametrize("damage", ["flipped-byte", "padded", "etmdl1-magic", "bad-vocabulary", "non-finite"])
+    def test_damaged_checkpoint_exit_1(self, world, tmp_path, capsys, damage):
+        _, vocab_out = build_vocabularies(world["catalog"], [])
+        params, vocab_in = load_checkpoint(world["model"], vocab_out)
+        good = world["model"].read_bytes()
+        model = tmp_path / "bad.bin"
+        if damage == "flipped-byte":
+            mid = len(good) // 2
+            model.write_bytes(good[:mid] + bytes([good[mid] ^ 1]) + good[mid + 1:])
+        elif damage == "padded":
+            model.write_bytes(good + b"\0")
+        elif damage == "etmdl1-magic":
+            model.write_bytes(b"ETMDL1" + good[6:])
+        elif damage == "bad-vocabulary":
+            section = nul_terminated(("<BOS>", *vocab_in.tokens[1:]))
+            dims = (params.d, params.k, params.v_in, params.v_out, len(section))
+            arrays = [a.astype("<f8").tobytes() for a in params.arrays()]
+            _CHECKPOINT.write(model, vocab_out.content_hash(), dims, [section, *arrays])
+        else:
+            params.b[3] = np.nan
+            save_checkpoint(params, model, vocab_in, vocab_out)
+        out = tmp_path / "p.jsonl"
+        capsys.readouterr()
+        assert main(_tag_argv(world, str(out), "--model", str(model))) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "CorruptCheckpoint"
+        assert not out.exists()
+
+    def test_checkpoint_for_other_kb_exit_1(self, world, tmp_path, capsys):
+        kb = tmp_path / "kb.txt"
+        kb.write_text(world["kb"].read_text(encoding="utf-8") + "Some Other Name\n", encoding="utf-8")
+        argv = _tag_argv(world, str(tmp_path / "p.jsonl"), "--kb", str(kb))
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CorruptCheckpoint" and "different" in err["message"]
+
+    def test_divergent_training_exit_1(self, world, tmp_path, capsys):
+        model = tmp_path / "m.bin"
+        argv = ["train", "--train", str(world["train"]), "--kb", str(world["kb"]), "--model-out", str(model)]
+        capsys.readouterr()
+        assert main(argv + ["--optimizer", "sgd", "--lr", "1e6", "--epochs", "3"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "InputError"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tag_lone_surrogate_exit_1(self, world, tmp_path, capsys):
+        docs, out = tmp_path / "docs.jsonl", tmp_path / "p.jsonl"
+        docs.write_text('{"doc_id": "\\ud800", "text": "x"}\n', encoding="utf-8")
+        capsys.readouterr()
+        assert main(_tag_argv(world, str(out), "--in", str(docs))) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "MalformedLine"
+        assert not out.exists()
 
     def test_tag_duplicate_doc_id_exit_1(self, world, tmp_path, capsys):
         lines = world["eval"].read_text(encoding="utf-8").splitlines()
@@ -368,7 +419,7 @@ class TestErrorHandling:
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
 
-    @pytest.mark.parametrize("kind", ["kb", "text", "vocab"])
+    @pytest.mark.parametrize("kind", ["kb", "text"])
     def test_non_utf8_input_exit_1(self, world, tmp_path, capsys, kind):
         bad = tmp_path / "bad"
         bad.write_bytes(VALID[kind](world).read_bytes() + b"\xff\n")
@@ -417,7 +468,6 @@ class TestErrorHandling:
 def _tag_argv(world, out, flag, path):
     files = {
         "--model": world["model"],
-        "--in-vocab": world["root"] / "model.bin.invocab.tsv",
         "--kb": world["kb"],
         "--in": world["eval"],
         flag: path,
@@ -430,7 +480,6 @@ CONSUMERS = {
     "kb": lambda w, path, out: ["build-kb", "--kb", path, "--cache-out", out],
     "text": lambda w, path, out: _tag_argv(w, out, "--in", path),
     "checkpoint": lambda w, path, out: _tag_argv(w, out, "--model", path),
-    "vocab": lambda w, path, out: _tag_argv(w, out, "--in-vocab", path),
     "cache": lambda w, path, out: _tag_argv(w, out, "--kb-cache", path),
     "et": lambda w, path, out: [
         "ablate-beam", "--model", str(w["model"]), "--kb", str(w["kb"]), "--eval", path,
@@ -449,14 +498,13 @@ VALID = {
     "text": lambda w: w["eval"],
     "et": lambda w: w["eval"],
     "checkpoint": lambda w: w["model"],
-    "vocab": lambda w: w["root"] / "model.bin.invocab.tsv",
 }
 
 
 def test_cli_fuzz_corrupted_inputs(world, tmp_path, capsys):
     """Truncated and byte-flipped input files end in exit 0, 1 or 2, never a
     traceback; a failure is one JSON line on stderr, and a damaged trie cache
-    always exits 1."""
+    or checkpoint always exits 1."""
     cache = tmp_path / "kb.trie"
     assert main(["build-kb", "--kb", str(world["kb"]), "--cache-out", str(cache)]) == 0
     originals = {kind: valid(world) for kind, valid in VALID.items()}
@@ -485,7 +533,7 @@ def test_cli_fuzz_corrupted_inputs(world, tmp_path, capsys):
             if rc:
                 lines = err.splitlines()
                 assert len(lines) == 1 and {"error", "message"} <= set(json.loads(lines[0])), case
-            if kind == "cache":
+            if kind in ("cache", "checkpoint"):
                 assert rc == 1, case
 
 
@@ -542,7 +590,7 @@ class TestConfigFile:
 
 # Options of the decode/train commands that configure neither dataclass.
 NON_CONFIG_DESTS = {
-    "help", "model", "in_vocab", "kb", "kb_format", "kb_cache", "in_path", "out",
+    "help", "model", "kb", "kb_format", "kb_cache", "in_path", "out",
     "train", "model_out", "min_count", "eval", "beams", "strategies",
 }
 
@@ -640,9 +688,6 @@ class TestBenchAndEnv:
         assert main(["build-kb", "--kb", str(world["kb"]), "--cache-out", str(a)]) == 0
         assert main(["build-kb", "--kb", str(world["kb"]), "--cache-out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-        va = (tmp_path / "a.trie.outvocab.tsv").read_text()
-        vb = (tmp_path / "b.trie.outvocab.tsv").read_text()
-        assert va == vb
 
 
 def test_console_script_smoke(tmp_path):

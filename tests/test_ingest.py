@@ -453,3 +453,9 @@ class TestJsonlRecords:
         path.write_text('{"doc_id": \n', encoding="utf-8")
         with pytest.raises(MalformedLine):
             read(path)
+
+    def test_lone_surrogate(self, tmp_path, read):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"doc_id": "\\ud800", "title": "\\ud800", "text": "x"}\n', encoding="utf-8")
+        with pytest.raises(MalformedLine, match="line 1.*surrogate"):
+            read(path)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ettag.catalog import BOS, EOS, SEP, EntityCatalog, build_vocabularies, tokenize
+from ettag.catalog import BOS, EOS, SEP, EntityCatalog, build_vocabularies, nul_terminated, tokenize
 from ettag.decoding import DecodeConfig, greedy_decode, parse_output
-from ettag.errors import CorruptCheckpoint, InvalidConfig, MissingMentionOrder, UnknownEntity
+from ettag.errors import CorruptCheckpoint, InputError, InvalidConfig, MissingMentionOrder, UnknownEntity
 from ettag.ingest import ETExample
 from ettag.toy_model import (
     ToyModelParams,
@@ -19,8 +19,8 @@ from ettag.toy_model import (
     sample_permutation,
     save_checkpoint,
     train,
-    vocab_pair_hash,
 )
+from ettag.toy_model import _CHECKPOINT
 from ettag.trie import build_trie
 
 # chi-square 99.9% quantile, 5 degrees of freedom
@@ -326,36 +326,95 @@ class TestTrain:
         with pytest.raises(MissingMentionOrder):
             train([ex], config, cat, vin, vout)
 
+    def test_divergence_raises(self, small_world):
+        cat, vin, vout = small_world
+        corpus = [example(cat, vin, "red fox", {0}), example(cat, vin, "blue jay green frog", {1, 2})]
+        config = TrainConfig(epochs=3, optimizer="sgd", lr=1e200, d=6, k=2)
+        with pytest.raises(InputError, match="diverged"):
+            train(corpus, config, cat, vin, vout)
+
 
 class TestCheckpoint:
     def test_round_trip(self, small_world, tmp_path):
         cat, vin, vout = small_world
         params = init_params(len(vin), len(vout), d=5, k=3, seed=4)
         path = tmp_path / "model.bin"
-        digest = vocab_pair_hash(vin, vout)
-        save_checkpoint(params, path, digest)
-        loaded, stored = load_checkpoint(path)
-        assert stored == digest
+        save_checkpoint(params, path, vin, vout)
+        loaded, vocab = load_checkpoint(path, vout)
+        assert vocab.tokens == vin.tokens
         assert loaded.k == params.k
         for a, b in zip(params.arrays(), loaded.arrays()):
-            assert np.array_equal(a, b)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    def test_rejects_junk(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a checkpoint")
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
+    def test_rejects_junk(self, small_world, tmp_path):
+        _, vin, vout = small_world
+        path = tmp_path / "model.bin"
+        save_checkpoint(init_params(len(vin), len(vout), d=3, k=2, seed=0), path, vin, vout)
+        etmdl1 = b"ETMDL1" + path.read_bytes()[8:]  # the magic of the earlier format
+        for junk in (b"not a checkpoint", etmdl1):
+            path.write_bytes(junk)
+            with pytest.raises(CorruptCheckpoint, match="not a model checkpoint"):
+                load_checkpoint(path, vout)
 
     def test_rejects_truncated_padded_and_bad_dims(self, small_world, tmp_path):
         _, vin, vout = small_world
         path = tmp_path / "model.bin"
-        save_checkpoint(init_params(len(vin), len(vout), d=3, k=2, seed=0), path, vocab_pair_hash(vin, vout))
+        save_checkpoint(init_params(len(vin), len(vout), d=3, k=2, seed=0), path, vin, vout)
         blob = path.read_bytes()
-        zero_d = blob[:6] + (0).to_bytes(4, "little") + blob[10:]
+        zero_d = blob[:72] + (0).to_bytes(4, "little") + blob[76:]
         for bad in (blob[:5], blob[:54], blob[:200], blob[:-1], blob + b"\0", zero_d):
             path.write_bytes(bad)
             with pytest.raises(CorruptCheckpoint):
-                load_checkpoint(path)
+                load_checkpoint(path, vout)
+        # dims that disagree with the body, under a valid SHA-256
+        section = nul_terminated(vin.tokens)
+        arrays = [bytes(8 * n) for n in (len(vin) * 3, len(vout) * 3, 9 * len(vout), len(vout))]  # d=3, k=2
+        for dims in ((0, 2, len(vin), len(vout), len(section)), (3, 2, len(vin), len(vout) + 1, len(section))):
+            _CHECKPOINT.write(path, vout.content_hash(), dims, [section, *arrays])
+            with pytest.raises(CorruptCheckpoint, match="truncated or padded"):
+                load_checkpoint(path, vout)
+
+    def test_rejects_other_output_vocabulary(self, small_world, tmp_path):
+        _, vin, vout = small_world
+        path = tmp_path / "model.bin"
+        save_checkpoint(init_params(len(vin), len(vout), d=3, k=2, seed=0), path, vin, vout)
+        _, other = build_vocabularies(EntityCatalog(["red fox", "blue jay"]), [])
+        with pytest.raises(InputError, match="different"):
+            load_checkpoint(path, other)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("array", ["e_in", "e_out", "w", "b"])
+    def test_rejects_non_finite_weights(self, small_world, tmp_path, array, value):
+        _, vin, vout = small_world
+        params = init_params(len(vin), len(vout), d=3, k=2, seed=0)
+        getattr(params, array).flat[-1] = value
+        path = tmp_path / "model.bin"
+        save_checkpoint(params, path, vin, vout)
+        with pytest.raises(CorruptCheckpoint, match="non-finite"):
+            load_checkpoint(path, vout)
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            b"<bos>\0<eos>\0<sep>\0<unk>\0\xe2\x96\0",  # not UTF-8
+            b"<bos>\0<eos>\0<sep>\0<unk>\0\xe2\x96\x81red",  # last token not terminated
+            b"<eos>\0<bos>\0<sep>\0<unk>\0\xe2\x96\x81red\0",  # reserved tokens out of order
+            b"<bos>\0<eos>\0<sep>\0<unk>\0<unk>\0",  # a token twice
+            b"<bos>\0<eos>\0<sep>\0<unk>\0\xe2\x96\x81red\0\xe2\x96\x81fox\0",  # more tokens than rows
+        ],
+        ids=["not-utf8", "unterminated", "reserved-order", "repeated", "count"],
+    )
+    def test_rejects_bad_vocabulary_section(self, small_world, tmp_path, section):
+        """A vocabulary section that does not spell V_in distinct tokens,
+        reserved first, is rejected even under a valid SHA-256."""
+        _, _, vout = small_world
+        params = init_params(5, len(vout), d=3, k=2, seed=0)
+        path = tmp_path / "model.bin"
+        dims = (params.d, params.k, params.v_in, params.v_out, len(section))
+        sections = [section] + [a.astype("<f8").tobytes() for a in params.arrays()]
+        _CHECKPOINT.write(path, vout.content_hash(), dims, sections)
+        with pytest.raises(CorruptCheckpoint, match="vocabulary section"):
+            load_checkpoint(path, vout)
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from ettag.catalog import EOS, SEP, EntityCatalog, build_vocabularies, tokenize
+from ettag.catalog import EOS, SEP, EntityCatalog, Vocabulary, build_vocabularies, tokenize
 from ettag.cli import main
 from ettag.decoding import DecodeConfig
-from ettag.errors import CacheMismatch, DisallowedToken, EmptyCatalog, OutputOOV
+from ettag.errors import CacheMismatch, CorruptCheckpoint, DisallowedToken, EmptyCatalog, OutputOOV
+from ettag.toy_model import init_params, load_checkpoint, save_checkpoint
 from ettag.trie import (
     FINISHED,
     TrieCursor,
@@ -291,21 +292,26 @@ class TestCache:
             load_trie_cache(path, cat, vout)
 
     def test_every_byte_is_checked(self, tmp_path):
+        """Every single-byte flip, truncation and padding of a trie cache or
+        of a (tiny) model checkpoint is rejected."""
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth", "Mars", "Mars rover"]))
-        path = tmp_path / "kb.trie"
-        save_trie_cache(trie, path, cat, vout)
-        good = path.read_bytes()
-        for i in range(len(good)):
-            path.write_bytes(good[:i] + bytes([good[i] ^ 0x10]) + good[i + 1:])
-            with pytest.raises(CacheMismatch):
-                load_trie_cache(path, cat, vout)
-        for cut in (0, 40, len(good) - 1):
-            path.write_bytes(good[:cut])
-            with pytest.raises(CacheMismatch):
-                load_trie_cache(path, cat, vout)
-        path.write_bytes(good + b"\0\0\0\0")
-        with pytest.raises(CacheMismatch):
-            load_trie_cache(path, cat, vout)
+        vin = Vocabulary(["▁red"])
+        params = init_params(len(vin), len(vout), d=1, k=1, seed=0)
+        artifacts = [
+            (lambda p: save_trie_cache(trie, p, cat, vout), lambda p: load_trie_cache(p, cat, vout), CacheMismatch),
+            (lambda p: save_checkpoint(params, p, vin, vout), lambda p: load_checkpoint(p, vout), CorruptCheckpoint),
+        ]
+        path = tmp_path / "artifact"
+        for save, load, error in artifacts:
+            save(path)
+            good = path.read_bytes()
+            load(path)
+            damaged = [good[:i] + bytes([good[i] ^ 0x10]) + good[i + 1:] for i in range(len(good))]
+            damaged += [good[:cut] for cut in (0, 40, len(good) - 1)] + [good + b"\0\0\0\0"]
+            for bad in damaged:
+                path.write_bytes(bad)
+                with pytest.raises(error):
+                    load(path)
 
 
 # The trie over "a b", "a c" and "d" (tokens a=4, b=5, c=6, d=7), nodes in
