@@ -8,20 +8,27 @@ better score first, then lower token id, then shorter prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Protocol, Sequence
+from dataclasses import dataclass, replace
+from itertools import accumulate
+from typing import Any, Callable, Protocol, Sequence
 
 import numpy as np
 
 from .catalog import EOS, SEP, TokenSeq
 from .errors import InvalidConfig, NoFinishedHypothesis, ScorerContractViolation, require_ints
-from .trie import FINISHED, TokenTrie, TrieCursor, advance, allowed_tokens
+from .trie import TokenTrie, advance, allowed_tokens
 
 _LSE_TOL = 1e-6
 
 
 class Scorer(Protocol):
-    """Contract for pluggable autoregressive models."""
+    """Contract for pluggable autoregressive models.
+
+    A scorer may also define ``next_logprobs_batch(encoding, prefixes)``: for
+    a [B, t] matrix of equal-length prefixes it returns the [B, V] matrix
+    whose rows are their ``next_logprobs``. Without it the decoder calls
+    ``next_logprobs`` once per row.
+    """
 
     def encode(self, input_ids: Sequence[int]) -> Any: ...
 
@@ -45,71 +52,36 @@ class DecodeConfig:
                 raise InvalidConfig(f"{name} must be true or false, got {getattr(self, name)!r}")
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    tokens: tuple[int, ...]
-    score: float
-    cursor: TrieCursor
-    emitted: frozenset[int]
-    n_names: int = 0
-    finished: bool = False
-
-    def final_score(self, config: DecodeConfig) -> float:
-        if config.length_normalize and self.tokens:
-            return self.score / len(self.tokens)
-        return self.score
-
-
-def _checked_logprobs(scorer: Scorer, encoding: Any, prefix: Sequence[int]) -> np.ndarray:
-    lp = np.asarray(scorer.next_logprobs(encoding, prefix), dtype=np.float64)
-    if lp.ndim != 1:
-        raise ScorerContractViolation(f"logprob vector has shape {lp.shape}")
-    if not np.all(np.isfinite(lp)):
+def _checked_logprobs(score_batch: Callable, encoding: Any, prefixes: np.ndarray) -> np.ndarray:
+    """The [B, V] next-token log-probabilities of the B prefixes, every row
+    checked to be finite and to sum to one."""
+    lp = score_batch(encoding, prefixes)
+    try:
+        lp = np.asarray(lp, dtype=np.float64)
+    except ValueError:  # rows of different lengths
+        raise ScorerContractViolation("logprob rows differ in length") from None
+    if lp.ndim != 2 or len(lp) != len(prefixes):
+        raise ScorerContractViolation(f"logprob matrix has shape {lp.shape} for {len(prefixes)} prefixes")
+    if not np.isfinite(lp).all():
         raise ScorerContractViolation("non-finite log-probabilities")
+    # one shift for all rows: a valid row's maximum is at least -ln V, so only
+    # an invalid row can sit high enough above another to underflow its sum
     m = lp.max()
-    lse = m + np.log(np.exp(lp - m).sum())
-    if abs(lse) > _LSE_TOL:
-        raise ScorerContractViolation(f"log-probabilities sum to exp({lse}), not 1")
+    lse = m + np.log(np.exp(lp - m).sum(axis=1))
+    if np.abs(lse).max() > _LSE_TOL:
+        raise ScorerContractViolation(f"log-probabilities sum to exp({lse[np.abs(lse).argmax()]}), not 1")
     return lp
 
 
-def _step_logprobs(lp: np.ndarray, allowed: np.ndarray, config: DecodeConfig) -> np.ndarray:
-    vals = lp[allowed]
-    if config.renormalize_constrained:
+def _renormalized(vals: np.ndarray, rows: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """``vals`` minus the log-sum-exp of its row's segment; ``rows`` is the
+    row of each value and ``sizes`` the length of each row's segment."""
+    if len(sizes) == 1:  # np.sum's pairwise order keeps beam 1 bit-identical to per-row scoring
         m = vals.max()
-        vals = vals - (m + np.log(np.exp(vals - m).sum()))
-    return vals
-
-
-def _extend(trie: TokenTrie, hyp: Hypothesis, token: int, score: float) -> Hypothesis:
-    if token == EOS:
-        term = trie.terminal_entity(hyp.cursor)
-        emitted = hyp.emitted if term is None else hyp.emitted | {term}
-        n_names = hyp.n_names if term is None else hyp.n_names + 1
-        return Hypothesis(
-            tokens=hyp.tokens + (token,),
-            score=score,
-            cursor=TrieCursor(FINISHED),
-            emitted=emitted,
-            n_names=n_names,
-            finished=True,
-        )
-    if token == SEP:
-        term = trie.terminal_entity(hyp.cursor)
-        return Hypothesis(
-            tokens=hyp.tokens + (token,),
-            score=score,
-            cursor=advance(trie, hyp.cursor, token),
-            emitted=hyp.emitted | {term},
-            n_names=hyp.n_names + 1,
-        )
-    return Hypothesis(
-        tokens=hyp.tokens + (token,),
-        score=score,
-        cursor=advance(trie, hyp.cursor, token),
-        emitted=hyp.emitted,
-        n_names=hyp.n_names,
-    )
+        return vals - (m + np.log(np.exp(vals - m).sum()))
+    starts = list(accumulate(sizes[:-1], initial=0))
+    m = np.maximum.reduceat(vals, starts)
+    return vals - (m + np.log(np.add.reduceat(np.exp(vals - m[rows]), starts)))[rows]
 
 
 def greedy_decode(
@@ -118,24 +90,11 @@ def greedy_decode(
     input_ids: Sequence[int],
     config: DecodeConfig | None = None,
 ) -> TokenSeq:
-    """Pick the most likely legal token at each step until EOS.
-
-    Ties go to the lowest token id. Raises NoFinishedHypothesis when
-    max_tokens runs out before EOS.
-    """
-    config = config or DecodeConfig(beam_size=1)
-    encoding = scorer.encode(input_ids)
-    hyp = Hypothesis((), 0.0, trie.start_cursor(), frozenset())
-    for _ in range(config.max_tokens):
-        allowed = allowed_tokens(trie, hyp.cursor, hyp.emitted, config, hyp.n_names)
-        lp = _checked_logprobs(scorer, encoding, hyp.tokens)
-        vals = _step_logprobs(lp, allowed, config)
-        pick = int(np.argmax(vals))  # first max = lowest allowed id
-        token = int(allowed[pick])
-        hyp = _extend(trie, hyp, token, hyp.score + float(vals[pick]))
-        if hyp.finished:
-            return list(hyp.tokens)
-    raise NoFinishedHypothesis(f"no EOS within max_tokens={config.max_tokens}")
+    """The most likely legal token at each step until EOS: beam search at
+    beam 1. Ties go to the lowest token id. Raises NoFinishedHypothesis when
+    max_tokens runs out before EOS."""
+    config = replace(config or DecodeConfig(), beam_size=1)
+    return beam_decode(scorer, trie, input_ids, config)[0][0]
 
 
 def beam_decode(
@@ -146,64 +105,87 @@ def beam_decode(
 ) -> list[tuple[TokenSeq, float]]:
     """Constrained beam search.
 
-    Each step expands every active hypothesis over its allowed tokens and
-    keeps the top beam_size candidates; candidates that chose EOS retire to
-    a pool. Returns up to beam_size finished hypotheses ranked by final
-    score (length-normalized when configured); the first one is the
-    prediction.
+    Each step scores every active hypothesis in one scorer call, expands it
+    over its allowed tokens and keeps the top beam_size candidates;
+    candidates that chose EOS retire to a pool. Returns up to beam_size
+    finished hypotheses ranked by final score (length-normalized when
+    configured); the first one is the prediction.
     """
     config = config or DecodeConfig()
     beam_size = config.beam_size
     encoding = scorer.encode(input_ids)
-    active: list[Hypothesis] = [Hypothesis((), 0.0, trie.start_cursor(), frozenset())]
-    pool: list[Hypothesis] = []
+    score_batch = getattr(scorer, "next_logprobs_batch", None) or (
+        lambda enc, prefixes: [scorer.next_logprobs(enc, p) for p in prefixes.tolist()]
+    )
+    # the active beam in rank order: row i is prefix tokens[i, :t] with the
+    # given score, trie cursor, entities emitted and names finalized
+    tokens = np.empty((1, 8), dtype=np.int64)
+    scores = np.zeros(1)
+    cursors = [trie.start_cursor()]
+    emitted: list[frozenset[int]] = [frozenset()]
+    n_names = [0]
+    pool: list[tuple[float, tuple[int, ...]]] = []
 
-    for _ in range(config.max_tokens):
-        scores_parts: list[np.ndarray] = []
-        tokens_parts: list[np.ndarray] = []
-        parent_parts: list[np.ndarray] = []
-        for i, hyp in enumerate(active):
-            allowed = allowed_tokens(trie, hyp.cursor, hyp.emitted, config, hyp.n_names)
-            if len(allowed) == 0:
+    for t in range(config.max_tokens):
+        # a live hypothesis always has a legal token: no-repeat pruning never reaches a dead end
+        allowed = [allowed_tokens(trie, c, e, config, n) for c, e, n in zip(cursors, emitted, n_names)]
+        sizes = list(map(len, allowed))
+        if len(sizes) == 1:  # one row, as at beam 1: nothing to concatenate
+            cand, rows = allowed[0], np.zeros(sizes[0], dtype=np.intp)
+        else:
+            cand, rows = np.concatenate(allowed), np.arange(len(sizes)).repeat(sizes)
+        vals = _checked_logprobs(score_batch, encoding, tokens[: len(sizes), :t])[rows, cand]
+        if config.renormalize_constrained:
+            vals = _renormalized(vals, rows, sizes)
+        cand_scores = scores[rows] + vals
+        if beam_size == 1:  # the first maximum: a row's tokens ascend, so ties go to the lowest id
+            top = [int(cand_scores.argmax())]
+        else:
+            # primary: score desc; ties: token id, then parent rank, as the
+            # candidates are in parent order and the sort is stable (all
+            # active prefixes have equal length within a step)
+            top = np.lexsort((cand, -cand_scores))[:beam_size].tolist()
+
+        keep, parents, next_tokens = [], [], []
+        next_cursors, next_emitted, next_names = [], [], []
+        for i in top:
+            p, token = rows.item(i), cand.item(i)
+            if token == EOS:
+                pool.append((cand_scores.item(i), (*tokens[p, :t].tolist(), EOS)))
                 continue
-            lp = _checked_logprobs(scorer, encoding, hyp.tokens)
-            vals = _step_logprobs(lp, allowed, config)
-            scores_parts.append(hyp.score + vals)
-            tokens_parts.append(allowed)
-            parent_parts.append(np.full(len(allowed), i, dtype=np.int64))
-        if not scores_parts:
-            break
-        scores = np.concatenate(scores_parts)
-        tokens = np.concatenate(tokens_parts)
-        parents = np.concatenate(parent_parts)
-        # primary: score desc; ties: token id, then parent order (all active
-        # prefixes have equal length within a step)
-        order = np.lexsort((parents, tokens, -scores))[:beam_size]
-
-        next_active: list[Hypothesis] = []
-        for idx in order:
-            hyp = _extend(
-                trie, active[int(parents[idx])], int(tokens[idx]), float(scores[idx])
-            )
-            if hyp.finished:
-                pool.append(hyp)
+            keep.append(i)
+            parents.append(p)
+            next_tokens.append(token)
+            next_cursors.append(advance(trie, cursors[p], token))
+            if token == SEP:
+                next_emitted.append(emitted[p] | {trie.terminal_entity(cursors[p])})
+                next_names.append(n_names[p] + 1)
             else:
-                next_active.append(hyp)
-        active = next_active
-        if not active:
+                next_emitted.append(emitted[p])
+                next_names.append(n_names[p])
+        if not keep:
             break
+        if parents != list(range(len(parents))):
+            tokens = tokens[parents]
+        if t == tokens.shape[1]:
+            tokens = np.concatenate((tokens, np.empty_like(tokens)), axis=1)
+        tokens[: len(parents), t] = next_tokens
+        scores = cand_scores[keep]
+        cursors, emitted, n_names = next_cursors, next_emitted, next_names
         if not config.length_normalize and len(pool) >= beam_size:
             # token logprobs are <= 0, so no active hypothesis can improve
-            kth_best = sorted(h.score for h in pool)[-beam_size]
-            if max(h.score for h in active) <= kth_best:
+            kth_best = sorted(s for s, _ in pool)[-beam_size]
+            if scores.max() <= kth_best:
                 break
 
     if not pool:
         raise NoFinishedHypothesis(
             f"no hypothesis reached EOS within max_tokens={config.max_tokens}"
         )
-    pool.sort(key=lambda h: (-h.final_score(config), h.tokens))
-    return [(list(h.tokens), h.final_score(config)) for h in pool[:beam_size]]
+    if config.length_normalize:
+        pool = [(s / len(t), t) for s, t in pool]
+    pool.sort(key=lambda st: (-st[0], st[1]))
+    return [(list(t), s) for s, t in pool[:beam_size]]
 
 
 def parse_output(tokens: Sequence[int], trie: TokenTrie) -> tuple[set[int], int]:

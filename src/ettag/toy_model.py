@@ -83,10 +83,7 @@ def _context_windows(target: Sequence[int], k: int) -> np.ndarray:
 
 def _features(params: ToyModelParams, encoding: np.ndarray, ctx: np.ndarray) -> np.ndarray:
     t = ctx.shape[0]
-    feats = np.empty((t, params.d + params.k * params.d))
-    feats[:, : params.d] = encoding
-    feats[:, params.d:] = params.e_out[ctx].reshape(t, -1)
-    return feats
+    return np.concatenate((encoding[None].repeat(t, axis=0), params.e_out[ctx].reshape(t, -1)), axis=1)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -95,13 +92,16 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def next_logprobs(
-    params: ToyModelParams, encoding: np.ndarray, prefix: Sequence[int]
-) -> np.ndarray:
-    """Normalized log-probabilities over the output vocabulary for the next token."""
-    ctx = np.asarray(([BOS] * params.k + list(prefix))[-params.k:], dtype=np.int64)
-    feat = np.concatenate((encoding, params.e_out[ctx].ravel()))
-    return _log_softmax(feat @ params.w + params.b)
+def next_logprobs(params: ToyModelParams, encoding: np.ndarray, prefixes) -> np.ndarray:
+    """[B, V_out] normalized log-probabilities of the token after each of the
+    B equal-length prefixes (a [B, t] token matrix), in one matmul."""
+    prefixes = np.asarray(prefixes, dtype=np.int64)
+    (b, t), k = prefixes.shape, params.k
+    pad = max(k - t, 0)
+    ctx = np.empty((b, k), dtype=np.int64)  # the last k tokens, BOS-padded on the left
+    ctx[:, :pad] = BOS
+    ctx[:, pad:] = prefixes[:, t - k + pad:]
+    return _log_softmax(_features(params, encoding, ctx) @ params.w + params.b)
 
 
 def build_target(
@@ -242,6 +242,10 @@ def _example_order(
     return [base[i] for i in perm]
 
 
+# an epoch whose mean loss exceeds this multiple of the uniform model's has diverged
+_DIVERGED = 10.0
+
+
 @np.errstate(over="ignore", invalid="ignore")  # divergence is reported once, as an InputError
 def train(
     corpus: Sequence[ETExample],
@@ -255,8 +259,9 @@ def train(
     With the shuffle strategy a new uniform permutation is drawn every epoch;
     mention_order and lexicographic targets are fixed. Returns the trained
     parameters and the per-epoch mean loss curve. Fully deterministic in the
-    config seed. Raises InputError when an epoch ends with a non-finite mean
-    loss or parameter (the optimizer diverged).
+    config seed. Raises InputError when the optimizer diverged: an epoch ends
+    with a non-finite parameter, or with a mean loss above ten times that of
+    the uniform model (mean target length × ln V_out).
     """
     if not corpus:
         raise ValueError("empty training corpus")
@@ -272,6 +277,7 @@ def train(
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
+        epoch_tokens = 0
         for lo in range(0, n, config.batch_size):
             batch = order[lo: lo + config.batch_size]
             acc = params.zeros_like()
@@ -282,6 +288,7 @@ def train(
                 )
                 loss, grads = backward(params, ex, target)
                 epoch_loss += loss
+                epoch_tokens += len(target)
                 for a, g in zip(acc.arrays(), grads.arrays()):
                     a += g
             scale = 1.0 / len(batch)
@@ -289,8 +296,12 @@ def train(
                 a *= scale
             opt.step(params, acc)
         curve.append(epoch_loss / n)
-        if not (math.isfinite(curve[-1]) and all(np.isfinite(a).all() for a in params.arrays())):
-            raise InputError(f"training diverged: epoch {epoch} ended with mean loss {curve[-1]}; lower lr")
+        uniform = epoch_tokens / n * math.log(len(vocab_out))
+        if not (curve[-1] <= _DIVERGED * uniform and all(np.isfinite(a).all() for a in params.arrays())):
+            raise InputError(
+                f"training diverged: epoch {epoch} ended with mean loss {curve[-1]} "
+                f"(a uniform model scores {uniform:.4g}); lower lr"
+            )
     return params, curve
 
 
@@ -304,7 +315,10 @@ class ToyScorer:
         return encode_input(self.params, input_ids)
 
     def next_logprobs(self, encoding: np.ndarray, prefix: Sequence[int]) -> np.ndarray:
-        return next_logprobs(self.params, encoding, prefix)
+        return next_logprobs(self.params, encoding, [prefix])[0]
+
+    def next_logprobs_batch(self, encoding: np.ndarray, prefixes: np.ndarray) -> np.ndarray:
+        return next_logprobs(self.params, encoding, prefixes)
 
 
 def _shapes(d: int, k: int, v_in: int, v_out: int) -> list[tuple[int, ...]]:

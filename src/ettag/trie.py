@@ -158,7 +158,7 @@ class TokenTrie:
     def child(self, node: int, token: int) -> int:
         """Child node index for a content token, or -1."""
         s, e = self.child_start[node], self.child_start[node + 1]
-        i = s + np.searchsorted(self.child_keys[s:e], token)
+        i = s + self.child_keys[s:e].searchsorted(token)
         if i < e and self.child_keys[i] == token:
             return int(self.child_vals[i])
         return -1

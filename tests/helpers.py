@@ -1,5 +1,6 @@
 """Shared test scaffolding: deterministic scorers, random catalogs, and the
-independent oracles the spec-level checks compare against.
+independent oracles the spec-level checks compare against, among them the
+per-hypothesis beam search that the batched decoder must reproduce.
 
 The oracles here deliberately avoid the trie/decoder code paths: the legal
 output language is enumerated straight from the name token sequences, and
@@ -12,9 +13,12 @@ import itertools
 
 import numpy as np
 
+from dataclasses import dataclass
+
 from ettag.catalog import EOS, SEP, EntityCatalog, Vocabulary, build_vocabularies, tokenize
 from ettag.decoding import DecodeConfig
-from ettag.trie import TokenTrie, TrieCursor, advance, allowed_tokens, build_trie
+from ettag.errors import NoFinishedHypothesis, ScorerContractViolation
+from ettag.trie import FINISHED, TokenTrie, TrieCursor, advance, allowed_tokens, build_trie
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
@@ -250,3 +254,128 @@ def write_aida_file(path, n_train: int, n_testa: int, n_testb: int) -> None:
         doc(f"{i + 1163}testb TESTDOC", i)
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
+
+
+@dataclass(frozen=True)
+class Hypothesis:
+    tokens: tuple[int, ...]
+    score: float
+    cursor: TrieCursor
+    emitted: frozenset[int]
+    n_names: int = 0
+    finished: bool = False
+
+    def final_score(self, config: DecodeConfig) -> float:
+        if config.length_normalize and self.tokens:
+            return self.score / len(self.tokens)
+        return self.score
+
+
+def _checked_logprobs(scorer, encoding, prefix) -> np.ndarray:
+    lp = np.asarray(scorer.next_logprobs(encoding, prefix), dtype=np.float64)
+    if lp.ndim != 1:
+        raise ScorerContractViolation(f"logprob vector has shape {lp.shape}")
+    if not np.all(np.isfinite(lp)):
+        raise ScorerContractViolation("non-finite log-probabilities")
+    m = lp.max()
+    lse = m + np.log(np.exp(lp - m).sum())
+    if abs(lse) > 1e-6:
+        raise ScorerContractViolation(f"log-probabilities sum to exp({lse}), not 1")
+    return lp
+
+
+def _step_logprobs(lp: np.ndarray, allowed: np.ndarray, config: DecodeConfig) -> np.ndarray:
+    vals = lp[allowed]
+    if config.renormalize_constrained:
+        m = vals.max()
+        vals = vals - (m + np.log(np.exp(vals - m).sum()))
+    return vals
+
+
+def _extend(trie: TokenTrie, hyp: Hypothesis, token: int, score: float) -> Hypothesis:
+    if token == EOS:
+        term = trie.terminal_entity(hyp.cursor)
+        emitted = hyp.emitted if term is None else hyp.emitted | {term}
+        n_names = hyp.n_names if term is None else hyp.n_names + 1
+        return Hypothesis(
+            tokens=hyp.tokens + (token,),
+            score=score,
+            cursor=TrieCursor(FINISHED),
+            emitted=emitted,
+            n_names=n_names,
+            finished=True,
+        )
+    if token == SEP:
+        term = trie.terminal_entity(hyp.cursor)
+        return Hypothesis(
+            tokens=hyp.tokens + (token,),
+            score=score,
+            cursor=advance(trie, hyp.cursor, token),
+            emitted=hyp.emitted | {term},
+            n_names=hyp.n_names + 1,
+        )
+    return Hypothesis(
+        tokens=hyp.tokens + (token,),
+        score=score,
+        cursor=advance(trie, hyp.cursor, token),
+        emitted=hyp.emitted,
+        n_names=hyp.n_names,
+    )
+
+
+def reference_beam_decode(scorer, trie: TokenTrie, input_ids, config: DecodeConfig):
+    """Constrained beam search one hypothesis at a time: one scorer call,
+    contract check and renormalization per hypothesis, one immutable
+    Hypothesis per kept candidate. ``ettag.decoding.beam_decode`` does the
+    same search on the whole beam at once and must return the same ranking."""
+    beam_size = config.beam_size
+    encoding = scorer.encode(input_ids)
+    active: list[Hypothesis] = [Hypothesis((), 0.0, trie.start_cursor(), frozenset())]
+    pool: list[Hypothesis] = []
+
+    for _ in range(config.max_tokens):
+        scores_parts: list[np.ndarray] = []
+        tokens_parts: list[np.ndarray] = []
+        parent_parts: list[np.ndarray] = []
+        for i, hyp in enumerate(active):
+            allowed = allowed_tokens(trie, hyp.cursor, hyp.emitted, config, hyp.n_names)
+            if len(allowed) == 0:
+                continue
+            lp = _checked_logprobs(scorer, encoding, hyp.tokens)
+            vals = _step_logprobs(lp, allowed, config)
+            scores_parts.append(hyp.score + vals)
+            tokens_parts.append(allowed)
+            parent_parts.append(np.full(len(allowed), i, dtype=np.int64))
+        if not scores_parts:
+            break
+        scores = np.concatenate(scores_parts)
+        tokens = np.concatenate(tokens_parts)
+        parents = np.concatenate(parent_parts)
+        # primary: score desc; ties: token id, then parent order (all active
+        # prefixes have equal length within a step)
+        order = np.lexsort((parents, tokens, -scores))[:beam_size]
+
+        next_active: list[Hypothesis] = []
+        for idx in order:
+            hyp = _extend(
+                trie, active[int(parents[idx])], int(tokens[idx]), float(scores[idx])
+            )
+            if hyp.finished:
+                pool.append(hyp)
+            else:
+                next_active.append(hyp)
+        active = next_active
+        if not active:
+            break
+        if not config.length_normalize and len(pool) >= beam_size:
+            # token logprobs are <= 0, so no active hypothesis can improve
+            kth_best = sorted(h.score for h in pool)[-beam_size]
+            if max(h.score for h in active) <= kth_best:
+                break
+
+    if not pool:
+        raise NoFinishedHypothesis(
+            f"no hypothesis reached EOS within max_tokens={config.max_tokens}"
+        )
+    pool.sort(key=lambda h: (-h.final_score(config), h.tokens))
+    return [(list(h.tokens), h.final_score(config)) for h in pool[:beam_size]]

@@ -370,6 +370,24 @@ class TestErrorHandling:
         assert len(err) == 1 and json.loads(err[0])["error"] == "InputError"
         assert list(tmp_path.iterdir()) == []
 
+    def test_finite_divergent_training_exit_1(self, tmp_path, capsys):
+        # the mean loss explodes past 1e50 but stays finite
+        kb, corpus, out = tmp_path / "kb.txt", tmp_path / "train.jsonl", tmp_path / "out"
+        kb.write_text("red fox\nblue jay\ngreen frog\n", encoding="utf-8")
+        corpus.write_text(
+            '{"doc_id": "a", "text": "the red fox", "gold": ["red fox"]}\n'
+            '{"doc_id": "b", "text": "blue jay and green frog", "gold": ["blue jay", "green frog"]}\n',
+            encoding="utf-8",
+        )
+        out.mkdir()
+        argv = ["train", "--train", str(corpus), "--kb", str(kb), "--model-out", str(out / "m.bin"),
+                "--optimizer", "sgd", "--lr", "1e6", "--epochs", "3", "--dim", "6", "--window", "2"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "InputError" and "diverged" in err[0]
+        assert list(out.iterdir()) == []
+
     def test_tag_lone_surrogate_exit_1(self, world, tmp_path, capsys):
         docs, out = tmp_path / "docs.jsonl", tmp_path / "p.jsonl"
         docs.write_text('{"doc_id": "\\ud800", "text": "x"}\n', encoding="utf-8")

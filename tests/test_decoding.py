@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from helpers import (
     name_token_seqs,
     oracle_prefix_allowed,
     random_catalog,
+    reference_beam_decode,
 )
 
 
@@ -84,17 +87,88 @@ class TestGreedy:
             greedy_decode(NonFinite(), trie, [], DecodeConfig(beam_size=1))
 
 
+def _decode_or_error(decode, *args):
+    try:
+        return decode(*args)
+    except NoFinishedHypothesis:
+        return NoFinishedHypothesis
+
+
+def _uniform_batch_scorer(v, damage):
+    """Uniform scorer whose [B, V] matrix goes through ``damage`` once the beam has two rows."""
+
+    class Scorer:
+        def encode(self, ids):
+            return None
+
+        def next_logprobs(self, enc, prefix):
+            return np.full(v, -np.log(v))
+
+        def next_logprobs_batch(self, enc, prefixes):
+            lp = np.full((len(prefixes), v), -np.log(v))
+            return damage(lp) if len(prefixes) >= 2 else lp
+
+    return Scorer()
+
+
+def _nan_row(lp):
+    lp[1] = np.nan
+    return lp
+
+
+def _unnormalized_row(lp):
+    lp[1] = 0.0
+    return lp
+
+
+@pytest.mark.parametrize(
+    "damage", [_nan_row, _unnormalized_row, lambda lp: lp[1:], lambda lp: lp[0]],
+    ids=["nan-row", "unnormalized-row", "missing-row", "one-dimensional"],
+)
+def test_batched_scorer_contract_enforced(damage):
+    cat, vout, trie = catalog_stack(EntityCatalog(["a b", "a c", "d"]))
+    config = DecodeConfig(beam_size=2)
+    assert beam_decode(_uniform_batch_scorer(len(vout), lambda lp: lp), trie, [], config)
+    with pytest.raises(ScorerContractViolation):
+        beam_decode(_uniform_batch_scorer(len(vout), damage), trie, [], config)
+
+
+def test_ragged_fallback_rows_enforced():
+    # without next_logprobs_batch the per-row vectors are stacked; rows of two lengths cannot be
+    cat, vout, trie = catalog_stack(EntityCatalog(["a b", "a c", "d"]))
+    a = tokenize("a", vout, mode="output")[0]
+
+    class Ragged:
+        def encode(self, ids):
+            return None
+
+        def next_logprobs(self, enc, prefix):
+            n = len(vout) + (1 if list(prefix[-1:]) == [a] else 0)
+            return np.full(n, -np.log(n))
+
+    with pytest.raises(ScorerContractViolation):
+        beam_decode(Ragged(), trie, [], DecodeConfig(beam_size=2))
+
+
 class TestBeam:
     @pytest.mark.parametrize("seed", range(8))
-    def test_beam_one_equals_greedy(self, seed):
-        rng = np.random.default_rng(seed)
-        cat = random_catalog(rng, int(rng.integers(2, 8)))
-        cat, vout, trie = catalog_stack(cat)
-        scorer = RandomScorer(len(vout), seed=seed)
-        config = DecodeConfig(beam_size=1, max_entities=3)
-        greedy = greedy_decode(scorer, trie, [1, 2], config)
-        ranked = beam_decode(scorer, trie, [1, 2], config)
-        assert ranked[0][0] == greedy
+    def test_matches_per_hypothesis_reference(self, seed):
+        switches = [{}, {"no_repeat": False}, {"allow_empty": True}, {"renormalize_constrained": False},
+                    {"length_normalize": True}, {"max_tokens": 4}, {"max_entities": 8}]
+        for case in range(2):
+            rng = np.random.default_rng(700 + 2 * seed + case)
+            cat, vout, trie = catalog_stack(random_catalog(rng, int(rng.integers(2, 9))))
+            # the uniform scorer ties every step, so the tie rule decides
+            scorers = (RandomScorer(len(vout), seed=seed), UniformScorer(len(vout)))
+            for scorer, switch, beam in itertools.product(scorers, switches, (1, 2, 3, 5, 8)):
+                config = DecodeConfig(**{"beam_size": beam, "max_entities": 3, **switch})
+                want = _decode_or_error(reference_beam_decode, scorer, trie, [case], config)
+                got = _decode_or_error(beam_decode, scorer, trie, [case], config)
+                if want is NoFinishedHypothesis:
+                    assert got is NoFinishedHypothesis
+                    continue
+                assert [t for t, _ in got] == [t for t, _ in want]
+                np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("renormalize", [True, False])
     def test_beam_matches_exhaustive_search(self, renormalize):

@@ -84,7 +84,7 @@ class TestNextLogprobs:
             b=np.zeros(v),
             k=2,
         )
-        lp = next_logprobs(params, encode_input(params, [1]), [])
+        lp = next_logprobs(params, encode_input(params, [1]), [[]])[0]
         np.testing.assert_allclose(lp, np.full(v, -np.log(v)), atol=1e-12)
 
     def test_normalized_for_random_params(self, small_world):
@@ -93,7 +93,7 @@ class TestNextLogprobs:
             params = init_params(len(vin), len(vout), d=6, k=3, seed=seed)
             rng = np.random.default_rng(seed)
             prefix = rng.integers(0, len(vout), size=rng.integers(0, 6)).tolist()
-            lp = next_logprobs(params, encode_input(params, [2, 3]), prefix)
+            lp = next_logprobs(params, encode_input(params, [2, 3]), [prefix])[0]
             assert np.all(np.isfinite(lp))
             assert abs(np.log(np.exp(lp).sum())) < 1e-6
 
@@ -122,8 +122,28 @@ class TestNextLogprobs:
         z = sum(np.exp(v - m) for v in logits)
         want = np.array([v - m - np.log(z) for v in logits])
 
-        got = next_logprobs(params, enc, prefix)
+        got = next_logprobs(params, enc, [prefix])[0]
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+    def test_batch_rows_match_single_rows(self, small_world):
+        # reference: the single-prefix form, one feature vector times W
+        cat, vin, vout = small_world
+        rng = np.random.default_rng(8)
+        for seed in range(5):
+            params = init_params(len(vin), len(vout), d=6, k=3, seed=seed)
+            scorer = ToyScorer(params)
+            enc = scorer.encode([2, 3])
+            for t in (0, 2, 3, 5):
+                prefixes = rng.integers(0, len(vout), size=(6, t))
+                batch = scorer.next_logprobs_batch(enc, prefixes)
+                assert batch.shape == (6, len(vout))
+                for row, prefix in zip(batch, prefixes.tolist()):
+                    ctx = ([BOS] * params.k + prefix)[-params.k:]
+                    logits = np.concatenate((enc, params.e_out[ctx].ravel())) @ params.w + params.b
+                    want = logits - logits.max() - np.log(np.exp(logits - logits.max()).sum())
+                    np.testing.assert_array_equal(scorer.next_logprobs(enc, prefix), want)
+                    np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
 
 
 class TestBuildTarget:
@@ -258,7 +278,7 @@ class TestBackward:
 
         enc = encode_input(params, ex.input)
         feat = np.concatenate((enc, params.e_out[BOS]))
-        p = np.exp(next_logprobs(params, enc, []))
+        p = np.exp(next_logprobs(params, enc, [[]])[0])
         for col in range(len(vout)):
             want = p[col] * feat
             if col == target[0]:
@@ -330,6 +350,14 @@ class TestTrain:
         cat, vin, vout = small_world
         corpus = [example(cat, vin, "red fox", {0}), example(cat, vin, "blue jay green frog", {1, 2})]
         config = TrainConfig(epochs=3, optimizer="sgd", lr=1e200, d=6, k=2)
+        with pytest.raises(InputError, match="diverged"):
+            train(corpus, config, cat, vin, vout)
+
+    def test_finite_divergence_raises(self, small_world):
+        # the mean loss reaches 4e54 by epoch 3 but stays finite
+        cat, vin, vout = small_world
+        corpus = [example(cat, vin, "red fox", {0}), example(cat, vin, "blue jay green frog", {1, 2})]
+        config = TrainConfig(epochs=3, optimizer="sgd", lr=1e6, d=6, k=2)
         with pytest.raises(InputError, match="diverged"):
             train(corpus, config, cat, vin, vout)
 
