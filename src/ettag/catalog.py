@@ -39,7 +39,7 @@ def canonicalize(raw: str) -> str:
 
     Idempotent. Raises InvalidName if nothing is left.
     """
-    name = " ".join(unicodedata.normalize("NFC", raw).split())
+    name = " ".join((raw if raw.isascii() else unicodedata.normalize("NFC", raw)).split())
     if not name:
         raise InvalidName(f"name is empty after normalization: {raw!r}")
     return name
@@ -68,6 +68,10 @@ def word_tokens(text: str) -> list[str]:
     """Tokenize text into marker-carrying string tokens."""
     out: list[str] = []
     for word in text.split():
+        # no alphanumeric character is punctuation, so such a word stays whole
+        if word.isalnum():
+            out.append(WORD_MARK + word)
+            continue
         parts = _split_word(word)
         out.append(WORD_MARK + parts[0])
         out.extend(parts[1:])
@@ -119,6 +123,13 @@ class Vocabulary:
         return hashlib.sha256(nul_terminated(self.tokens)).digest()
 
 
+def read_vocabulary(section: bytes) -> Vocabulary | None:
+    """The vocabulary whose tokens ``nul_terminated`` writes as ``section``;
+    None unless the section is UTF-8 spelling distinct tokens, reserved first."""
+    vocab = Vocabulary(section.decode("utf-8", "replace").split("\0")[N_RESERVED:-1])
+    return vocab if nul_terminated(vocab.tokens) == section else None
+
+
 def tokenize(text: str, vocab: Vocabulary, mode: str = "input") -> TokenSeq:
     """Map text to token ids. mode='input' sends unknown tokens to UNK;
     mode='output' raises OutputOOV on anything outside the vocabulary."""
@@ -149,16 +160,15 @@ class EntityCatalog:
 
     def __init__(self, names: Iterable[str]):
         canonical = [canonicalize(n) for n in names]
-        for name in canonical:
-            _reject_reserved_glyphs(name)
-        index: dict[str, int] = {}
-        dups = []
-        for i, name in enumerate(canonical):
-            if name in index:
-                dups.append(name)
-            else:
-                index[name] = i
-        if dups:
+        _reject_reserved_glyphs(canonical)
+        index = dict(zip(canonical, range(len(canonical))))
+        if len(index) < len(canonical):
+            seen: set[str] = set()
+            dups = []
+            for name in canonical:
+                if name in seen:
+                    dups.append(name)
+                seen.add(name)
             raise DuplicateName(dups)
         self.names: tuple[str, ...] = tuple(canonical)
         self._index = index
@@ -190,27 +200,29 @@ class EntityCatalog:
         """
         if format not in ("plain-lines", "tsv"):
             raise ValueError(f"unknown catalog format {format!r}")
-        names: list[str] = []
         with open(path, "r", encoding="utf-8") as f:
-            for line_no, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                if format == "tsv":
-                    if "\t" not in line:
-                        raise MalformedLine(line_no, "expected id<TAB>name")
-                    line = line.split("\t", 1)[1]
-                names.append(line)
+            lines = f.read().split("\n")
+        names = [line for line in lines if line and not line.startswith("#")]
+        if format == "tsv":
+            for line_no, line in enumerate(lines, 1):
+                if line and not line.startswith("#") and "\t" not in line:
+                    raise MalformedLine(line_no, "expected id<TAB>name")
+            names = [line.split("\t", 1)[1] for line in names]
         return cls(names)
 
 
-def _reject_reserved_glyphs(name: str) -> None:
+def _reject_reserved_glyphs(names: list[str]) -> None:
     # The separator's textual form and the word-boundary marker must not be
-    # spellable inside a catalog name.
-    if WORD_MARK in name:
-        raise InvalidName(f"name contains the boundary marker U+2581: {name!r}")
-    if "<sep>" in name:
-        raise InvalidName(f"name contains the separator literal: {name!r}")
+    # spellable inside a catalog name. Neither contains a newline, so a match
+    # in the joined names lies inside one name.
+    joined = "\n".join(names)
+    if WORD_MARK not in joined and "<sep>" not in joined:
+        return
+    for name in names:
+        if WORD_MARK in name:
+            raise InvalidName(f"name contains the boundary marker U+2581: {name!r}")
+        if "<sep>" in name:
+            raise InvalidName(f"name contains the separator literal: {name!r}")
 
 
 def build_vocabularies(
@@ -225,13 +237,6 @@ def build_vocabularies(
     """
     if len(catalog) == 0:
         raise EmptyCatalog("cannot build vocabularies for an empty catalog")
-    out_tokens: list[str] = []
-    seen: set[str] = set()
-    for name in catalog:
-        for t in word_tokens(name):
-            if t not in seen:
-                seen.add(t)
-                out_tokens.append(t)
     counts: Counter[str] = Counter()
     order: list[str] = []
     for text in corpus:
@@ -240,4 +245,12 @@ def build_vocabularies(
                 order.append(t)
             counts[t] += 1
     in_tokens = [t for t in order if counts[t] >= min_count]
-    return Vocabulary(in_tokens), Vocabulary(out_tokens)
+    return Vocabulary(in_tokens), Vocabulary(t for name in catalog for t in word_tokens(name))
+
+
+def name_token_ids(catalog: EntityCatalog) -> tuple[Vocabulary, list[tuple[int, ...]]]:
+    """The output vocabulary of build_vocabularies and each name's token ids
+    in it, from one tokenization pass."""
+    index = {t: i for i, t in enumerate(RESERVED_TOKENS)}
+    seqs = [tuple([index.setdefault(t, len(index)) for t in word_tokens(name)]) for name in catalog]
+    return Vocabulary(list(index)[N_RESERVED:]), seqs

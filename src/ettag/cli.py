@@ -1,7 +1,7 @@
 """Single executable for the whole pipeline.
 
-Subcommands: build-kb, convert, train, tag, eval, ablate-beam, ablate-order,
-bench. Every command that writes outputs also writes a ``.runconfig.json``
+Subcommands: build-kb, convert, train, tag, eval, ablate-beam, ablate-order.
+Every command that writes outputs also writes a ``.runconfig.json``
 next to them with the fully resolved configuration. Exit codes: 0 success,
 1 input error, 2 internal contract violation; errors go to stderr as one
 JSON object.
@@ -14,13 +14,10 @@ import csv
 import inspect
 import json
 import sys
-import time
 from dataclasses import fields
 
-import numpy as np
-
 from . import __version__
-from .catalog import EntityCatalog, build_vocabularies, tokenize
+from .catalog import EntityCatalog, build_vocabularies, name_token_ids, tokenize
 from .decoding import DecodeConfig, beam_decode, parse_output
 from .errors import ContractError, EttagError, InputError
 from .ingest import (
@@ -113,8 +110,8 @@ def _load_kb(opts: dict) -> EntityCatalog:
 def cmd_build_kb(args, cfg) -> int:
     opts = _resolve(args, cfg, EntityCatalog.load)
     catalog = _load_kb(opts)
-    _, vocab_out = build_vocabularies(catalog, [])
-    trie = build_trie(catalog, vocab_out)
+    vocab_out, name_ids = name_token_ids(catalog)
+    trie = build_trie(catalog, vocab_out, name_ids)
     save_trie_cache(trie, opts["cache_out"], catalog, vocab_out)
     _write_runconfig(opts["cache_out"], "build-kb", opts)
     print(json.dumps(trie_stats(trie)))
@@ -174,12 +171,15 @@ def cmd_train(args, cfg) -> int:
 
 
 def _load_model_stack(opts: dict):
-    """catalog + input vocabulary + trie + scorer for tagging commands."""
+    """catalog + input vocabulary + trie + scorer for tagging commands; the
+    output vocabulary comes with the trie cache, or is built with the trie."""
     catalog = _load_kb(opts)
-    _, vocab_out = build_vocabularies(catalog, [])
+    if opts["kb_cache"]:
+        trie, vocab_out = load_trie_cache(opts["kb_cache"], catalog)
+    else:
+        vocab_out, name_ids = name_token_ids(catalog)
+        trie = build_trie(catalog, vocab_out, name_ids)
     params, vocab_in = load_checkpoint(opts["model"], vocab_out)
-    cache = opts["kb_cache"]
-    trie = load_trie_cache(cache, catalog, vocab_out) if cache else build_trie(catalog, vocab_out)
     return catalog, vocab_in, trie, ToyScorer(params)
 
 
@@ -291,58 +291,6 @@ def cmd_ablate_order(args, cfg) -> int:
     return 0
 
 
-def cmd_bench(args, cfg) -> int:
-    from .synthetic import synthetic_kb_names
-
-    opts = _resolve(args, cfg, EntityCatalog.load, synthetic_kb_names, latency_samples=200_000)
-    if opts["latency_samples"] < 1:
-        raise InputError("--latency-samples must be >= 1")
-    if opts["synthetic"]:
-        catalog = EntityCatalog(synthetic_kb_names(int(opts["synthetic"]), seed=opts["seed"]))
-    elif opts["kb"]:
-        catalog = _load_kb(opts)
-    else:
-        raise InputError("bench needs --kb or --synthetic N")
-    _, vocab_out = build_vocabularies(catalog, [])
-
-    t0 = time.perf_counter()
-    trie = build_trie(catalog, vocab_out)
-    build_seconds = time.perf_counter() - t0
-
-    import resource
-
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-    from .trie import TrieCursor, allowed_tokens
-
-    n_samples = opts["latency_samples"]
-    rng = np.random.default_rng(opts["seed"])
-    nodes = rng.integers(0, trie.node_count, size=n_samples)
-    config = DecodeConfig()
-    empty: frozenset[int] = frozenset()
-    lat = np.empty(n_samples)
-    clock = time.perf_counter_ns
-    for i in range(n_samples):
-        cur = TrieCursor(int(nodes[i]))
-        t1 = clock()
-        allowed_tokens(trie, cur, empty, config, 0)
-        lat[i] = clock() - t1
-    stats = trie_stats(trie)
-    payload = {
-        **stats,
-        "build_seconds": round(build_seconds, 3),
-        "max_rss_mb": round(rss_mb, 1),
-        "latency_us": {
-            "p50": round(float(np.percentile(lat, 50)) / 1000.0, 3),
-            "p90": round(float(np.percentile(lat, 90)) / 1000.0, 3),
-            "p99": round(float(np.percentile(lat, 99)) / 1000.0, 3),
-        },
-        "latency_samples": n_samples,
-    }
-    print(json.dumps(payload))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -438,14 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_args(p)
     _add_decode_args(p)
     p.set_defaults(func=cmd_ablate_order)
-
-    p = sub.add_parser("bench", help="trie build time, memory, and lookup latency")
-    p.add_argument("--kb", default=None)
-    p.add_argument("--kb-format", choices=["plain-lines", "tsv"], default=None)
-    p.add_argument("--synthetic", type=int, default=None, help="generate N synthetic names")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--latency-samples", type=int, default=None)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -1,7 +1,7 @@
 """The framing shared by trie caches and model checkpoints: an 8-byte magic
 (so the 72-byte header keeps the sections after it aligned), the 32-byte key
-of the KB the file was made for, a SHA-256 of every byte after it, a struct of
-dims, then a body whose length the dims fix."""
+of the KB the file was made for, a SHA-256 of the key and of every byte after
+the hash, a struct of dims, then a body whose length the dims fix."""
 
 import hashlib
 import struct
@@ -21,7 +21,7 @@ class SealedFormat:
 
     def write(self, path, key: bytes, dims: Sequence[int], sections: Sequence[bytes]) -> None:
         head = self.dims.pack(*dims)
-        digest = hashlib.sha256(head)
+        digest = hashlib.sha256(key + head)
         for section in sections:
             digest.update(section)
         with open(path, "wb") as f:
@@ -30,17 +30,19 @@ class SealedFormat:
 
     def read(self, path, key: bytes) -> tuple[tuple[int, ...], memoryview]:
         """The dims and body of a file written with ``key``; ``error`` unless
-        the magic, the key, the length the dims imply and the SHA-256 match."""
+        the magic, the length the dims imply, the SHA-256 and then the key match."""
         with open(path, "rb") as f:
             blob = memoryview(f.read())
         start = 72 + self.dims.size
         if len(blob) < start or blob[:8] != self.magic:
             raise self.error(f"{path}: not a {self.what}")
-        if blob[8:40] != key:
-            raise self.error(f"{path}: {self.what} was made for a different KB, or its key is damaged")
         dims = self.dims.unpack_from(blob, 72)
         if len(blob) != start + self.body_size(*dims):
             raise self.error(f"{path}: truncated or padded, or bad dims {dims}")
-        if hashlib.sha256(blob[72:]).digest() != blob[40:72]:
+        digest = hashlib.sha256(blob[8:40])
+        digest.update(blob[72:])
+        if digest.digest() != blob[40:72]:
             raise self.error(f"{path}: contents do not match their SHA-256")
+        if blob[8:40] != key:
+            raise self.error(f"{path}: {self.what} was made for a different KB")
         return dims, blob[start:]

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .catalog import BOS, EOS, N_RESERVED, SEP, EntityCatalog, TokenSeq, Vocabulary, nul_terminated, tokenize
+from .catalog import BOS, EOS, SEP, EntityCatalog, TokenSeq, Vocabulary, nul_terminated, read_vocabulary, tokenize
 from .errors import CorruptCheckpoint, InputError, InvalidConfig, UnknownEntity, require_ints
 from .ingest import ETExample
 from .sealed import SealedFormat
@@ -331,12 +331,12 @@ def _checkpoint_body_size(d: int, k: int, v_in: int, v_out: int, vocab_bytes: in
 
 
 _CHECKPOINT = SealedFormat(
-    b"ETMDL2\0\0", "model checkpoint", CorruptCheckpoint, struct.Struct("<iiiii"), _checkpoint_body_size
+    b"ETMDL3\0\0", "model checkpoint", CorruptCheckpoint, struct.Struct("<iiiii"), _checkpoint_body_size
 )
 
 
 def save_checkpoint(params: ToyModelParams, path, vocab_in: Vocabulary, vocab_out: Vocabulary) -> None:
-    """Write the ``ETMDL2`` checkpoint, keyed by ``vocab_out``: dims (d, k, V_in, V_out, vocabulary
+    """Write the ``ETMDL3`` checkpoint, keyed by ``vocab_out``: dims (d, k, V_in, V_out, vocabulary
     bytes), ``vocab_in`` as NUL-terminated UTF-8, then E_in, E_out, W, b as little-endian float64."""
     vocab = nul_terminated(vocab_in.tokens)
     dims = (params.d, params.k, params.v_in, params.v_out, len(vocab))
@@ -349,11 +349,10 @@ def load_checkpoint(path, vocab_out: Vocabulary) -> tuple[ToyModelParams, Vocabu
     ``vocab_out``. Raises CorruptCheckpoint unless the file is intact, its
     vocabulary section spells V_in distinct tokens (reserved first) and every
     weight is finite; a checkpoint for another output vocabulary is rejected
-    too, since its key cannot be told from a damaged one."""
+    too."""
     (d, k, v_in, v_out, n_vocab), body = _CHECKPOINT.read(path, vocab_out.content_hash())
-    section = bytes(body[:n_vocab])
-    vocab_in = Vocabulary(section.decode("utf-8", "replace").split("\0")[N_RESERVED:-1])
-    if nul_terminated(vocab_in.tokens) != section or len(vocab_in) != v_in:
+    vocab_in = read_vocabulary(bytes(body[:n_vocab]))
+    if vocab_in is None or len(vocab_in) != v_in:
         raise CorruptCheckpoint(f"{path}: bad vocabulary section")
     if v_out != len(vocab_out):
         raise CorruptCheckpoint(f"{path}: V_out {v_out} does not match the output vocabulary")

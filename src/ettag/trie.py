@@ -11,7 +11,6 @@ no-repeat pruning needs to never paint a decoder into a dead end.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from array import array
 from dataclasses import dataclass
@@ -19,17 +18,18 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .catalog import EOS, N_RESERVED, SEP, EntityCatalog, Vocabulary, tokenize
+from .catalog import EOS, N_RESERVED, SEP, EntityCatalog, Vocabulary, nul_terminated, read_vocabulary, tokenize
 from .errors import CacheMismatch, DisallowedToken, EmptyCatalog, OutputOOV
 from .sealed import SealedFormat
 
 ROOT = 0
 FINISHED = -1
 
-# dims (n nodes, e edges); body: terminal, child counts (n), child keys, child values (e), int32
+# dims (n nodes, e edges, v vocabulary bytes); body: terminal, child counts (n),
+# child keys, child values (e) as int32, then the output vocabulary (v)
 _CACHE = SealedFormat(
-    b"ETRIE2\0\0", "trie cache", CacheMismatch, struct.Struct("<ii"),
-    lambda n, e: 8 * (n + e) if n >= 1 and e >= 0 else -1,
+    b"ETRIE3\0\0", "trie cache", CacheMismatch, struct.Struct("<iii"),
+    lambda n, e, v: 8 * (n + e) + v if n >= 1 and e >= 0 and v >= 0 else -1,
 )
 
 
@@ -174,19 +174,24 @@ class TokenTrie:
         return None if ent < 0 or node == ROOT else ent
 
 
-def build_trie(catalog: EntityCatalog, vocab: Vocabulary) -> TokenTrie:
-    """Build the prefix tree recognizing exactly the tokenized catalog names."""
+def build_trie(
+    catalog: EntityCatalog, vocab: Vocabulary, name_ids: list[tuple[int, ...]] | None = None
+) -> TokenTrie:
+    """Build the prefix tree recognizing exactly the tokenized catalog names.
+    ``name_ids``, each name's token ids in ``vocab`` as ``name_token_ids``
+    gives them, saves tokenizing the names again; the list is emptied, so
+    its tuples are freed before the arrays are built."""
     n_entities = len(catalog)
     if n_entities == 0:
         raise EmptyCatalog("cannot build a trie over an empty catalog")
-    seqs: list[tuple[tuple[int, ...], int]] = []
-    for eid, name in enumerate(catalog):
-        try:
-            ids = tokenize(name, vocab, mode="output")
-        except OutputOOV as exc:
-            raise OutputOOV(f"catalog name {name!r} not covered by vocabulary: {exc}") from exc
-        seqs.append((tuple(ids), eid))
-    seqs.sort()
+    if name_ids is None:
+        name_ids = []
+        for name in catalog:
+            try:
+                name_ids.append(tuple(tokenize(name, vocab, mode="output")))
+            except OutputOOV as exc:
+                raise OutputOOV(f"catalog name {name!r} not covered by vocabulary: {exc}") from exc
+    seqs = sorted(zip(name_ids, range(n_entities)))
 
     # inserting the names in sorted order creates the nodes in preorder, each
     # node's children in ascending key order; edge i creates node i + 1
@@ -212,6 +217,7 @@ def build_trie(catalog: EntityCatalog, vocab: Vocabulary) -> TokenTrie:
         terminal[stack[-1]] = eid
         prev = seq
     del seqs
+    name_ids.clear()
 
     parents_np = np.asarray(parents, dtype=np.int32)
     # a stable sort on parent alone keeps each node's children in key order
@@ -329,29 +335,29 @@ def trie_stats(trie: TokenTrie) -> dict[str, int]:
     }
 
 
-def content_hash(catalog: EntityCatalog, vocab: Vocabulary) -> bytes:
-    h = hashlib.sha256()
-    h.update(catalog.content_hash())
-    h.update(vocab.content_hash())
-    return h.digest()
-
-
 def save_trie_cache(trie: TokenTrie, path, catalog: EntityCatalog, vocab: Vocabulary) -> None:
-    """Write the ``ETRIE2`` cache of ``trie`` over this catalog and output vocabulary."""
+    """Write the ``ETRIE3`` cache of ``trie`` and its output vocabulary over this catalog."""
     sections = [
         np.asarray(a, dtype="<i4").tobytes()
         for a in (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)
     ]
-    _CACHE.write(path, content_hash(catalog, vocab), (trie.node_count, len(trie.child_keys)), sections)
+    sections.append(nul_terminated(vocab.tokens))
+    dims = (trie.node_count, len(trie.child_keys), len(sections[-1]))
+    _CACHE.write(path, catalog.content_hash(), dims, sections)
 
 
-def load_trie_cache(path, catalog: EntityCatalog, vocab: Vocabulary) -> TokenTrie:
-    """Read a cache written by save_trie_cache for this catalog and output
-    vocabulary. Raises CacheMismatch unless the file is intact and holds a
-    well-formed trie over the catalog."""
-    (n, n_edges), body = _CACHE.read(path, content_hash(catalog, vocab))
-    terminal, counts, keys, vals = np.split(np.frombuffer(body, dtype="<i4"), [n, 2 * n, 2 * n + n_edges])
+def load_trie_cache(path, catalog: EntityCatalog) -> tuple[TokenTrie, Vocabulary]:
+    """The trie and output vocabulary of a cache written by save_trie_cache
+    for this catalog. Raises CacheMismatch unless the file is intact and
+    holds a well-formed trie over the catalog and a vocabulary covering it."""
+    (n, n_edges, _), body = _CACHE.read(path, catalog.content_hash())
+    n_ints = 2 * (n + n_edges)
+    vocab = read_vocabulary(bytes(body[4 * n_ints:]))
+    if vocab is None:
+        raise CacheMismatch(f"{path}: bad vocabulary section")
+    ints = np.frombuffer(body, dtype="<i4", count=n_ints)
+    terminal, counts, keys, vals = np.split(ints, [n, 2 * n, 2 * n + n_edges])
     try:
-        return TokenTrie.from_arrays(terminal, counts, keys, vals, len(catalog), len(vocab))
+        return TokenTrie.from_arrays(terminal, counts, keys, vals, len(catalog), len(vocab)), vocab
     except CacheMismatch as exc:
         raise CacheMismatch(f"{path}: {exc}") from None

@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import unicodedata
 
 import numpy as np
 import pytest
@@ -13,9 +15,12 @@ from ettag.catalog import (
     EntityCatalog,
     Vocabulary,
     WORD_MARK,
+    _is_punct,
+    _split_word,
     build_vocabularies,
     canonicalize,
     detokenize,
+    name_token_ids,
     tokenize,
     word_tokens,
 )
@@ -98,6 +103,25 @@ class TestTokenizer:
         _, vout = build_vocabularies(cat, [])
         assert detokenize(tokenize(name, vout, mode="output"), vout) == name
 
+    def test_no_alphanumeric_code_point_is_punctuation(self):
+        """What lets word_tokens keep an isalnum() word whole unscanned."""
+        both = [hex(c) for c in range(sys.maxunicode + 1) if chr(c).isalnum() and _is_punct(chr(c))]
+        assert both == [], f"Unicode {unicodedata.unidata_version}"
+
+    def test_matches_per_character_reference(self):
+        def reference(text):
+            out = []
+            for word in text.split():
+                parts = _split_word(word)
+                out += [WORD_MARK + parts[0], *parts[1:]]
+            return out
+
+        pool = list("aZé東ж٣9²½.,()&'-+$€©^\u0301\u0308 \t") + ["\U0001F600", "\u00A0", "\u2581"]
+        rng = np.random.default_rng(17)
+        for _ in range(3000):
+            text = "".join(rng.choice(pool, size=int(rng.integers(0, 16))))
+            assert word_tokens(text) == reference(text), repr(text)
+
 
 class TestVocabulary:
     def test_reserved_layout(self):
@@ -148,6 +172,11 @@ class TestCatalog:
         with pytest.raises(DuplicateName) as exc_info:
             EntityCatalog.load(path)
         assert "Earth" in str(exc_info.value)
+
+    def test_duplicates_listed_in_order(self):
+        with pytest.raises(DuplicateName) as exc_info:
+            EntityCatalog(["b", "a", "b", "c", "a", "b  ", "\u00e9", "e\u0301"])
+        assert exc_info.value.offenders == ["b", "a", "b", "é"]
 
     def test_duplicate_after_canonicalization(self):
         with pytest.raises(DuplicateName):
@@ -209,6 +238,15 @@ class TestBuildVocabularies:
     def test_empty_catalog(self):
         with pytest.raises(EmptyCatalog):
             build_vocabularies(EntityCatalog([]), [])
+
+    def test_name_token_ids_match_tokenize(self):
+        rng = np.random.default_rng(4)
+        pieces = ["Alpha", "beta-9", "(x)", "O'Neill", "Q.", "&", "été", "東京"]
+        cat = EntityCatalog(sorted({" ".join(rng.choice(pieces, size=int(rng.integers(1, 4)))) for _ in range(300)}))
+        vocab, seqs = name_token_ids(cat)
+        _, vout = build_vocabularies(cat, [])
+        assert vocab.tokens == vout.tokens
+        assert seqs == [tuple(tokenize(name, vout, mode="output")) for name in cat]
 
 
 def test_bijection_and_round_trip_sampled_at_kb_scale():

@@ -61,6 +61,12 @@ class TestBuildKb:
         written = {p.name for p in world["root"].glob("kb.trie*")}
         assert written == {"kb.trie", "kb.trie.runconfig.json"}
 
+    def test_build_kb_bit_reproducible(self, world, tmp_path):
+        a, b = tmp_path / "a.trie", tmp_path / "b.trie"
+        assert main(["build-kb", "--kb", str(world["kb"]), "--cache-out", str(a)]) == 0
+        assert main(["build-kb", "--kb", str(world["kb"]), "--cache-out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestConvert:
     def test_aida_split_counts(self, tmp_path, capsys):
@@ -158,6 +164,21 @@ class TestTagAndEval:
         out = self.run_tag(world, "pred_cache.jsonl", ("--kb-cache", str(cache)))
         plain = self.run_tag(world, "pred_plain.jsonl")
         assert out.read_text() == plain.read_text()
+
+    def test_eval_table4_style(self, world, capsys):
+        pred = world["root"] / "pred_t4.jsonl"
+        rc = main(
+            [
+                "tag", "--model", str(world["model"]), "--kb", str(world["kb"]),
+                "--in", str(world["eval"]), "--out", str(pred), "--beam", "3",
+            ]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        rc = main(["eval", "--pred", str(pred), "--gold", str(world["eval"]), "--style", "table4"])
+        assert rc == 0
+        table = capsys.readouterr().out
+        assert "Avg. P" in table and "Avg. R" in table
 
 
 class TestMemorizedEndToEnd:
@@ -675,37 +696,6 @@ class TestOtherFormats:
         rec = json.loads(out.read_text().strip())
         assert rec["gold"] == ["Dog", "Pets"]
         assert rec["gold_order"] == ["Dog", "Pets"]
-
-
-class TestBenchAndEnv:
-    def test_bench_synthetic(self, tmp_path, capsys):
-        rc = main(["bench", "--synthetic", "1500", "--latency-samples", "1000"])
-        assert rc == 0
-        stats = json.loads(capsys.readouterr().out.strip())
-        assert stats["entity_count"] == 1500
-        assert stats["build_seconds"] >= 0
-        assert {"p50", "p90", "p99"} <= set(stats["latency_us"])
-
-    def test_eval_table4_style(self, world, capsys):
-        pred = world["root"] / "pred_t4.jsonl"
-        rc = main(
-            [
-                "tag", "--model", str(world["model"]), "--kb", str(world["kb"]),
-                "--in", str(world["eval"]), "--out", str(pred), "--beam", "3",
-            ]
-        )
-        assert rc == 0
-        capsys.readouterr()
-        rc = main(["eval", "--pred", str(pred), "--gold", str(world["eval"]), "--style", "table4"])
-        assert rc == 0
-        table = capsys.readouterr().out
-        assert "Avg. P" in table and "Avg. R" in table
-
-    def test_build_kb_bit_reproducible(self, world, tmp_path):
-        a, b = tmp_path / "a.trie", tmp_path / "b.trie"
-        assert main(["build-kb", "--kb", str(world["kb"]), "--cache-out", str(a)]) == 0
-        assert main(["build-kb", "--kb", str(world["kb"]), "--cache-out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
 
 
 def test_console_script_smoke(tmp_path):

@@ -378,8 +378,8 @@ class TestCheckpoint:
         _, vin, vout = small_world
         path = tmp_path / "model.bin"
         save_checkpoint(init_params(len(vin), len(vout), d=3, k=2, seed=0), path, vin, vout)
-        etmdl1 = b"ETMDL1" + path.read_bytes()[8:]  # the magic of the earlier format
-        for junk in (b"not a checkpoint", etmdl1):
+        older = [magic + path.read_bytes()[6:] for magic in (b"ETMDL1", b"ETMDL2")]  # earlier formats
+        for junk in (b"not a checkpoint", *older):
             path.write_bytes(junk)
             with pytest.raises(CorruptCheckpoint, match="not a model checkpoint"):
                 load_checkpoint(path, vout)

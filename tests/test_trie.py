@@ -4,12 +4,22 @@ import json
 import numpy as np
 import pytest
 
-from ettag.catalog import EOS, SEP, EntityCatalog, Vocabulary, build_vocabularies, tokenize
+from ettag.catalog import (
+    EOS,
+    SEP,
+    EntityCatalog,
+    Vocabulary,
+    build_vocabularies,
+    name_token_ids,
+    nul_terminated,
+    tokenize,
+)
 from ettag.cli import main
 from ettag.decoding import DecodeConfig
 from ettag.errors import CacheMismatch, CorruptCheckpoint, DisallowedToken, EmptyCatalog, OutputOOV
 from ettag.toy_model import init_params, load_checkpoint, save_checkpoint
 from ettag.trie import (
+    _CACHE,
     FINISHED,
     TrieCursor,
     advance,
@@ -254,6 +264,15 @@ class TestLanguage:
                     stack.append((advance(trie, cursor, token), emitted, n_names))
 
 
+def test_name_ids_give_the_same_trie():
+    cat, vout, trie = catalog_stack(random_catalog(np.random.default_rng(9), 60))
+    vocab, name_ids = name_token_ids(cat)
+    built = build_trie(cat, vocab, name_ids)
+    assert name_ids == []
+    for field in ("terminal", "child_start", "child_keys", "child_vals"):
+        assert getattr(built, field).tobytes() == getattr(trie, field).tobytes()
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(23)
@@ -261,7 +280,8 @@ class TestCache:
         cat, vout, trie = catalog_stack(cat)
         path = tmp_path / "kb.trie"
         save_trie_cache(trie, path, cat, vout)
-        loaded = load_trie_cache(path, cat, vout)
+        loaded, loaded_vocab = load_trie_cache(path, cat)
+        assert loaded_vocab.tokens == vout.tokens
         assert trie_stats(loaded) == trie_stats(trie)
         assert np.array_equal(loaded.terminal, trie.terminal)
         assert np.array_equal(loaded.child_keys, trie.child_keys)
@@ -279,17 +299,33 @@ class TestCache:
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth", "Mars"]))
         path = tmp_path / "kb.trie"
         save_trie_cache(trie, path, cat, vout)
-        other = EntityCatalog(["Earth", "Venus"])
-        _, vout2 = build_vocabularies(other, [])
-        with pytest.raises(CacheMismatch):
-            load_trie_cache(path, other, vout2)
+        with pytest.raises(CacheMismatch, match="made for a different KB"):
+            load_trie_cache(path, EntityCatalog(["Earth", "Venus"]))
 
     def test_not_a_cache(self, tmp_path):
-        cat, vout, _ = catalog_stack(EntityCatalog(["Earth"]))
+        cat, vout, trie = catalog_stack(EntityCatalog(["Earth"]))
         path = tmp_path / "junk"
-        path.write_bytes(b"hello world")
-        with pytest.raises(CacheMismatch, match="not a trie cache"):
-            load_trie_cache(path, cat, vout)
+        save_trie_cache(trie, path, cat, vout)
+        etrie2 = b"ETRIE2" + path.read_bytes()[6:]  # the magic of the earlier format
+        for junk in (b"hello world", etrie2):
+            path.write_bytes(junk)
+            with pytest.raises(CacheMismatch, match="not a trie cache"):
+                load_trie_cache(path, cat)
+
+    def test_sections_equal_the_built_trie(self, tmp_path):
+        """The int32 sections of the file are the trie's own arrays, and the
+        vocabulary section is the catalog's output vocabulary."""
+        cat, vout, trie = catalog_stack(random_catalog(np.random.default_rng(5), 40))
+        path = tmp_path / "kb.trie"
+        save_trie_cache(trie, path, cat, vout)
+        blob = path.read_bytes()
+        n, n_edges = trie.node_count, len(trie.child_keys)
+        ints = np.frombuffer(blob, dtype="<i4", offset=84, count=2 * (n + n_edges))
+        expected = (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)
+        assert ints.tobytes() == b"".join(np.asarray(a, dtype="<i4").tobytes() for a in expected)
+        assert blob[84 + 4 * len(ints):] == nul_terminated(vout.tokens)
+        _, loaded_vocab = load_trie_cache(path, cat)
+        assert loaded_vocab.tokens == build_vocabularies(cat, [])[1].tokens
 
     def test_every_byte_is_checked(self, tmp_path):
         """Every single-byte flip, truncation and padding of a trie cache or
@@ -297,21 +333,30 @@ class TestCache:
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth", "Mars", "Mars rover"]))
         vin = Vocabulary(["▁red"])
         params = init_params(len(vin), len(vout), d=1, k=1, seed=0)
+        other, vout2, trie2 = catalog_stack(EntityCatalog(["Earth", "Mars", "Venus"]))
+        params2 = init_params(len(vin), len(vout2), d=1, k=1, seed=0)
         artifacts = [
-            (lambda p: save_trie_cache(trie, p, cat, vout), lambda p: load_trie_cache(p, cat, vout), CacheMismatch),
-            (lambda p: save_checkpoint(params, p, vin, vout), lambda p: load_checkpoint(p, vout), CorruptCheckpoint),
+            (lambda p: save_trie_cache(trie, p, cat, vout), lambda p: save_trie_cache(trie2, p, other, vout2),
+             lambda p: load_trie_cache(p, cat), CacheMismatch),
+            (lambda p: save_checkpoint(params, p, vin, vout), lambda p: save_checkpoint(params2, p, vin, vout2),
+             lambda p: load_checkpoint(p, vout), CorruptCheckpoint),
         ]
         path = tmp_path / "artifact"
-        for save, load, error in artifacts:
+        for save, save_foreign, load, error in artifacts:
             save(path)
             good = path.read_bytes()
             load(path)
             damaged = [good[:i] + bytes([good[i] ^ 0x10]) + good[i + 1:] for i in range(len(good))]
             damaged += [good[:cut] for cut in (0, 40, len(good) - 1)] + [good + b"\0\0\0\0"]
-            for bad in damaged:
+            for i, bad in enumerate(damaged):
                 path.write_bytes(bad)
-                with pytest.raises(error):
+                # the SHA-256 covers the key, so a damaged key is not a foreign KB
+                message = "contents do not match their SHA-256" if 8 <= i < 40 else None
+                with pytest.raises(error, match=message):
                     load(path)
+            save_foreign(path)
+            with pytest.raises(error, match="made for a different KB"):
+                load(path)
 
 
 # The trie over "a b", "a c" and "d" (tokens a=4, b=5, c=6, d=7), nodes in
@@ -382,6 +427,17 @@ class TestCacheStructure:
         save_trie_cache(trie, tmp_path / "kb.trie", cat, vout)
         assert main(tag + ["--kb-cache", str(tmp_path / "kb.trie")]) == 0
 
+    def test_tag_with_cache_builds_no_vocabulary(self, tiny, tmp_path, capsys, monkeypatch):
+        cat, vout, trie, tag = tiny
+        save_trie_cache(trie, tmp_path / "kb.trie", cat, vout)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the output vocabulary was rebuilt")
+
+        for name in ("build_vocabularies", "name_token_ids"):
+            monkeypatch.setattr(f"ettag.cli.{name}", fail)
+        assert main(tag + ["--kb-cache", str(tmp_path / "kb.trie")]) == 0
+
     @pytest.mark.parametrize("tamper, message", TAMPERS)
     def test_tampered_cache_rejected(self, tiny, tmp_path, capsys, tamper, message):
         cat, vout, trie, tag = tiny
@@ -396,7 +452,36 @@ class TestCacheStructure:
         path = tmp_path / "kb.trie"
         save_trie_cache(bad, path, cat, vout)
         with pytest.raises(CacheMismatch, match=message):
-            load_trie_cache(path, cat, vout)
+            load_trie_cache(path, cat)
+        capsys.readouterr()
+        assert main(tag + ["--kb-cache", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "CacheMismatch"
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            (lambda toks: nul_terminated(toks[4:]), "vocabulary section"),
+            (lambda toks: nul_terminated((*toks, toks[4])), "vocabulary section"),
+            (lambda toks: nul_terminated(toks[:-1]) + b"\xe2\x96\0", "vocabulary section"),
+            (lambda toks: nul_terminated(toks[:-1]), "child keys"),
+        ],
+        ids=["no-reserved", "repeated", "not-utf8", "shorter-than-keys"],
+    )
+    def test_bad_vocabulary_rejected(self, tiny, tmp_path, capsys, section, message):
+        """A vocabulary section that is not distinct UTF-8 tokens, reserved
+        first, covering every child key is rejected under a valid SHA-256."""
+        cat, vout, trie, tag = tiny
+        section = section(vout.tokens)
+        ints = [
+            np.asarray(a, dtype="<i4").tobytes()
+            for a in (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)
+        ]
+        path = tmp_path / "kb.trie"
+        _CACHE.write(path, cat.content_hash(), (trie.node_count, len(trie.child_keys), len(section)), [*ints, section])
+        with pytest.raises(CacheMismatch, match=message):
+            load_trie_cache(path, cat)
         capsys.readouterr()
         assert main(tag + ["--kb-cache", str(path)]) == 1
         err = capsys.readouterr().err
