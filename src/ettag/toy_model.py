@@ -8,10 +8,11 @@ can replace it. Everything runs in float64 so gradient checks are meaningful.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,48 +23,40 @@ from .ingest import ETExample
 from .sealed import SealedFormat
 
 
-@dataclass
+def _shapes(d: int, k: int, v_in: int, v_out: int) -> list[tuple[int, ...]]:
+    return [(v_in, d), (v_out, d), (d + k * d, v_out), (v_out,)]
+
+
+@dataclass(eq=False)
 class ToyModelParams:
-    e_in: np.ndarray   # (V_in, d) input embeddings
-    e_out: np.ndarray  # (V_out, d) output embeddings, used as decoder context features
-    w: np.ndarray      # (d + k*d, V_out) projection
-    b: np.ndarray      # (V_out,) bias
-    k: int             # decoder context window
+    """Every weight in one float64 buffer, in checkpoint order; the four
+    arrays are views into it, so an optimizer step is one pass over ``flat``."""
 
-    @property
-    def d(self) -> int:
-        return self.e_in.shape[1]
+    flat: np.ndarray
+    d: int
+    k: int  # decoder context window
+    v_in: int
+    v_out: int
+    e_in: np.ndarray = field(init=False, repr=False)   # (V_in, d) input embeddings
+    e_out: np.ndarray = field(init=False, repr=False)  # (V_out, d) output embeddings, the decoder context features
+    w: np.ndarray = field(init=False, repr=False)      # (d + k*d, V_out) projection
+    b: np.ndarray = field(init=False, repr=False)      # (V_out,) bias
 
-    @property
-    def v_in(self) -> int:
-        return self.e_in.shape[0]
-
-    @property
-    def v_out(self) -> int:
-        return self.e_out.shape[0]
+    def __post_init__(self):
+        shapes = _shapes(self.d, self.k, self.v_in, self.v_out)
+        parts = np.split(self.flat, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
+        self.e_in, self.e_out, self.w, self.b = (a.reshape(shape) for a, shape in zip(parts, shapes))
 
     def zeros_like(self) -> "ToyModelParams":
-        return ToyModelParams(
-            e_in=np.zeros_like(self.e_in),
-            e_out=np.zeros_like(self.e_out),
-            w=np.zeros_like(self.w),
-            b=np.zeros_like(self.b),
-            k=self.k,
-        )
+        return replace(self, flat=np.zeros_like(self.flat))
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         return (self.e_in, self.e_out, self.w, self.b)
 
 
 def init_params(v_in: int, v_out: int, d: int, k: int, seed: int) -> ToyModelParams:
-    rng = np.random.default_rng(seed)
-    return ToyModelParams(
-        e_in=rng.uniform(-0.1, 0.1, size=(v_in, d)),
-        e_out=rng.uniform(-0.1, 0.1, size=(v_out, d)),
-        w=rng.uniform(-0.1, 0.1, size=(d + k * d, v_out)),
-        b=rng.uniform(-0.1, 0.1, size=v_out),
-        k=k,
-    )
+    size = sum(map(math.prod, _shapes(d, k, v_in, v_out)))
+    return ToyModelParams(np.random.default_rng(seed).uniform(-0.1, 0.1, size=size), d, k, v_in, v_out)
 
 
 def encode_input(params: ToyModelParams, input_ids: Sequence[int]) -> np.ndarray:
@@ -73,17 +66,9 @@ def encode_input(params: ToyModelParams, input_ids: Sequence[int]) -> np.ndarray
     return params.e_in[np.asarray(input_ids)].mean(axis=0)
 
 
-def _context_windows(target: Sequence[int], k: int) -> np.ndarray:
-    """Row j is the k-token window preceding step j, BOS-padded on the left."""
-    padded = np.concatenate(
-        (np.full(k, BOS, dtype=np.int64), np.asarray(target, dtype=np.int64))
-    )
-    return np.lib.stride_tricks.sliding_window_view(padded, k)[: len(target)]
-
-
-def _features(params: ToyModelParams, encoding: np.ndarray, ctx: np.ndarray) -> np.ndarray:
-    t = ctx.shape[0]
-    return np.concatenate((encoding[None].repeat(t, axis=0), params.e_out[ctx].reshape(t, -1)), axis=1)
+def _features(params: ToyModelParams, encodings: np.ndarray, ctx: np.ndarray) -> np.ndarray:
+    """One row per step: its input encoding, then the embeddings of its k context tokens."""
+    return np.concatenate((encodings, params.e_out[ctx].reshape(len(ctx), -1)), axis=1)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -101,7 +86,7 @@ def next_logprobs(params: ToyModelParams, encoding: np.ndarray, prefixes) -> np.
     ctx = np.empty((b, k), dtype=np.int64)  # the last k tokens, BOS-padded on the left
     ctx[:, :pad] = BOS
     ctx[:, pad:] = prefixes[:, t - k + pad:]
-    return _log_softmax(_features(params, encoding, ctx) @ params.w + params.b)
+    return _log_softmax(_features(params, encoding[None].repeat(b, axis=0), ctx) @ params.w + params.b)
 
 
 def build_target(
@@ -133,46 +118,67 @@ def sample_permutation(rng: np.random.Generator, m: int) -> np.ndarray:
     return rng.permutation(m)
 
 
-def _forward(params: ToyModelParams, encoding: np.ndarray, target: Sequence[int]):
-    ctx = _context_windows(target, params.k)
-    feats = _features(params, encoding, ctx)
-    logits = feats @ params.w + params.b
-    logp = _log_softmax(logits)
-    idx = np.arange(len(target))
-    tgt = np.asarray(target, dtype=np.int64)
-    loss = -float(logp[idx, tgt].sum())
-    return loss, ctx, feats, logp, tgt
+def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
+    """out[i] = the sum of the rows whose index is i, added in row order as
+    ``np.add.at`` adds them: one ``bincount`` per group of columns, each group
+    narrow enough that its temporaries stay small (a large one is page-faulted in)."""
+    n, d = out.shape
+    index = index.reshape(-1, 1)
+    width = max(1, 4096 // max(len(index), 1))
+    for lo in range(0, d, width):
+        cols = np.arange(min(width, d - lo))
+        sums = np.bincount((index * len(cols) + cols).ravel(), rows[..., lo: lo + len(cols)].ravel(),
+                           minlength=n * len(cols))
+        out[:, lo: lo + len(cols)] = sums.reshape(n, len(cols))
 
 
-def nll_loss(params: ToyModelParams, example: ETExample, target: Sequence[int]) -> float:
-    """Teacher-forced negative log-likelihood of the whole target (EOS included)."""
-    if example.input is None:
+def batch_backward(
+    params: ToyModelParams, examples: Sequence[ETExample], targets: Sequence[Sequence[int]]
+) -> tuple[float, ToyModelParams]:
+    """Summed teacher-forced NLL of each example's target (EOS included) and
+    its exact analytic gradient, in one forward/backward over all ΣT steps."""
+    if any(ex.input is None for ex in examples):
         raise ValueError("example.input is unbound; encode the corpus first")
-    loss, *_ = _forward(params, encode_input(params, example.input), target)
-    return loss
+    d, k = params.d, params.k
+    lens = np.array([len(t) for t in targets], dtype=np.int64)
+    ends = np.cumsum(lens)
+    tgt = np.fromiter(itertools.chain.from_iterable(targets), dtype=np.int64)
+    steps = np.arange(len(tgt))
+    # the k tokens before each step inside its own target, BOS-padded on the left
+    window = steps[:, None] + np.arange(-k, 0)
+    ctx = np.where(window >= np.repeat(ends - lens, lens)[:, None], tgt[np.maximum(window, 0)], BOS)
+    encodings = np.array([encode_input(params, ex.input) for ex in examples])
+    feats = _features(params, np.repeat(encodings, lens, axis=0), ctx)
+    logp = _log_softmax(feats @ params.w + params.b)
+    loss = -float(logp[steps, tgt].sum())
+    dlogits = np.exp(logp)
+    dlogits[steps, tgt] -= 1.0
+    dfeats = dlogits @ params.w.T
+
+    grads = replace(params, flat=np.empty_like(params.flat))  # every part is written below
+    np.matmul(feats.T, dlogits, out=grads.w)
+    dlogits.sum(axis=0, out=grads.b)
+    _scatter_rows(grads.e_out, ctx, dfeats[:, d:].reshape(len(ctx), k, d))
+    in_ids: list[int] = []
+    d_enc: list[np.ndarray] = []
+    for ex, n, end in zip(examples, lens, ends):
+        if len(ex.input):  # its own row sum: a reduceat over the batch's rows moves a batch of one's bits
+            in_ids.extend(ex.input)
+            d_enc.extend([dfeats[end - n: end, :d].sum(axis=0) / len(ex.input)] * len(ex.input))
+    _scatter_rows(grads.e_in, np.array(in_ids, dtype=np.int64), np.array(d_enc).reshape(-1, d))
+    return loss, grads
 
 
 def backward(
     params: ToyModelParams, example: ETExample, target: Sequence[int]
 ) -> tuple[float, ToyModelParams]:
     """Loss and its exact analytic gradient with the same shapes as the params."""
-    if example.input is None:
-        raise ValueError("example.input is unbound; encode the corpus first")
-    encoding = encode_input(params, example.input)
-    loss, ctx, feats, logp, tgt = _forward(params, encoding, target)
-    t = len(tgt)
-    dlogits = np.exp(logp)
-    dlogits[np.arange(t), tgt] -= 1.0
+    return batch_backward(params, [example], [target])
 
-    grads = params.zeros_like()
-    grads.w[:] = feats.T @ dlogits
-    grads.b[:] = dlogits.sum(axis=0)
-    dfeats = dlogits @ params.w.T
-    np.add.at(grads.e_out, ctx, dfeats[:, params.d:].reshape(t, params.k, params.d))
-    if len(example.input) > 0:
-        d_enc = dfeats[:, : params.d].sum(axis=0) / len(example.input)
-        np.add.at(grads.e_in, np.asarray(example.input), d_enc)
-    return loss, grads
+
+def nll_loss(params: ToyModelParams, example: ETExample, target: Sequence[int]) -> float:
+    """Teacher-forced negative log-likelihood of the whole target (EOS included)."""
+    return backward(params, example, target)[0]
 
 
 @dataclass(frozen=True)
@@ -199,32 +205,37 @@ class TrainConfig:
 
 
 class _Adam:
-    def __init__(self, params: ToyModelParams, lr: float):
+    """Adam(0.9, 0.999, 1e-8) in place on the flat buffer, through two scratch buffers."""
+
+    def __init__(self, flat: np.ndarray, lr: float):
         self.lr = lr
         self.t = 0
-        self.m = params.zeros_like()
-        self.v = params.zeros_like()
+        self.m, self.v, self._s, self._r = (np.zeros_like(flat) for _ in range(4))
 
-    def step(self, params: ToyModelParams, grads: ToyModelParams) -> None:
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
         b1, b2, eps = 0.9, 0.999, 1e-8
         self.t += 1
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for p, g, m, v in zip(params.arrays(), grads.arrays(), self.m.arrays(), self.v.arrays()):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m, v, s, r = self.m, self.v, self._s, self._r
+        m *= b1
+        m += np.multiply(1 - b1, g, out=s)
+        v *= b2
+        v += np.multiply(np.multiply(1 - b2, g, out=s), g, out=s)
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), associated as written
+        np.sqrt(np.divide(v, c2, out=s), out=s)
+        s += eps
+        np.multiply(self.lr, np.divide(m, c1, out=r), out=r)
+        r /= s
+        p -= r
 
 
 class _Sgd:
-    def __init__(self, params: ToyModelParams, lr: float):
+    def __init__(self, flat: np.ndarray, lr: float):
         self.lr = lr
 
-    def step(self, params: ToyModelParams, grads: ToyModelParams) -> None:
-        for p, g in zip(params.arrays(), grads.arrays()):
-            p -= self.lr * g
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+        p -= self.lr * g
 
 
 def _example_order(
@@ -270,7 +281,7 @@ def train(
             ex.require_order()
     rng = np.random.default_rng(config.seed)
     params = init_params(len(vocab_in), len(vocab_out), config.d, config.k, seed=config.seed)
-    opt = _Adam(params, config.lr) if config.optimizer == "adam" else _Sgd(params, config.lr)
+    opt = (_Adam if config.optimizer == "adam" else _Sgd)(params.flat, config.lr)
 
     curve: list[float] = []
     n = len(corpus)
@@ -279,25 +290,19 @@ def train(
         epoch_loss = 0.0
         epoch_tokens = 0
         for lo in range(0, n, config.batch_size):
-            batch = order[lo: lo + config.batch_size]
-            acc = params.zeros_like()
-            for idx in batch:
-                ex = corpus[int(idx)]
-                target = build_target(
-                    ex.gold, _example_order(ex, config.order_strategy, rng, catalog), catalog, vocab_out
-                )
-                loss, grads = backward(params, ex, target)
-                epoch_loss += loss
-                epoch_tokens += len(target)
-                for a, g in zip(acc.arrays(), grads.arrays()):
-                    a += g
-            scale = 1.0 / len(batch)
-            for a in acc.arrays():
-                a *= scale
-            opt.step(params, acc)
+            batch = [corpus[int(i)] for i in order[lo: lo + config.batch_size]]
+            targets = [
+                build_target(ex.gold, _example_order(ex, config.order_strategy, rng, catalog), catalog, vocab_out)
+                for ex in batch
+            ]
+            loss, grads = batch_backward(params, batch, targets)
+            epoch_loss += loss
+            epoch_tokens += sum(map(len, targets))
+            grads.flat *= 1.0 / len(batch)  # the update follows the batch's mean gradient
+            opt.step(params.flat, grads.flat)
         curve.append(epoch_loss / n)
         uniform = epoch_tokens / n * math.log(len(vocab_out))
-        if not (curve[-1] <= _DIVERGED * uniform and all(np.isfinite(a).all() for a in params.arrays())):
+        if not (curve[-1] <= _DIVERGED * uniform and np.isfinite(params.flat).all()):
             raise InputError(
                 f"training diverged: epoch {epoch} ended with mean loss {curve[-1]} "
                 f"(a uniform model scores {uniform:.4g}); lower lr"
@@ -321,10 +326,6 @@ class ToyScorer:
         return next_logprobs(self.params, encoding, prefixes)
 
 
-def _shapes(d: int, k: int, v_in: int, v_out: int) -> list[tuple[int, ...]]:
-    return [(v_in, d), (v_out, d), (d + k * d, v_out), (v_out,)]
-
-
 def _checkpoint_body_size(d: int, k: int, v_in: int, v_out: int, vocab_bytes: int) -> int:
     ok = min(d, k, v_in, v_out, vocab_bytes) >= 1
     return vocab_bytes + 8 * sum(map(math.prod, _shapes(d, k, v_in, v_out))) if ok else -1
@@ -340,8 +341,8 @@ def save_checkpoint(params: ToyModelParams, path, vocab_in: Vocabulary, vocab_ou
     bytes), ``vocab_in`` as NUL-terminated UTF-8, then E_in, E_out, W, b as little-endian float64."""
     vocab = nul_terminated(vocab_in.tokens)
     dims = (params.d, params.k, params.v_in, params.v_out, len(vocab))
-    arrays = [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in params.arrays()]
-    _CHECKPOINT.write(path, vocab_out.content_hash(), dims, [vocab, *arrays])
+    weights = np.ascontiguousarray(params.flat, dtype="<f8").tobytes()
+    _CHECKPOINT.write(path, vocab_out.content_hash(), dims, [vocab, weights])
 
 
 def load_checkpoint(path, vocab_out: Vocabulary) -> tuple[ToyModelParams, Vocabulary]:
@@ -359,6 +360,4 @@ def load_checkpoint(path, vocab_out: Vocabulary) -> tuple[ToyModelParams, Vocabu
     flat = np.frombuffer(body, dtype="<f8", offset=n_vocab).astype(np.float64)
     if not np.isfinite(flat).all():
         raise CorruptCheckpoint(f"{path}: non-finite weights")
-    shapes = _shapes(d, k, v_in, v_out)
-    arrays = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
-    return ToyModelParams(*(a.reshape(shape) for a, shape in zip(arrays, shapes)), k=k), vocab_in
+    return ToyModelParams(flat, d, k, v_in, v_out), vocab_in

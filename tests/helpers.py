@@ -1,6 +1,7 @@
 """Shared test scaffolding: deterministic scorers, random catalogs, and the
 independent oracles the spec-level checks compare against, among them the
-per-hypothesis beam search that the batched decoder must reproduce.
+per-hypothesis beam search that the batched decoder must reproduce and the
+per-example backward and training loop that batched training must reproduce.
 
 The oracles here deliberately avoid the trie/decoder code paths: the legal
 output language is enumerated straight from the name token sequences, and
@@ -15,9 +16,10 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from ettag.catalog import EOS, SEP, EntityCatalog, Vocabulary, build_vocabularies, tokenize
+from ettag.catalog import BOS, EOS, SEP, EntityCatalog, Vocabulary, build_vocabularies, tokenize
 from ettag.decoding import DecodeConfig
 from ettag.errors import NoFinishedHypothesis, ScorerContractViolation
+from ettag.toy_model import ToyModelParams, _example_order, build_target, encode_input
 from ettag.trie import FINISHED, TokenTrie, TrieCursor, advance, allowed_tokens, build_trie
 
 
@@ -379,3 +381,77 @@ def reference_beam_decode(scorer, trie: TokenTrie, input_ids, config: DecodeConf
         )
     pool.sort(key=lambda h: (-h.final_score(config), h.tokens))
     return [(list(h.tokens), h.final_score(config)) for h in pool[:beam_size]]
+
+
+def reference_backward(params: ToyModelParams, example, target):
+    """Loss and gradient of one example: its own feature matrix, softmax and
+    ``np.add.at`` scatters. ``ettag.toy_model.batch_backward`` does a whole
+    batch in one pass and must return the sum of these."""
+    t, d, k = len(target), params.d, params.k
+    padded = np.concatenate((np.full(k, BOS, dtype=np.int64), np.asarray(target, dtype=np.int64)))
+    ctx = np.lib.stride_tricks.sliding_window_view(padded, k)[:t]
+    encoding = encode_input(params, example.input)
+    feats = np.concatenate((encoding[None].repeat(t, axis=0), params.e_out[ctx].reshape(t, -1)), axis=1)
+    logits = feats @ params.w + params.b
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    idx, tgt = np.arange(t), np.asarray(target, dtype=np.int64)
+    loss = -float(logp[idx, tgt].sum())
+    dlogits = np.exp(logp)
+    dlogits[idx, tgt] -= 1.0
+
+    grads = params.zeros_like()
+    grads.w[:] = feats.T @ dlogits
+    grads.b[:] = dlogits.sum(axis=0)
+    dfeats = dlogits @ params.w.T
+    np.add.at(grads.e_out, ctx, dfeats[:, d:].reshape(t, k, d))
+    if len(example.input) > 0:
+        d_enc = dfeats[:, :d].sum(axis=0) / len(example.input)
+        np.add.at(grads.e_in, np.asarray(example.input), d_enc)
+    return loss, grads
+
+
+def reference_train(corpus, config, catalog, vocab_in, vocab_out):
+    """The training loop one example at a time: ``reference_backward`` per
+    example, gradients summed into a fresh buffer per batch, and Adam or SGD
+    applied to the four arrays one by one. Initial weights are four draws in
+    turn. ``ettag.toy_model.train`` must return the same curve and weights
+    (bit for bit at batch size 1). No divergence check."""
+    rng = np.random.default_rng(config.seed)
+    v_in, v_out, d, k = len(vocab_in), len(vocab_out), config.d, config.k
+    init = np.random.default_rng(config.seed)
+    sizes = (v_in * d, v_out * d, (d + k * d) * v_out, v_out)
+    params = ToyModelParams(np.concatenate([init.uniform(-0.1, 0.1, size=n) for n in sizes]), d, k, v_in, v_out)
+    m, v = params.zeros_like(), params.zeros_like()
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    steps = 0
+    curve: list[float] = []
+    n = len(corpus)
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for lo in range(0, n, config.batch_size):
+            batch = order[lo: lo + config.batch_size]
+            acc = params.zeros_like()
+            for idx in batch:
+                ex = corpus[int(idx)]
+                ex_order = _example_order(ex, config.order_strategy, rng, catalog)
+                loss, grads = reference_backward(params, ex, build_target(ex.gold, ex_order, catalog, vocab_out))
+                epoch_loss += loss
+                for a, g in zip(acc.arrays(), grads.arrays()):
+                    a += g
+            for a in acc.arrays():
+                a *= 1.0 / len(batch)
+            steps += 1
+            c1, c2 = 1.0 - b1 ** steps, 1.0 - b2 ** steps
+            for p, g, mm, vv in zip(params.arrays(), acc.arrays(), m.arrays(), v.arrays()):
+                if config.optimizer == "sgd":
+                    p -= config.lr * g
+                    continue
+                mm *= b1
+                mm += (1 - b1) * g
+                vv *= b2
+                vv += (1 - b2) * g * g
+                p -= config.lr * (mm / c1) / (np.sqrt(vv / c2) + eps)
+        curve.append(epoch_loss / n)
+    return params, curve

@@ -6,10 +6,10 @@ from ettag.decoding import DecodeConfig, greedy_decode, parse_output
 from ettag.errors import CorruptCheckpoint, InputError, InvalidConfig, MissingMentionOrder, UnknownEntity
 from ettag.ingest import ETExample
 from ettag.toy_model import (
-    ToyModelParams,
     ToyScorer,
     TrainConfig,
     backward,
+    batch_backward,
     build_target,
     encode_input,
     init_params,
@@ -20,8 +20,9 @@ from ettag.toy_model import (
     save_checkpoint,
     train,
 )
-from ettag.toy_model import _CHECKPOINT
+from ettag.toy_model import _CHECKPOINT, _scatter_rows
 from ettag.trie import build_trie
+from helpers import reference_backward, reference_train
 
 # chi-square 99.9% quantile, 5 degrees of freedom
 CHI2_5DF_999 = 20.515
@@ -77,13 +78,8 @@ class TestNextLogprobs:
     def test_zero_params_uniform(self, small_world):
         cat, vin, vout = small_world
         v = len(vout)
-        params = ToyModelParams(
-            e_in=np.zeros((len(vin), 3)),
-            e_out=np.zeros((v, 3)),
-            w=np.zeros((3 + 2 * 3, v)),
-            b=np.zeros(v),
-            k=2,
-        )
+        params = init_params(len(vin), v, d=3, k=2, seed=0)
+        params.flat[:] = 0.0
         lp = next_logprobs(params, encode_input(params, [1]), [[]])[0]
         np.testing.assert_allclose(lp, np.full(v, -np.log(v)), atol=1e-12)
 
@@ -215,13 +211,8 @@ class TestLoss:
     def test_uniform_model_loss(self, small_world):
         cat, vin, vout = small_world
         v = len(vout)
-        params = ToyModelParams(
-            e_in=np.zeros((len(vin), 3)),
-            e_out=np.zeros((v, 3)),
-            w=np.zeros((3 + 2 * 3, v)),
-            b=np.zeros(v),
-            k=2,
-        )
+        params = init_params(len(vin), v, d=3, k=2, seed=0)
+        params.flat[:] = 0.0
         ex = example(cat, vin, "red fox", {0})
         target = build_target({0}, [0], cat, vout)
         assert nll_loss(params, ex, target) == pytest.approx(len(target) * np.log(v), rel=1e-12)
@@ -297,6 +288,92 @@ class TestBackward:
                 assert not grads.e_in[row].any()
 
 
+def random_pairs(rng, n, v_in, v_out, k):
+    """n (example, target) pairs over a few ids, so input ids and context
+    ids repeat; inputs of 0-5 ids, targets of 1 to 2k+2 tokens."""
+    return [
+        (
+            ETExample("d", "", frozenset(), input=rng.integers(0, min(v_in, 4), size=rng.integers(0, 6)).tolist()),
+            rng.integers(0, min(v_out, 5), size=rng.integers(1, 2 * k + 3)).tolist(),
+        )
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("rows", [1, 30, 500, 700, 5000])
+def test_scatter_rows_adds_as_add_at(rows):
+    # from one column group up to one bincount per column
+    rng = np.random.default_rng(rows)
+    index, values = rng.integers(0, 7, size=(rows, 3)), rng.normal(size=(rows, 3, 5))
+    want = np.zeros((7, 5))
+    np.add.at(want, index, values)
+    got = np.empty((7, 5))
+    _scatter_rows(got, index, values)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestBatchBackward:
+    """``batch_backward`` against the per-example reference, summed."""
+
+    def test_batch_of_one_is_the_reference_bit_for_bit(self, small_world):
+        _, vin, vout = small_world
+        rng = np.random.default_rng(31)
+        seen = set()
+        for seed in range(40):
+            params = init_params(len(vin), len(vout), d=3, k=4, seed=seed)
+            for ex, target in random_pairs(rng, 4, len(vin), len(vout), params.k):
+                seen |= {
+                    ("empty input", not ex.input), ("repeated input id", len(set(ex.input)) < len(ex.input)),
+                    ("target shorter than k", len(target) < params.k),
+                    ("repeated context id", len(set(target)) < len(target)),
+                }
+                loss, grads = batch_backward(params, [ex], [target])
+                want_loss, want = reference_backward(params, ex, target)
+                assert loss == want_loss
+                assert grads.flat.tobytes() == want.flat.tobytes()
+        assert {case for case, hit in seen if hit} == {
+            "empty input", "repeated input id", "target shorter than k", "repeated context id"}
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 16])
+    def test_batch_is_the_sum_of_its_examples(self, small_world, size):
+        _, vin, vout = small_world
+        rng = np.random.default_rng(size)
+        for seed in range(10):
+            params = init_params(len(vin), len(vout), d=3, k=4, seed=seed)
+            pairs = random_pairs(rng, size, len(vin), len(vout), params.k)
+            pairs[seed % size] = (ETExample("d", "", frozenset(), input=[]), pairs[seed % size][1])
+            loss, grads = batch_backward(params, [ex for ex, _ in pairs], [t for _, t in pairs])
+            want_loss, want = 0.0, params.zeros_like()
+            for ex, target in pairs:
+                one_loss, one = reference_backward(params, ex, target)
+                want_loss += one_loss
+                want.flat += one.flat
+            assert loss == pytest.approx(want_loss, rel=1e-12)
+            np.testing.assert_allclose(grads.flat, want.flat, rtol=1e-12, atol=1e-12 * np.abs(want.flat).max())
+
+    def test_finite_differences_of_a_batch(self, small_world):
+        # the summed loss of three examples, perturbed one weight at a time
+        cat, vin, vout = small_world
+        eps = 1e-5
+        rng = np.random.default_rng(13)
+        for seed in range(3):
+            params = init_params(len(vin), len(vout), d=3, k=2, seed=seed)
+            batch = [example(cat, vin, "red fox and blue jay", {0, 1}), example(cat, vin, "", {2}),
+                     example(cat, vin, "green frog blue jay green frog", {1, 2})]
+            targets = [build_target(ex.gold, sorted(ex.gold, key=lambda g: (g + seed) % 3), cat, vout) for ex in batch]
+            _, grads = batch_backward(params, batch, targets)
+            for idx in rng.choice(len(params.flat), size=60, replace=False):
+                old = params.flat[idx]
+                params.flat[idx] = old + eps
+                lp, _ = batch_backward(params, batch, targets)
+                params.flat[idx] = old - eps
+                lm, _ = batch_backward(params, batch, targets)
+                params.flat[idx] = old
+                fd = (lp - lm) / (2 * eps)
+                denom = max(abs(fd), abs(grads.flat[idx]), 1e-8)
+                assert abs(fd - grads.flat[idx]) / denom < 1e-4
+
+
 class TestTrain:
     def test_memorizes_single_example(self, small_world):
         cat, vin, vout = small_world
@@ -339,6 +416,38 @@ class TestTrain:
         for a, b in zip(p1.arrays(), p2.arrays()):
             assert np.array_equal(a, b)
 
+    @staticmethod
+    def _corpus(cat, vin):
+        return [
+            example(cat, vin, "red fox", {0}, order=[0]),
+            example(cat, vin, "blue jay green frog", {1, 2}, order=[1, 2]),
+            example(cat, vin, "green frog and red fox", {0, 2}, order=[2, 0]),
+            example(cat, vin, "", {0, 1, 2}, order=[1, 0, 2]),
+            example(cat, vin, "blue jay blue jay", {1}, order=[1]),
+        ]
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("strategy", ["shuffle", "mention_order", "lexicographic"])
+    def test_batch_one_is_the_reference_bit_for_bit(self, small_world, optimizer, strategy):
+        cat, vin, vout = small_world
+        config = TrainConfig(epochs=6, seed=4, lr=0.05, order_strategy=strategy, optimizer=optimizer, d=5, k=3)
+        params, curve = train(self._corpus(cat, vin), config, cat, vin, vout)
+        want, want_curve = reference_train(self._corpus(cat, vin), config, cat, vin, vout)
+        assert curve == want_curve
+        assert params.flat.tobytes() == want.flat.tobytes()
+
+    @pytest.mark.parametrize("batch_size", [2, 4, 16])
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_larger_batches_follow_the_reference(self, small_world, optimizer, batch_size):
+        cat, vin, vout = small_world
+        for strategy in ("shuffle", "mention_order", "lexicographic"):
+            config = TrainConfig(epochs=6, seed=5, lr=0.05, order_strategy=strategy, optimizer=optimizer,
+                                 batch_size=batch_size, d=5, k=3)
+            params, curve = train(self._corpus(cat, vin) * 4, config, cat, vin, vout)
+            want, want_curve = reference_train(self._corpus(cat, vin) * 4, config, cat, vin, vout)
+            np.testing.assert_allclose(curve, want_curve, rtol=1e-9)
+            np.testing.assert_allclose(params.flat, want.flat, rtol=1e-9, atol=1e-9)
+
     def test_mention_order_requires_gold_order(self, small_world):
         cat, vin, vout = small_world
         ex = example(cat, vin, "red fox", {0}, order=None)
@@ -350,6 +459,16 @@ class TestTrain:
         cat, vin, vout = small_world
         corpus = [example(cat, vin, "red fox", {0}), example(cat, vin, "blue jay green frog", {1, 2})]
         config = TrainConfig(epochs=3, optimizer="sgd", lr=1e200, d=6, k=2)
+        with pytest.raises(InputError, match="diverged"):
+            train(corpus, config, cat, vin, vout)
+
+    def test_non_finite_weights_after_the_last_update_raise(self, small_world):
+        # the epoch's loss is taken before its last update, so only the weights
+        # show that this update overflowed: SEP occurs twice in the target, its
+        # bias gradient is below -1, and 1.79e308 times that is inf
+        cat, vin, vout = small_world
+        corpus = [example(cat, vin, "red fox blue jay green frog", {0, 1, 2})]
+        config = TrainConfig(epochs=1, optimizer="sgd", lr=1.79e308, order_strategy="lexicographic", d=6, k=2)
         with pytest.raises(InputError, match="diverged"):
             train(corpus, config, cat, vin, vout)
 
