@@ -23,10 +23,10 @@ from .errors import ContractError, EttagError, InputError
 from .ingest import (
     aida_split,
     convert_documents,
-    convert_wiki_jsonl,
     encode_examples,
     parse_aida_conll,
     parse_normalized_jsonl,
+    parse_wiki_jsonl,
     read_et_jsonl,
     read_name_sets,
     read_text_jsonl,
@@ -118,23 +118,19 @@ def cmd_build_kb(args, cfg) -> int:
     return 0
 
 
+# --format -> the parser that reads that corpus into EL documents
+_PARSERS = {"aida-conll": parse_aida_conll, "el-jsonl": parse_normalized_jsonl, "wiki-abstracts": parse_wiki_jsonl}
+
+
 def cmd_convert(args, cfg) -> int:
     opts = _resolve(args, cfg, EntityCatalog.load, convert_documents, split="all")
+    if opts["split"] != "all" and opts["format"] != "aida-conll":
+        raise InputError(f"--split {opts['split']} applies only to --format aida-conll")
     catalog = _load_kb(opts)
-    fmt = opts["format"]
-    keep_empty = opts["keep_empty"]
-    if fmt == "aida-conll":
-        docs = parse_aida_conll(opts["in_path"])
-        if opts["split"] != "all":
-            docs = [d for d in docs if aida_split(d.doc_id) == opts["split"]]
-        examples, stats = convert_documents(docs, catalog, keep_empty=keep_empty)
-    elif fmt == "el-jsonl":
-        docs = parse_normalized_jsonl(opts["in_path"])
-        examples, stats = convert_documents(docs, catalog, keep_empty=keep_empty)
-    elif fmt == "wiki-abstracts":
-        examples, stats = convert_wiki_jsonl(opts["in_path"], catalog, keep_empty=keep_empty)
-    else:
-        raise InputError(f"unknown --format {fmt!r}")
+    docs = _PARSERS[opts["format"]](opts["in_path"])
+    if opts["split"] != "all":
+        docs = [d for d in docs if aida_split(d.doc_id) == opts["split"]]
+    examples, stats = convert_documents(docs, catalog, keep_empty=opts["keep_empty"])
     write_et_jsonl(examples, opts["out"], catalog)
     _write_runconfig(opts["out"], "convert", opts)
     payload = stats.as_dict()
@@ -331,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_kb)
 
     p = sub.add_parser("convert", help="convert an EL corpus to entity-tagging JSONL")
-    p.add_argument("--format", required=True, choices=["aida-conll", "el-jsonl", "wiki-abstracts"])
+    p.add_argument("--format", required=True, choices=list(_PARSERS))
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
     _add_kb_args(p)

@@ -25,7 +25,7 @@ class InvalidConfig(InputError, ValueError):
 
 
 class CorruptCheckpoint(InputError, ValueError):
-    """A model checkpoint is not an intact ETMDL2 file for this output vocabulary,
+    """A model checkpoint is not an intact ETMDL3 file for this output vocabulary,
     or holds a bad input-vocabulary section or non-finite weights."""
 
 

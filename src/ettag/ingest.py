@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 from urllib.parse import unquote
 
 from .catalog import EntityCatalog, TokenSeq, Vocabulary, canonicalize, tokenize
@@ -64,6 +64,20 @@ def _names(rec: dict, rid: str, field: str) -> list[str]:
     return value
 
 
+def _text(rec: dict, rid: str) -> str:
+    text = rec.get("text")
+    if not isinstance(text, str):
+        raise SchemaError(rid, "text", "missing or not a string")
+    return text
+
+
+def _canonical(name: str, rid: str, field: str) -> str:
+    try:
+        return canonicalize(name)
+    except InvalidName as exc:
+        raise SchemaError(rid, field, str(exc)) from None
+
+
 @dataclass(frozen=True)
 class Mention:
     start: int
@@ -76,16 +90,17 @@ class ELDocument:
     doc_id: str
     text: str
     mentions: list[Mention]
+    title: str | None = None  # canonical name of the page the text abstracts: gold, with no span
 
-    def validate(self) -> None:
+    def validate(self, field: str = "mentions") -> None:
         n = len(self.text)
         spans = sorted((m.start, m.end) for m in self.mentions)
         prev_end = 0
         for start, end in spans:
             if not (0 <= start < end <= n):
-                raise SchemaError(self.doc_id, "mentions", f"span [{start}:{end}] out of range")
+                raise SchemaError(self.doc_id, field, f"span [{start}:{end}] out of range")
             if start < prev_end:
-                raise SchemaError(self.doc_id, "mentions", f"overlapping span at {start}")
+                raise SchemaError(self.doc_id, field, f"overlapping span at {start}")
             prev_end = end
 
 
@@ -140,10 +155,11 @@ def parse_aida_conll(path) -> list[ELDocument]:
     columns TOKEN, B|I, surface, YAGO id (``--NME--`` for NIL), and
     optionally a Wikipedia name/URL. Text is rebuilt with single spaces
     inside sentences and newlines between them; mention offsets index into
-    that text.
+    that text. No two documents may share an id.
     """
     docs: list[ELDocument] = []
     doc_id: str | None = None
+    seen_ids: set[str] = set()
     pieces: list[str] = []
     pos = 0
     mentions: list[Mention] = []
@@ -176,6 +192,9 @@ def parse_aida_conll(path) -> list[ELDocument]:
                 if lparen < 0 or rparen <= lparen:
                     raise MalformedLine(line_no, f"bad -DOCSTART- line: {line!r}")
                 doc_id = line[lparen + 1: rparen]
+                if doc_id in seen_ids:
+                    raise MalformedLine(line_no, f"repeated document id {doc_id!r}")
+                seen_ids.add(doc_id)
                 continue
             if doc_id is None:
                 if not line.strip():
@@ -230,37 +249,40 @@ def aida_split(doc_id: str) -> str:
     return "train"
 
 
+def _el_document(rec: dict, rid: str, field: str, wiki: bool = False) -> ELDocument:
+    """One record as an EL document whose mentions are the list under ``field``.
+    Offsets are JSON integers and ``entity`` a name or null (NIL). In a wiki
+    abstract the list may be absent and ``rid``, the page title, is gold."""
+    text = _text(rec, rid)
+    raw = rec.get(field, [] if wiki else None)
+    if not isinstance(raw, list):
+        raise SchemaError(rid, field, "missing or not a list")
+    mentions = []
+    for m in raw:
+        if not isinstance(m, dict):
+            raise SchemaError(rid, field, "entry is not an object")
+        start, end, ent = m.get("start"), m.get("end"), m.get("entity")
+        if not all(type(x) is int for x in (start, end)):  # a bool or a float is not an offset
+            raise SchemaError(rid, field, "start and end must be integers")
+        if ent is not None and not isinstance(ent, str):
+            raise SchemaError(rid, field, "entity must be string or null")
+        mentions.append(Mention(start, end, NIL if ent is None else _canonical(ent, rid, field)))
+    doc = ELDocument(rid, text, mentions, _canonical(rid, rid, "title") if wiki else None)
+    doc.validate(field)
+    return doc
+
+
 def parse_normalized_jsonl(path) -> list[ELDocument]:
     """Read the normalized EL interchange: one JSON object per line with
     doc_id, text, and mentions [{start, end, entity|null}]."""
-    docs: list[ELDocument] = []
-    for rec in jsonl_records(path, "doc_id"):
-        doc_id = rec["doc_id"]
-        text = rec.get("text")
-        if not isinstance(text, str):
-            raise SchemaError(doc_id, "text", "missing or not a string")
-        raw_mentions = rec.get("mentions")
-        if not isinstance(raw_mentions, list):
-            raise SchemaError(doc_id, "mentions", "missing or not a list")
-        mentions = []
-        for m in raw_mentions:
-            if not isinstance(m, dict):
-                raise SchemaError(doc_id, "mentions", "entry is not an object")
-            try:
-                start, end = int(m["start"]), int(m["end"])
-            except (KeyError, TypeError, ValueError, OverflowError):
-                raise SchemaError(doc_id, "mentions", "bad start/end") from None
-            ent = m.get("entity")
-            if ent is not None and not isinstance(ent, str):
-                raise SchemaError(doc_id, "mentions", "entity must be string or null")
-            try:
-                mentions.append(Mention(start, end, None if ent is None else canonicalize(ent)))
-            except InvalidName as exc:
-                raise SchemaError(doc_id, "mentions", str(exc)) from None
-        doc = ELDocument(doc_id, text, mentions)
-        doc.validate()
-        docs.append(doc)
-    return docs
+    return [_el_document(rec, rec["doc_id"], "mentions") for rec in jsonl_records(path, "doc_id")]
+
+
+def parse_wiki_jsonl(path) -> list[ELDocument]:
+    """Read wiki abstracts ({title, text, anchors: [{start, end, entity|null}]}):
+    EL documents keyed by title, whose anchors are the mentions and whose
+    title is an extra gold entity."""
+    return [_el_document(rec, rec["title"], "anchors", wiki=True) for rec in jsonl_records(path, "title")]
 
 
 def el_to_et(
@@ -269,7 +291,9 @@ def el_to_et(
     stats: ConversionStats | None = None,
 ) -> ETExample:
     """Strip mention boundaries: gold becomes the set of in-catalog entities,
-    NIL and out-of-catalog mentions are dropped and counted."""
+    NIL and out-of-catalog mentions are dropped and counted. A document's
+    title entity comes last in the order (it has no span), unless it is
+    already gold; a title outside the catalog is counted."""
     stats = stats if stats is not None else ConversionStats()
     first_seen: dict[int, int] = {}  # entity id -> earliest mention start
     oov: set[str] = set()
@@ -285,37 +309,17 @@ def el_to_et(
             first_seen[eid] = m.start
     stats.dropped_oov_entities += len(oov)
     order = tuple(sorted(first_seen, key=first_seen.__getitem__))
+    if doc.title is not None:
+        title_id = catalog.id_of(doc.title)
+        if title_id is None:
+            stats.dropped_titles += 1
+        elif title_id not in first_seen:
+            order += (title_id,)
     return ETExample(
         doc_id=doc.doc_id,
         text=doc.text,
-        gold=frozenset(first_seen),
+        gold=frozenset(order),
         gold_order=order,
-    )
-
-
-def wiki_abstract_to_et(
-    page_title: str,
-    abstract_text: str,
-    anchors: Sequence[tuple[int, int, str]],
-    catalog: EntityCatalog,
-    stats: ConversionStats | None = None,
-) -> ETExample:
-    """Wikipedia abstract -> example: anchor entities plus the page title,
-    title last in the order (it has no mention span)."""
-    stats = stats if stats is not None else ConversionStats()
-    mentions = [Mention(s, e, canonicalize(name)) for s, e, name in anchors]
-    base = el_to_et(ELDocument(page_title, abstract_text, mentions), catalog, stats)
-    title = canonicalize(page_title)
-    title_id = catalog.id_of(title)
-    if title_id is None:
-        stats.dropped_titles += 1
-        return base
-    if title_id in base.gold:
-        return base
-    return dataclasses.replace(
-        base,
-        gold=base.gold | {title_id},
-        gold_order=(base.gold_order or ()) + (title_id,),
     )
 
 
@@ -324,6 +328,8 @@ def convert_documents(
     catalog: EntityCatalog,
     keep_empty: bool = False,
 ) -> tuple[list[ETExample], ConversionStats]:
+    """Convert every document; one with no gold entity left is dropped and
+    counted unless ``keep_empty``."""
     stats = ConversionStats()
     out: list[ETExample] = []
     for doc in docs:
@@ -337,44 +343,11 @@ def convert_documents(
     return out, stats
 
 
-def convert_wiki_jsonl(
-    path,
-    catalog: EntityCatalog,
-    keep_empty: bool = False,
-) -> tuple[list[ETExample], ConversionStats]:
-    """Read wiki-abstract records ({title, text, anchors:[{start,end,entity}]})
-    and convert each to an example with the title as an extra gold entity."""
-    stats = ConversionStats()
-    out: list[ETExample] = []
-    for rec in jsonl_records(path, "title"):
-        title, text, raw_anchors = rec["title"], rec.get("text"), rec.get("anchors", [])
-        if not isinstance(text, str):
-            raise SchemaError(title, "text", "missing or not a string")
-        if not isinstance(raw_anchors, list):
-            raise SchemaError(title, "anchors", "not a list")
-        anchors = []
-        for m in raw_anchors:
-            try:
-                anchors.append((int(m["start"]), int(m["end"]), str(m["entity"])))
-            except (KeyError, TypeError, ValueError, OverflowError):
-                raise SchemaError(title, "anchors", "bad anchor entry") from None
-        stats.docs_in += 1
-        ex = wiki_abstract_to_et(title, text, anchors, catalog, stats)
-        if not ex.gold and not keep_empty:
-            stats.dropped_empty_docs += 1
-            continue
-        stats.docs_out += 1
-        out.append(ex)
-    return out, stats
-
-
 def read_text_jsonl(path) -> list[tuple[str, str]]:
     """Lenient reader for tagging input: any JSONL with unique doc_id and text."""
     out: list[tuple[str, str]] = []
     for rec in jsonl_records(path, "doc_id"):
-        if not isinstance(rec.get("text"), str):
-            raise SchemaError(rec["doc_id"], "text", "missing or not a string")
-        out.append((rec["doc_id"], rec["text"]))
+        out.append((rec["doc_id"], _text(rec, rec["doc_id"])))
     return out
 
 
@@ -401,8 +374,7 @@ def read_et_jsonl(path, catalog: EntityCatalog) -> list[ETExample]:
     out: list[ETExample] = []
     for rec in jsonl_records(path, "doc_id"):
         doc_id = rec["doc_id"]
-        if not isinstance(rec.get("text"), str):
-            raise SchemaError(doc_id, "text", "missing or not a string")
+        text = _text(rec, doc_id)
 
         def resolve(name: str) -> int:
             eid = catalog.id_of(name)
@@ -416,5 +388,5 @@ def read_et_jsonl(path, catalog: EntityCatalog) -> list[ETExample]:
             order = tuple(resolve(n) for n in _names(rec, doc_id, "gold_order"))
             if len(order) != len(gold) or set(order) != gold:
                 raise SchemaError(doc_id, "gold_order", "not a permutation of gold")
-        out.append(ETExample(doc_id=doc_id, text=rec["text"], gold=gold, gold_order=order))
+        out.append(ETExample(doc_id=doc_id, text=text, gold=gold, gold_order=order))
     return out

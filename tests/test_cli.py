@@ -479,14 +479,65 @@ class TestErrorHandling:
             ("et", {"doc_id": "a", "text": "x", "gold": [], "gold_order": 5}, "gold_order"),
             ("et", {"doc_id": "a", "text": "x", "gold": [["a"]]}, "gold"),
             ("wiki", {"title": "a", "text": "x", "anchors": 5}, "anchors"),
+            ("wiki", {"title": "a", "text": "a dog", "anchors": [{"start": 2, "end": 5, "entity": 5}]}, "anchors"),
+            ("wiki", {"title": "a", "text": "a dog x", "anchors": [{"start": 50, "end": 2, "entity": "b"}]}, "anchors"),
+            ("wiki", {"title": "a", "text": "a dog", "anchors": [
+                {"start": 0, "end": 3, "entity": "b"}, {"start": 2, "end": 5, "entity": "c"},
+            ]}, "anchors"),
+            ("wiki", {"title": "a", "text": "a dog", "anchors": [{"start": 0.9, "end": 5, "entity": "b"}]}, "anchors"),
+            ("wiki", {"title": "a", "text": "a dog", "anchors": [{"start": 0, "end": "5", "entity": "b"}]}, "anchors"),
+            ("el-jsonl", {"doc_id": "a", "text": "a dog", "mentions": [
+                {"start": 0.9, "end": 5, "entity": "b"},
+            ]}, "mentions"),
+            ("el-jsonl", {"doc_id": "a", "text": "a dog", "mentions": [
+                {"start": 0, "end": "5", "entity": "b"},
+            ]}, "mentions"),
+            ("wiki", {"title": " ", "text": "x"}, "title"),
         ],
     )
     def test_wrongly_typed_field_exit_1(self, world, tmp_path, capsys, kind, record, field):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        assert main(CONSUMERS[kind](world, str(bad), str(tmp_path / "out"))) == 1
-        err = json.loads(capsys.readouterr().err)
+        out = tmp_path / "out"
+        assert main(CONSUMERS[kind](world, str(bad), str(out))) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        err = json.loads(err[0])
         assert err["error"] == "SchemaError" and repr(field) in err["message"]
+        assert not out.exists()
+
+    def test_repeated_aida_id_exit_1(self, world, tmp_path, capsys):
+        conll = tmp_path / "aida.conll"
+        conll.write_text("-DOCSTART- (1 A)\nword\n-DOCSTART- (1 A)\nword\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        argv = ["convert", "--format", "aida-conll", "--in", str(conll), "--out", str(out), "--kb", str(world["kb"])]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MalformedLine" and "repeated document id '1 A'" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, split, config", [
+        ("el-jsonl", "testb", False),
+        ("wiki", "train", False),
+        ("el-jsonl", "testa", True),
+    ])
+    def test_split_of_non_aida_format_exit_1(self, world, tmp_path, capsys, kind, split, config):
+        src = tmp_path / "docs.jsonl"
+        record = {"doc_id": "a", "text": "x", "mentions": []} if kind == "el-jsonl" else {"title": "a", "text": "x"}
+        src.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        argv = CONSUMERS[kind](world, str(src), str(out))
+        if config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"convert": {"split": split}}), encoding="utf-8")
+            argv = ["--config", str(cfg), *argv]
+        else:
+            argv += ["--split", split]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError" and "aida-conll" in err["message"]
+        assert not out.exists()
+        assert main(CONSUMERS[kind](world, str(src), str(out)) + ["--split", "all"]) == 0
 
     def test_ablate_beam_duplicate_doc_id_exit_1(self, world, tmp_path, capsys):
         lines = world["eval"].read_text(encoding="utf-8").splitlines()

@@ -17,15 +17,14 @@ from ettag.ingest import (
     Mention,
     aida_split,
     convert_documents,
-    convert_wiki_jsonl,
     el_to_et,
     encode_examples,
     parse_aida_conll,
     parse_normalized_jsonl,
+    parse_wiki_jsonl,
     read_et_jsonl,
     read_name_sets,
     read_text_jsonl,
-    wiki_abstract_to_et,
     write_et_jsonl,
 )
 
@@ -123,6 +122,12 @@ class TestAidaParser:
         path = tmp_path / "doc.conll"
         path.write_text("word\n", encoding="utf-8")
         with pytest.raises(MalformedLine):
+            parse_aida_conll(path)
+
+    def test_repeated_document_id(self, tmp_path):
+        path = tmp_path / "doc.conll"
+        path.write_text("-DOCSTART- (9 A)\nword\n\n-DOCSTART- (10 B)\nx\n-DOCSTART- (9 A)\nword\n", encoding="utf-8")
+        with pytest.raises(MalformedLine, match="line 6: repeated document id '9 A'"):
             parse_aida_conll(path)
 
     def test_split_counts_match_structure(self, tmp_path):
@@ -305,44 +310,112 @@ class TestNormalizedJsonl:
             parse_normalized_jsonl(path)
 
 
-class TestWikiAbstracts:
-    def test_title_plus_anchors(self):
-        catalog = EntityCatalog(["Dog", "Cat", "Pets"])
-        stats = ConversionStats()
-        ex = wiki_abstract_to_et(
-            "Pets", "dogs and cats are pets", [(0, 4, "Dog"), (9, 13, "Cat")], catalog, stats
-        )
-        assert ex.gold == frozenset({0, 1, 2})
-        assert ex.gold_order[-1] == catalog.id_of("Pets")
+def write_jsonl(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
 
-    def test_title_already_anchored_dedupes(self):
-        catalog = EntityCatalog(["Pets"])
-        ex = wiki_abstract_to_et("Pets", "pets are pets", [(0, 4, "Pets")], catalog)
+
+class TestWikiAbstracts:
+    def convert(self, tmp_path, records, names):
+        docs = parse_wiki_jsonl(write_jsonl(tmp_path / "wiki.jsonl", records))
+        return convert_documents(docs, EntityCatalog(names))
+
+    def test_title_plus_anchors(self, tmp_path):
+        rec = {"title": "Pets", "text": "dogs and cats are pets", "anchors": [
+            {"start": 0, "end": 4, "entity": "Dog"},
+            {"start": 9, "end": 13, "entity": "Cat"},
+        ]}
+        (ex,), stats = self.convert(tmp_path, [rec], ["Dog", "Cat", "Pets"])
+        assert ex.doc_id == "Pets"
+        assert ex.gold == frozenset({0, 1, 2})
+        assert ex.gold_order == (0, 1, 2)  # title last: it has no span
+        assert stats.dropped_titles == 0
+
+    def test_title_already_anchored_dedupes(self, tmp_path):
+        rec = {"title": "Pets", "text": "pets are pets", "anchors": [{"start": 0, "end": 4, "entity": "Pets"}]}
+        (ex,), _ = self.convert(tmp_path, [rec], ["Pets"])
         assert ex.gold == frozenset({0})
         assert ex.gold_order == (0,)
 
-    def test_title_not_in_catalog_counted(self):
-        catalog = EntityCatalog(["Dog"])
-        stats = ConversionStats()
-        ex = wiki_abstract_to_et("Pets", "dogs", [(0, 4, "Dog")], catalog, stats)
+    def test_title_not_in_catalog_counted(self, tmp_path):
+        rec = {"title": "Pets", "text": "dogs", "anchors": [{"start": 0, "end": 4, "entity": "Dog"}]}
+        (ex,), stats = self.convert(tmp_path, [rec], ["Dog"])
         assert ex.gold == frozenset({0})
         assert stats.dropped_titles == 1
 
     def test_jsonl_driver(self, tmp_path):
-        catalog = EntityCatalog(["Dog", "Cat", "Pets"])
-        path = tmp_path / "wiki.jsonl"
         recs = [
             {"title": "Pets", "text": "dogs and cats", "anchors": [
                 {"start": 0, "end": 4, "entity": "Dog"},
                 {"start": 9, "end": 13, "entity": "Cat"},
             ]},
             {"title": "Nothing", "text": "empty", "anchors": []},
+            {"title": "Dog", "text": "no anchors"},
         ]
-        path.write_text("\n".join(json.dumps(r) for r in recs), encoding="utf-8")
-        examples, stats = convert_wiki_jsonl(path, catalog)
-        assert len(examples) == 1
-        assert stats.docs_in == 2 and stats.docs_out == 1
+        examples, stats = self.convert(tmp_path, recs, ["Dog", "Cat", "Pets"])
+        assert [ex.doc_id for ex in examples] == ["Pets", "Dog"]
+        assert stats.docs_in == 3 and stats.docs_out == 2
         assert stats.dropped_empty_docs == 1 and stats.dropped_titles == 1
+
+    def test_null_anchor_is_nil(self, tmp_path):
+        rec = {"title": "Pets", "text": "Bob has pets", "anchors": [{"start": 0, "end": 3, "entity": None}]}
+        (doc,) = parse_wiki_jsonl(write_jsonl(tmp_path / "wiki.jsonl", [rec]))
+        assert doc.mentions == [Mention(0, 3, None)] and doc.title == "Pets"
+        (ex,), stats = self.convert(tmp_path, [rec], ["Pets"])
+        assert ex.gold_order == (0,)
+        assert stats.dropped_nil_mentions == 1
+
+    def test_title_is_canonicalized(self, tmp_path):
+        rec = {"title": "  Pet   shops ", "text": "x"}
+        (ex,), _ = self.convert(tmp_path, [rec], ["Pet shops"])
+        assert ex.doc_id == "  Pet   shops " and ex.gold == frozenset({0})
+
+
+@pytest.mark.parametrize("parse, field", [(parse_normalized_jsonl, "mentions"), (parse_wiki_jsonl, "anchors")])
+class TestMentionRules:
+    """EL mentions and wiki anchors are read by the same rules."""
+
+    def record(self, parse, field, mentions):
+        key = "doc_id" if parse is parse_normalized_jsonl else "title"
+        return {key: "Pets", "text": "dogs and cats", field: mentions}
+
+    @pytest.mark.parametrize(
+        "mention",
+        [
+            {"start": True, "end": 4, "entity": "Dog"},
+            {"end": 4, "entity": "Dog"},
+            {"start": 0, "end": 4, "entity": ["Dog"]},
+            {"start": 0, "end": 4, "entity": "   "},
+            {"start": -1, "end": 4, "entity": "Dog"},
+            {"start": 0, "end": 10**30, "entity": "Dog"},
+            "Dog",
+        ],
+    )
+    def test_bad_mention_rejected(self, tmp_path, parse, field, mention):
+        path = write_jsonl(tmp_path / "bad.jsonl", [self.record(parse, field, [mention])])
+        with pytest.raises(SchemaError) as excinfo:
+            parse(path)
+        assert excinfo.value.doc_id == "Pets" and excinfo.value.field == field
+
+    def test_same_documents(self, tmp_path, parse, field):
+        mentions = [
+            {"start": 9, "end": 13, "entity": " Cat "},
+            {"start": 0, "end": 4, "entity": None},
+            {"start": 5, "end": 8},
+        ]
+        (doc,) = parse(write_jsonl(tmp_path / "ok.jsonl", [self.record(parse, field, mentions)]))
+        assert doc.doc_id == "Pets" and doc.text == "dogs and cats"
+        assert doc.mentions == [Mention(9, 13, "Cat"), Mention(0, 4, None), Mention(5, 8, None)]
+
+    def test_missing_list(self, tmp_path, parse, field):
+        rec = self.record(parse, field, [])
+        del rec[field]
+        path = write_jsonl(tmp_path / "doc.jsonl", [rec])
+        if parse is parse_wiki_jsonl:  # a wiki abstract may have no anchors
+            assert parse(path)[0].mentions == []
+        else:
+            with pytest.raises(SchemaError, match="mentions"):
+                parse(path)
 
 
 class TestEtJsonl:
@@ -436,7 +509,7 @@ class TestEtJsonl:
         read_text_jsonl,
         parse_normalized_jsonl,
         lambda path: read_et_jsonl(path, EntityCatalog(["Earth"])),
-        lambda path: convert_wiki_jsonl(path, EntityCatalog(["Earth"])),
+        parse_wiki_jsonl,
         lambda path: read_name_sets(path, "gold"),
     ],
     ids=["text", "el", "et", "wiki", "name-sets"],
