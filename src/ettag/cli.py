@@ -19,7 +19,7 @@ from dataclasses import fields
 from . import __version__
 from .catalog import EntityCatalog, build_vocabularies, name_token_ids, tokenize
 from .decoding import DecodeConfig, beam_decode, parse_output
-from .errors import ContractError, EttagError, InputError
+from .errors import ContractError, EttagError, InputError, InvalidConfig
 from .ingest import (
     aida_split,
     convert_documents,
@@ -61,12 +61,27 @@ _FIELD_OF = {"beam": "beam_size", "renormalize": "renormalize_constrained", "dim
              "kb_format": "format"}
 
 
+def _config_value(flag: argparse.Action, section: str, val):
+    """A config-file value as its flag would parse it. Raises InvalidConfig
+    unless it has the flag's type (an integer will do for a float) and is one
+    of its choices."""
+    want = {None: str, _bool_flag: bool}.get(flag.type, flag.type)
+    if flag.const is not None:  # a switch such as --allow-empty
+        want = type(flag.const)
+    if want is float and type(val) is int:
+        val = float(val)
+    if type(val) is not want or (flag.choices is not None and val not in flag.choices):
+        expected = want.__name__ if flag.choices is None else f"one of {list(flag.choices)}"
+        raise InvalidConfig(f"config section {section!r}: {flag.dest} must be {expected}, got {val!r}")
+    return val
+
+
 def _resolve(args: argparse.Namespace, cfg: dict, *callees, **defaults) -> dict:
     """Every option of the command: its flag, else the command's config-file
     section, else the default of the parameter it sets in ``callees``
     (dataclasses included), else its entry in ``defaults``.
     """
-    opts = {k: v for k, v in vars(args).items() if k not in ("command", "config", "func")}
+    opts = {k: v for k, v in vars(args).items() if k not in ("command", "config", "func", "flags")}
     section = args.command.replace("-", "_")
     given = cfg.get(section, {})
     if not isinstance(given, dict):
@@ -74,6 +89,7 @@ def _resolve(args: argparse.Namespace, cfg: dict, *callees, **defaults) -> dict:
     unknown = sorted(set(given) - set(opts))
     if unknown:
         raise InputError(f"config section {section!r}: unknown keys {unknown}")
+    given = {k: _config_value(args.flags[k], section, v) for k, v in given.items() if v is not None}
     for fn in callees:
         for name, param in inspect.signature(fn).parameters.items():
             if param.default is not param.empty:
@@ -147,8 +163,6 @@ def cmd_train(args, cfg) -> int:
     tc = _config(TrainConfig, opts)
     catalog = _load_kb(opts)
     corpus = read_et_jsonl(opts["train"], catalog)
-    if not corpus:
-        raise InputError(f"{opts['train']}: no training examples")
     vocab_in, vocab_out = build_vocabularies(
         catalog, (ex.text for ex in corpus), min_count=opts["min_count"]
     )
@@ -383,6 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_decode_args(p)
     p.set_defaults(func=cmd_ablate_order)
 
+    for p in sub.choices.values():
+        p.set_defaults(flags={a.dest: a for a in p._actions})
     return parser
 
 

@@ -21,7 +21,7 @@ class ContractError(EttagError):
 
 
 class InvalidConfig(InputError, ValueError):
-    """A decode or train setting is out of range."""
+    """A setting is out of range, or a config-file value has the wrong type."""
 
 
 class CorruptCheckpoint(InputError, ValueError):

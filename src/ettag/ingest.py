@@ -140,12 +140,16 @@ class ConversionStats:
         return dataclasses.asdict(self)
 
 
-def _wiki_name(raw: str) -> str:
-    """Entity column -> canonical name; URLs are reduced to their page title."""
+def _wiki_name(raw: str, line_no: int) -> str:
+    """Entity column on line ``line_no`` -> canonical name; URLs are reduced
+    to their page title."""
     if raw.startswith("http://") or raw.startswith("https://"):
         raw = raw.rsplit("/", 1)[-1]
         raw = unquote(raw)
-    return canonicalize(raw.replace("_", " "))
+    try:
+        return canonicalize(raw.replace("_", " "))
+    except InvalidName as exc:
+        raise MalformedLine(line_no, f"entity column: {exc}") from None
 
 
 def parse_aida_conll(path) -> list[ELDocument]:
@@ -226,7 +230,7 @@ def parse_aida_conll(path) -> list[ELDocument]:
             if len(cols) < 4:
                 raise MalformedLine(line_no, f"expected >= 4 columns, got {len(cols)}")
             bio = cols[1]
-            entity = NIL if cols[3] == "--NME--" else _wiki_name(cols[4] if len(cols) > 4 else cols[3])
+            entity = NIL if cols[3] == "--NME--" else _wiki_name(cols[4] if len(cols) > 4 else cols[3], line_no)
             if bio == "B":
                 close_mention()
                 open_mention = [start, pos, entity]

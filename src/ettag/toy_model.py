@@ -270,12 +270,12 @@ def train(
     With the shuffle strategy a new uniform permutation is drawn every epoch;
     mention_order and lexicographic targets are fixed. Returns the trained
     parameters and the per-epoch mean loss curve. Fully deterministic in the
-    config seed. Raises InputError when the optimizer diverged: an epoch ends
-    with a non-finite parameter, or with a mean loss above ten times that of
-    the uniform model (mean target length × ln V_out).
+    config seed. Raises InputError on an empty corpus, and when the optimizer
+    diverged: an epoch ends with a non-finite parameter, or with a mean loss
+    above ten times that of the uniform model (mean target length × ln V_out).
     """
     if not corpus:
-        raise ValueError("empty training corpus")
+        raise InputError("empty training corpus")
     if config.order_strategy == "mention_order":
         for ex in corpus:
             ex.require_order()

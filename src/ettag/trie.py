@@ -3,10 +3,12 @@
 The trie is a flat arena in depth-first preorder: per-node sorted child
 arrays live in one CSR-style block, so child lookup is a binary search and
 the whole structure is a handful of numpy arrays shared read-only across
-decoders. Each node also carries the half-open interval of entity ranks
-(positions in sorted-name order) reachable below it; that makes "is this
-subtree fully emitted already?" an O(|emitted|) question, which is what the
-no-repeat pruning needs to never paint a decoder into a dead end.
+decoders. Each edge also carries the half-open interval of entity ranks
+(positions in sorted-name order) below the child it leads to. A node's
+child intervals tile its subtree after its own terminal, so no-repeat
+pruning is one count of the emitted ranks per child interval: a child whose
+count equals its size has nothing left to emit, and pruning exactly those
+never paints a decoder into a dead end.
 """
 
 from __future__ import annotations
@@ -53,10 +55,8 @@ class TokenTrie:
     child_start: np.ndarray   # int64 [n_nodes + 1], CSR offsets
     child_keys: np.ndarray    # int32 [n_edges], token ids, sorted per node
     child_vals: np.ndarray    # int32 [n_edges], child node indices
-    ent_lo: np.ndarray        # int64 [n_nodes], first entity rank under node
-    ent_hi: np.ndarray        # int64 [n_nodes], one past last entity rank
-    child_lo: np.ndarray      # int64 [n_edges], ent_lo gathered per edge
-    child_hi: np.ndarray      # int64 [n_edges]
+    child_lo: np.ndarray      # int64 [n_edges], first entity rank under the child
+    child_hi: np.ndarray      # int64 [n_edges], one past its last entity rank
     entity_rank: np.ndarray   # int64 [n_entities], catalog id -> rank
     entity_count: int
     max_depth: int
@@ -127,7 +127,6 @@ class TokenTrie:
         # before a node are its entity rank
         rank = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(terminal >= 0, out=rank[1:])
-        ent_lo, ent_hi = rank[:n], rank[end]
         entity_rank = np.empty(n_entities, dtype=np.int64)
         entity_rank[terminal[term_nodes]] = rank[term_nodes]
         return cls(
@@ -135,10 +134,8 @@ class TokenTrie:
             child_start=child_start,
             child_keys=child_keys,
             child_vals=child_vals,
-            ent_lo=ent_lo,
-            ent_hi=ent_hi,
-            child_lo=ent_lo[child_vals],
-            child_hi=ent_hi[child_vals],
+            child_lo=rank[child_vals],
+            child_hi=rank[end[child_vals]],
             entity_rank=entity_rank,
             entity_count=n_entities,
             max_depth=len(levels) - 1,
@@ -237,35 +234,7 @@ _SEP_EOS_ARR = np.array([EOS, SEP], dtype=np.int32)
 _EMPTY = np.empty(0, dtype=np.int32)
 
 
-def _blocked_child_positions(trie: TokenTrie, node: int, emitted, s: int, e: int) -> list[int]:
-    """Positions (relative to the child slice) whose subtree is fully emitted."""
-    lo_n = trie.ent_lo[node]
-    hi_n = trie.ent_hi[node]
-    rk = trie.entity_rank
-    inside = sorted(int(rk[ent]) for ent in emitted if lo_n <= rk[ent] < hi_n)
-    if not inside:
-        return []
-    child_lo = trie.child_lo[s:e]
-    child_hi = trie.child_hi[s:e]
-    per_child: dict[int, int] = {}
-    for r in inside:
-        pos = int(np.searchsorted(child_lo, r, side="right")) - 1
-        if pos >= 0 and r < child_hi[pos]:
-            per_child[pos] = per_child.get(pos, 0) + 1
-    return [
-        pos
-        for pos, cnt in per_child.items()
-        if cnt == int(child_hi[pos] - child_lo[pos])
-    ]
-
-
-def allowed_tokens(
-    trie: TokenTrie,
-    cursor: TrieCursor,
-    emitted,
-    config,
-    n_generated: int | None = None,
-) -> np.ndarray:
+def allowed_tokens(trie: TokenTrie, cursor: TrieCursor, emitted, config, n_generated: int) -> np.ndarray:
     """Sorted array of token ids legal at this cursor.
 
     ``emitted`` is the set of entity ids already finalized by the hypothesis;
@@ -275,33 +244,32 @@ def allowed_tokens(
     node = cursor.node
     if node == FINISHED:
         return _EMPTY
-    cs = trie.child_start
-    s = cs[node]
-    e = cs[node + 1]
+    s, e = trie.child_start[node], trie.child_start[node + 1]
     keys = trie.child_keys[s:e]
     no_repeat = config.no_repeat
 
-    if no_repeat and emitted:
-        blocked = _blocked_child_positions(trie, node, emitted, s, e)
-        if blocked:
-            keys = np.delete(keys, blocked)
+    if no_repeat and emitted and e > s:
+        # emitted ranks below the children (the node's own terminal rank comes
+        # first in preorder, so it falls outside), counted per child interval
+        lo, hi = trie.child_lo[s:e], trie.child_hi[s:e]
+        ranks = trie.entity_rank[list(emitted)]
+        ranks = ranks[(ranks >= lo[0]) & (ranks < hi[-1])]
+        if ranks.size:
+            counts = np.bincount(lo.searchsorted(ranks, "right") - 1, minlength=e - s)
+            keys = keys[counts < hi - lo]
     if node == ROOT:
         if not emitted and config.allow_empty:
             return np.concatenate((_EOS_ARR, keys))
         return keys
 
     term = int(trie.terminal[node])
-    if term < 0:
-        return keys
-    if no_repeat and term in emitted:
+    if term < 0 or (no_repeat and term in emitted):
         return keys
     # finalizing this entity is legal; EOS always ends here, SEP only when
     # another name can still follow
-    done = len(emitted) if n_generated is None else n_generated
-    can_continue = done + 1 < config.max_entities
+    can_continue = n_generated + 1 < config.max_entities
     if can_continue and no_repeat:
-        remaining = trie.entity_count - len(emitted) - (0 if term in emitted else 1)
-        can_continue = remaining > 0
+        can_continue = len(emitted) + 1 < trie.entity_count
     head = _SEP_EOS_ARR if can_continue else _EOS_ARR
     if len(keys) == 0:
         return head

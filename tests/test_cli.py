@@ -313,25 +313,57 @@ class TestErrorHandling:
             ("tag", [], {"tag": {"beam": 0}}),
             ("tag", [], {"tag": {"no_repeat": "false"}}),
             ("train", [], {"train": {"window": 0}}),
+            ("train", [], {"train": {"min_count": "2"}}),
+            ("build-kb", [], {"build_kb": {"kb_format": 5}}),
+            ("convert", [], {"convert": {"stats_out": 1}}),
+            ("convert", [], {"convert": {"keep_empty": "no"}}),
+            ("eval", [], {"eval": {"json_out": 2}}),
         ],
     )
-    def test_out_of_range_setting_exit_1(self, world, tmp_path, capsys, command, bad, config):
-        argv = [command, "--kb", str(world["kb"])]
-        if command == "tag":
-            argv += ["--model", str(world["model"]), "--in", str(world["eval"])]
-            argv += ["--out", str(tmp_path / "p.jsonl")]
-        else:
-            argv += ["--train", str(world["train"]), "--model-out", str(tmp_path / "m.bin")]
+    def test_out_of_range_setting_exit_1(self, world, tmp_path, monkeypatch, capsys, command, bad, config):
+        out = tmp_path / "out"
+        out.mkdir()
+        monkeypatch.chdir(out)  # outputs, stray ones included, land here
+        el = tmp_path / "el.jsonl"
+        el.write_text(json.dumps({"doc_id": "a", "text": "x", "mentions": []}) + "\n", encoding="utf-8")
+        pred = tmp_path / "pred.jsonl"
+        with world["eval"].open(encoding="utf-8") as f:
+            preds = [{"doc_id": r["doc_id"], "entities": r["gold"]} for r in map(json.loads, f)]
+        pred.write_text("".join(json.dumps(p) + "\n" for p in preds), encoding="utf-8")
+        kb = ["--kb", str(world["kb"])]
+        argv = {
+            "tag": ["tag", *kb, "--model", str(world["model"]), "--in", str(world["eval"]), "--out", "p.jsonl"],
+            "train": ["train", *kb, "--train", str(world["train"]), "--model-out", "m.bin"],
+            "build-kb": ["build-kb", *kb, "--cache-out", "kb.trie"],
+            "convert": ["convert", *kb, "--format", "el-jsonl", "--in", str(el), "--out", "c.jsonl"],
+            "eval": ["eval", "--pred", str(pred), "--gold", str(world["eval"])],
+        }[command]
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config), encoding="utf-8")
             argv = ["--config", str(cfg), *argv]
         capsys.readouterr()
         assert main(argv + bad) == 1
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert json.loads(err)["error"] == "InvalidConfig"
-        assert not (tmp_path / "p.jsonl").exists() and not (tmp_path / "m.bin").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "InvalidConfig"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "ablate-order"])
+    def test_empty_training_corpus_exit_1(self, world, tmp_path, capsys, command):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [command, "--train", str(empty), "--kb", str(world["kb"])]
+        if command == "train":
+            argv += ["--model-out", str(out)]
+        else:
+            argv += ["--eval", str(world["eval"]), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "InputError", "message": "empty training corpus"}
+        assert list(tmp_path.iterdir()) == [empty]
 
     def test_truncated_checkpoint_exit_1(self, world, tmp_path, capsys):
         model = tmp_path / "cut.bin"
@@ -514,6 +546,20 @@ class TestErrorHandling:
         assert main(argv) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "MalformedLine" and "repeated document id '1 A'" in err["message"]
+        assert not out.exists()
+
+    def test_empty_aida_entity_exit_1(self, world, tmp_path, capsys):
+        conll = tmp_path / "aida.conll"
+        conll.write_text(
+            "-DOCSTART- (1 A)\nEarth\tB\tEarth\tEarth\thttp://en.wikipedia.org/wiki/\n", encoding="utf-8"
+        )
+        out = tmp_path / "out.jsonl"
+        argv = ["convert", "--format", "aida-conll", "--in", str(conll), "--out", str(out), "--kb", str(world["kb"])]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        err = json.loads(err[0])
+        assert err["error"] == "MalformedLine" and err["message"].startswith("line 2: entity column")
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, split, config", [

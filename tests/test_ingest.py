@@ -118,6 +118,15 @@ class TestAidaParser:
         with pytest.raises(MalformedLine):
             parse_aida_conll(path)
 
+    def test_empty_entity_name(self, tmp_path):
+        path = tmp_path / "doc.conll"
+        path.write_text(
+            "-DOCSTART- (11 BAD)\nword\nEarth\tB\tEarth\tEarth\thttp://en.wikipedia.org/wiki/\t1\t/m/1\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedLine, match="line 3: entity column: name is empty"):
+            parse_aida_conll(path)
+
     def test_tokens_before_docstart(self, tmp_path):
         path = tmp_path / "doc.conll"
         path.write_text("word\n", encoding="utf-8")

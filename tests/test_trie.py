@@ -107,10 +107,8 @@ class TestBuild:
             for node in path:
                 under.setdefault(node, []).append(rank[eid])
         assert sorted(under) == list(range(trie.node_count))
-        assert trie.ent_lo.tolist() == [min(under[v]) for v in range(trie.node_count)]
-        assert trie.ent_hi.tolist() == [max(under[v]) + 1 for v in range(trie.node_count)]
-        assert np.array_equal(trie.child_lo, trie.ent_lo[trie.child_vals])
-        assert np.array_equal(trie.child_hi, trie.ent_hi[trie.child_vals])
+        assert trie.child_lo.tolist() == [min(under[v]) for v in trie.child_vals.tolist()]
+        assert trie.child_hi.tolist() == [max(under[v]) + 1 for v in trie.child_vals.tolist()]
 
     def test_deterministic_build(self):
         rng = np.random.default_rng(9)
@@ -153,6 +151,19 @@ class TestAllowedTokens:
         at_root = allowed_tokens(trie, trie.start_cursor(), frozenset({earth}), config, 1)
         parsec_first = tokenize("Parsec", vout, mode="output")[0]
         assert at_root.tolist() == [parsec_first]
+
+        # a terminal with children: with "Paris" emitted its node offers only
+        # the way on to "Paris Métro", and the root still leads there; with
+        # both emitted the root no longer offers their first token
+        cat, vout, trie = catalog_stack(EntityCatalog(["Paris", "Paris Métro"]))
+        paris, metro = cat.id_of("Paris"), cat.id_of("Paris Métro")
+        paris_tok, metro_tok = tokenize("Paris Métro", vout, mode="output")
+        cur = walk(trie, [paris_tok])
+        assert allowed_tokens(trie, cur, frozenset({paris}), config, 1).tolist() == [metro_tok]
+        at_root = allowed_tokens(trie, trie.start_cursor(), frozenset({paris}), config, 1)
+        assert at_root.tolist() == [paris_tok]
+        both = frozenset({paris, metro})
+        assert allowed_tokens(trie, trie.start_cursor(), both, config, 2).tolist() == []
 
     def test_last_entity_forces_eos(self):
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth"]))
@@ -286,8 +297,6 @@ class TestCache:
         assert np.array_equal(loaded.terminal, trie.terminal)
         assert np.array_equal(loaded.child_keys, trie.child_keys)
         assert np.array_equal(loaded.child_vals, trie.child_vals)
-        assert np.array_equal(loaded.ent_lo, trie.ent_lo)
-        assert np.array_equal(loaded.ent_hi, trie.ent_hi)
         assert np.array_equal(loaded.child_lo, trie.child_lo)
         assert np.array_equal(loaded.child_hi, trie.child_hi)
         assert loaded.max_depth == trie.max_depth
