@@ -10,17 +10,14 @@ including names with free-standing punctuation ("Astronomy & Astrophysics").
 from __future__ import annotations
 
 import hashlib
+import itertools
 import unicodedata
 from collections import Counter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import (
-    DuplicateName,
-    EmptyCatalog,
-    InvalidName,
-    MalformedLine,
-    OutputOOV,
-)
+import numpy as np
+
+from .errors import DuplicateName, EmptyCatalog, InvalidName, MalformedLine, OutputOOV
 
 EntityId = int
 TokenSeq = list[int]
@@ -153,10 +150,19 @@ def detokenize(ids: Sequence[int], vocab: Vocabulary) -> str:
     return join_tokens(toks[i] for i in ids if i >= N_RESERVED)
 
 
+class NameTable(NamedTuple):
+    """The output vocabulary (reserved tokens, then name tokens in first-encounter order) and
+    each catalog name's token ids in it, in CSR form: name ``i`` is ``ids[offsets[i]:offsets[i + 1]]``."""
+
+    vocab: Vocabulary
+    offsets: np.ndarray  # int64 [n_names + 1]
+    ids: np.ndarray      # int32 [total name tokens]
+
+
 class EntityCatalog:
     """Ordered, deduplicated collection of canonical entity names."""
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_table")
 
     def __init__(self, names: Iterable[str]):
         canonical = [canonicalize(n) for n in names]
@@ -172,6 +178,7 @@ class EntityCatalog:
             raise DuplicateName(dups)
         self.names: tuple[str, ...] = tuple(canonical)
         self._index = index
+        self._table: NameTable | None = None
 
     def __len__(self) -> int:
         return len(self.names)
@@ -190,6 +197,34 @@ class EntityCatalog:
 
     def content_hash(self) -> bytes:
         return hashlib.sha256(nul_terminated(self.names)).digest()
+
+    def name_table(self, vocab: Vocabulary | None = None) -> NameTable:
+        """The names tokenized once, on first use, into their NameTable. Raises EmptyCatalog if
+        there are no names, and OutputOOV if ``vocab`` is given and is not the table's."""
+        if self._table is None:
+            if not self.names:
+                raise EmptyCatalog("an empty catalog has no output vocabulary")
+            # names are words joined by single spaces and word_tokens works word by word, so each
+            # distinct word is tokenized once, where it first occurs; blocks bound the words alive
+            index = {t: i for i, t in enumerate(RESERVED_TOKENS)}
+            word_ids: dict[str, tuple[int, ...]] = {}
+            ids, lengths = [], []
+            for lo in range(0, len(self.names), 1 << 15):
+                block = self.names[lo: lo + (1 << 15)]
+                words = " ".join(block).split(" ")
+                for word in dict.fromkeys(words):
+                    if word not in word_ids:
+                        word_ids[word] = tuple([index.setdefault(t, len(index)) for t in word_tokens(word)])
+                rows = list(map(word_ids.__getitem__, words))
+                ids.append(np.fromiter(itertools.chain.from_iterable(rows), np.int32))
+                n_words = np.fromiter(map(str.count, block, itertools.repeat(" ")), np.int64, len(block)) + 1
+                word_lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+                lengths.append(np.add.reduceat(word_lengths, np.cumsum(n_words) - n_words))
+            offsets = np.concatenate(([0], np.cumsum(np.concatenate(lengths))))
+            self._table = NameTable(Vocabulary(list(index)[N_RESERVED:]), offsets, np.concatenate(ids))
+        if vocab is not None and vocab is not self._table.vocab and vocab.tokens != self._table.vocab.tokens:
+            raise OutputOOV(f"a vocabulary of {len(vocab)} tokens is not the catalog's {len(self._table.vocab)}")
+        return self._table
 
     @classmethod
     def load(cls, path, format: str = "plain-lines") -> "EntityCatalog":
@@ -232,11 +267,10 @@ def build_vocabularies(
 ) -> tuple[Vocabulary, Vocabulary]:
     """Build (input, output) vocabularies.
 
-    Output: reserved tokens plus every token of every catalog name, in first
-    encounter order. Input: reserved plus corpus tokens with count >= min_count.
+    Output: the catalog's own, ``catalog.name_table().vocab``. Input: reserved
+    plus corpus tokens with count >= min_count, in first encounter order.
     """
-    if len(catalog) == 0:
-        raise EmptyCatalog("cannot build vocabularies for an empty catalog")
+    vocab_out = catalog.name_table().vocab  # raises EmptyCatalog before the corpus is read
     counts: Counter[str] = Counter()
     order: list[str] = []
     for text in corpus:
@@ -245,12 +279,4 @@ def build_vocabularies(
                 order.append(t)
             counts[t] += 1
     in_tokens = [t for t in order if counts[t] >= min_count]
-    return Vocabulary(in_tokens), Vocabulary(t for name in catalog for t in word_tokens(name))
-
-
-def name_token_ids(catalog: EntityCatalog) -> tuple[Vocabulary, list[tuple[int, ...]]]:
-    """The output vocabulary of build_vocabularies and each name's token ids
-    in it, from one tokenization pass."""
-    index = {t: i for i, t in enumerate(RESERVED_TOKENS)}
-    seqs = [tuple([index.setdefault(t, len(index)) for t in word_tokens(name)]) for name in catalog]
-    return Vocabulary(list(index)[N_RESERVED:]), seqs
+    return Vocabulary(in_tokens), vocab_out

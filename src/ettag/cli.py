@@ -17,7 +17,7 @@ import sys
 from dataclasses import fields
 
 from . import __version__
-from .catalog import EntityCatalog, build_vocabularies, name_token_ids, tokenize
+from .catalog import EntityCatalog, build_vocabularies, tokenize
 from .decoding import DecodeConfig, beam_decode, parse_output
 from .errors import ContractError, EttagError, InputError, InvalidConfig
 from .ingest import (
@@ -126,8 +126,8 @@ def _load_kb(opts: dict) -> EntityCatalog:
 def cmd_build_kb(args, cfg) -> int:
     opts = _resolve(args, cfg, EntityCatalog.load)
     catalog = _load_kb(opts)
-    vocab_out, name_ids = name_token_ids(catalog)
-    trie = build_trie(catalog, vocab_out, name_ids)
+    vocab_out = catalog.name_table().vocab
+    trie = build_trie(catalog, vocab_out)
     save_trie_cache(trie, opts["cache_out"], catalog, vocab_out)
     _write_runconfig(opts["cache_out"], "build-kb", opts)
     print(json.dumps(trie_stats(trie)))
@@ -187,8 +187,8 @@ def _load_model_stack(opts: dict):
     if opts["kb_cache"]:
         trie, vocab_out = load_trie_cache(opts["kb_cache"], catalog)
     else:
-        vocab_out, name_ids = name_token_ids(catalog)
-        trie = build_trie(catalog, vocab_out, name_ids)
+        vocab_out = catalog.name_table().vocab
+        trie = build_trie(catalog, vocab_out)
     params, vocab_in = load_checkpoint(opts["model"], vocab_out)
     return catalog, vocab_in, trie, ToyScorer(params)
 

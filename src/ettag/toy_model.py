@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .catalog import BOS, EOS, SEP, EntityCatalog, TokenSeq, Vocabulary, nul_terminated, read_vocabulary, tokenize
+from .catalog import BOS, EOS, SEP, EntityCatalog, TokenSeq, Vocabulary, nul_terminated, read_vocabulary
 from .errors import CorruptCheckpoint, InputError, InvalidConfig, UnknownEntity, require_ints
 from .ingest import ETExample
 from .sealed import SealedFormat
@@ -95,20 +95,19 @@ def build_target(
     catalog: EntityCatalog,
     vocab: Vocabulary,
 ) -> TokenSeq:
-    """name tokens, SEP between names, EOS at the end, names ordered by ``order``."""
+    """name tokens, SEP between names, EOS at the end, names ordered by ``order``.
+    Raises OutputOOV unless ``vocab`` is the catalog's output vocabulary."""
     gold_set = set(gold)
     if set(order) != gold_set or len(order) != len(gold_set):
         raise ValueError("order must be a permutation of gold")
     for eid in order:
         if not 0 <= eid < len(catalog):
             raise UnknownEntity(f"entity id {eid} outside catalog")
+    _, offsets, ids = catalog.name_table(vocab)
     out: TokenSeq = []
-    for i, eid in enumerate(order):
-        if i:
-            out.append(SEP)
-        out.extend(tokenize(catalog.name_of(eid), vocab, mode="output"))
-    out.append(EOS)
-    return out
+    for eid in order:
+        out += [SEP, *ids[offsets[eid]: offsets[eid + 1]].tolist()]
+    return out[1:] + [EOS]
 
 
 def sample_permutation(rng: np.random.Generator, m: int) -> np.ndarray:

@@ -9,19 +9,25 @@ child intervals tile its subtree after its own terminal, so no-repeat
 pruning is one count of the emitted ranks per child interval: a child whose
 count equals its size has nothing left to emit, and pruning exactly those
 never paints a decoder into a dead end.
+
+``build_trie`` works from the catalog's name table one token depth at a
+time: stable sorts put the names in sorted order, an equality test gives
+each name's common prefix with the one before, the tokens past it are new
+nodes in preorder, and a running maximum finds their parents. A depth
+touches only the names longer than it, so time and memory grow with the
+total number of name tokens.
 """
 
 from __future__ import annotations
 
 import struct
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .catalog import EOS, N_RESERVED, SEP, EntityCatalog, Vocabulary, nul_terminated, read_vocabulary, tokenize
-from .errors import CacheMismatch, DisallowedToken, EmptyCatalog, OutputOOV
+from .catalog import EOS, N_RESERVED, SEP, EntityCatalog, Vocabulary, nul_terminated, read_vocabulary
+from .errors import CacheMismatch, DisallowedToken
 from .sealed import SealedFormat
 
 ROOT = 0
@@ -171,62 +177,54 @@ class TokenTrie:
         return None if ent < 0 or node == ROOT else ent
 
 
-def build_trie(
-    catalog: EntityCatalog, vocab: Vocabulary, name_ids: list[tuple[int, ...]] | None = None
-) -> TokenTrie:
-    """Build the prefix tree recognizing exactly the tokenized catalog names.
-    ``name_ids``, each name's token ids in ``vocab`` as ``name_token_ids``
-    gives them, saves tokenizing the names again; the list is emptied, so
-    its tuples are freed before the arrays are built."""
-    n_entities = len(catalog)
-    if n_entities == 0:
-        raise EmptyCatalog("cannot build a trie over an empty catalog")
-    if name_ids is None:
-        name_ids = []
-        for name in catalog:
-            try:
-                name_ids.append(tuple(tokenize(name, vocab, mode="output")))
-            except OutputOOV as exc:
-                raise OutputOOV(f"catalog name {name!r} not covered by vocabulary: {exc}") from exc
-    seqs = sorted(zip(name_ids, range(n_entities)))
+def build_trie(catalog: EntityCatalog, vocab: Vocabulary) -> TokenTrie:
+    """Build the prefix tree recognizing exactly the tokenized catalog names. Raises EmptyCatalog
+    on an empty catalog, and OutputOOV unless ``vocab`` is the catalog's output vocabulary."""
+    # the build's temporaries are freed on return, before those of from_arrays are made
+    _, offsets, ids = catalog.name_table(vocab)
+    return TokenTrie.from_arrays(*_preorder_arrays(offsets, ids), len(catalog), len(vocab))
 
-    # inserting the names in sorted order creates the nodes in preorder, each
-    # node's children in ascending key order; edge i creates node i + 1
-    terminal = array("i", [-1])
-    parents = array("i")
-    keys = array("i")
-    stack = [ROOT]
-    prev: tuple[int, ...] = ()
-    for seq, eid in seqs:
-        lcp = 0
-        limit = min(len(prev), len(seq))
-        while lcp < limit and prev[lcp] == seq[lcp]:
-            lcp += 1
-        del stack[lcp + 1:]
-        for tok in seq[lcp:]:
-            parents.append(stack[-1])
-            keys.append(tok)
-            stack.append(len(terminal))
-            terminal.append(-1)
-        # distinct canonical names cannot tokenize identically (tokenize is
-        # invertible on canonical text), so the terminal slot is free
-        assert terminal[stack[-1]] == -1, "duplicate token sequence in catalog"
-        terminal[stack[-1]] = eid
-        prev = seq
-    del seqs
-    name_ids.clear()
 
-    parents_np = np.asarray(parents, dtype=np.int32)
+def _preorder_arrays(offsets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ``TokenTrie.from_arrays`` arrays of the trie over these CSR token rows."""
+    start, length = offsets[:-1], np.diff(offsets)
+    n, depth = len(length), int(length.max())
+
+    # sorted order by stable sorts from the last depth; names of length d + 1 have not moved yet
+    by_length = np.argsort(length, kind="stable")
+    at_most = np.searchsorted(length[by_length], np.arange(depth + 1), side="right")
+    order = by_length[:0]
+    for d in range(depth - 1, -1, -1):
+        order = np.concatenate((by_length[at_most[d]: at_most[d + 1]], order))
+        order = order[np.argsort(ids[start[order] + d], kind="stable")]
+    start, length = start[order], length[order]
+
+    # common prefix with the name before (sorted, so a name equal up to d is as long as it)
+    lcp, same = np.zeros(n, dtype=np.int64), np.arange(1, n)
+    for d in range(depth):
+        same = same[length[same - 1] > d]
+        same = same[ids[start[same] + d] == ids[start[same - 1] + d]]
+        lcp[same] += 1
+
+    # the tokens past that prefix are new nodes, numbered in preorder, so a name's
+    # last node is its terminal and a node shared with earlier names is the running maximum
+    added = length - lcp
+    last = np.cumsum(added)
+    first = last - added + 1
+    terminal = np.full(int(last[-1]) + 1, -1, dtype=np.int32)
+    terminal[last] = order
+    parents, keys = np.empty((2, len(terminal) - 1), dtype=np.int32)  # of node i + 1
+    alive, path = np.arange(n), np.zeros(n, dtype=np.int64)  # names longer than d, their nodes at d - 1
+    for d in range(depth):
+        alive = alive[length[alive] > d]
+        new = lcp[alive] <= d
+        node = np.where(new, first[alive] + d - lcp[alive], 0)
+        parents[node[new] - 1], keys[node[new] - 1] = path[alive[new]], ids[start[alive[new]] + d]
+        path[alive] = np.maximum.accumulate(node)
+
     # a stable sort on parent alone keeps each node's children in key order
-    order = np.argsort(parents_np, kind="stable")
-    return TokenTrie.from_arrays(
-        terminal=np.asarray(terminal, dtype=np.int32),
-        child_counts=np.bincount(parents_np, minlength=len(terminal)).astype(np.int32),
-        child_keys=np.asarray(keys, dtype=np.int32)[order],
-        child_vals=(order + 1).astype(np.int32),
-        n_entities=n_entities,
-        vocab_size=len(vocab),
-    )
+    by_parent = np.argsort(parents, kind="stable")
+    return terminal, np.bincount(parents, minlength=len(terminal)), keys[by_parent], (by_parent + 1).astype(np.int32)
 
 
 _EOS_ARR = np.array([EOS], dtype=np.int32)

@@ -1,5 +1,6 @@
 """Shared test scaffolding: deterministic scorers, random catalogs, and the
 independent oracles the spec-level checks compare against, among them the
+name-by-name trie insertion that the per-depth build must reproduce, the
 per-hypothesis beam search that the batched decoder must reproduce and the
 per-example backward and training loop that batched training must reproduce.
 
@@ -11,6 +12,7 @@ exhaustive-search scoring renormalizes over oracle-derived allowed sets.
 from __future__ import annotations
 
 import itertools
+from array import array
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from ettag.catalog import BOS, EOS, SEP, EntityCatalog, Vocabulary, build_vocabu
 from ettag.decoding import DecodeConfig
 from ettag.errors import NoFinishedHypothesis, ScorerContractViolation
 from ettag.toy_model import ToyModelParams, _example_order, build_target, encode_input
-from ettag.trie import FINISHED, TokenTrie, TrieCursor, advance, allowed_tokens, build_trie
+from ettag.trie import FINISHED, ROOT, TokenTrie, TrieCursor, advance, allowed_tokens, build_trie
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
@@ -128,6 +130,43 @@ def catalog_stack(catalog: EntityCatalog):
 
 def name_token_seqs(catalog: EntityCatalog, vocab: Vocabulary) -> list[tuple[int, ...]]:
     return [tuple(tokenize(n, vocab, mode="output")) for n in catalog]
+
+
+def reference_build_trie(seqs: list[tuple[int, ...]], vocab_size: int) -> TokenTrie:
+    """The trie over these token sequences (entity ``i`` spells ``seqs[i]``),
+    built by inserting them one token at a time in sorted order."""
+    # inserting the names in sorted order creates the nodes in preorder, each
+    # node's children in ascending key order; edge i creates node i + 1
+    terminal = array("i", [-1])
+    parents = array("i")
+    keys = array("i")
+    stack = [ROOT]
+    prev: tuple[int, ...] = ()
+    for seq, eid in sorted(zip(seqs, range(len(seqs)))):
+        lcp = 0
+        limit = min(len(prev), len(seq))
+        while lcp < limit and prev[lcp] == seq[lcp]:
+            lcp += 1
+        del stack[lcp + 1:]
+        for tok in seq[lcp:]:
+            parents.append(stack[-1])
+            keys.append(tok)
+            stack.append(len(terminal))
+            terminal.append(-1)
+        assert terminal[stack[-1]] == -1, "duplicate token sequence in catalog"
+        terminal[stack[-1]] = eid
+        prev = seq
+
+    parents_np = np.asarray(parents, dtype=np.int32)
+    order = np.argsort(parents_np, kind="stable")
+    return TokenTrie.from_arrays(
+        terminal=np.asarray(terminal, dtype=np.int32),
+        child_counts=np.bincount(parents_np, minlength=len(terminal)).astype(np.int32),
+        child_keys=np.asarray(keys, dtype=np.int32)[order],
+        child_vals=(order + 1).astype(np.int32),
+        n_entities=len(seqs),
+        vocab_size=vocab_size,
+    )
 
 
 def brute_force_language(

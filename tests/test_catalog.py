@@ -20,7 +20,6 @@ from ettag.catalog import (
     build_vocabularies,
     canonicalize,
     detokenize,
-    name_token_ids,
     tokenize,
     word_tokens,
 )
@@ -239,14 +238,33 @@ class TestBuildVocabularies:
         with pytest.raises(EmptyCatalog):
             build_vocabularies(EntityCatalog([]), [])
 
-    def test_name_token_ids_match_tokenize(self):
+    def test_name_table_rows_match_tokenize(self):
+        # punctuation-heavy words, so the per-word tokenization peels pieces
         rng = np.random.default_rng(4)
         pieces = ["Alpha", "beta-9", "(x)", "O'Neill", "Q.", "&", "été", "東京"]
         cat = EntityCatalog(sorted({" ".join(rng.choice(pieces, size=int(rng.integers(1, 4)))) for _ in range(300)}))
-        vocab, seqs = name_token_ids(cat)
+        table = cat.name_table()
         _, vout = build_vocabularies(cat, [])
-        assert vocab.tokens == vout.tokens
-        assert seqs == [tuple(tokenize(name, vout, mode="output")) for name in cat]
+        assert vout is table.vocab
+        assert cat.name_table() is table
+        assert table.offsets.dtype == np.int64 and table.ids.dtype == np.int32
+        assert table.offsets[0] == 0 and table.offsets[-1] == len(table.ids)
+        for eid, name in enumerate(cat):
+            row = table.ids[table.offsets[eid]: table.offsets[eid + 1]]
+            assert row.tolist() == tokenize(name, vout, mode="output")
+        # reserved tokens, then every name token in first-encounter order
+        assert vout.tokens == Vocabulary(t for name in cat for t in word_tokens(name)).tokens
+
+    def test_name_table_checks_a_given_vocabulary(self):
+        cat = EntityCatalog(["Earth", "Mars"])
+        vout = cat.name_table().vocab
+        assert cat.name_table(Vocabulary(vout.tokens[N_RESERVED:])) is cat.name_table()
+        with pytest.raises(OutputOOV):
+            cat.name_table(Vocabulary(reversed(vout.tokens[N_RESERVED:])))
+
+    def test_empty_catalog_has_no_name_table(self):
+        with pytest.raises(EmptyCatalog):
+            EntityCatalog([]).name_table()
 
 
 def test_bijection_and_round_trip_sampled_at_kb_scale():

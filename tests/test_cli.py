@@ -300,6 +300,27 @@ class TestErrorHandling:
         rc = main(["build-kb", "--kb", str(kb), "--cache-out", str(tmp_path / "t.trie")])
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["build-kb", "tag", "train"])
+    def test_empty_kb_exit_1(self, world, tmp_path, monkeypatch, capsys, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        monkeypatch.chdir(out)
+        kb = tmp_path / "kb.txt"
+        kb.write_text("# no names\n", encoding="utf-8")
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text(json.dumps({"doc_id": "a", "text": "x", "gold": []}) + "\n", encoding="utf-8")
+        argv = {
+            "build-kb": ["build-kb", "--cache-out", "kb.trie"],
+            "tag": ["tag", "--model", str(world["model"]), "--in", str(docs), "--out", "p.jsonl"],
+            "train": ["train", "--train", str(docs), "--model-out", "m.bin"],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--kb", str(kb)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "EmptyCatalog"
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize(
         "command, bad, config",
         [

@@ -6,18 +6,19 @@ import pytest
 
 from ettag.catalog import (
     EOS,
+    N_RESERVED,
     SEP,
     EntityCatalog,
     Vocabulary,
     build_vocabularies,
-    name_token_ids,
     nul_terminated,
     tokenize,
+    word_tokens,
 )
 from ettag.cli import main
 from ettag.decoding import DecodeConfig
 from ettag.errors import CacheMismatch, CorruptCheckpoint, DisallowedToken, EmptyCatalog, OutputOOV
-from ettag.toy_model import init_params, load_checkpoint, save_checkpoint
+from ettag.toy_model import build_target, init_params, load_checkpoint, save_checkpoint
 from ettag.trie import (
     _CACHE,
     FINISHED,
@@ -33,9 +34,11 @@ from ettag.trie import (
 from helpers import (
     brute_force_language,
     catalog_stack,
+    count_prefix_pairs,
     enumerate_trie_language,
     name_token_seqs,
     random_catalog,
+    reference_build_trie,
 )
 
 
@@ -62,11 +65,21 @@ class TestBuild:
         with pytest.raises(EmptyCatalog):
             build_trie(EntityCatalog([]), vout)
 
-    def test_vocab_gap_is_contract_violation(self):
-        cat_small = EntityCatalog(["Earth"])
-        _, vout_small = build_vocabularies(cat_small, [])
+    @pytest.mark.parametrize(
+        "content",
+        [("▁Earth",), ("▁Mars", "▁Earth"), ("▁Earth", "▁Mars", "▁Venus")],
+        ids=["smaller", "reordered", "superset"],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [build_trie, lambda cat, vocab: build_target({0}, [0], cat, vocab)],
+        ids=["build_trie", "build_target"],
+    )
+    def test_vocab_gap_is_contract_violation(self, build, content):
+        cat = EntityCatalog(["Earth", "Mars"])
+        assert cat.name_table().vocab.tokens[N_RESERVED:] == ("▁Earth", "▁Mars")
         with pytest.raises(OutputOOV):
-            build_trie(EntityCatalog(["Earth", "Mars"]), vout_small)
+            build(cat, Vocabulary(content))
 
     def test_recognizes_exactly_the_catalog(self):
         rng = np.random.default_rng(5)
@@ -275,13 +288,37 @@ class TestLanguage:
                     stack.append((advance(trie, cursor, token), emitted, n_names))
 
 
-def test_name_ids_give_the_same_trie():
-    cat, vout, trie = catalog_stack(random_catalog(np.random.default_rng(9), 60))
-    vocab, name_ids = name_token_ids(cat)
-    built = build_trie(cat, vocab, name_ids)
-    assert name_ids == []
-    for field in ("terminal", "child_start", "child_keys", "child_vals"):
-        assert getattr(built, field).tobytes() == getattr(trie, field).tobytes()
+def _punctuated_catalog(rng, n_names: int) -> EntityCatalog:
+    """Names of 1 to 8 tokens from words that peel into several tokens, with
+    some names extended by one word, so that they are prefixes of others."""
+    pieces = ["Alpha", "beta-9", "w1", "O'Neill", "(x)", "Q.", "&", "東京", "été", "St."]
+    names: dict[str, None] = {}
+    while len(names) < n_names:
+        name = " ".join(rng.choice(pieces, size=int(rng.integers(1, 5))))
+        chain = [name, name + " " + str(rng.choice(pieces))] if rng.random() < 0.4 else [name]
+        for candidate in chain:
+            if len(word_tokens(candidate)) <= 8 and len(names) < n_names:
+                names.setdefault(candidate)
+    return EntityCatalog(names)
+
+
+def test_build_matches_the_insertion_reference():
+    lengths: set[int] = set()
+    prefix_pairs = 0
+    for seed in range(240):
+        rng = np.random.default_rng(seed)
+        cat = _punctuated_catalog(rng, 1 if seed == 0 else int(rng.integers(2, 40)))
+        vout = cat.name_table().vocab
+        seqs = name_token_seqs(cat, vout)
+        want = reference_build_trie(seqs, len(vout))
+        got = build_trie(cat, vout)
+        for field in ("terminal", "child_start", "child_keys", "child_vals", "child_lo", "child_hi", "entity_rank"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (seed, field)
+        assert got.max_depth == want.max_depth
+        lengths.update(map(len, seqs))
+        prefix_pairs += count_prefix_pairs(cat, vout)
+    assert lengths == set(range(1, 9)) and prefix_pairs > 0
 
 
 class TestCache:
@@ -443,8 +480,8 @@ class TestCacheStructure:
         def fail(*args, **kwargs):
             raise AssertionError("the output vocabulary was rebuilt")
 
-        for name in ("build_vocabularies", "name_token_ids"):
-            monkeypatch.setattr(f"ettag.cli.{name}", fail)
+        monkeypatch.setattr("ettag.cli.build_vocabularies", fail)
+        monkeypatch.setattr(EntityCatalog, "name_table", fail)
         assert main(tag + ["--kb-cache", str(tmp_path / "kb.trie")]) == 0
 
     @pytest.mark.parametrize("tamper, message", TAMPERS)
