@@ -132,10 +132,15 @@ def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
 
 
 def batch_backward(
-    params: ToyModelParams, examples: Sequence[ETExample], targets: Sequence[Sequence[int]]
+    params: ToyModelParams,
+    examples: Sequence[ETExample],
+    targets: Sequence[Sequence[int]],
+    grads: ToyModelParams | None = None,
 ) -> tuple[float, ToyModelParams]:
     """Summed teacher-forced NLL of each example's target (EOS included) and
-    its exact analytic gradient, in one forward/backward over all ΣT steps."""
+    its exact analytic gradient, in one forward/backward over all ΣT steps.
+    The gradient is written over every element of ``grads`` when given (its
+    previous contents are never read), else into a new buffer."""
     if any(ex.input is None for ex in examples):
         raise ValueError("example.input is unbound; encode the corpus first")
     d, k = params.d, params.k
@@ -154,7 +159,8 @@ def batch_backward(
     dlogits[steps, tgt] -= 1.0
     dfeats = dlogits @ params.w.T
 
-    grads = replace(params, flat=np.empty_like(params.flat))  # every part is written below
+    if grads is None:
+        grads = replace(params, flat=np.empty_like(params.flat))  # every part is written below
     np.matmul(feats.T, dlogits, out=grads.w)
     dlogits.sum(axis=0, out=grads.b)
     _scatter_rows(grads.e_out, ctx, dfeats[:, d:].reshape(len(ctx), k, d))
@@ -281,6 +287,11 @@ def train(
     rng = np.random.default_rng(config.seed)
     params = init_params(len(vocab_in), len(vocab_out), config.d, config.k, seed=config.seed)
     opt = (_Adam if config.optimizer == "adam" else _Sgd)(params.flat, config.lr)
+    # the first step allocates the gradient buffer and each later one rewrites it
+    # whole; allocated up front, before any step's temporaries, it left the heap
+    # to be released and faulted in again every step (several times the page faults
+    # of a batch-16 training, and slower than a fresh buffer per step)
+    grads = None
 
     curve: list[float] = []
     n = len(corpus)
@@ -294,7 +305,7 @@ def train(
                 build_target(ex.gold, _example_order(ex, config.order_strategy, rng, catalog), catalog, vocab_out)
                 for ex in batch
             ]
-            loss, grads = batch_backward(params, batch, targets)
+            loss, grads = batch_backward(params, batch, targets, grads)
             epoch_loss += loss
             epoch_tokens += sum(map(len, targets))
             grads.flat *= 1.0 / len(batch)  # the update follows the batch's mean gradient

@@ -6,11 +6,13 @@ import pytest
 from ettag.catalog import EOS, SEP, UNK, EntityCatalog, tokenize
 from ettag.decoding import (
     DecodeConfig,
+    _top_k,
     beam_decode,
     greedy_decode,
     parse_output,
 )
 from ettag.errors import InvalidConfig, NoFinishedHypothesis, ScorerContractViolation
+from ettag.trie import allowed_tokens
 
 from helpers import (
     OracleScorer,
@@ -150,6 +152,56 @@ def test_ragged_fallback_rows_enforced():
         beam_decode(Ragged(), trie, [], DecodeConfig(beam_size=2))
 
 
+@pytest.fixture(params=["partial-past-k", "default-cut-over"])
+def full_sort_max(request, monkeypatch):
+    """Runs a test with the partial selection taking every step of more than
+    k candidates, and with the decoder's own cut-over."""
+    if request.param == "partial-past-k":
+        monkeypatch.setattr("ettag.decoding._FULL_SORT_MAX", 0)
+
+
+class TestTopK:
+    """``_top_k`` keeps exactly the first k of the full stable sort."""
+
+    @staticmethod
+    def _step(rng, n, kind):
+        # tokens ascend within each parent row and repeat across rows, as in a beam step
+        sizes = rng.multinomial(n, np.full(4, 0.25))
+        cand = np.concatenate([np.sort(rng.choice(max(n, 8), size=s, replace=False)) for s in sizes])
+        if kind == "continuous":
+            neg = rng.normal(size=n)
+        elif kind == "quantized":  # few distinct scores, so ties straddle the k-th one
+            neg = rng.integers(0, 4, size=n) * 0.25
+        elif kind == "signed-zero":
+            neg = rng.choice([-0.0, 0.0, 0.5], size=n)
+        else:
+            neg = np.full(n, 1.5)
+        return neg, cand.astype(np.int64)
+
+    @pytest.mark.parametrize("kind", ["continuous", "quantized", "signed-zero", "constant"])
+    def test_matches_the_full_sort(self, kind, full_sort_max):
+        rng = np.random.default_rng(["continuous", "quantized", "signed-zero", "constant"].index(kind))
+        straddled = 0
+        for k in (1, 2, 3, 5, 20):
+            for n in sorted({max(k - 1, 1), k, k + 1, 3 * k, 97, 400, 401, 3200}):
+                for _ in range(5):
+                    neg, cand = self._step(rng, n, kind)
+                    want = np.lexsort((cand, neg))[:k]
+                    got = _top_k(neg, cand, k)
+                    assert got.tolist() == want.tolist(), (k, n)
+                    if n > k:
+                        straddled += (neg <= np.sort(neg)[k - 1]).sum() > k
+        if kind != "continuous":
+            assert straddled > 0
+
+    def test_negative_and_positive_zero_tie(self, full_sort_max):
+        # -0.0 == 0.0, so their order is the token's, then the index's
+        neg = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0])
+        cand = np.array([3, 3, 0, 1, 2, 7])
+        assert _top_k(neg, cand, 3).tolist() == [5, 3, 4]
+        assert _top_k(neg, cand, 4).tolist() == [5, 3, 4, 0]
+
+
 class TestBeam:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_per_hypothesis_reference(self, seed):
@@ -169,6 +221,21 @@ class TestBeam:
                     continue
                 assert [t for t, _ in got] == [t for t, _ in want]
                 np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("beam", [2, 5, 20])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_reference_on_wide_steps(self, seed, beam, full_sort_max):
+        # hundreds of names over 60 words: a step offers many times beam_size candidates
+        rng = np.random.default_rng(900 + seed)
+        cat, vout, trie = catalog_stack(random_catalog(rng, int(rng.integers(150, 401)), n_words=60))
+        assert len(allowed_tokens(trie, trie.start_cursor(), frozenset(), DecodeConfig(), 0)) > 2 * 20
+        scorers = (RandomScorer(len(vout), seed=seed), UniformScorer(len(vout)))
+        for scorer, switch in itertools.product(scorers, ({}, {"renormalize_constrained": False})):
+            config = DecodeConfig(**{"beam_size": beam, "max_entities": 3, **switch})
+            want = reference_beam_decode(scorer, trie, [seed], config)
+            got = beam_decode(scorer, trie, [seed], config)
+            assert [t for t, _ in got] == [t for t, _ in want]
+            np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("renormalize", [True, False])
     def test_beam_matches_exhaustive_search(self, renormalize):

@@ -351,6 +351,25 @@ class TestBatchBackward:
             assert loss == pytest.approx(want_loss, rel=1e-12)
             np.testing.assert_allclose(grads.flat, want.flat, rtol=1e-12, atol=1e-12 * np.abs(want.flat).max())
 
+    @pytest.mark.parametrize("size", [1, 4, 16])
+    def test_a_given_buffer_is_overwritten_whole(self, small_world, size):
+        # train passes one buffer to every step: no stale or NaN element may survive
+        _, vin, vout = small_world
+        rng = np.random.default_rng(40 + size)
+        params = init_params(len(vin), len(vout), d=3, k=4, seed=size)
+        buf = params.zeros_like()
+        buf.flat[:] = np.nan
+        for all_empty in (True, False):
+            pairs = random_pairs(rng, size, len(vin), len(vout), params.k)
+            if all_empty:  # no input id at all: the e_in rows are still written
+                pairs = [(ETExample("d", "", frozenset(), input=[]), t) for _, t in pairs]
+            batch, targets = [ex for ex, _ in pairs], [t for _, t in pairs]
+            loss, grads = batch_backward(params, batch, targets, buf)
+            want_loss, want = batch_backward(params, batch, targets)
+            assert grads is buf
+            assert loss == want_loss
+            assert buf.flat.tobytes() == want.flat.tobytes()
+
     def test_finite_differences_of_a_batch(self, small_world):
         # the summed loss of three examples, perturbed one weight at a time
         cat, vin, vout = small_world
