@@ -25,6 +25,7 @@ TokenSeq = list[int]
 BOS, EOS, SEP, UNK = 0, 1, 2, 3
 RESERVED_TOKENS = ("<bos>", "<eos>", "<sep>", "<unk>")
 N_RESERVED = len(RESERVED_TOKENS)
+CATALOG_FORMATS = ("plain-lines", "tsv")  # the KB file layouts EntityCatalog.load reads
 
 # Marks a token that starts a whitespace-delimited word. Tokens without the
 # marker attach directly to the previous token on detokenization.
@@ -233,7 +234,7 @@ class EntityCatalog:
         Lines beginning with '#' and fully empty lines are ignored. The TSV
         id column is external metadata; dense ids always follow file order.
         """
-        if format not in ("plain-lines", "tsv"):
+        if format not in CATALOG_FORMATS:
             raise ValueError(f"unknown catalog format {format!r}")
         with open(path, "r", encoding="utf-8") as f:
             lines = f.read().split("\n")

@@ -17,7 +17,7 @@ import sys
 from dataclasses import fields
 
 from . import __version__
-from .catalog import EntityCatalog, build_vocabularies, tokenize
+from .catalog import CATALOG_FORMATS, EntityCatalog, build_vocabularies, tokenize
 from .decoding import DecodeConfig, beam_decode, parse_output
 from .errors import ContractError, EttagError, InputError, InvalidConfig
 from .ingest import (
@@ -32,8 +32,8 @@ from .ingest import (
     read_text_jsonl,
     write_et_jsonl,
 )
-from .metrics import aggregate, format_report, prf1, score_predictions
-from .toy_model import ToyScorer, TrainConfig, load_checkpoint, save_checkpoint, train
+from .metrics import REPORT_STYLES, aggregate, format_report, prf1, score_predictions
+from .toy_model import OPTIMIZERS, ORDER_STRATEGIES, ToyScorer, TrainConfig, load_checkpoint, save_checkpoint, train
 from .trie import build_trie, load_trie_cache, save_trie_cache, trie_stats
 
 
@@ -59,6 +59,7 @@ def _load_config(path: str | None) -> dict:
 # flag dest -> the DecodeConfig/TrainConfig field or callee parameter it sets, where they differ
 _FIELD_OF = {"beam": "beam_size", "renormalize": "renormalize_constrained", "dim": "d", "window": "k",
              "kb_format": "format"}
+_BEAMS = "1,5,10,20,30"  # ablate-beam's default sweep
 
 
 def _config_value(flag: argparse.Action, section: str, val):
@@ -246,7 +247,7 @@ def _eval_decoded(eval_corpus, scorer, trie, vocab_in, config):
 
 
 def cmd_ablate_beam(args, cfg) -> int:
-    opts = _resolve(args, cfg, EntityCatalog.load, DecodeConfig, beams="1,5,10,20,30")
+    opts = _resolve(args, cfg, EntityCatalog.load, DecodeConfig, beams=_BEAMS)
     catalog, vocab_in, trie, scorer = _load_model_stack(opts)
     eval_corpus = read_et_jsonl(opts["eval"], catalog)
     try:
@@ -272,7 +273,7 @@ def cmd_ablate_beam(args, cfg) -> int:
 
 def cmd_ablate_order(args, cfg) -> int:
     opts = _resolve(args, cfg, EntityCatalog.load, build_vocabularies, TrainConfig, DecodeConfig,
-                    strategies="shuffle,mention_order,lexicographic")
+                    strategies=",".join(ORDER_STRATEGIES))
     config = _config(DecodeConfig, opts)
     catalog = _load_kb(opts)
     train_corpus = read_et_jsonl(opts["train"], catalog)
@@ -307,7 +308,7 @@ def cmd_ablate_order(args, cfg) -> int:
 
 def _add_kb_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kb", required=True, help="entity name file (one per line or TSV)")
-    p.add_argument("--kb-format", choices=["plain-lines", "tsv"], default=None)
+    p.add_argument("--kb-format", choices=CATALOG_FORMATS, default=None)
 
 
 def _add_decode_args(p: argparse.ArgumentParser) -> None:
@@ -325,7 +326,7 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--optimizer", choices=["adam", "sgd"], default=None)
+    p.add_argument("--optimizer", choices=list(OPTIMIZERS), default=None)
     p.add_argument("--dim", type=int, default=None, help="embedding dimension")
     p.add_argument("--window", type=int, default=None, help="decoder context window")
 
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     _add_kb_args(p)
     p.add_argument("--model-out", required=True)
-    p.add_argument("--order-strategy", choices=["shuffle", "mention_order", "lexicographic"], default=None)
+    p.add_argument("--order-strategy", choices=ORDER_STRATEGIES, default=None)
     p.add_argument("--min-count", type=int, default=None)
     _add_train_args(p)
     p.set_defaults(func=cmd_train)
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score predictions against gold JSONL")
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
-    p.add_argument("--style", choices=["table2", "table4"], default=None)
+    p.add_argument("--style", choices=REPORT_STYLES, default=None)
     p.add_argument("--json-out", default=None)
     p.add_argument("--dataset-name", default=None)
     p.set_defaults(func=cmd_eval)
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kb_args(p)
     p.add_argument("--kb-cache", default=None)
     p.add_argument("--eval", required=True)
-    p.add_argument("--beams", default=None, help="comma-separated beam sizes (default 1,5,10,20,30)")
+    p.add_argument("--beams", default=None, help=f"comma-separated beam sizes (default {_BEAMS})")
     p.add_argument("--out", required=True)
     _add_decode_args(p)
     p.set_defaults(func=cmd_ablate_beam)

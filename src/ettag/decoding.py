@@ -1,8 +1,9 @@
 """Greedy and beam-constrained autoregressive decoding over a token trie.
 
-The scorer is any object producing normalized next-token log-probabilities;
+The scorer is any object producing unnormalized next-token log-probabilities;
 the trie restricts each step to legal continuations, so every finished
-decode parses back into catalog entities. All tie-breaking is deterministic.
+decode parses back into catalog entities. Only the decoder normalizes, so a
+constant added to a row changes nothing. All tie-breaking is deterministic.
 Within a beam step the candidates are ranked by score (higher first), then
 token id (lower first), then the rank of their parent in the beam (lower
 first). The pool of finished hypotheses is ranked by final score (higher
@@ -21,7 +22,6 @@ from .catalog import EOS, SEP, TokenSeq
 from .errors import InvalidConfig, NoFinishedHypothesis, ScorerContractViolation, require_ints
 from .trie import TokenTrie, advance, allowed_tokens
 
-_LSE_TOL = 1e-6
 # up to this many candidates a full sort costs no more than partition, select
 # and sort: they cross between 384 and 512 candidates at beams 5 and 20, at
 # about 10 us each (numpy 2.4, 2-core Xeon VM), and below that the partial
@@ -32,10 +32,10 @@ _FULL_SORT_MAX = 400
 class Scorer(Protocol):
     """Contract for pluggable autoregressive models.
 
-    A scorer may also define ``next_logprobs_batch(encoding, prefixes)``: for
-    a [B, t] matrix of equal-length prefixes it returns the [B, V] matrix
-    whose rows are their ``next_logprobs``. Without it the decoder calls
-    ``next_logprobs`` once per row.
+    ``next_logprobs`` returns V finite, unnormalized log-probabilities. A
+    scorer may also define ``next_logprobs_batch(encoding, prefixes)``: the
+    [B, V] matrix of the ``next_logprobs`` of a [B, t] matrix of equal-length
+    prefixes. Without it the decoder calls ``next_logprobs`` once per row.
     """
 
     def encode(self, input_ids: Sequence[int]) -> Any: ...
@@ -60,30 +60,27 @@ class DecodeConfig:
                 raise InvalidConfig(f"{name} must be true or false, got {getattr(self, name)!r}")
 
 
-def _checked_logprobs(score_batch: Callable, encoding: Any, prefixes: np.ndarray) -> np.ndarray:
-    """The [B, V] next-token log-probabilities of the B prefixes, every row
-    checked to be finite and to sum to one."""
-    lp = score_batch(encoding, prefixes)
+def _checked_logits(score_batch: Callable, encoding: Any, prefixes: np.ndarray, vocab_size: int) -> np.ndarray:
+    """The [B, V] next-token logits of the B prefixes, checked to be finite."""
+    logits = score_batch(encoding, prefixes)
     try:
-        lp = np.asarray(lp, dtype=np.float64)
+        logits = np.asarray(logits, dtype=np.float64)
     except ValueError:  # rows of different lengths
-        raise ScorerContractViolation("logprob rows differ in length") from None
-    if lp.ndim != 2 or len(lp) != len(prefixes):
-        raise ScorerContractViolation(f"logprob matrix has shape {lp.shape} for {len(prefixes)} prefixes")
-    if not np.isfinite(lp).all():
-        raise ScorerContractViolation("non-finite log-probabilities")
-    # one shift for all rows: a valid row's maximum is at least -ln V, so only
-    # an invalid row can sit high enough above another to underflow its sum
-    m = lp.max()
-    lse = m + np.log(np.exp(lp - m).sum(axis=1))
-    if np.abs(lse).max() > _LSE_TOL:
-        raise ScorerContractViolation(f"log-probabilities sum to exp({lse[np.abs(lse).argmax()]}), not 1")
-    return lp
+        raise ScorerContractViolation("next-token logit rows differ in length") from None
+    if logits.shape != (len(prefixes), vocab_size):
+        raise ScorerContractViolation(f"logits have shape {logits.shape}, not ({len(prefixes)}, {vocab_size})")
+    if not np.isfinite(logits).all():
+        raise ScorerContractViolation("non-finite next-token logits")
+    return logits
 
 
-def _renormalized(vals: np.ndarray, rows: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """``vals`` minus the log-sum-exp of its row's segment; ``rows`` is the
-    row of each value and ``sizes`` the length of each row's segment."""
+def _normalized(logits: np.ndarray, rows: np.ndarray, cand: np.ndarray, sizes: list[int], allowed_only: bool):
+    """``logits[rows, cand]`` minus the log-sum-exp of each row's candidates
+    (``sizes`` counts them per row) if ``allowed_only``, else of its whole row."""
+    vals = logits[rows, cand]
+    if not allowed_only:
+        m = logits.max(axis=1)
+        return vals - (m + np.log(np.exp(logits - m[:, None]).sum(axis=1)))[rows]
     if len(sizes) == 1:  # np.sum's pairwise order keeps beam 1 bit-identical to per-row scoring
         m = vals.max()
         return vals - (m + np.log(np.exp(vals - m).sum()))
@@ -156,10 +153,8 @@ def beam_decode(
             cand, rows = allowed[0], np.zeros(sizes[0], dtype=np.intp)
         else:
             cand, rows = np.concatenate(allowed), np.arange(len(sizes)).repeat(sizes)
-        vals = _checked_logprobs(score_batch, encoding, tokens[: len(sizes), :t])[rows, cand]
-        if config.renormalize_constrained:
-            vals = _renormalized(vals, rows, sizes)
-        cand_scores = scores[rows] + vals
+        logits = _checked_logits(score_batch, encoding, tokens[: len(sizes), :t], trie.vocab_size)
+        cand_scores = scores[rows] + _normalized(logits, rows, cand, sizes, config.renormalize_constrained)
         if beam_size == 1:  # the first maximum: a row's tokens ascend, so ties go to the lowest id
             top = cand_scores.argmax(keepdims=True)
         else:

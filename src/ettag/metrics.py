@@ -13,6 +13,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptyDataset
 
+REPORT_STYLES = ("table2", "table4")
+
 
 @dataclass(frozen=True)
 class DocScore:
@@ -125,7 +127,7 @@ def format_report(reports: Mapping[str, DatasetReport], style: str = "table2") -
     style=table2: one F1 column per dataset plus the cross-dataset average.
     style=table4: P and R columns per dataset plus macro-averaged P and R.
     """
-    if style not in ("table2", "table4"):
+    if style not in REPORT_STYLES:
         raise ValueError(f"unknown report style {style!r}")
     if not reports:
         raise EmptyDataset("nothing to format")

@@ -78,15 +78,15 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def next_logprobs(params: ToyModelParams, encoding: np.ndarray, prefixes) -> np.ndarray:
-    """[B, V_out] normalized log-probabilities of the token after each of the
-    B equal-length prefixes (a [B, t] token matrix), in one matmul."""
+    """[B, V_out] unnormalized log-probabilities (logits) of the token after
+    each of the B equal-length prefixes (a [B, t] token matrix), in one matmul."""
     prefixes = np.asarray(prefixes, dtype=np.int64)
     (b, t), k = prefixes.shape, params.k
     pad = max(k - t, 0)
     ctx = np.empty((b, k), dtype=np.int64)  # the last k tokens, BOS-padded on the left
     ctx[:, :pad] = BOS
     ctx[:, pad:] = prefixes[:, t - k + pad:]
-    return _log_softmax(_features(params, encoding[None].repeat(b, axis=0), ctx) @ params.w + params.b)
+    return _features(params, encoding[None].repeat(b, axis=0), ctx) @ params.w + params.b
 
 
 def build_target(
@@ -191,9 +191,9 @@ class TrainConfig:
     epochs: int = 50
     seed: int = 0
     lr: float = 1e-2
-    order_strategy: str = "shuffle"  # shuffle | mention_order | lexicographic
+    order_strategy: str = "shuffle"  # one of ORDER_STRATEGIES
     batch_size: int = 1
-    optimizer: str = "adam"  # adam(0.9, 0.999, 1e-8) | sgd
+    optimizer: str = "adam"  # a key of OPTIMIZERS
     d: int = 32
     k: int = 3
 
@@ -203,9 +203,9 @@ class TrainConfig:
         lr = self.lr
         if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 < lr < math.inf:
             raise InvalidConfig(f"lr must be a finite number > 0, got {lr!r}")
-        if self.order_strategy not in ("shuffle", "mention_order", "lexicographic"):
+        if self.order_strategy not in ORDER_STRATEGIES:
             raise InvalidConfig(f"unknown order_strategy {self.order_strategy!r}")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise InvalidConfig(f"unknown optimizer {self.optimizer!r}")
 
 
@@ -258,6 +258,8 @@ def _example_order(
     return [base[i] for i in perm]
 
 
+OPTIMIZERS = {"adam": _Adam, "sgd": _Sgd}
+ORDER_STRATEGIES = ("shuffle", "mention_order", "lexicographic")
 # an epoch whose mean loss exceeds this multiple of the uniform model's has diverged
 _DIVERGED = 10.0
 
@@ -286,7 +288,7 @@ def train(
             ex.require_order()
     rng = np.random.default_rng(config.seed)
     params = init_params(len(vocab_in), len(vocab_out), config.d, config.k, seed=config.seed)
-    opt = (_Adam if config.optimizer == "adam" else _Sgd)(params.flat, config.lr)
+    opt = OPTIMIZERS[config.optimizer](params.flat, config.lr)
     # the first step allocates the gradient buffer and each later one rewrites it
     # whole; allocated up front, before any step's temporaries, it left the heap
     # to be released and faulted in again every step (several times the page faults

@@ -66,6 +66,7 @@ class TokenTrie:
     entity_rank: np.ndarray   # int64 [n_entities], catalog id -> rank
     entity_count: int
     max_depth: int
+    vocab_size: int           # output vocabulary size, the width of a scorer row
 
     @classmethod
     def from_arrays(
@@ -145,6 +146,7 @@ class TokenTrie:
             entity_rank=entity_rank,
             entity_count=n_entities,
             max_depth=len(levels) - 1,
+            vocab_size=vocab_size,
         )
 
     @property

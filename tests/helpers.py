@@ -6,7 +6,8 @@ per-example backward and training loop that batched training must reproduce.
 
 The oracles here deliberately avoid the trie/decoder code paths: the legal
 output language is enumerated straight from the name token sequences, and
-exhaustive-search scoring renormalizes over oracle-derived allowed sets.
+exhaustive-search scoring normalizes each scorer row itself, over the
+oracle-derived allowed set or over the whole row, as the decoder does.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def oracle_sequence_score(
             m = vals.max()
             total += lp[tok] - (m + np.log(np.exp(vals - m).sum()))
         else:
-            total += lp[tok]
+            total += log_softmax(lp)[tok]
     return float(total)
 
 
@@ -312,25 +313,24 @@ class Hypothesis:
         return self.score
 
 
-def _checked_logprobs(scorer, encoding, prefix) -> np.ndarray:
+def _checked_logprobs(scorer, encoding, prefix, vocab_size: int) -> np.ndarray:
+    """The scorer's unnormalized row for this prefix: V finite values."""
     lp = np.asarray(scorer.next_logprobs(encoding, prefix), dtype=np.float64)
-    if lp.ndim != 1:
+    if lp.shape != (vocab_size,):
         raise ScorerContractViolation(f"logprob vector has shape {lp.shape}")
     if not np.all(np.isfinite(lp)):
         raise ScorerContractViolation("non-finite log-probabilities")
-    m = lp.max()
-    lse = m + np.log(np.exp(lp - m).sum())
-    if abs(lse) > 1e-6:
-        raise ScorerContractViolation(f"log-probabilities sum to exp({lse}), not 1")
     return lp
 
 
 def _step_logprobs(lp: np.ndarray, allowed: np.ndarray, config: DecodeConfig) -> np.ndarray:
+    """The allowed tokens' log-probabilities, normalized over the allowed
+    tokens or, with renormalization off, over the whole row."""
+    if not config.renormalize_constrained:
+        return log_softmax(lp)[allowed]
     vals = lp[allowed]
-    if config.renormalize_constrained:
-        m = vals.max()
-        vals = vals - (m + np.log(np.exp(vals - m).sum()))
-    return vals
+    m = vals.max()
+    return vals - (m + np.log(np.exp(vals - m).sum()))
 
 
 def _extend(trie: TokenTrie, hyp: Hypothesis, token: int, score: float) -> Hypothesis:
@@ -366,7 +366,7 @@ def _extend(trie: TokenTrie, hyp: Hypothesis, token: int, score: float) -> Hypot
 
 def reference_beam_decode(scorer, trie: TokenTrie, input_ids, config: DecodeConfig):
     """Constrained beam search one hypothesis at a time: one scorer call,
-    contract check and renormalization per hypothesis, one immutable
+    contract check and normalization per hypothesis, one immutable
     Hypothesis per kept candidate. ``ettag.decoding.beam_decode`` does the
     same search on the whole beam at once and must return the same ranking."""
     beam_size = config.beam_size
@@ -382,7 +382,7 @@ def reference_beam_decode(scorer, trie: TokenTrie, input_ids, config: DecodeConf
             allowed = allowed_tokens(trie, hyp.cursor, hyp.emitted, config, hyp.n_names)
             if len(allowed) == 0:
                 continue
-            lp = _checked_logprobs(scorer, encoding, hyp.tokens)
+            lp = _checked_logprobs(scorer, encoding, hyp.tokens, trie.vocab_size)
             vals = _step_logprobs(lp, allowed, config)
             scores_parts.append(hyp.score + vals)
             tokens_parts.append(allowed)

@@ -21,6 +21,7 @@ from helpers import (
     brute_force_language,
     catalog_stack,
     exhaustive_best,
+    log_softmax,
     name_token_seqs,
     oracle_prefix_allowed,
     random_catalog,
@@ -65,28 +66,34 @@ class TestGreedy:
             greedy_decode(UniformScorer(len(vout)), trie, [], DecodeConfig(beam_size=1, max_tokens=2))
 
     def test_scorer_contract_enforced(self):
-        cat, vout, trie = catalog_stack(EntityCatalog(["Earth"]))
+        cat, vout, trie = catalog_stack(EntityCatalog(["a b", "a c", "d"]))
 
-        class Unnormalized:
+        class Constant:
+            """Rows of one value of any size: unnormalized, yet uniform."""
+
+            def __init__(self, value, width):
+                self.value, self.width = value, width
+
             def encode(self, ids):
                 return None
 
             def next_logprobs(self, enc, prefix):
-                return np.zeros(len(vout))
+                return np.full(self.width, self.value)
 
-        class NonFinite:
-            def encode(self, ids):
-                return None
-
+        class NonFinite(Constant):
             def next_logprobs(self, enc, prefix):
-                v = np.full(len(vout), -np.log(len(vout)))
-                v[0] = np.nan
+                v = super().next_logprobs(enc, prefix)
+                v[0] = np.nan  # BOS, never an allowed token, is checked too
                 return v
 
-        with pytest.raises(ScorerContractViolation):
-            greedy_decode(Unnormalized(), trie, [], DecodeConfig(beam_size=1))
-        with pytest.raises(ScorerContractViolation):
-            greedy_decode(NonFinite(), trie, [], DecodeConfig(beam_size=1))
+        for config in (DecodeConfig(beam_size=1), DecodeConfig(beam_size=3, renormalize_constrained=False)):
+            want = beam_decode(UniformScorer(len(vout)), trie, [], config)
+            got = beam_decode(Constant(0.0, len(vout)), trie, [], config)
+            assert [t for t, _ in got] == [t for t, _ in want]
+            np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-12)
+            for bad in (NonFinite(0.0, len(vout)), Constant(0.0, 3), Constant(0.0, len(vout) + 1)):
+                with pytest.raises(ScorerContractViolation):
+                    beam_decode(bad, trie, [], config)
 
 
 def _decode_or_error(decode, *args):
@@ -118,14 +125,10 @@ def _nan_row(lp):
     return lp
 
 
-def _unnormalized_row(lp):
-    lp[1] = 0.0
-    return lp
-
-
 @pytest.mark.parametrize(
-    "damage", [_nan_row, _unnormalized_row, lambda lp: lp[1:], lambda lp: lp[0]],
-    ids=["nan-row", "unnormalized-row", "missing-row", "one-dimensional"],
+    "damage",
+    [_nan_row, lambda lp: lp[:, 1:], lambda lp: np.hstack((lp, lp[:, :1])), lambda lp: lp[1:], lambda lp: lp[0]],
+    ids=["nan-row", "narrow-row", "wide-row", "missing-row", "one-dimensional"],
 )
 def test_batched_scorer_contract_enforced(damage):
     cat, vout, trie = catalog_stack(EntityCatalog(["a b", "a c", "d"]))
@@ -202,7 +205,42 @@ class TestTopK:
         assert _top_k(neg, cand, 4).tolist() == [5, 3, 4, 0]
 
 
+class _Shifted:
+    """A scorer's rows, each plus a constant of up to 100 in size that
+    depends on the prefix: the same distributions, unnormalized."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def encode(self, ids):
+        return self.base.encode(ids)
+
+    def next_logprobs(self, enc, prefix):
+        shift = np.random.default_rng(abs(hash(tuple(prefix)))).uniform(-100.0, 100.0)
+        return self.base.next_logprobs(enc, prefix) + shift
+
+
+class _ShiftedBatch(_Shifted):
+    def next_logprobs_batch(self, enc, prefixes):
+        return np.array([self.next_logprobs(enc, p) for p in prefixes.tolist()])
+
+
 class TestBeam:
+    @pytest.mark.parametrize("renormalize", [True, False])
+    @pytest.mark.parametrize("shifted", [_Shifted, _ShiftedBatch], ids=["per-row", "batch"])
+    def test_a_constant_added_to_a_row_decodes_the_same(self, shifted, renormalize):
+        # the decoder normalizes every row itself, so scores are unnormalized log-probabilities
+        for seed in range(6):
+            rng = np.random.default_rng(1300 + seed)
+            cat, vout, trie = catalog_stack(random_catalog(rng, int(rng.integers(3, 30)), n_words=30))
+            base = RandomScorer(len(vout), seed=seed)
+            for beam in (1, 2, 5):
+                config = DecodeConfig(beam_size=beam, max_entities=3, renormalize_constrained=renormalize)
+                want = beam_decode(base, trie, [seed], config)
+                got = beam_decode(shifted(base), trie, [seed], config)
+                assert [t for t, _ in got] == [t for t, _ in want]
+                np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-9)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_per_hypothesis_reference(self, seed):
         switches = [{}, {"no_repeat": False}, {"allow_empty": True}, {"renormalize_constrained": False},
@@ -311,10 +349,12 @@ def oracle_score_raw(scorer, tokens, trie, config):
     for j, tok in enumerate(tokens):
         allowed = allowed_tokens(trie, cur, emitted, config, n_names)
         lp = scorer.next_logprobs(enc, tokens[:j])
-        vals = lp[allowed]
         if config.renormalize_constrained:
+            vals = lp[allowed]
             m = vals.max()
             vals = vals - (m + np.log(np.exp(vals - m).sum()))
+        else:
+            vals = log_softmax(lp)[allowed]
         total += float(vals[list(allowed).index(tok)])
         if tok == SEP:
             emitted = emitted | {trie.terminal_entity(cur)}
