@@ -229,14 +229,14 @@ class EntityCatalog:
 
     @classmethod
     def load(cls, path, format: str = "plain-lines") -> "EntityCatalog":
-        """Load a KB file: one name per line, or TSV ``id<TAB>name``.
+        """Load a UTF-8 KB file, a leading byte-order mark skipped: one name per line, or TSV ``id<TAB>name``.
 
         Lines beginning with '#' and fully empty lines are ignored. The TSV
         id column is external metadata; dense ids always follow file order.
         """
         if format not in CATALOG_FORMATS:
             raise ValueError(f"unknown catalog format {format!r}")
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             lines = f.read().split("\n")
         names = [line for line in lines if line and not line.startswith("#")]
         if format == "tsv":

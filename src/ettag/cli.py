@@ -31,8 +31,9 @@ from .ingest import (
     read_name_sets,
     read_text_jsonl,
     write_et_jsonl,
+    write_jsonl,
 )
-from .metrics import REPORT_STYLES, aggregate, format_report, prf1, score_predictions
+from .metrics import REPORT_STYLES, format_report, score_predictions
 from .toy_model import OPTIMIZERS, ORDER_STRATEGIES, ToyScorer, TrainConfig, load_checkpoint, save_checkpoint, train
 from .trie import build_trie, load_trie_cache, save_trie_cache, trie_stats
 
@@ -109,11 +110,23 @@ def _config(cls, opts: dict, **override):
     return cls(**{**{k: v for k, v in kwargs.items() if k in names}, **override})
 
 
-def _write_runconfig(out_path: str, command: str, resolved: dict) -> None:
-    payload = {"command": command, "version": __version__, "config": resolved}
-    with open(str(out_path) + ".runconfig.json", "w", encoding="utf-8") as f:
+def _write_json(path, payload) -> None:
+    """The one JSON file layout: indent 2, sorted keys, a trailing newline."""
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True, default=str)
         f.write("\n")
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    """The one CSV layout: the csv module's dialect, floats to six decimals."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows([f"{v:.6f}" if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def _write_runconfig(out_path: str, command: str, resolved: dict) -> None:
+    _write_json(str(out_path) + ".runconfig.json", {"command": command, "version": __version__, "config": resolved})
 
 
 def _load_kb(opts: dict) -> EntityCatalog:
@@ -152,9 +165,7 @@ def cmd_convert(args, cfg) -> int:
     _write_runconfig(opts["out"], "convert", opts)
     payload = stats.as_dict()
     if opts["stats_out"]:
-        with open(opts["stats_out"], "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(opts["stats_out"], payload)
     print(json.dumps(payload))
     return 0
 
@@ -171,11 +182,7 @@ def cmd_train(args, cfg) -> int:
     params, curve = train(corpus, tc, catalog, vocab_in, vocab_out)
     model_out = opts["model_out"]
     save_checkpoint(params, model_out, vocab_in, vocab_out)
-    with open(str(model_out) + ".loss.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "mean_nll"])
-        for i, loss in enumerate(curve, 1):
-            writer.writerow([i, f"{loss:.6f}"])
+    _write_csv(str(model_out) + ".loss.csv", ["epoch", "mean_nll"], enumerate(curve, 1))
     _write_runconfig(model_out, "train", opts)
     print(json.dumps({"final_loss": curve[-1], "epochs": len(curve)}))
     return 0
@@ -210,15 +217,10 @@ def cmd_tag(args, cfg) -> int:
     catalog, vocab_in, trie, scorer = _load_model_stack(opts)
     docs = read_text_jsonl(opts["in_path"])
     results = _tag_documents(docs, scorer, trie, vocab_in, config)
-    with open(opts["out"], "w", encoding="utf-8") as f:
-        for doc_id, entities, score, dropped in results:
-            rec = {
-                "doc_id": doc_id,
-                "entities": sorted(catalog.name_of(e) for e in entities),
-                "score": score,
-                "dropped": dropped,
-            }
-            f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_jsonl(opts["out"], (
+        {"doc_id": doc_id, "entities": sorted(map(catalog.name_of, entities)), "score": score, "dropped": dropped}
+        for doc_id, entities, score, dropped in results
+    ))
     _write_runconfig(opts["out"], "tag", opts)
     print(json.dumps({"documents": len(results)}))
     return 0
@@ -232,18 +234,14 @@ def cmd_eval(args, cfg) -> int:
     name = opts["dataset_name"]
     print(format_report({name: report}, style=opts["style"]))
     if opts["json_out"]:
-        with open(opts["json_out"], "w", encoding="utf-8") as f:
-            json.dump({name: report.as_dict()}, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(opts["json_out"], {name: report.as_dict()})
         _write_runconfig(opts["json_out"], "eval", opts)
     return 0
 
 
 def _eval_decoded(eval_corpus, scorer, trie, vocab_in, config):
-    docs = [(ex.doc_id, ex.text) for ex in eval_corpus]
-    results = _tag_documents(docs, scorer, trie, vocab_in, config)
-    gold_by_id = {ex.doc_id: ex.gold for ex in eval_corpus}
-    return aggregate([prf1(ents, gold_by_id[doc_id]) for doc_id, ents, _, _ in results])
+    results = _tag_documents([(ex.doc_id, ex.text) for ex in eval_corpus], scorer, trie, vocab_in, config)
+    return score_predictions({r[0]: r[1] for r in results}, {ex.doc_id: ex.gold for ex in eval_corpus})
 
 
 def cmd_ablate_beam(args, cfg) -> int:
@@ -261,11 +259,7 @@ def cmd_ablate_beam(args, cfg) -> int:
         config = _config(DecodeConfig, opts, beam_size=beam)
         report = _eval_decoded(eval_corpus, scorer, trie, vocab_in, config)
         rows.append((beam, report.micro.f1, report.macro_f1))
-    with open(opts["out"], "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["beam", "micro_f1", "macro_f1"])
-        for beam, micro, macro in rows:
-            writer.writerow([beam, f"{micro:.6f}", f"{macro:.6f}"])
+    _write_csv(opts["out"], ["beam", "micro_f1", "macro_f1"], rows)
     _write_runconfig(opts["out"], "ablate-beam", opts)
     print(json.dumps({"beams": beams, "micro_f1": [r[1] for r in rows]}))
     return 0
@@ -292,11 +286,7 @@ def cmd_ablate_order(args, cfg) -> int:
         params, curve = train(bound, tc, catalog, vocab_in, vocab_out)
         report = _eval_decoded(eval_corpus, ToyScorer(params), trie, vocab_in, config)
         rows.append((strategy, report.micro.f1, report.macro_f1, curve[-1]))
-    with open(opts["out"], "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["strategy", "micro_f1", "macro_f1", "final_loss"])
-        for strategy, micro, macro, loss in rows:
-            writer.writerow([strategy, f"{micro:.6f}", f"{macro:.6f}", f"{loss:.6f}"])
+    _write_csv(opts["out"], ["strategy", "micro_f1", "macro_f1", "final_loss"], rows)
     _write_runconfig(opts["out"], "ablate-order", opts)
     print(json.dumps({r[0]: r[1] for r in rows}))
     return 0

@@ -57,6 +57,13 @@ def jsonl_records(path, key: str) -> Iterator[dict]:
             yield rec
 
 
+def write_jsonl(path, records: Iterable[dict]) -> None:
+    """One JSON object per line; non-ASCII characters are written as themselves."""
+    with open(path, "w", encoding="utf-8") as f:
+        for rec in records:
+            f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+
+
 def _names(rec: dict, rid: str, field: str) -> list[str]:
     value = rec.get(field)
     if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
@@ -361,17 +368,15 @@ def read_name_sets(path, field: str) -> dict[str, set[str]]:
 
 
 def write_et_jsonl(examples: Iterable[ETExample], path, catalog: EntityCatalog) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for ex in examples:
-            rec = {
-                "doc_id": ex.doc_id,
-                "text": ex.text,
-                "gold": sorted(catalog.name_of(e) for e in ex.gold),
-                "gold_order": None
-                if ex.gold_order is None
-                else [catalog.name_of(e) for e in ex.gold_order],
-            }
-            f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_jsonl(path, (
+        {
+            "doc_id": ex.doc_id,
+            "text": ex.text,
+            "gold": sorted(map(catalog.name_of, ex.gold)),
+            "gold_order": None if ex.gold_order is None else list(map(catalog.name_of, ex.gold_order)),
+        }
+        for ex in examples
+    ))
 
 
 def read_et_jsonl(path, catalog: EntityCatalog) -> list[ETExample]:

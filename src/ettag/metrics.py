@@ -13,7 +13,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptyDataset
 
-REPORT_STYLES = ("table2", "table4")
+# report style -> the statistics it reports: table2 F1, table4 P and R
+REPORT_STYLES = {"table2": ("f1",), "table4": ("precision", "recall")}
 
 
 @dataclass(frozen=True)
@@ -98,10 +99,13 @@ def score_predictions(
     return aggregate([prf1(preds[doc], golds[doc]) for doc in sorted(golds)])
 
 
-def _dataset_f1(report, which: str) -> float:
-    if isinstance(report, (int, float)):
+_LABELS = {"f1": "F1", "precision": "P", "recall": "R"}
+
+
+def _statistic(report, which: str, stat: str) -> float:
+    if stat == "f1" and isinstance(report, (int, float)):
         return float(report)
-    return report.micro.f1 if which == "micro" else report.macro_f1
+    return getattr(report.micro, stat) if which == "micro" else getattr(report, f"macro_{stat}")
 
 
 def cross_dataset_average(
@@ -113,56 +117,31 @@ def cross_dataset_average(
         raise EmptyDataset("no datasets to average")
     if which not in ("micro", "macro"):
         raise ValueError(f"unknown aggregation {which!r}")
-    vals = [_dataset_f1(r, which) for r in reports.values()]
+    vals = [_statistic(r, which, "f1") for r in reports.values()]
     return sum(vals) / len(vals)
 
 
-def _fmt_row(cells: Sequence[str], widths: Sequence[int]) -> str:
-    return "  ".join(c.rjust(w) for c, w in zip(cells, widths))
+def format_report(reports: Mapping[str, "DatasetReport | float"], style: str = "table2") -> str:
+    """Fixed-width text table, one decimal place, percent scale: a row per
+    aggregation, a column per (dataset, statistic), then each statistic's
+    unweighted mean over the datasets in an Avg. column.
 
-
-def format_report(reports: Mapping[str, DatasetReport], style: str = "table2") -> str:
-    """Fixed-width text table, one decimal place, percent scale.
-
-    style=table2: one F1 column per dataset plus the cross-dataset average.
-    style=table4: P and R columns per dataset plus macro-averaged P and R.
+    style=table2: one F1 column per dataset (a bare number is a published F1),
+    so Avg. is the ``cross_dataset_average``.
+    style=table4: P and R columns per dataset.
     """
     if style not in REPORT_STYLES:
         raise ValueError(f"unknown report style {style!r}")
     if not reports:
         raise EmptyDataset("nothing to format")
-    names = list(reports)
-
-    def pct(x: float) -> str:
-        return f"{100.0 * x:.1f}"
-
-    rows: list[list[str]] = []
-    if style == "table2":
-        header = ["aggregation", *names, "Avg."]
-        for which in ("micro", "macro"):
-            vals = [_dataset_f1(reports[n], which) for n in names]
-            avg = cross_dataset_average(reports, which)
-            rows.append([f"{which}-F1", *[pct(v) for v in vals], pct(avg)])
-    else:
-        header = ["aggregation"]
-        for n in names:
-            header += [f"{n} P", f"{n} R"]
-        header += ["Avg. P", "Avg. R"]
-        for which in ("micro", "macro"):
-            cells = [f"{which}-P/R"]
-            ps, rs = [], []
-            for n in names:
-                rep = reports[n]
-                p = rep.micro.precision if which == "micro" else rep.macro_precision
-                r = rep.micro.recall if which == "micro" else rep.macro_recall
-                ps.append(p)
-                rs.append(r)
-                cells += [pct(p), pct(r)]
-            cells += [pct(sum(ps) / len(ps)), pct(sum(rs) / len(rs))]
-            rows.append(cells)
-
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
-    lines = [_fmt_row(header, widths)]
-    lines.append("  ".join("-" * w for w in widths))
-    lines.extend(_fmt_row(r, widths) for r in rows)
-    return "\n".join(lines)
+    stats = REPORT_STYLES[style]
+    suffix = {s: "" if len(stats) == 1 else f" {_LABELS[s]}" for s in stats}
+    header = ["aggregation", *(f"{n}{suffix[s]}" for n in reports for s in stats), *(f"Avg.{suffix[s]}" for s in stats)]
+    rows = []
+    for which in ("micro", "macro"):
+        cols = [[_statistic(r, which, s) for r in reports.values()] for s in stats]
+        cells = [x for per_dataset in zip(*cols) for x in per_dataset] + [sum(c) / len(c) for c in cols]
+        rows.append([f"{which}-{'/'.join(_LABELS[s] for s in stats)}", *(f"{100.0 * x:.1f}" for x in cells)])
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    lines = [header, ["-" * w for w in widths], *rows]
+    return "\n".join("  ".join(c.rjust(w) for c, w in zip(line, widths)) for line in lines)

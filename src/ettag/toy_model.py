@@ -111,9 +111,9 @@ def build_target(
 
 
 def sample_permutation(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Uniform permutation of range(m) drawn from the given stream."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    """Uniform permutation of range(m) drawn from the given stream (empty, drawing nothing, at m = 0)."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
     return rng.permutation(m)
 
 

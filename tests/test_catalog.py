@@ -193,6 +193,20 @@ class TestCatalog:
         # external ids are metadata; dense ids follow file order
         assert cat.id_of("Earth") == 0 and cat.id_of("Parsec") == 1
 
+    @pytest.mark.parametrize("fmt, text", [
+        ("plain-lines", "# my kb\nEarth\nParsec\n"),
+        ("plain-lines", "Earth\nParsec\n"),
+        ("tsv", "17\tEarth\n99\tParsec\n"),
+    ], ids=["comment-first", "name-first", "tsv"])
+    def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path, fmt, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        want, got = EntityCatalog.load(plain, format=fmt), EntityCatalog.load(marked, format=fmt)
+        assert list(got) == list(want) == ["Earth", "Parsec"]
+        assert got.content_hash() == want.content_hash()
+
     def test_tsv_requires_tab(self, tmp_path):
         path = tmp_path / "kb.tsv"
         path.write_text("Earth\n", encoding="utf-8")

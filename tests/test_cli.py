@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ from ettag.cli import _FIELD_OF, build_parser, main
 from ettag.decoding import DecodeConfig
 from ettag.ingest import read_et_jsonl, write_et_jsonl
 from ettag.synthetic import synthetic_benchmark
-from ettag.toy_model import _CHECKPOINT, TrainConfig, load_checkpoint, save_checkpoint
+from ettag.toy_model import _CHECKPOINT, ORDER_STRATEGIES, TrainConfig, load_checkpoint, save_checkpoint
 
 from helpers import write_aida_file
 
@@ -385,6 +386,24 @@ class TestErrorHandling:
         assert len(err) == 1
         assert json.loads(err[0]) == {"error": "InputError", "message": "empty training corpus"}
         assert list(tmp_path.iterdir()) == [empty]
+
+    @pytest.mark.parametrize("strategy", ORDER_STRATEGIES)
+    def test_an_empty_gold_set_trains(self, tmp_path, capsys, strategy):
+        # convert --keep-empty writes such examples; their target is <eos> alone
+        kb = tmp_path / "kb.txt"
+        kb.write_text("red fox\nblue jay\n", encoding="utf-8")
+        corpus = tmp_path / "train.jsonl"
+        corpus.write_text(
+            json.dumps({"doc_id": "a", "text": "a red fox", "gold": ["red fox"], "gold_order": ["red fox"]}) + "\n"
+            + json.dumps({"doc_id": "b", "text": "nothing here", "gold": [], "gold_order": []}) + "\n",
+            encoding="utf-8",
+        )
+        common = ["--kb", str(kb), "--epochs", "2", "--dim", "4", "--window", "2"]
+        assert main(["train", "--train", str(corpus), "--model-out", str(tmp_path / "m.bin"),
+                     "--order-strategy", strategy, *common]) == 0
+        assert main(["ablate-order", "--train", str(corpus), "--eval", str(corpus), "--out", str(tmp_path / "o.csv"),
+                     "--strategies", strategy, *common]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_truncated_checkpoint_exit_1(self, world, tmp_path, capsys):
         model = tmp_path / "cut.bin"
@@ -827,3 +846,82 @@ def test_console_script_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["entity_count"] == 2
+
+
+# Names, document ids and texts outside ASCII, so the JSONL layout shows whether
+# they are written as themselves or as \u escapes.
+UNICODE_NAMES = ["Zürich", "São Paulo", "Ærø"]
+UNICODE_DOCS = [
+    ("dóc-1", "Zürich und São Paulo", [(0, 6, "Zürich"), (11, 20, "São Paulo")]),
+    ("dóc-2", "Ærø near Zürich", [(0, 3, "Ærø"), (9, 15, "Zürich")]),
+    ("dóc-3", "São Paulo", [(0, 9, "São Paulo")]),
+]
+
+
+@pytest.fixture(scope="module")
+def unicode_run(tmp_path_factory):
+    """The directory in which every command that writes a text output ran once, on a non-ASCII KB."""
+    root = tmp_path_factory.mktemp("layout")
+    (root / "kb.txt").write_text("".join(n + "\n" for n in UNICODE_NAMES), encoding="utf-8")
+    (root / "el.jsonl").write_text("".join(
+        json.dumps({"doc_id": d, "text": t, "mentions": [{"start": s, "end": e, "entity": n} for s, e, n in ms]}) + "\n"
+        for d, t, ms in UNICODE_DOCS
+    ), encoding="utf-8")
+    kb, et, model = (str(root / n) for n in ("kb.txt", "et.jsonl", "model.bin"))
+    train = ["--epochs", "3", "--seed", "0", "--dim", "8"]
+    for argv in (
+        ["convert", "--format", "el-jsonl", "--in", str(root / "el.jsonl"), "--out", et, "--kb", kb,
+         "--stats-out", str(root / "stats.json")],
+        ["train", "--train", et, "--kb", kb, "--model-out", model, *train],
+        ["tag", "--model", model, "--kb", kb, "--in", et, "--out", str(root / "pred.jsonl"), "--beam", "2"],
+        ["eval", "--pred", str(root / "pred.jsonl"), "--gold", et, "--json-out", str(root / "report.json")],
+        ["ablate-beam", "--model", model, "--kb", kb, "--eval", et, "--beams", "1,2", "--out", str(root / "beam.csv")],
+        ["ablate-order", "--train", et, "--eval", et, "--kb", kb, "--out", str(root / "order.csv"), *train],
+    ):
+        assert main(argv) == 0, argv
+    return root
+
+
+class TestOutputLayouts:
+    """The byte layout of every text output, not only what a parser reads back."""
+
+    SIX_DECIMALS = r"-?\d+\.\d{6}"
+
+    @pytest.mark.parametrize("name, header, floats", [
+        ("model.bin.loss.csv", "epoch,mean_nll", [1]),
+        ("beam.csv", "beam,micro_f1,macro_f1", [1, 2]),
+        ("order.csv", "strategy,micro_f1,macro_f1,final_loss", [1, 2, 3]),
+    ])
+    def test_csv(self, unicode_run, name, header, floats):
+        raw = (unicode_run / name).read_bytes()
+        assert raw.endswith(b"\r\n")
+        lines = raw.decode("utf-8").split("\r\n")[:-1]
+        assert lines[0] == header and all("\n" not in line for line in lines)
+        assert len(lines) > 1
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert len(cells) == len(header.split(","))
+            for i in floats:
+                assert re.fullmatch(self.SIX_DECIMALS, cells[i]), line
+
+    @pytest.mark.parametrize("name", [
+        "stats.json", "report.json", "et.jsonl.runconfig.json", "model.bin.runconfig.json",
+        "pred.jsonl.runconfig.json", "report.json.runconfig.json", "beam.csv.runconfig.json",
+        "order.csv.runconfig.json",
+    ])
+    def test_json(self, unicode_run, name):
+        text = (unicode_run / name).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("name", ["et.jsonl", "pred.jsonl"])
+    def test_jsonl_writes_non_ascii_as_itself(self, unicode_run, name):
+        text = (unicode_run / name).read_text(encoding="utf-8")
+        assert text.endswith("\n") and "\\u" not in text
+        assert "dóc-1" in text and any(n in text for n in UNICODE_NAMES)
+        for line in text.splitlines():
+            assert line == json.dumps(json.loads(line), ensure_ascii=False)
+
+    def test_et_jsonl_exact_line(self, unicode_run):
+        first = (unicode_run / "et.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        assert first == ('{"doc_id": "dóc-1", "text": "Zürich und São Paulo", '
+                         '"gold": ["São Paulo", "Zürich"], "gold_order": ["Zürich", "São Paulo"]}')

@@ -260,6 +260,15 @@ class TestBeam:
                 assert [t for t, _ in got] == [t for t, _ in want]
                 np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-9)
 
+    def test_beam_1_is_bit_identical_to_per_row_scoring(self):
+        # compared with ==: at beam 1 a step's normalizer sums in np.sum's order, as per-row scoring does
+        config = DecodeConfig(beam_size=1, max_entities=3)
+        for seed in range(120):
+            rng = np.random.default_rng(1500 + seed)
+            cat, vout, trie = catalog_stack(random_catalog(rng, int(rng.integers(10, 60)), n_words=30))
+            scorer = RandomScorer(len(vout), seed=seed)
+            assert beam_decode(scorer, trie, [seed], config) == reference_beam_decode(scorer, trie, [seed], config)
+
     @pytest.mark.parametrize("beam", [2, 5, 20])
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_reference_on_wide_steps(self, seed, beam, full_sort_max):

@@ -171,19 +171,49 @@ class TestFormatReport:
         # one decimal place percentages
         for cell in lines[2].split()[1:]:
             assert "." in cell and len(cell.split(".")[1]) == 1
+        assert text == (
+            "aggregation  alpha  beta  Avg.\n"
+            "-----------  -----  ----  ----\n"
+            "   micro-F1   66.7  66.7  66.7\n"
+            "   macro-F1   65.0  66.7  65.8"
+        )
+        published = {"alpha": self.make_reports()["alpha"], "published": 0.5}
+        assert format_report(published, style="table2") == (
+            "aggregation  alpha  published  Avg.\n"
+            "-----------  -----  ---------  ----\n"
+            "   micro-F1   66.7       50.0  58.3\n"
+            "   macro-F1   65.0       50.0  57.5"
+        )
 
     def test_table4_layout(self):
         text = format_report(self.make_reports(), style="table4")
         head = text.splitlines()[0]
         assert "alpha P" in head and "alpha R" in head
         assert "Avg. P" in head and "Avg. R" in head
+        assert text == (
+            "aggregation  alpha P  alpha R  beta P  beta R  Avg. P  Avg. R\n"
+            "-----------  -------  -------  ------  ------  ------  ------\n"
+            "  micro-P/R     60.0     75.0   100.0    50.0    80.0    62.5\n"
+            "  macro-P/R     58.3     75.0   100.0    50.0    79.2    62.5"
+        )
 
     def test_table2_avg_column_matches_cross_dataset_average(self):
-        reports = self.make_reports()
-        text = format_report(reports, style="table2")
-        micro_line = text.splitlines()[2].split()
-        want = 100.0 * cross_dataset_average(reports, which="micro")
-        assert float(micro_line[-1]) == pytest.approx(want, abs=0.05)
+        # the fixed pair, then seeded report sets, some with bare-number (published) F1s
+        sets = [self.make_reports()]
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            reports = {}
+            for i in range(int(rng.integers(1, 6))):
+                if rng.random() < 0.3:
+                    reports[f"d{i}"] = float(rng.random())
+                else:
+                    counts = rng.integers(0, 5, size=(int(rng.integers(1, 5)), 3))
+                    reports[f"d{i}"] = aggregate([DocScore.from_counts(*map(int, c)) for c in counts])
+            sets.append(reports)
+        for reports in sets:
+            lines = format_report(reports, style="table2").splitlines()
+            for line, which in zip(lines[2:], ("micro", "macro")):
+                assert line.split()[-1] == f"{100.0 * cross_dataset_average(reports, which):.1f}"
 
     def test_unknown_style(self):
         with pytest.raises(ValueError):

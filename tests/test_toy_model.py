@@ -173,6 +173,13 @@ class TestSamplePermutation:
         rng = np.random.default_rng(0)
         assert sample_permutation(rng, 1).tolist() == [0]
 
+    def test_m0_is_the_empty_order_and_draws_nothing(self):
+        rng, fresh = np.random.default_rng(0), np.random.default_rng(0)
+        assert sample_permutation(rng, 0).tolist() == []
+        assert rng.random() == fresh.random()
+        with pytest.raises(ValueError):
+            sample_permutation(rng, -1)
+
     def test_uniform_chi_square(self):
         rng = np.random.default_rng(42)
         counts: dict[tuple, int] = {}
