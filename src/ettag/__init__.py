@@ -20,7 +20,7 @@ from .catalog import (
     detokenize,
     tokenize,
 )
-from .decoding import DecodeConfig, Scorer, beam_decode, greedy_decode, parse_output
+from .decoding import DecodeConfig, Scorer, beam_decode, beam_decode_many, greedy_decode, parse_output
 from .ingest import ELDocument, ETExample, el_to_et, read_et_jsonl, write_et_jsonl
 from .metrics import DatasetReport, DocScore, aggregate, cross_dataset_average, format_report, prf1
 from .toy_model import ToyModelParams, ToyScorer, TrainConfig, build_target, train
@@ -47,6 +47,7 @@ __all__ = [
     "Scorer",
     "greedy_decode",
     "beam_decode",
+    "beam_decode_many",
     "parse_output",
     "ToyModelParams",
     "ToyScorer",

@@ -18,7 +18,7 @@ from dataclasses import fields
 
 from . import __version__
 from .catalog import CATALOG_FORMATS, EntityCatalog, build_vocabularies, tokenize
-from .decoding import DecodeConfig, beam_decode, parse_output
+from .decoding import DecodeConfig, beam_decode_many, parse_output
 from .errors import ContractError, EttagError, InputError, InvalidConfig
 from .ingest import (
     aida_split,
@@ -203,9 +203,9 @@ def _load_model_stack(opts: dict):
 
 def _tag_documents(docs, scorer, trie, vocab_in, config):
     """(doc_id, entity ids, score, dropped) for each document, sorted by doc_id."""
+    ranked = beam_decode_many(scorer, trie, [tokenize(text, vocab_in, mode="input") for _, text in docs], config)
     results = []
-    for doc_id, text in docs:
-        tokens, score = beam_decode(scorer, trie, tokenize(text, vocab_in, mode="input"), config)[0]
+    for (doc_id, _), ((tokens, score), *_) in zip(docs, ranked):
         entities, dropped = parse_output(tokens, trie)
         results.append((doc_id, entities, score, dropped))
     return sorted(results, key=lambda r: r[0])

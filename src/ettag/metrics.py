@@ -128,13 +128,17 @@ def format_report(reports: Mapping[str, "DatasetReport | float"], style: str = "
 
     style=table2: one F1 column per dataset (a bare number is a published F1),
     so Avg. is the ``cross_dataset_average``.
-    style=table4: P and R columns per dataset.
+    style=table4: P and R columns per dataset, so every report must be a
+    DatasetReport; a bare number raises ValueError.
     """
     if style not in REPORT_STYLES:
         raise ValueError(f"unknown report style {style!r}")
     if not reports:
         raise EmptyDataset("nothing to format")
     stats = REPORT_STYLES[style]
+    bare = [name for name, r in reports.items() if isinstance(r, (int, float))]
+    if bare and stats != ("f1",):
+        raise ValueError(f"dataset {bare[0]!r} is a bare F1, which style {style!r} cannot show")
     suffix = {s: "" if len(stats) == 1 else f" {_LABELS[s]}" for s in stats}
     header = ["aggregation", *(f"{n}{suffix[s]}" for n in reports for s in stats), *(f"Avg.{suffix[s]}" for s in stats)]
     rows = []

@@ -79,14 +79,15 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def next_logprobs(params: ToyModelParams, encoding: np.ndarray, prefixes) -> np.ndarray:
     """[B, V_out] unnormalized log-probabilities (logits) of the token after
-    each of the B equal-length prefixes (a [B, t] token matrix), in one matmul."""
+    each of the B equal-length prefixes (a [B, t] token matrix), in one matmul.
+    ``encoding`` is one [d] encoding for every row, or a [B, d] one per row."""
     prefixes = np.asarray(prefixes, dtype=np.int64)
     (b, t), k = prefixes.shape, params.k
     pad = max(k - t, 0)
     ctx = np.empty((b, k), dtype=np.int64)  # the last k tokens, BOS-padded on the left
     ctx[:, :pad] = BOS
     ctx[:, pad:] = prefixes[:, t - k + pad:]
-    return _features(params, encoding[None].repeat(b, axis=0), ctx) @ params.w + params.b
+    return _features(params, np.broadcast_to(encoding, (b, params.d)), ctx) @ params.w + params.b
 
 
 def build_target(
@@ -334,8 +335,8 @@ class ToyScorer:
     def next_logprobs(self, encoding: np.ndarray, prefix: Sequence[int]) -> np.ndarray:
         return next_logprobs(self.params, encoding, [prefix])[0]
 
-    def next_logprobs_batch(self, encoding: np.ndarray, prefixes: np.ndarray) -> np.ndarray:
-        return next_logprobs(self.params, encoding, prefixes)
+    def next_logprobs_batch(self, encodings: Sequence[np.ndarray], prefixes: np.ndarray) -> np.ndarray:
+        return next_logprobs(self.params, np.array(encodings), prefixes)
 
 
 def _checkpoint_body_size(d: int, k: int, v_in: int, v_out: int, vocab_bytes: int) -> int:

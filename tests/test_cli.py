@@ -9,12 +9,20 @@ import sys
 import numpy as np
 import pytest
 
-from ettag.catalog import EntityCatalog, build_vocabularies, nul_terminated
+from ettag.catalog import EntityCatalog, build_vocabularies, nul_terminated, tokenize
 from ettag.cli import _FIELD_OF, build_parser, main
-from ettag.decoding import DecodeConfig
-from ettag.ingest import read_et_jsonl, write_et_jsonl
+from ettag.decoding import DecodeConfig, beam_decode, parse_output
+from ettag.ingest import read_et_jsonl, read_text_jsonl, write_et_jsonl
 from ettag.synthetic import synthetic_benchmark
-from ettag.toy_model import _CHECKPOINT, ORDER_STRATEGIES, TrainConfig, load_checkpoint, save_checkpoint
+from ettag.toy_model import (
+    _CHECKPOINT,
+    ORDER_STRATEGIES,
+    ToyScorer,
+    TrainConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
+from ettag.trie import build_trie
 
 from helpers import write_aida_file
 
@@ -139,6 +147,25 @@ class TestTagAndEval:
             assert set(r) == {"doc_id", "entities", "score", "dropped"}
             assert r["dropped"] == 0
             assert r["entities"] == sorted(r["entities"])
+
+    @pytest.mark.parametrize("beam", [1, 5])
+    def test_predictions_match_one_document_decodes(self, world, beam):
+        out = self.run_tag(world, f"pred_b{beam}.jsonl", ("--beam", str(beam)))
+        records = {r["doc_id"]: r for r in map(json.loads, out.read_text().splitlines())}
+        docs = read_text_jsonl(world["eval"])
+        catalog = EntityCatalog.load(world["kb"])
+        trie = build_trie(catalog, catalog.name_table().vocab)
+        for (doc_id, _), (tokens, score) in zip(docs, _decode_one_by_one(world, beam)):
+            entities, _ = parse_output(tokens, trie)
+            assert records[doc_id]["entities"] == sorted(map(catalog.name_of, entities))
+            assert abs(records[doc_id]["score"] - score) <= 1e-12
+
+    def test_empty_input_tags_nothing(self, world, tmp_path, capsys):
+        empty, out = tmp_path / "empty.jsonl", tmp_path / "p.jsonl"
+        empty.write_text("", encoding="utf-8")
+        assert main(_tag_argv(world, str(out), "--in", str(empty))) == 0
+        assert json.loads(capsys.readouterr().out) == {"documents": 0}
+        assert out.read_bytes() == b""
 
     def test_eval_pipes_cleanly(self, world, capsys):
         pred = self.run_tag(world, "pred_eval.jsonl")
@@ -283,6 +310,22 @@ class TestErrorHandling:
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "NoFinishedHypothesis"
+
+    def test_tag_one_unfinishable_document_exit_2(self, world, tmp_path):
+        # the documents are decoded in one group; one whose greedy decode is
+        # longer than --max-tokens stops the command as a lone document would
+        lengths = sorted(len(tokens) for tokens, _ in _decode_one_by_one(world, 1))
+        assert lengths[0] < lengths[-1]
+        out = tmp_path / "p.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ettag.cli", *_tag_argv(world, str(out), "--in", str(world["eval"])),
+             "--max-tokens", str(lengths[0])],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "NoFinishedHypothesis"
+        assert not out.exists()
 
     def test_bad_config_file_exit_1(self, world, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
@@ -639,6 +682,17 @@ class TestErrorHandling:
         argv = CONSUMERS["et"](world, str(world["eval"]), str(tmp_path / "beam.csv"))
         assert main(argv + ["--beams", beams]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+def _decode_one_by_one(world, beam):
+    """The best (tokens, score) of each document of the world's eval file, decoded alone."""
+    catalog = EntityCatalog.load(world["kb"])
+    vocab_out = catalog.name_table().vocab
+    trie = build_trie(catalog, vocab_out)
+    params, vocab_in = load_checkpoint(world["model"], vocab_out)
+    config = DecodeConfig(beam_size=beam)
+    return [beam_decode(ToyScorer(params), trie, tokenize(text, vocab_in, mode="input"), config)[0]
+            for _, text in read_text_jsonl(world["eval"])]
 
 
 def _tag_argv(world, out, flag, path):

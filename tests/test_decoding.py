@@ -8,10 +8,12 @@ from ettag.decoding import (
     DecodeConfig,
     _top_k,
     beam_decode,
+    beam_decode_many,
     greedy_decode,
     parse_output,
 )
 from ettag.errors import InvalidConfig, NoFinishedHypothesis, ScorerContractViolation
+from ettag.toy_model import ToyScorer, init_params
 from ettag.trie import allowed_tokens
 
 from helpers import (
@@ -113,7 +115,7 @@ def _uniform_batch_scorer(v, damage):
         def next_logprobs(self, enc, prefix):
             return np.full(v, -np.log(v))
 
-        def next_logprobs_batch(self, enc, prefixes):
+        def next_logprobs_batch(self, encodings, prefixes):
             lp = np.full((len(prefixes), v), -np.log(v))
             return damage(lp) if len(prefixes) >= 2 else lp
 
@@ -221,8 +223,8 @@ class _Shifted:
 
 
 class _ShiftedBatch(_Shifted):
-    def next_logprobs_batch(self, enc, prefixes):
-        return np.array([self.next_logprobs(enc, p) for p in prefixes.tolist()])
+    def next_logprobs_batch(self, encodings, prefixes):
+        return np.array([self.next_logprobs(enc, p) for enc, p in zip(encodings, prefixes.tolist())])
 
 
 class TestBeam:
@@ -344,6 +346,95 @@ class TestBeam:
             assert score == pytest.approx(
                 oracle_score_raw(UniformScorer(len(vout)), tokens, trie, config) / len(tokens)
             )
+
+
+def _scorer(kind, v, seed):
+    """RandomScorer through the per-row fallback, shifted rows through a
+    batch method, a ToyScorer whose weights are scaled up so its rows differ,
+    or a uniform scorer, whose every step is a tie."""
+    if kind == "uniform":
+        return UniformScorer(v)
+    if kind == "toy":
+        params = init_params(50, v, d=6, k=3, seed=seed)
+        params.flat *= 30.0
+        return ToyScorer(params)
+    base = RandomScorer(v, seed=seed)
+    return base if kind == "per-row" else _ShiftedBatch(base)
+
+
+class TestManyDocuments:
+    """``beam_decode_many`` decodes each document as ``beam_decode`` does alone."""
+
+    SWITCHES = [{}, {"renormalize_constrained": False}, {"length_normalize": True}, {"no_repeat": False},
+                {"allow_empty": True}]
+
+    @pytest.mark.parametrize("beam", [1, 2, 5, 20])
+    @pytest.mark.parametrize("kind", ["per-row", "batch", "toy", "uniform"])
+    def test_matches_one_document_decodes(self, kind, beam, monkeypatch):
+        rng = np.random.default_rng(2100 + beam)
+        cat, vout, trie = catalog_stack(random_catalog(rng, 25, n_words=30))
+        scorer = _scorer(kind, len(vout), beam)
+        inputs = [rng.integers(0, 50, size=int(rng.integers(0, 4))).tolist() for _ in range(11)]
+        # (rows per group, document order): one document per group, groups
+        # that split the input unevenly, and the whole input in one group
+        splits = [(1, np.arange(11)), (3 * beam, np.arange(11)[::-1]), (64, rng.permutation(11))]
+        for i, switch in enumerate(self.SWITCHES):
+            config = DecodeConfig(**{"beam_size": beam, "max_entities": 1 + i % 3, **switch})
+            want = [beam_decode(scorer, trie, ids, config) for ids in inputs]
+            for group_rows, order in splits:
+                monkeypatch.setattr("ettag.decoding._GROUP_ROWS", group_rows)
+                got = beam_decode_many(scorer, trie, [inputs[j] for j in order], config)
+                assert len(got) == len(inputs)
+                for j, ranked in zip(order, got):
+                    assert [t for t, _ in ranked] == [t for t, _ in want[j]]
+                    np.testing.assert_allclose([s for _, s in ranked], [s for _, s in want[j]], rtol=0, atol=1e-12)
+
+    def test_no_documents(self):
+        cat, vout, trie = catalog_stack(EntityCatalog(["a b", "d"]))
+        assert beam_decode_many(UniformScorer(len(vout)), trie, [], DecodeConfig()) == []
+
+    def test_one_unfinished_document_raises(self):
+        cat, vout, trie = catalog_stack(EntityCatalog(["a", "b c d e"]))
+        a, b, c, d, e = (tokenize(w, vout, mode="output")[0] for w in "abcde")
+
+        class ByInput:
+            """Input [0] is near-certain of "a" <eos> and input [1] of "b c d e" <eos>:
+            a document's encoding is its oracle."""
+
+            def encode(self, ids):
+                return OracleScorer(len(vout), [[a, EOS], [b, c, d, e, EOS]][ids[0]])
+
+            def next_logprobs(self, oracle, prefix):
+                return oracle.next_logprobs(None, prefix)
+
+        config = DecodeConfig(beam_size=1, max_tokens=3)
+        assert beam_decode_many(ByInput(), trie, [[0], [0]], config) == [beam_decode(ByInput(), trie, [0], config)] * 2
+        with pytest.raises(NoFinishedHypothesis):
+            beam_decode_many(ByInput(), trie, [[0], [1], [0]], config)
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["per-row", "batch"])
+    def test_a_bad_row_of_the_second_document_is_a_violation(self, batched):
+        cat, vout, trie = catalog_stack(EntityCatalog(["a b", "a c", "d"]))
+
+        class NanForSecond(UniformScorer):
+            """Uniform rows, except NaN rows for input [1] past the first step."""
+
+            def encode(self, ids):
+                return tuple(ids)
+
+            def next_logprobs(self, enc, prefix):
+                return np.full(self.v, np.nan if enc == (1,) and len(prefix) else -np.log(self.v))
+
+        class NanForSecondBatch(NanForSecond):
+            def next_logprobs_batch(self, encodings, prefixes):
+                return np.array([self.next_logprobs(e, p) for e, p in zip(encodings, prefixes.tolist())])
+
+        scorer = (NanForSecondBatch if batched else NanForSecond)(len(vout))
+        for beam in (1, 2):
+            config = DecodeConfig(beam_size=beam)
+            assert len(beam_decode_many(scorer, trie, [[0], [2]], config)) == 2
+            with pytest.raises(ScorerContractViolation):
+                beam_decode_many(scorer, trie, [[0], [1], [2]], config)
 
 
 def oracle_score_raw(scorer, tokens, trie, config):

@@ -215,6 +215,13 @@ class TestFormatReport:
             for line, which in zip(lines[2:], ("micro", "macro")):
                 assert line.split()[-1] == f"{100.0 * cross_dataset_average(reports, which):.1f}"
 
+    def test_table4_rejects_a_bare_number(self):
+        # a published F1 has no P or R to show
+        for reports in ({"a": 0.5}, {**self.make_reports(), "published": 0.5}):
+            name = next(n for n, r in reports.items() if isinstance(r, float))
+            with pytest.raises(ValueError, match=repr(name)):
+                format_report(reports, style="table4")
+
     def test_unknown_style(self):
         with pytest.raises(ValueError):
             format_report(self.make_reports(), style="table9")

@@ -121,7 +121,7 @@ class TestNextLogprobs:
             enc = scorer.encode([2, 3])
             for t in (0, 2, 3, 5):
                 prefixes = rng.integers(0, len(vout), size=(6, t))
-                batch = scorer.next_logprobs_batch(enc, prefixes)
+                batch = scorer.next_logprobs_batch([enc] * len(prefixes), prefixes)
                 assert batch.shape == (6, len(vout))
                 for row, prefix in zip(batch, prefixes.tolist()):
                     ctx = ([BOS] * params.k + prefix)[-params.k:]
