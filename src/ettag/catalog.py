@@ -35,12 +35,13 @@ WORD_MARK = "▁"
 def canonicalize(raw: str) -> str:
     """NFC-normalize, trim, and collapse internal whitespace runs to single spaces.
 
-    Idempotent. Raises InvalidName if nothing is left.
+    Idempotent, and ``raw`` itself when it is already canonical. Raises
+    InvalidName if nothing is left.
     """
     name = " ".join((raw if raw.isascii() else unicodedata.normalize("NFC", raw)).split())
     if not name:
         raise InvalidName(f"name is empty after normalization: {raw!r}")
-    return name
+    return raw if name == raw else name
 
 
 def _is_punct(ch: str) -> bool:
@@ -128,6 +129,19 @@ def read_vocabulary(section: bytes) -> Vocabulary | None:
     return vocab if nul_terminated(vocab.tokens) == section else None
 
 
+def read_catalog(section, count: int) -> EntityCatalog | None:
+    """The catalog whose names ``nul_terminated`` wrote as ``section``, taken
+    as checked (``EntityCatalog.from_canonical``); None unless the section is
+    strict UTF-8 holding exactly ``count`` names."""
+    try:
+        names = str(section, "utf-8").split("\0")
+    except UnicodeDecodeError:
+        return None
+    if len(names) != count + 1 or names.pop():
+        return None
+    return EntityCatalog.from_canonical(names)
+
+
 def tokenize(text: str, vocab: Vocabulary, mode: str = "input") -> TokenSeq:
     """Map text to token ids. mode='input' sends unknown tokens to UNK;
     mode='output' raises OutputOOV on anything outside the vocabulary."""
@@ -178,8 +192,17 @@ class EntityCatalog:
                 seen.add(name)
             raise DuplicateName(dups)
         self.names: tuple[str, ...] = tuple(canonical)
-        self._index = index
+        self._index: dict[str, EntityId] | None = index
         self._table: NameTable | None = None
+
+    @classmethod
+    def from_canonical(cls, names: Iterable[str]) -> EntityCatalog:
+        """The catalog of names that an earlier catalog already checked: canonical,
+        distinct and free of reserved glyphs. Nothing is checked again, and the
+        name -> id index is built on first use."""
+        catalog = cls.__new__(cls)
+        catalog.names, catalog._index, catalog._table = tuple(names), None, None
+        return catalog
 
     def __len__(self) -> int:
         return len(self.names)
@@ -188,13 +211,18 @@ class EntityCatalog:
         return iter(self.names)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index
+        return name in self._name_index()
 
     def name_of(self, entity_id: EntityId) -> str:
         return self.names[entity_id]
 
     def id_of(self, name: str) -> EntityId | None:
-        return self._index.get(name)
+        return self._name_index().get(name)
+
+    def _name_index(self) -> dict[str, EntityId]:
+        if self._index is None:
+            self._index = dict(zip(self.names, range(len(self.names))))
+        return self._index
 
     def content_hash(self) -> bytes:
         return hashlib.sha256(nul_terminated(self.names)).digest()
@@ -244,7 +272,24 @@ class EntityCatalog:
                 if line and not line.startswith("#") and "\t" not in line:
                     raise MalformedLine(line_no, "expected id<TAB>name")
             names = [line.split("\t", 1)[1] for line in names]
+        del lines  # the names alone are alive while the catalog is built
         return cls(names)
+
+
+class KBSource(NamedTuple):
+    """The KB file a catalog was read from, as a trie cache records it: the
+    SHA-256 of the file's bytes and the ``EntityCatalog.load`` format."""
+
+    sha256: bytes
+    format: str
+
+    @classmethod
+    def of(cls, path, format: str = "plain-lines") -> KBSource:
+        digest = hashlib.sha256()
+        with open(path, "rb") as f:
+            for block in iter(lambda: f.read(1 << 20), b""):
+                digest.update(block)
+        return cls(digest.digest(), format)
 
 
 def _reject_reserved_glyphs(names: list[str]) -> None:

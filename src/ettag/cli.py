@@ -17,9 +17,9 @@ import sys
 from dataclasses import fields
 
 from . import __version__
-from .catalog import CATALOG_FORMATS, EntityCatalog, build_vocabularies, tokenize
+from .catalog import CATALOG_FORMATS, EntityCatalog, KBSource, build_vocabularies, tokenize
 from .decoding import DecodeConfig, beam_decode_many, parse_output
-from .errors import ContractError, EttagError, InputError, InvalidConfig
+from .errors import ContractError, EttagError, InputError, InvalidConfig, UsageError
 from .ingest import (
     aida_split,
     convert_documents,
@@ -133,16 +133,21 @@ def _load_kb(opts: dict) -> EntityCatalog:
     return EntityCatalog.load(opts["kb"], format=opts["kb_format"])
 
 
+def _kb_source(opts: dict) -> KBSource:
+    return KBSource.of(opts["kb"], format=opts["kb_format"])
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_build_kb(args, cfg) -> int:
     opts = _resolve(args, cfg, EntityCatalog.load)
+    source = _kb_source(opts)
     catalog = _load_kb(opts)
     vocab_out = catalog.name_table().vocab
     trie = build_trie(catalog, vocab_out)
-    save_trie_cache(trie, opts["cache_out"], catalog, vocab_out)
+    save_trie_cache(trie, opts["cache_out"], catalog, vocab_out, source)
     _write_runconfig(opts["cache_out"], "build-kb", opts)
     print(json.dumps(trie_stats(trie)))
     return 0
@@ -189,12 +194,17 @@ def cmd_train(args, cfg) -> int:
 
 
 def _load_model_stack(opts: dict):
-    """catalog + input vocabulary + trie + scorer for tagging commands; the
-    output vocabulary comes with the trie cache, or is built with the trie."""
-    catalog = _load_kb(opts)
+    """catalog + input vocabulary + trie + scorer for tagging commands. The
+    catalog, trie and output vocabulary come from the trie cache, which must
+    have been built from ``--kb`` when that is given too; without a cache
+    they are built from ``--kb``."""
     if opts["kb_cache"]:
-        trie, vocab_out = load_trie_cache(opts["kb_cache"], catalog)
+        source = None if opts["kb"] is None else _kb_source(opts)
+        catalog, trie, vocab_out = load_trie_cache(opts["kb_cache"], source)
+    elif opts["kb"] is None:
+        raise UsageError("give --kb, --kb-cache or both")
     else:
+        catalog = _load_kb(opts)
         vocab_out = catalog.name_table().vocab
         trie = build_trie(catalog, vocab_out)
     params, vocab_in = load_checkpoint(opts["model"], vocab_out)
@@ -296,9 +306,20 @@ def cmd_ablate_order(args, cfg) -> int:
 # parser
 
 
-def _add_kb_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kb", required=True, help="entity name file (one per line or TSV)")
+def _add_kb_args(p: argparse.ArgumentParser, cache: bool = False) -> None:
+    """--kb and --kb-format; with ``cache`` also --kb-cache, which makes --kb optional."""
+    p.add_argument("--kb", required=not cache, help="entity name file (one per line or TSV)")
     p.add_argument("--kb-format", choices=CATALOG_FORMATS, default=None)
+    if cache:
+        p.add_argument("--kb-cache", default=None, help="trie cache from build-kb; it holds the KB's names")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a UsageError (exit 1, one JSON line) rather
+    than argparse's usage text and exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _add_decode_args(p: argparse.ArgumentParser) -> None:
@@ -322,7 +343,7 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ettag", description=__doc__)
+    parser = _Parser(prog="ettag", description=__doc__)
     parser.add_argument("--config", default=None, help="JSON config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -352,8 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tag", help="decode entity sets for documents")
     p.add_argument("--model", required=True)
-    _add_kb_args(p)
-    p.add_argument("--kb-cache", default=None)
+    _add_kb_args(p, cache=True)
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
     _add_decode_args(p)
@@ -369,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate-beam", help="F1 against beam size, CSV out")
     p.add_argument("--model", required=True)
-    _add_kb_args(p)
-    p.add_argument("--kb-cache", default=None)
+    _add_kb_args(p, cache=True)
     p.add_argument("--eval", required=True)
     p.add_argument("--beams", default=None, help=f"comma-separated beam sizes (default {_BEAMS})")
     p.add_argument("--out", required=True)
@@ -394,9 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _load_config(args.config)
         return args.func(args, cfg)
     except ContractError as exc:

@@ -20,6 +20,10 @@ class ContractError(EttagError):
     """An internal contract was violated; indicates a bug or mismatched artifacts."""
 
 
+class UsageError(InputError):
+    """The command line does not parse: an unknown or missing flag, or a bad flag value."""
+
+
 class InvalidConfig(InputError, ValueError):
     """A setting is out of range, or a config-file value has the wrong type."""
 
@@ -77,7 +81,7 @@ class EmptyDataset(InputError):
 
 
 class CacheMismatch(InputError):
-    """A cache file does not match the catalog/vocabulary it claims to index."""
+    """A trie cache is damaged or malformed, or was built from another KB file."""
 
 
 class OutputOOV(ContractError):

@@ -28,9 +28,9 @@ class SealedFormat:
             f.write(self.magic + key + digest.digest() + head)
             f.writelines(sections)
 
-    def read(self, path, key: bytes) -> tuple[tuple[int, ...], memoryview]:
-        """The dims and body of a file written with ``key``; ``error`` unless
-        the magic, the length the dims imply, the SHA-256 and then the key match."""
+    def read(self, path, key: bytes | None) -> tuple[bytes, tuple[int, ...], memoryview]:
+        """The key, dims and body of a file; ``error`` unless the magic, the length
+        the dims imply, the SHA-256 and then the key, when one is given, match."""
         with open(path, "rb") as f:
             blob = memoryview(f.read())
         start = 72 + self.dims.size
@@ -43,6 +43,6 @@ class SealedFormat:
         digest.update(blob[72:])
         if digest.digest() != blob[40:72]:
             raise self.error(f"{path}: contents do not match their SHA-256")
-        if blob[8:40] != key:
+        if key is not None and blob[8:40] != key:
             raise self.error(f"{path}: {self.what} was made for a different KB")
-        return dims, blob[start:]
+        return bytes(blob[8:40]), dims, blob[start:]

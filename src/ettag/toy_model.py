@@ -364,7 +364,7 @@ def load_checkpoint(path, vocab_out: Vocabulary) -> tuple[ToyModelParams, Vocabu
     vocabulary section spells V_in distinct tokens (reserved first) and every
     weight is finite; a checkpoint for another output vocabulary is rejected
     too."""
-    (d, k, v_in, v_out, n_vocab), body = _CHECKPOINT.read(path, vocab_out.content_hash())
+    _, (d, k, v_in, v_out, n_vocab), body = _CHECKPOINT.read(path, vocab_out.content_hash())
     vocab_in = read_vocabulary(bytes(body[:n_vocab]))
     if vocab_in is None or len(vocab_in) != v_in:
         raise CorruptCheckpoint(f"{path}: bad vocabulary section")

@@ -20,24 +20,40 @@ total number of name tokens.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .catalog import EOS, N_RESERVED, SEP, EntityCatalog, Vocabulary, nul_terminated, read_vocabulary
+from .catalog import (
+    CATALOG_FORMATS,
+    EOS,
+    N_RESERVED,
+    SEP,
+    EntityCatalog,
+    KBSource,
+    Vocabulary,
+    nul_terminated,
+    read_catalog,
+    read_vocabulary,
+)
 from .errors import CacheMismatch, DisallowedToken
 from .sealed import SealedFormat
 
 ROOT = 0
 FINISHED = -1
 
-# dims (n nodes, e edges, v vocabulary bytes); body: terminal, child counts (n),
-# child keys, child values (e) as int32, then the output vocabulary (v)
+# key: the SHA-256 of the names section, the catalog's content hash.
+# dims (n nodes, e edges, m names, v vocabulary bytes, w names bytes, f the KB
+# format's index in CATALOG_FORMATS); body: the KB file's SHA-256 (32 bytes),
+# terminal, child counts (n), child keys, child values (e) as int32, then the
+# output vocabulary (v) and the catalog's names (w), each NUL-terminated UTF-8
 _CACHE = SealedFormat(
-    b"ETRIE3\0\0", "trie cache", CacheMismatch, struct.Struct("<iii"),
-    lambda n, e, v: 8 * (n + e) + v if n >= 1 and e >= 0 and v >= 0 else -1,
+    b"ETRIE4\0\0", "trie cache", CacheMismatch, struct.Struct("<iiiiii"),
+    lambda n, e, m, v, w, f: (32 + 8 * (n + e) + v + w if n >= 1 and min(e, m, v, w) >= 0
+                              and 0 <= f < len(CATALOG_FORMATS) else -1),
 )
 
 
@@ -303,29 +319,48 @@ def trie_stats(trie: TokenTrie) -> dict[str, int]:
     }
 
 
-def save_trie_cache(trie: TokenTrie, path, catalog: EntityCatalog, vocab: Vocabulary) -> None:
-    """Write the ``ETRIE3`` cache of ``trie`` and its output vocabulary over this catalog."""
+def save_trie_cache(trie: TokenTrie, path, catalog: EntityCatalog, vocab: Vocabulary, source: KBSource) -> None:
+    """Write the ``ETRIE4`` cache of ``trie``, its output vocabulary and the
+    names of ``catalog``, read from the KB file ``source``."""
+    names = nul_terminated(catalog.names)
     sections = [
-        np.asarray(a, dtype="<i4").tobytes()
-        for a in (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)
+        source.sha256,
+        *(np.asarray(a, dtype="<i4").tobytes()
+          for a in (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)),
+        nul_terminated(vocab.tokens),
+        names,
     ]
-    sections.append(nul_terminated(vocab.tokens))
-    dims = (trie.node_count, len(trie.child_keys), len(sections[-1]))
-    _CACHE.write(path, catalog.content_hash(), dims, sections)
+    dims = (trie.node_count, len(trie.child_keys), len(catalog), len(sections[-2]), len(names),
+            CATALOG_FORMATS.index(source.format))
+    _CACHE.write(path, hashlib.sha256(names).digest(), dims, sections)
 
 
-def load_trie_cache(path, catalog: EntityCatalog) -> tuple[TokenTrie, Vocabulary]:
-    """The trie and output vocabulary of a cache written by save_trie_cache
-    for this catalog. Raises CacheMismatch unless the file is intact and
-    holds a well-formed trie over the catalog and a vocabulary covering it."""
-    (n, n_edges, _), body = _CACHE.read(path, catalog.content_hash())
-    n_ints = 2 * (n + n_edges)
-    vocab = read_vocabulary(bytes(body[4 * n_ints:]))
+def load_trie_cache(path, source: KBSource | None = None) -> tuple[EntityCatalog, TokenTrie, Vocabulary]:
+    """The catalog, trie and output vocabulary of a cache written by
+    save_trie_cache. Raises CacheMismatch unless the file is intact, was
+    built from the KB file ``source`` when one is given, and holds names that
+    hash to its key, a vocabulary covering the trie and a well-formed trie
+    over the names."""
+    key, (n, n_edges, n_names, n_vocab, _, fmt), body = _CACHE.read(path, None)
+    if source is not None:
+        if body[:32] != source.sha256:
+            raise CacheMismatch(f"{path}: built from a KB file with other bytes; rebuild it with build-kb")
+        if CATALOG_FORMATS[fmt] != source.format:
+            raise CacheMismatch(f"{path}: built from this KB file read as {CATALOG_FORMATS[fmt]!r}, "
+                                f"not {source.format!r}; rebuild it with build-kb")
+    ints_end = 32 + 8 * (n + n_edges)
+    names = body[ints_end + n_vocab:]
+    if hashlib.sha256(names).digest() != key:
+        raise CacheMismatch(f"{path}: names section does not match the key")
+    catalog = read_catalog(names, n_names)
+    if catalog is None:
+        raise CacheMismatch(f"{path}: bad names section")
+    vocab = read_vocabulary(bytes(body[ints_end: ints_end + n_vocab]))
     if vocab is None:
         raise CacheMismatch(f"{path}: bad vocabulary section")
-    ints = np.frombuffer(body, dtype="<i4", count=n_ints)
+    ints = np.frombuffer(body, dtype="<i4", offset=32, count=2 * (n + n_edges))
     terminal, counts, keys, vals = np.split(ints, [n, 2 * n, 2 * n + n_edges])
     try:
-        return TokenTrie.from_arrays(terminal, counts, keys, vals, len(catalog), len(vocab)), vocab
+        return catalog, TokenTrie.from_arrays(terminal, counts, keys, vals, n_names, len(vocab)), vocab
     except CacheMismatch as exc:
         raise CacheMismatch(f"{path}: {exc}") from None

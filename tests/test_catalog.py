@@ -20,6 +20,8 @@ from ettag.catalog import (
     build_vocabularies,
     canonicalize,
     detokenize,
+    nul_terminated,
+    read_catalog,
     tokenize,
     word_tokens,
 )
@@ -61,6 +63,10 @@ class TestCanonicalize:
             except InvalidName:
                 continue
             assert canonicalize(once) == once
+
+    @pytest.mark.parametrize("name", ["Earth", "Solar System", "P.W. Botha", "São Paulo", "éclair", "Ærø"])
+    def test_returns_its_argument_when_canonical(self, name):
+        assert canonicalize(name) is name
 
 
 class TestTokenizer:
@@ -212,6 +218,26 @@ class TestCatalog:
         path.write_text("Earth\n", encoding="utf-8")
         with pytest.raises(MalformedLine):
             EntityCatalog.load(path, format="tsv")
+
+    def test_tsv_error_names_the_file_line(self, tmp_path):
+        path = tmp_path / "kb.tsv"
+        path.write_text("# ids\n1\tEarth\n\nParsec\n", encoding="utf-8")
+        with pytest.raises(MalformedLine) as exc_info:
+            EntityCatalog.load(path, format="tsv")
+        assert exc_info.value.line_no == 4
+
+    def test_read_catalog_indexes_on_first_lookup(self):
+        names = ["Earth", "Black hole", "São Paulo"]
+        cat = read_catalog(nul_terminated(names), 3)
+        assert cat.names == tuple(names) and cat._index is None
+        assert cat.id_of("Black hole") == 1 and "São Paulo" in cat and "Mars" not in cat
+        assert cat.content_hash() == EntityCatalog(names).content_hash()
+
+    @pytest.mark.parametrize("section, count", [
+        (b"Earth\0Mars\0", 3), (b"Earth\0Mars\0", 1), (b"Earth\0Mars", 2), (b"Earth\0\xe2\x96\0", 2),
+    ], ids=["too-few", "too-many", "no-final-nul", "not-utf8"])
+    def test_read_catalog_rejects(self, section, count):
+        assert read_catalog(section, count) is None
 
     def test_separator_glyph_rejected(self):
         with pytest.raises(InvalidName):

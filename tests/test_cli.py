@@ -121,13 +121,13 @@ class TestTrainArtifacts:
 
 
 class TestTagAndEval:
-    def run_tag(self, world, out_name, extra=()):
+    def run_tag(self, world, out_name, extra=(), kb=True):
         out = world["root"] / out_name
         rc = main(
             [
                 "tag",
                 "--model", str(world["model"]),
-                "--kb", str(world["kb"]),
+                *(("--kb", str(world["kb"])) if kb else ()),
                 "--in", str(world["eval"]),
                 "--out", str(out),
                 "--beam", "5",
@@ -186,12 +186,17 @@ class TestTagAndEval:
         assert report["synthetic"]["n_docs"] == 10
 
     def test_kb_cache_used(self, world, capsys):
+        """``tag --kb``, ``tag --kb --kb-cache`` and ``tag --kb-cache`` write the same bytes."""
         cache = world["root"] / "kb2.trie"
         assert main(["build-kb", "--kb", str(world["kb"]), "--cache-out", str(cache)]) == 0
         capsys.readouterr()
-        out = self.run_tag(world, "pred_cache.jsonl", ("--kb-cache", str(cache)))
-        plain = self.run_tag(world, "pred_plain.jsonl")
-        assert out.read_text() == plain.read_text()
+        flags = ("--kb-cache", str(cache))
+        for beam in ("1", "5"):
+            runs = [
+                self.run_tag(world, f"pred_{name}_b{beam}.jsonl", (*extra, "--beam", beam), kb=kb).read_bytes()
+                for name, extra, kb in (("plain", (), True), ("both", flags, True), ("cache", flags, False))
+            ]
+            assert runs[0] and runs[0] == runs[1] == runs[2]
 
     def test_eval_table4_style(self, world, capsys):
         pred = world["root"] / "pred_t4.jsonl"
@@ -265,6 +270,19 @@ class TestAblations:
         for r in rows[1:]:
             assert 0.0 <= float(r[1]) <= 1.0
 
+    def test_ablate_beam_with_cache_alone(self, world, tmp_path, capsys):
+        """Given only --kb-cache, ablate-beam reads the eval corpus's gold names
+        through the cache's catalog and writes what it writes with --kb."""
+        cache = tmp_path / "kb.trie"
+        assert main(["build-kb", "--kb", str(world["kb"]), "--cache-out", str(cache)]) == 0
+        csvs = []
+        for kb in (("--kb", str(world["kb"])), ("--kb-cache", str(cache))):
+            out = tmp_path / f"beam{len(csvs)}.csv"
+            argv = ["ablate-beam", "--model", str(world["model"]), *kb, "--eval", str(world["eval"]), "--beams", "1,3"]
+            assert main(argv + ["--out", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_ablate_order_csv(self, world, capsys):
         out = world["root"] / "order.csv"
         rc = main(
@@ -326,6 +344,29 @@ class TestErrorHandling:
         err = proc.stderr.splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "NoFinishedHypothesis"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (lambda w, out: _tag_argv(w, out, "--beam", "abc"), "argument --beam: invalid int value: 'abc'"),
+        (lambda w, out: ["build-kb", "--kb", str(w["kb"]), "--cache-out", out, "--kb-format", "csv"],
+         "argument --kb-format: invalid choice: 'csv'"),
+        (lambda w, out: ["build-kb", "--kb", str(w["kb"])], "the following arguments are required: --cache-out"),
+        (lambda w, out: ["tag", "--model", str(w["model"]), "--in", str(w["eval"]), "--out", out],
+         "give --kb, --kb-cache or both"),
+    ], ids=["bad-int", "bad-choice", "missing-flag", "tag-without-kb"])
+    def test_usage_error_exit_1(self, world, tmp_path, capsys, argv, message):
+        """A command line that does not parse exits 1 with one JSON line, not argparse's exit 2 and usage text."""
+        assert main(argv(world, str(tmp_path / "out"))) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "UsageError" and message in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tag", "--help"])
+        assert exc.value.code == 0
+        assert "--kb-cache" in capsys.readouterr().out
 
     def test_bad_config_file_exit_1(self, world, tmp_path, capsys):
         bad = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from ettag.catalog import (
     N_RESERVED,
     SEP,
     EntityCatalog,
+    KBSource,
     Vocabulary,
     build_vocabularies,
     nul_terminated,
@@ -40,6 +42,10 @@ from helpers import (
     random_catalog,
     reference_build_trie,
 )
+
+
+# the KB file recorded in caches of catalogs that were built in memory
+SOURCE = KBSource(bytes(range(32)), "plain-lines")
 
 
 def walk(trie, tokens, cursor=None):
@@ -327,8 +333,9 @@ class TestCache:
         cat = random_catalog(rng, 50)
         cat, vout, trie = catalog_stack(cat)
         path = tmp_path / "kb.trie"
-        save_trie_cache(trie, path, cat, vout)
-        loaded, loaded_vocab = load_trie_cache(path, cat)
+        save_trie_cache(trie, path, cat, vout, SOURCE)
+        loaded_cat, loaded, loaded_vocab = load_trie_cache(path, SOURCE)
+        assert loaded_cat.names == cat.names and loaded_cat.content_hash() == cat.content_hash()
         assert loaded_vocab.tokens == vout.tokens
         assert trie_stats(loaded) == trie_stats(trie)
         assert np.array_equal(loaded.terminal, trie.terminal)
@@ -342,35 +349,44 @@ class TestCache:
         assert enumerate_trie_language(loaded, config) == enumerate_trie_language(trie, config)
 
     def test_hash_mismatch(self, tmp_path):
+        """A cache checked against a KB file other than its own, by bytes or by
+        format, is rejected; unchecked, it loads its own names."""
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth", "Mars"]))
         path = tmp_path / "kb.trie"
-        save_trie_cache(trie, path, cat, vout)
-        with pytest.raises(CacheMismatch, match="made for a different KB"):
-            load_trie_cache(path, EntityCatalog(["Earth", "Venus"]))
+        save_trie_cache(trie, path, cat, vout, SOURCE)
+        with pytest.raises(CacheMismatch, match="other bytes; rebuild it with build-kb"):
+            load_trie_cache(path, SOURCE._replace(sha256=bytes(32)))
+        with pytest.raises(CacheMismatch, match="read as 'plain-lines', not 'tsv'; rebuild it with build-kb"):
+            load_trie_cache(path, SOURCE._replace(format="tsv"))
+        assert load_trie_cache(path)[0].names == ("Earth", "Mars")
 
     def test_not_a_cache(self, tmp_path):
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth"]))
         path = tmp_path / "junk"
-        save_trie_cache(trie, path, cat, vout)
-        etrie2 = b"ETRIE2" + path.read_bytes()[6:]  # the magic of the earlier format
-        for junk in (b"hello world", etrie2):
+        save_trie_cache(trie, path, cat, vout, SOURCE)
+        # the magics of the earlier formats
+        earlier = [magic + path.read_bytes()[6:] for magic in (b"ETRIE2", b"ETRIE3")]
+        for junk in (b"hello world", *earlier):
             path.write_bytes(junk)
             with pytest.raises(CacheMismatch, match="not a trie cache"):
-                load_trie_cache(path, cat)
+                load_trie_cache(path)
 
     def test_sections_equal_the_built_trie(self, tmp_path):
-        """The int32 sections of the file are the trie's own arrays, and the
-        vocabulary section is the catalog's output vocabulary."""
+        """After the 96-byte header come the KB file's SHA-256, the int32
+        sections, which are the trie's own arrays, the catalog's output
+        vocabulary and its names, whose SHA-256 is the key."""
         cat, vout, trie = catalog_stack(random_catalog(np.random.default_rng(5), 40))
         path = tmp_path / "kb.trie"
-        save_trie_cache(trie, path, cat, vout)
+        save_trie_cache(trie, path, cat, vout, SOURCE)
         blob = path.read_bytes()
+        assert blob[8:40] == cat.content_hash() and blob[96:128] == SOURCE.sha256
         n, n_edges = trie.node_count, len(trie.child_keys)
-        ints = np.frombuffer(blob, dtype="<i4", offset=84, count=2 * (n + n_edges))
+        ints = np.frombuffer(blob, dtype="<i4", offset=128, count=2 * (n + n_edges))
         expected = (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)
         assert ints.tobytes() == b"".join(np.asarray(a, dtype="<i4").tobytes() for a in expected)
-        assert blob[84 + 4 * len(ints):] == nul_terminated(vout.tokens)
-        _, loaded_vocab = load_trie_cache(path, cat)
+        vocab, names = nul_terminated(vout.tokens), nul_terminated(cat.names)
+        assert blob[128 + 4 * len(ints):] == vocab + names
+        _, _, loaded_vocab = load_trie_cache(path)
         assert loaded_vocab.tokens == build_vocabularies(cat, [])[1].tokens
 
     def test_every_byte_is_checked(self, tmp_path):
@@ -381,14 +397,16 @@ class TestCache:
         params = init_params(len(vin), len(vout), d=1, k=1, seed=0)
         other, vout2, trie2 = catalog_stack(EntityCatalog(["Earth", "Mars", "Venus"]))
         params2 = init_params(len(vin), len(vout2), d=1, k=1, seed=0)
+        other_source = SOURCE._replace(sha256=bytes(32))
         artifacts = [
-            (lambda p: save_trie_cache(trie, p, cat, vout), lambda p: save_trie_cache(trie2, p, other, vout2),
-             lambda p: load_trie_cache(p, cat), CacheMismatch),
+            (lambda p: save_trie_cache(trie, p, cat, vout, SOURCE),
+             lambda p: save_trie_cache(trie2, p, other, vout2, other_source),
+             lambda p: load_trie_cache(p, SOURCE), CacheMismatch, "other bytes"),
             (lambda p: save_checkpoint(params, p, vin, vout), lambda p: save_checkpoint(params2, p, vin, vout2),
-             lambda p: load_checkpoint(p, vout), CorruptCheckpoint),
+             lambda p: load_checkpoint(p, vout), CorruptCheckpoint, "made for a different KB"),
         ]
         path = tmp_path / "artifact"
-        for save, save_foreign, load, error in artifacts:
+        for save, save_foreign, load, error, foreign in artifacts:
             save(path)
             good = path.read_bytes()
             load(path)
@@ -401,7 +419,7 @@ class TestCache:
                 with pytest.raises(error, match=message):
                     load(path)
             save_foreign(path)
-            with pytest.raises(error, match="made for a different KB"):
+            with pytest.raises(error, match=foreign):
                 load(path)
 
 
@@ -448,7 +466,7 @@ TAMPERS = [
 
 @pytest.fixture(scope="module")
 def tiny(tmp_path_factory):
-    """The tiny catalog, its trie, and a model trained on it for ``tag``."""
+    """The tiny catalog, its trie, a model trained on it for ``tag``, and its KB file as a cache records it."""
     root = tmp_path_factory.mktemp("tiny")
     kb, docs, model = root / "kb.txt", root / "docs.jsonl", root / "m.bin"
     kb.write_text("".join(n + "\n" for n in TINY_NAMES), encoding="utf-8")
@@ -461,7 +479,33 @@ def tiny(tmp_path_factory):
     assert trie.child_keys.tolist() == [4, 7, 5, 6] and trie.child_vals.tolist() == [1, 4, 2, 3]
     assert len(vout) == 8
     tag = ["tag", "--model", str(model), "--kb", str(kb), "--in", str(docs), "--out", str(root / "p.jsonl")]
-    return cat, vout, trie, tag
+    return cat, vout, trie, tag, KBSource.of(kb)
+
+
+def _without_kb(tag):
+    i = tag.index("--kb")
+    return tag[:i] + tag[i + 2:]
+
+
+def _write_cache(path, trie, source, vocab_section, names_section, n_names, key=None):
+    """A cache of these sections under a valid SHA-256, keyed by the names
+    section's SHA-256 unless ``key`` is given."""
+    ints = [
+        np.asarray(a, dtype="<i4").tobytes()
+        for a in (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)
+    ]
+    dims = (trie.node_count, len(trie.child_keys), n_names, len(vocab_section), len(names_section), 0)
+    key = key or hashlib.sha256(names_section).digest()
+    _CACHE.write(path, key, dims, [source.sha256, *ints, vocab_section, names_section])
+
+
+def _assert_tag_rejects(tag, path, capsys, error="CacheMismatch"):
+    capsys.readouterr()
+    assert main(tag + ["--kb-cache", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == error
+    return json.loads(err)["message"]
 
 
 class TestCacheStructure:
@@ -469,24 +513,29 @@ class TestCacheStructure:
     rejected on load, and ``tag --kb-cache`` on it exits 1 with one JSON line."""
 
     def test_untampered_cache_tags(self, tiny, tmp_path, capsys):
-        cat, vout, trie, tag = tiny
-        save_trie_cache(trie, tmp_path / "kb.trie", cat, vout)
+        cat, vout, trie, tag, source = tiny
+        save_trie_cache(trie, tmp_path / "kb.trie", cat, vout, source)
         assert main(tag + ["--kb-cache", str(tmp_path / "kb.trie")]) == 0
 
     def test_tag_with_cache_builds_no_vocabulary(self, tiny, tmp_path, capsys, monkeypatch):
-        cat, vout, trie, tag = tiny
-        save_trie_cache(trie, tmp_path / "kb.trie", cat, vout)
+        """With a cache, with or without --kb, ``tag`` builds no output
+        vocabulary, and canonicalizes and indexes no name: build-kb checked them."""
+        cat, vout, trie, tag, source = tiny
+        save_trie_cache(trie, tmp_path / "kb.trie", cat, vout, source)
 
         def fail(*args, **kwargs):
-            raise AssertionError("the output vocabulary was rebuilt")
+            raise AssertionError("the output vocabulary was rebuilt, or a name canonicalized or indexed")
 
         monkeypatch.setattr("ettag.cli.build_vocabularies", fail)
         monkeypatch.setattr(EntityCatalog, "name_table", fail)
-        assert main(tag + ["--kb-cache", str(tmp_path / "kb.trie")]) == 0
+        monkeypatch.setattr("ettag.catalog.canonicalize", fail)
+        monkeypatch.setattr(EntityCatalog, "_name_index", fail)
+        for argv in (tag, _without_kb(tag)):
+            assert main(argv + ["--kb-cache", str(tmp_path / "kb.trie")]) == 0
 
     @pytest.mark.parametrize("tamper, message", TAMPERS)
     def test_tampered_cache_rejected(self, tiny, tmp_path, capsys, tamper, message):
-        cat, vout, trie, tag = tiny
+        cat, vout, trie, tag, source = tiny
         bad = dataclasses.replace(
             trie,
             terminal=trie.terminal.copy(),
@@ -496,14 +545,10 @@ class TestCacheStructure:
         )
         tamper(bad)
         path = tmp_path / "kb.trie"
-        save_trie_cache(bad, path, cat, vout)
+        save_trie_cache(bad, path, cat, vout, source)
         with pytest.raises(CacheMismatch, match=message):
-            load_trie_cache(path, cat)
-        capsys.readouterr()
-        assert main(tag + ["--kb-cache", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert json.loads(err)["error"] == "CacheMismatch"
+            load_trie_cache(path, source)
+        _assert_tag_rejects(tag, path, capsys)
 
     @pytest.mark.parametrize(
         "section, message",
@@ -518,18 +563,52 @@ class TestCacheStructure:
     def test_bad_vocabulary_rejected(self, tiny, tmp_path, capsys, section, message):
         """A vocabulary section that is not distinct UTF-8 tokens, reserved
         first, covering every child key is rejected under a valid SHA-256."""
-        cat, vout, trie, tag = tiny
-        section = section(vout.tokens)
-        ints = [
-            np.asarray(a, dtype="<i4").tobytes()
-            for a in (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)
-        ]
+        cat, vout, trie, tag, source = tiny
         path = tmp_path / "kb.trie"
-        _CACHE.write(path, cat.content_hash(), (trie.node_count, len(trie.child_keys), len(section)), [*ints, section])
+        _write_cache(path, trie, source, section(vout.tokens), nul_terminated(cat.names), len(cat))
         with pytest.raises(CacheMismatch, match=message):
-            load_trie_cache(path, cat)
-        capsys.readouterr()
-        assert main(tag + ["--kb-cache", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert json.loads(err)["error"] == "CacheMismatch"
+            load_trie_cache(path, source)
+        _assert_tag_rejects(tag, path, capsys)
+
+    @pytest.mark.parametrize(
+        "names, count, key, message",
+        [
+            (b"a b\0a c\0e\0", 3, "catalog", "names section does not match the key"),
+            (b"a b\0a c\0", 3, None, "bad names section"),
+            (b"a b\0a c\0d\0e\0", 3, None, "bad names section"),
+            (b"a b\0a c\0d", 3, None, "bad names section"),
+            (b"a b\0a c\0\xe2\x96\0", 3, None, "bad names section"),
+            (b"a b\0a c\0d\0e\0", 4, None, "terminal ids"),
+        ],
+        ids=["not-the-key", "too-few", "too-many", "no-final-nul", "not-utf8", "more-than-the-trie"],
+    )
+    def test_bad_names_rejected(self, tiny, tmp_path, capsys, names, count, key, message):
+        """A names section that does not hash to the key, is not strict UTF-8,
+        or does not hold exactly the dims' count of names, each the name of one
+        trie terminal, is rejected under a valid SHA-256."""
+        cat, vout, trie, tag, source = tiny
+        path = tmp_path / "kb.trie"
+        key = cat.content_hash() if key == "catalog" else None
+        _write_cache(path, trie, source, nul_terminated(vout.tokens), names, count, key)
+        with pytest.raises(CacheMismatch, match=message):
+            load_trie_cache(path, source)
+        _assert_tag_rejects(tag, path, capsys)
+        _assert_tag_rejects(_without_kb(tag), path, capsys)
+
+    @pytest.mark.parametrize("other", ["other-bytes", "other-format"])
+    def test_other_kb_rejected(self, tiny, tmp_path, capsys, other):
+        """``tag --kb`` with a KB file other than the cache's, by its bytes
+        (here the same names and a comment) or its format, exits 1 telling the
+        user to rebuild the cache; the KB file is not parsed."""
+        cat, vout, trie, tag, source = tiny
+        path = tmp_path / "kb.trie"
+        save_trie_cache(trie, path, cat, vout, source)
+        i = tag.index("--kb") + 1
+        if other == "other-bytes":
+            kb = tmp_path / "other.txt"
+            kb.write_text("# a comment\n" + "".join(n + "\n" for n in TINY_NAMES), encoding="utf-8")
+            argv = [*tag[:i], str(kb), *tag[i + 1:]]
+        else:  # as TSV this KB file would be a MalformedLine
+            argv = tag + ["--kb-format", "tsv"]
+        message = _assert_tag_rejects(argv, path, capsys)
+        assert "rebuild it with build-kb" in message
