@@ -182,8 +182,7 @@ class EntityCatalog:
     def __init__(self, names: Iterable[str]):
         canonical = [canonicalize(n) for n in names]
         _reject_reserved_glyphs(canonical)
-        index = dict(zip(canonical, range(len(canonical))))
-        if len(index) < len(canonical):
+        if len(set(canonical)) < len(canonical):
             seen: set[str] = set()
             dups = []
             for name in canonical:
@@ -192,7 +191,7 @@ class EntityCatalog:
                 seen.add(name)
             raise DuplicateName(dups)
         self.names: tuple[str, ...] = tuple(canonical)
-        self._index: dict[str, EntityId] | None = index
+        self._index: dict[str, EntityId] | None = None  # built on first use: build-kb never reads it
         self._table: NameTable | None = None
 
     @classmethod
@@ -211,15 +210,16 @@ class EntityCatalog:
         return iter(self.names)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._name_index()
+        return name in self.name_index()
 
     def name_of(self, entity_id: EntityId) -> str:
         return self.names[entity_id]
 
     def id_of(self, name: str) -> EntityId | None:
-        return self._name_index().get(name)
+        return self.name_index().get(name)
 
-    def _name_index(self) -> dict[str, EntityId]:
+    def name_index(self) -> dict[str, EntityId]:
+        """The name -> id dict, built on first use."""
         if self._index is None:
             self._index = dict(zip(self.names, range(len(self.names))))
         return self._index

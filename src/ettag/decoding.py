@@ -9,24 +9,26 @@ token id (lower first), then the rank of their parent in the beam (lower
 first). The pool of finished hypotheses is ranked by final score (higher
 first), then token sequence (lexicographically smaller first).
 
-Documents are decoded in lockstep groups of ``max(1, _GROUP_ROWS // beam_size)``
-documents: each step makes one scorer call, one contract check and one
-normalization over the active rows of the whole group, while selection, the
-pool and the early stop stay each document's own. So a document decodes as
-it would alone, unless the scorer's rounding depends on how many rows a call
-has: the bundled scorer's matrix product does, which moves scores in the
-last bits (about 1e-14).
+Up to ``max(1, _GROUP_ROWS // beam_size)`` documents decode at once, and when
+one finishes the next in input order takes its place at the next step
+(iteration-level scheduling, as in Orca and vLLM's continuous batching). Each
+step makes one scorer call, one contract check and one normalization over the
+rows of every live document, whose prefixes may differ in length, while
+selection, the pool, the early stop and the max_tokens budget stay each
+document's own. So a document decodes as it would alone, unless the scorer's
+rounding depends on how many rows a call has: the bundled scorer's matrix
+product does, which moves scores in the last bits (about 1e-14).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, islice
 from typing import Any, Callable, Protocol, Sequence
 
 import numpy as np
 
-from .catalog import EOS, SEP, TokenSeq
+from .catalog import BOS, EOS, SEP, TokenSeq
 from .errors import InvalidConfig, NoFinishedHypothesis, ScorerContractViolation, require_ints
 from .trie import TokenTrie, advance, allowed_tokens
 
@@ -36,9 +38,10 @@ from .trie import TokenTrie, advance, allowed_tokens
 # path costs up to 6 us more per step, which a small KB's steps would pay
 _FULL_SORT_MAX = 400
 
-# the active rows one scorer call may get in a group: a [B, 88] by [88, 3424]
-# float64 product (the kb-470k scorer, one BLAS thread, 2-core Xeon VM) costs
-# 89 us at B=1, 16 us a row at B=32, 15 at B=64 and 13 at B=128
+# the rows one scorer call may get: up to _GROUP_ROWS // beam_size documents
+# are live at once. A [B, 88] by [88, 3424] float64 product (the kb-470k
+# scorer, one BLAS thread, 2-core Xeon VM) costs 89 us at B=1, 16 us a row at
+# B=32, 15 at B=64 and 13 at B=128
 _GROUP_ROWS = 64
 
 
@@ -46,10 +49,12 @@ class Scorer(Protocol):
     """Contract for pluggable autoregressive models.
 
     ``next_logprobs`` returns V finite, unnormalized log-probabilities. A
-    scorer may also define ``next_logprobs_batch(encodings, prefixes)``: the
-    [B, V] matrix whose row i is ``next_logprobs(encodings[i], prefixes[i])``,
-    for B encodings and a [B, t] matrix of equal-length prefixes. Without it
-    the decoder calls ``next_logprobs`` once per row.
+    scorer may also define ``next_logprobs_batch(encodings, prefixes,
+    lengths)``: the [B, V] matrix whose row i is ``next_logprobs(encodings[i],
+    prefixes[i, t - lengths[i]:])``, for B encodings, a [B, t] token matrix
+    whose rows are left-padded with BOS and a [B] integer array of prefix
+    lengths. Without it the decoder calls ``next_logprobs`` once per row, with
+    that unpadded slice.
     """
 
     def encode(self, input_ids: Sequence[int]) -> Any: ...
@@ -74,9 +79,11 @@ class DecodeConfig:
                 raise InvalidConfig(f"{name} must be true or false, got {getattr(self, name)!r}")
 
 
-def _checked_logits(score_batch: Callable, encodings: list, prefixes: np.ndarray, vocab_size: int) -> np.ndarray:
-    """The [B, V] next-token logits of the B prefixes, checked to be finite."""
-    logits = score_batch(encodings, prefixes)
+def _checked_logits(
+    score_batch: Callable, encodings: list, prefixes: np.ndarray, lengths: np.ndarray, vocab_size: int
+) -> np.ndarray:
+    """The [B, V] next-token logits of the B left-padded prefixes, checked to be finite."""
+    logits = score_batch(encodings, prefixes, lengths)
     try:
         logits = np.asarray(logits, dtype=np.float64)
     except ValueError:  # rows of different lengths
@@ -117,6 +124,17 @@ def _top_k(neg_scores: np.ndarray, cand: np.ndarray, k: int) -> np.ndarray:
     return np.lexsort((cand, neg_scores))[:k]
 
 
+@dataclass(eq=False, slots=True)
+class _Document:
+    """A live document: its position in the input, the scheduler step of its
+    first token, its rows and its pool of finished (score, tokens)."""
+
+    index: int
+    start: int
+    rows: int = 1
+    pool: list[tuple[float, tuple[int, ...]]] = field(default_factory=list)
+
+
 def greedy_decode(
     scorer: Scorer,
     trie: TokenTrie,
@@ -146,58 +164,58 @@ def beam_decode_many(
     inputs: Sequence[Sequence[int]],
     config: DecodeConfig | None = None,
 ) -> list[list[tuple[TokenSeq, float]]]:
-    """Constrained beam search of each document, in lockstep groups of
-    ``max(1, _GROUP_ROWS // beam_size)`` documents in input order.
+    """Constrained beam search of each document, with up to
+    ``max(1, _GROUP_ROWS // beam_size)`` documents live at once: when one
+    finishes, the next in input order takes its place at the next step.
 
-    Each step scores every active hypothesis of the group in one scorer
-    call, expands it over its allowed tokens and keeps each document's top
-    beam_size candidates; candidates that chose EOS retire to their
-    document's pool. Returns, for each document, up to beam_size finished
-    hypotheses ranked by final score (length-normalized when configured);
-    the first one is the prediction.
+    Each step scores every live hypothesis in one scorer call, expands it
+    over its allowed tokens and keeps each document's top beam_size
+    candidates; candidates that chose EOS retire to their document's pool,
+    and a document retires after max_tokens steps of its own. Returns, for
+    each document in input order, up to beam_size finished hypotheses ranked
+    by final score (length-normalized when configured); the first one is the
+    prediction. Raises NoFinishedHypothesis, naming the document, as soon as
+    one retires with none.
     """
     config = config or DecodeConfig()
-    group = max(1, _GROUP_ROWS // config.beam_size)
+    beam_size, max_live = config.beam_size, max(1, _GROUP_ROWS // config.beam_size)
     score_batch = getattr(scorer, "next_logprobs_batch", None) or (
-        lambda encodings, prefixes: [scorer.next_logprobs(e, p) for e, p in zip(encodings, prefixes.tolist())]
+        lambda encodings, prefixes, lengths: [
+            scorer.next_logprobs(e, p[len(p) - n:]) for e, p, n in zip(encodings, prefixes.tolist(), lengths.tolist())
+        ]
     )
-    ranked: list[list[tuple[TokenSeq, float]]] = []
-    for start in range(0, len(inputs), group):
-        encodings = [scorer.encode(ids) for ids in inputs[start:start + group]]
-        ranked += _decode_group(score_batch, encodings, trie, config)
-    return ranked
+    ranked: list[list[tuple[TokenSeq, float]]] = [[] for _ in inputs]
+    # the rows, document by document in input order and each document's in
+    # rank order: row i has prefix tokens[i, w - lengths[i]:w] (BOS before
+    # it), where column 0 is step `base`, and the given score, encoding,
+    # trie cursor, entities emitted and names finalized
+    tokens = np.empty((0, 8), dtype=np.int64)
+    scores, lengths = np.zeros(0), np.zeros(0, dtype=np.int64)
+    encodings: list = []
+    cursors: list = []
+    emitted: list[frozenset[int]] = []
+    n_names: list[int] = []
+    live: list[_Document] = []
+    base = step = admitted = 0
 
+    while True:
+        new = range(admitted, min(admitted + max_live - len(live), len(inputs)))
+        live += [_Document(j, step) for j in new]
+        if not live:
+            return ranked
+        if live[0].start > base:  # no row reads the columns before the earliest live document's first step
+            tokens, base = tokens[:, live[0].start - base:], live[0].start
+        if new:
+            n_new, admitted = len(new), new.stop
+            encodings += [scorer.encode(inputs[j]) for j in new]
+            tokens = np.concatenate((tokens, np.full((n_new, tokens.shape[1]), BOS)))
+            scores = np.concatenate((scores, np.zeros(n_new)))
+            lengths = np.concatenate((lengths, np.zeros(n_new, dtype=np.int64)))
+            cursors += [trie.start_cursor()] * n_new
+            emitted += [frozenset()] * n_new
+            n_names += [0] * n_new
+        w = step - base
 
-def _first_max_per_row(cand_scores: np.ndarray, rows: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """Each row's first maximum: a row's tokens ascend, so ties go to the lowest id."""
-    if len(sizes) == 1:
-        return cand_scores.argmax(keepdims=True)
-    best = np.maximum.reduceat(cand_scores, list(accumulate(sizes[:-1], initial=0)))
-    hits = np.flatnonzero(cand_scores == best[rows])
-    return hits[np.searchsorted(rows[hits], np.arange(len(sizes)))]
-
-
-def _decode_group(
-    score_batch: Callable, encodings: list, trie: TokenTrie, config: DecodeConfig
-) -> list[list[tuple[TokenSeq, float]]]:
-    """The ranked pools of the documents with these encodings, decoded
-    together from the first step, so every active prefix has one length t."""
-    beam_size = config.beam_size
-    n_docs = len(encodings)
-    # the active rows, document by document in input order and each
-    # document's in rank order: row i is document docs[i]'s prefix
-    # tokens[i, :t] with the given score, trie cursor, entities emitted and
-    # names finalized; live[j] is the j-th unfinished document, with counts[j] rows
-    tokens = np.empty((n_docs, 8), dtype=np.int64)
-    scores = np.zeros(n_docs)
-    cursors = [trie.start_cursor()] * n_docs
-    emitted: list[frozenset[int]] = [frozenset()] * n_docs
-    n_names = [0] * n_docs
-    docs = live = list(range(n_docs))
-    counts = [1] * n_docs
-    pools: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(n_docs)]
-
-    for t in range(config.max_tokens):
         # a live hypothesis always has a legal token: no-repeat pruning never reaches a dead end
         allowed = [allowed_tokens(trie, c, e, config, n) for c, e, n in zip(cursors, emitted, n_names)]
         sizes = list(map(len, allowed))
@@ -205,8 +223,9 @@ def _decode_group(
             cand, rows = allowed[0], np.zeros(sizes[0], dtype=np.intp)
         else:
             cand, rows = np.concatenate(allowed), np.arange(len(sizes)).repeat(sizes)
-        logits = _checked_logits(score_batch, [encodings[d] for d in docs], tokens[: len(sizes), :t], trie.vocab_size)
+        logits = _checked_logits(score_batch, encodings, tokens[:, :w], lengths, trie.vocab_size)
         cand_scores = scores[rows] + _normalized(logits, rows, cand, sizes, config.renormalize_constrained)
+        counts = [doc.rows for doc in live]
         if beam_size == 1:  # each document has one row
             top, n_top = _first_max_per_row(cand_scores, rows, sizes), counts
         else:
@@ -219,29 +238,31 @@ def _decode_group(
             top, n_top = np.concatenate(picks), list(map(len, picks))
 
         keep: list[int] = []
-        next_live, next_counts = [], []
+        still_live = []
         picked = zip(top.tolist(), rows[top].tolist(), cand[top].tolist())
-        for d, n in zip(live, n_top):
-            pool, kept = pools[d], []
+        for doc, n in zip(live, n_top):
+            pool, kept = doc.pool, []
             for i, p, token in islice(picked, n):
                 if token == EOS:
-                    pool.append((cand_scores.item(i), (*tokens[p, :t].tolist(), EOS)))
+                    pool.append((cand_scores.item(i), (*tokens[p, doc.start - base:w].tolist(), EOS)))
                 else:
                     kept.append(i)
-            if not kept:
-                continue
-            if not config.length_normalize and len(pool) >= beam_size:
-                # token logprobs are <= 0, so none of the document's active hypotheses can improve
-                if cand_scores[kept].max() <= sorted(s for s, _ in pool)[-beam_size]:
-                    continue
-            keep += kept
-            next_live.append(d)
-            next_counts.append(len(kept))
-        if not keep:
-            break
-        parents, next_tokens = rows[keep].tolist(), cand[keep].tolist()
+            retires = not kept or step - doc.start + 1 == config.max_tokens or (
+                # token logprobs are <= 0, so none of the document's live hypotheses can improve
+                not config.length_normalize and len(pool) >= beam_size
+                and cand_scores[kept].max() <= sorted(s for s, _ in pool)[-beam_size]
+            )
+            if retires:
+                ranked[doc.index] = _ranked_pool(doc, config)
+            else:
+                keep += kept
+                doc.rows = len(kept)
+                still_live.append(doc)
+
+        parents, next_tokens = rows[keep], cand[keep]
+        parent_list = parents.tolist()
         next_cursors, next_emitted, next_names = [], [], []
-        for p, token in zip(parents, next_tokens):
+        for p, token in zip(parent_list, next_tokens.tolist()):
             next_cursors.append(advance(trie, cursors[p], token))
             if token == SEP:
                 next_emitted.append(emitted[p] | {trie.terminal_entity(cursors[p])})
@@ -249,24 +270,38 @@ def _decode_group(
             else:
                 next_emitted.append(emitted[p])
                 next_names.append(n_names[p])
-        if parents != list(range(len(parents))):
-            tokens = tokens[parents]
-        if t == tokens.shape[1]:
-            tokens = np.concatenate((tokens, np.empty_like(tokens)), axis=1)
-        tokens[: len(parents), t] = next_tokens
-        scores = cand_scores[keep]
+        tokens = tokens[: len(keep)] if parent_list == list(range(len(keep))) else tokens[parents]
+        if w == tokens.shape[1]:
+            tokens = np.concatenate((tokens, np.empty((len(tokens), max(w, 8)), dtype=np.int64)), axis=1)
+        tokens[:, w] = next_tokens
+        scores, lengths = cand_scores[keep], lengths[parents] + 1
+        encodings = [encodings[p] for p in parent_list]
         cursors, emitted, n_names = next_cursors, next_emitted, next_names
-        docs, live, counts = [docs[p] for p in parents], next_live, next_counts
+        live = still_live
+        step += 1
 
-    ranked = []
-    for pool in pools:
-        if not pool:
-            raise NoFinishedHypothesis(f"no hypothesis reached EOS within max_tokens={config.max_tokens}")
-        if config.length_normalize:
-            pool = [(s / len(t), t) for s, t in pool]
-        pool.sort(key=lambda st: (-st[0], st[1]))
-        ranked.append([(list(t), s) for s, t in pool[:beam_size]])
-    return ranked
+
+def _first_max_per_row(cand_scores: np.ndarray, rows: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Each row's first maximum: a row's tokens ascend, so ties go to the lowest id."""
+    if len(sizes) == 1:
+        return cand_scores.argmax(keepdims=True)
+    best = np.maximum.reduceat(cand_scores, list(accumulate(sizes[:-1], initial=0)))
+    hits = np.flatnonzero(cand_scores == best[rows])
+    return hits[np.searchsorted(rows[hits], np.arange(len(sizes)))]
+
+
+def _ranked_pool(doc: _Document, config: DecodeConfig) -> list[tuple[TokenSeq, float]]:
+    """A retired document's best beam_size finished hypotheses, in rank order."""
+    pool = doc.pool
+    if not pool:
+        raise NoFinishedHypothesis(
+            f"document {doc.index} (0-based, in input order): no hypothesis reached EOS "
+            f"within max_tokens={config.max_tokens}"
+        )
+    if config.length_normalize:
+        pool = [(s / len(t), t) for s, t in pool]
+    pool.sort(key=lambda st: (-st[0], st[1]))
+    return [(list(t), s) for s, t in pool[: config.beam_size]]
 
 
 def parse_output(tokens: Sequence[int], trie: TokenTrie) -> tuple[set[int], int]:

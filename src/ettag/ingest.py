@@ -380,13 +380,14 @@ def write_et_jsonl(examples: Iterable[ETExample], path, catalog: EntityCatalog) 
 
 
 def read_et_jsonl(path, catalog: EntityCatalog) -> list[ETExample]:
+    index = catalog.name_index()  # built before the file is opened, so reading the file excludes it
     out: list[ETExample] = []
     for rec in jsonl_records(path, "doc_id"):
         doc_id = rec["doc_id"]
         text = _text(rec, doc_id)
 
         def resolve(name: str) -> int:
-            eid = catalog.id_of(name)
+            eid = index.get(name)
             if eid is None:
                 raise UnknownEntity(f"{doc_id!r}: entity {name!r} not in catalog")
             return eid

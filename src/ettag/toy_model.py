@@ -79,7 +79,8 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def next_logprobs(params: ToyModelParams, encoding: np.ndarray, prefixes) -> np.ndarray:
     """[B, V_out] unnormalized log-probabilities (logits) of the token after
-    each of the B equal-length prefixes (a [B, t] token matrix), in one matmul.
+    each of the B prefixes (a [B, t] token matrix, a shorter prefix BOS-padded
+    on the left, as the context window is), in one matmul.
     ``encoding`` is one [d] encoding for every row, or a [B, d] one per row."""
     prefixes = np.asarray(prefixes, dtype=np.int64)
     (b, t), k = prefixes.shape, params.k
@@ -335,7 +336,10 @@ class ToyScorer:
     def next_logprobs(self, encoding: np.ndarray, prefix: Sequence[int]) -> np.ndarray:
         return next_logprobs(self.params, encoding, [prefix])[0]
 
-    def next_logprobs_batch(self, encodings: Sequence[np.ndarray], prefixes: np.ndarray) -> np.ndarray:
+    def next_logprobs_batch(
+        self, encodings: Sequence[np.ndarray], prefixes: np.ndarray, lengths: np.ndarray
+    ) -> np.ndarray:
+        # the rows are BOS-padded on the left, as the context window is, so ``lengths`` changes nothing
         return next_logprobs(self.params, np.array(encodings), prefixes)
 
 

@@ -178,6 +178,12 @@ class TestCatalog:
             EntityCatalog.load(path)
         assert "Earth" in str(exc_info.value)
 
+    def test_indexes_on_first_lookup(self):
+        cat = EntityCatalog(["Earth", " Black   hole"])
+        assert cat._index is None
+        assert cat.id_of("Black hole") == 1 and "Earth" in cat and "Mars" not in cat
+        assert cat.name_index() == {"Earth": 0, "Black hole": 1}
+
     def test_duplicates_listed_in_order(self):
         with pytest.raises(DuplicateName) as exc_info:
             EntityCatalog(["b", "a", "b", "c", "a", "b  ", "\u00e9", "e\u0301"])

@@ -115,7 +115,7 @@ def _uniform_batch_scorer(v, damage):
         def next_logprobs(self, enc, prefix):
             return np.full(v, -np.log(v))
 
-        def next_logprobs_batch(self, encodings, prefixes):
+        def next_logprobs_batch(self, encodings, prefixes, lengths):
             lp = np.full((len(prefixes), v), -np.log(v))
             return damage(lp) if len(prefixes) >= 2 else lp
 
@@ -222,9 +222,14 @@ class _Shifted:
         return self.base.next_logprobs(enc, prefix) + shift
 
 
+def _unpadded(prefixes, lengths):
+    """Row i's prefix: the last lengths[i] tokens of the BOS-padded row."""
+    return [p[len(p) - n:] for p, n in zip(prefixes.tolist(), lengths.tolist())]
+
+
 class _ShiftedBatch(_Shifted):
-    def next_logprobs_batch(self, encodings, prefixes):
-        return np.array([self.next_logprobs(enc, p) for enc, p in zip(encodings, prefixes.tolist())])
+    def next_logprobs_batch(self, encodings, prefixes, lengths):
+        return np.array([self.next_logprobs(enc, p) for enc, p in zip(encodings, _unpadded(prefixes, lengths))])
 
 
 class TestBeam:
@@ -348,10 +353,25 @@ class TestBeam:
             )
 
 
+class _EndsByInput(_ShiftedBatch):
+    """Shifted rows whose <eos> and <sep> logits follow the input: a document
+    with an even number of input ids stops after its first name, any other
+    one goes on to max_entities names, so documents decode to very different
+    lengths."""
+
+    def next_logprobs(self, enc, prefix):
+        row = super().next_logprobs(enc, prefix)
+        push = 30.0 if len(enc) % 2 == 0 else -30.0
+        row[EOS] += push
+        row[SEP] -= push
+        return row
+
+
 def _scorer(kind, v, seed):
     """RandomScorer through the per-row fallback, shifted rows through a
-    batch method, a ToyScorer whose weights are scaled up so its rows differ,
-    or a uniform scorer, whose every step is a tie."""
+    batch method, shifted rows whose documents end early or late, a ToyScorer
+    whose weights are scaled up so its rows differ, or a uniform scorer,
+    whose every step is a tie."""
     if kind == "uniform":
         return UniformScorer(v)
     if kind == "toy":
@@ -359,7 +379,35 @@ def _scorer(kind, v, seed):
         params.flat *= 30.0
         return ToyScorer(params)
     base = RandomScorer(v, seed=seed)
-    return base if kind == "per-row" else _ShiftedBatch(base)
+    return {"per-row": base, "batch": _ShiftedBatch(base), "ragged": _EndsByInput(base)}[kind]
+
+
+class _Targets:
+    """Input [j] is near-certain of ``targets[j]``: a document's encoding is
+    its oracle. Records the encodings it makes and the rows of each call."""
+
+    def __init__(self, v, targets):
+        self.v, self.targets = v, targets
+        self.encoded, self.calls = [], []
+
+    def encode(self, ids):
+        self.encoded.append(ids[0])
+        return OracleScorer(self.v, self.targets[ids[0]])
+
+    def next_logprobs(self, oracle, prefix):
+        return oracle.next_logprobs(None, prefix)
+
+    def next_logprobs_batch(self, encodings, prefixes, lengths):
+        self.calls.append(len(prefixes))
+        return np.array([self.next_logprobs(e, p) for e, p in zip(encodings, _unpadded(prefixes, lengths))])
+
+
+@pytest.fixture
+def long_and_short():
+    """A trie and two targets: input [0] decodes to 9 tokens, input [1] to 2."""
+    cat, vout, trie = catalog_stack(EntityCatalog(["a", "b c d e", "f g h"]))
+    a, b, c, d, e, f, g, h = (tokenize(w, vout, mode="output")[0] for w in "abcdefgh")
+    return trie, len(vout), [[b, c, d, e, SEP, f, g, h, EOS], [a, EOS]]
 
 
 class TestManyDocuments:
@@ -369,18 +417,21 @@ class TestManyDocuments:
                 {"allow_empty": True}]
 
     @pytest.mark.parametrize("beam", [1, 2, 5, 20])
-    @pytest.mark.parametrize("kind", ["per-row", "batch", "toy", "uniform"])
+    @pytest.mark.parametrize("kind", ["per-row", "batch", "ragged", "toy", "uniform"])
     def test_matches_one_document_decodes(self, kind, beam, monkeypatch):
         rng = np.random.default_rng(2100 + beam)
         cat, vout, trie = catalog_stack(random_catalog(rng, 25, n_words=30))
         scorer = _scorer(kind, len(vout), beam)
         inputs = [rng.integers(0, 50, size=int(rng.integers(0, 4))).tolist() for _ in range(11)]
-        # (rows per group, document order): one document per group, groups
-        # that split the input unevenly, and the whole input in one group
+        # (row budget, document order): one live document at a time, three at
+        # a time, and up to 64 rows' worth, every document at once below beam 6
         splits = [(1, np.arange(11)), (3 * beam, np.arange(11)[::-1]), (64, rng.permutation(11))]
         for i, switch in enumerate(self.SWITCHES):
             config = DecodeConfig(**{"beam_size": beam, "max_entities": 1 + i % 3, **switch})
             want = [beam_decode(scorer, trie, ids, config) for ids in inputs]
+            if kind == "ragged" and config.max_entities == 3:
+                lengths = [len(ranked[0][0]) for ranked in want]
+                assert max(lengths) >= 4 * min(lengths)
             for group_rows, order in splits:
                 monkeypatch.setattr("ettag.decoding._GROUP_ROWS", group_rows)
                 got = beam_decode_many(scorer, trie, [inputs[j] for j in order], config)
@@ -409,8 +460,69 @@ class TestManyDocuments:
 
         config = DecodeConfig(beam_size=1, max_tokens=3)
         assert beam_decode_many(ByInput(), trie, [[0], [0]], config) == [beam_decode(ByInput(), trie, [0], config)] * 2
-        with pytest.raises(NoFinishedHypothesis):
+        with pytest.raises(NoFinishedHypothesis, match=r"document 1 .*max_tokens=3"):
             beam_decode_many(ByInput(), trie, [[0], [1], [0]], config)
+
+    def test_an_unfinished_document_fails_when_it_retires(self, long_and_short, monkeypatch):
+        # two documents live at a time: input 2, admitted at step 2, runs out
+        # of tokens at step 4, when only 5 of the 8 documents are encoded
+        trie, v, targets = long_and_short
+        monkeypatch.setattr("ettag.decoding._GROUP_ROWS", 2)
+        scorer = _Targets(v, targets)
+        with pytest.raises(NoFinishedHypothesis, match=r"document 2 .*max_tokens=3"):
+            beam_decode_many(scorer, trie, [[1], [1], [0]] + [[1]] * 5, DecodeConfig(beam_size=1, max_tokens=3))
+        assert scorer.encoded == [1, 1, 0, 1, 1]
+
+    def test_a_finished_document_is_replaced_at_the_next_step(self, long_and_short, monkeypatch):
+        # four documents live at a time: the short ones share three slots
+        # while the long one decodes, so every step is one of its own
+        trie, v, targets = long_and_short
+        monkeypatch.setattr("ettag.decoding._GROUP_ROWS", 4)
+        inputs = [[0]] + [[1]] * 9
+        scorer = _Targets(v, targets)
+        got = beam_decode_many(scorer, trie, inputs, DecodeConfig(beam_size=1))
+        assert [r[0][0] for r in got] == [targets[ids[0]] for ids in inputs]
+        assert len(scorer.calls) == len(targets[0]) and sum(scorer.calls) == 9 + 9 * 2
+        assert scorer.calls[:6] == [4] * 6 and scorer.calls[6:] == [1] * 3
+        assert scorer.encoded == [0] + [1] * 9
+
+    @pytest.mark.parametrize("group_rows", [1, 2, 3])
+    def test_the_budget_counts_a_document_s_own_steps(self, long_and_short, group_rows, monkeypatch):
+        # the long document is admitted after several steps and needs all of max_tokens
+        trie, v, targets = long_and_short
+        monkeypatch.setattr("ettag.decoding._GROUP_ROWS", group_rows)
+        config = DecodeConfig(beam_size=1, max_tokens=len(targets[0]))
+        got = beam_decode_many(_Targets(v, targets), trie, [[1]] * 5 + [[0]], config)
+        assert got[-1] == beam_decode(_Targets(v, targets), trie, [0], config)
+        assert got[-1][0][0] == targets[0]
+
+    @pytest.mark.parametrize("beam", [1, 2, 5])
+    def test_the_fallback_scores_the_unpadded_prefixes(self, beam, monkeypatch):
+        # a per-row scorer is called with exactly the (encoding, prefix) pairs of the one-document decodes
+        rng = np.random.default_rng(2200 + beam)
+        cat, vout, trie = catalog_stack(random_catalog(rng, 25, n_words=30))
+
+        class Recording(_EndsByInput):
+            def __init__(self, base):
+                super().__init__(base)
+                self.seen = []
+
+            def next_logprobs(self, enc, prefix):
+                assert isinstance(prefix, list)
+                self.seen.append((enc, tuple(prefix)))
+                return super().next_logprobs(enc, prefix)
+
+            next_logprobs_batch = None
+
+        inputs = [[j] * (1 + j % 2) for j in range(9)]
+        config = DecodeConfig(beam_size=beam, max_entities=3)
+        alone = Recording(RandomScorer(len(vout), seed=beam))
+        want = [beam_decode(alone, trie, ids, config) for ids in inputs]
+        for group_rows in (2 * beam, 64):
+            monkeypatch.setattr("ettag.decoding._GROUP_ROWS", group_rows)
+            together = Recording(RandomScorer(len(vout), seed=beam))
+            assert beam_decode_many(together, trie, inputs, config) == want
+            assert sorted(together.seen) == sorted(alone.seen)
 
     @pytest.mark.parametrize("batched", [False, True], ids=["per-row", "batch"])
     def test_a_bad_row_of_the_second_document_is_a_violation(self, batched):
@@ -426,8 +538,8 @@ class TestManyDocuments:
                 return np.full(self.v, np.nan if enc == (1,) and len(prefix) else -np.log(self.v))
 
         class NanForSecondBatch(NanForSecond):
-            def next_logprobs_batch(self, encodings, prefixes):
-                return np.array([self.next_logprobs(e, p) for e, p in zip(encodings, prefixes.tolist())])
+            def next_logprobs_batch(self, encodings, prefixes, lengths):
+                return np.array([self.next_logprobs(e, p) for e, p in zip(encodings, _unpadded(prefixes, lengths))])
 
         scorer = (NanForSecondBatch if batched else NanForSecond)(len(vout))
         for beam in (1, 2):

@@ -468,6 +468,14 @@ class TestEtJsonl:
         with pytest.raises(UnknownEntity):
             read_et_jsonl(path, catalog)
 
+    def test_name_index_is_built_before_the_file_is_opened(self, tmp_path):
+        # the index exists before the file is opened, so reading the file excludes building it
+        catalog = EntityCatalog(["Earth", "Mars"])
+        assert catalog._index is None
+        with pytest.raises(FileNotFoundError):
+            read_et_jsonl(tmp_path / "missing.jsonl", catalog)
+        assert catalog._index == {"Earth": 0, "Mars": 1}
+
     def test_order_must_be_permutation(self, tmp_path):
         catalog = EntityCatalog(["Earth", "Mars"])
         path = tmp_path / "et.jsonl"

@@ -121,13 +121,17 @@ class TestNextLogprobs:
             enc = scorer.encode([2, 3])
             for t in (0, 2, 3, 5):
                 prefixes = rng.integers(0, len(vout), size=(6, t))
-                batch = scorer.next_logprobs_batch([enc] * len(prefixes), prefixes)
-                assert batch.shape == (6, len(vout))
-                for row, prefix in zip(batch, prefixes.tolist()):
-                    ctx = ([BOS] * params.k + prefix)[-params.k:]
-                    want = np.concatenate((enc, params.e_out[ctx].ravel())) @ params.w + params.b
-                    np.testing.assert_array_equal(scorer.next_logprobs(enc, prefix), want)
-                    np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+                # equal lengths, then unequal ones: row i is its last lengths[i] tokens, BOS-padded on the left
+                for lengths in (np.full(6, t), rng.integers(0, t + 1, size=6)):
+                    prefixes[np.arange(t) < (t - lengths)[:, None]] = BOS
+                    batch = scorer.next_logprobs_batch([enc] * len(prefixes), prefixes, lengths)
+                    assert batch.shape == (6, len(vout))
+                    for row, padded, n in zip(batch, prefixes.tolist(), lengths.tolist()):
+                        prefix = padded[t - n:]
+                        ctx = ([BOS] * params.k + prefix)[-params.k:]
+                        want = np.concatenate((enc, params.e_out[ctx].ravel())) @ params.w + params.b
+                        np.testing.assert_array_equal(scorer.next_logprobs(enc, prefix), want)
+                        np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
 
 
 class TestBuildTarget:

@@ -529,7 +529,7 @@ class TestCacheStructure:
         monkeypatch.setattr("ettag.cli.build_vocabularies", fail)
         monkeypatch.setattr(EntityCatalog, "name_table", fail)
         monkeypatch.setattr("ettag.catalog.canonicalize", fail)
-        monkeypatch.setattr(EntityCatalog, "_name_index", fail)
+        monkeypatch.setattr(EntityCatalog, "name_index", fail)
         for argv in (tag, _without_kb(tag)):
             assert main(argv + ["--kb-cache", str(tmp_path / "kb.trie")]) == 0
 
