@@ -284,7 +284,7 @@ class KBSource(NamedTuple):
     format: str
 
     @classmethod
-    def of(cls, path, format: str = "plain-lines") -> KBSource:
+    def of(cls, path, format: str) -> KBSource:
         digest = hashlib.sha256()
         with open(path, "rb") as f:
             for block in iter(lambda: f.read(1 << 20), b""):

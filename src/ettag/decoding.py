@@ -13,11 +13,13 @@ Up to ``max(1, _GROUP_ROWS // beam_size)`` documents decode at once, and when
 one finishes the next in input order takes its place at the next step
 (iteration-level scheduling, as in Orca and vLLM's continuous batching). Each
 step makes one scorer call, one contract check and one normalization over the
-rows of every live document, whose prefixes may differ in length, while
-selection, the pool, the early stop and the max_tokens budget stay each
-document's own. So a document decodes as it would alone, unless the scorer's
-rounding depends on how many rows a call has: the bundled scorer's matrix
-product does, which moves scores in the last bits (about 1e-14).
+rows of every live document, while selection, the pool, the early stop and
+the max_tokens budget stay each document's own. The rows' prefixes may differ
+in length: each is left-padded with BOS, which is never an output token, so
+the padding marks where a prefix starts. So a document decodes as it would
+alone, unless the scorer's rounding depends on how many rows a call has: the
+bundled scorer's matrix product does, which moves scores in the last bits
+(about 1e-14).
 """
 
 from __future__ import annotations
@@ -30,13 +32,7 @@ import numpy as np
 
 from .catalog import BOS, EOS, SEP, TokenSeq
 from .errors import InvalidConfig, NoFinishedHypothesis, ScorerContractViolation, require_ints
-from .trie import TokenTrie, advance, allowed_tokens
-
-# up to this many candidates a full sort costs no more than partition, select
-# and sort: they cross between 384 and 512 candidates at beams 5 and 20, at
-# about 10 us each (numpy 2.4, 2-core Xeon VM), and below that the partial
-# path costs up to 6 us more per step, which a small KB's steps would pay
-_FULL_SORT_MAX = 400
+from .trie import TokenTrie, TrieCursor, advance, allowed_tokens
 
 # the rows one scorer call may get: up to _GROUP_ROWS // beam_size documents
 # are live at once. A [B, 88] by [88, 3424] float64 product (the kb-470k
@@ -49,12 +45,12 @@ class Scorer(Protocol):
     """Contract for pluggable autoregressive models.
 
     ``next_logprobs`` returns V finite, unnormalized log-probabilities. A
-    scorer may also define ``next_logprobs_batch(encodings, prefixes,
-    lengths)``: the [B, V] matrix whose row i is ``next_logprobs(encodings[i],
-    prefixes[i, t - lengths[i]:])``, for B encodings, a [B, t] token matrix
-    whose rows are left-padded with BOS and a [B] integer array of prefix
-    lengths. Without it the decoder calls ``next_logprobs`` once per row, with
-    that unpadded slice.
+    scorer may also define ``next_logprobs_batch(encodings, prefixes)``: the
+    [B, V] matrix whose row i is ``next_logprobs(encodings[i], prefix_i)``,
+    for B encodings and a [B, t] token matrix whose row i is ``prefix_i``
+    left-padded with BOS. BOS is never an output token, so a row's prefix is
+    what follows its padding. Without the method the decoder calls
+    ``next_logprobs`` once per row, with that unpadded prefix.
     """
 
     def encode(self, input_ids: Sequence[int]) -> Any: ...
@@ -79,15 +75,13 @@ class DecodeConfig:
                 raise InvalidConfig(f"{name} must be true or false, got {getattr(self, name)!r}")
 
 
-def _checked_logits(
-    score_batch: Callable, encodings: list, prefixes: np.ndarray, lengths: np.ndarray, vocab_size: int
-) -> np.ndarray:
+def _checked_logits(score_batch: Callable, encodings: list, prefixes: np.ndarray, vocab_size: int) -> np.ndarray:
     """The [B, V] next-token logits of the B left-padded prefixes, checked to be finite."""
-    logits = score_batch(encodings, prefixes, lengths)
+    logits = score_batch(encodings, prefixes)
     try:
         logits = np.asarray(logits, dtype=np.float64)
-    except ValueError:  # rows of different lengths
-        raise ScorerContractViolation("next-token logit rows differ in length") from None
+    except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
+        raise ScorerContractViolation("next-token logits are not a numeric [B, V] matrix") from None
     if logits.shape != (len(prefixes), vocab_size):
         raise ScorerContractViolation(f"logits have shape {logits.shape}, not ({len(prefixes)}, {vocab_size})")
     if not np.isfinite(logits).all():
@@ -113,11 +107,11 @@ def _normalized(logits: np.ndarray, rows: np.ndarray, cand: np.ndarray, sizes: l
 def _top_k(neg_scores: np.ndarray, cand: np.ndarray, k: int) -> np.ndarray:
     """The indices of the k best candidates, in rank order: ``neg_scores``
     ascending, then ``cand`` ascending, then index ascending, exactly the
-    first k of ``np.lexsort((cand, neg_scores))``. With more than k (and
-    ``_FULL_SORT_MAX``) candidates only those scoring at least the k-th best
-    score, ties included, are sorted; they stay in index order, so the stable
-    sort ranks them as the full sort does."""
-    if len(neg_scores) > max(k, _FULL_SORT_MAX):
+    first k of ``np.lexsort((cand, neg_scores))``. With more than k
+    candidates only those scoring at least the k-th best score, ties
+    included, are sorted; they stay in index order, so the stable sort ranks
+    them as the full sort does."""
+    if len(neg_scores) > k:
         kth = np.partition(neg_scores, k - 1)[k - 1]
         kept = np.flatnonzero(neg_scores <= kth)
         return kept[np.lexsort((cand[kept], neg_scores[kept]))[:k]]
@@ -127,10 +121,12 @@ def _top_k(neg_scores: np.ndarray, cand: np.ndarray, k: int) -> np.ndarray:
 @dataclass(eq=False, slots=True)
 class _Document:
     """A live document: its position in the input, the scheduler step of its
-    first token, its rows and its pool of finished (score, tokens)."""
+    first token, its encoding, shared by its rows, how many rows it has and
+    its pool of finished (score, tokens)."""
 
     index: int
     start: int
+    encoding: Any
     rows: int = 1
     pool: list[tuple[float, tuple[int, ...]]] = field(default_factory=list)
 
@@ -180,50 +176,42 @@ def beam_decode_many(
     config = config or DecodeConfig()
     beam_size, max_live = config.beam_size, max(1, _GROUP_ROWS // config.beam_size)
     score_batch = getattr(scorer, "next_logprobs_batch", None) or (
-        lambda encodings, prefixes, lengths: [
-            scorer.next_logprobs(e, p[len(p) - n:]) for e, p, n in zip(encodings, prefixes.tolist(), lengths.tolist())
+        lambda encodings, prefixes: [
+            scorer.next_logprobs(e, p[len(p) - n:])
+            for e, p, n in zip(encodings, prefixes.tolist(), np.count_nonzero(prefixes != BOS, axis=1).tolist())
         ]
     )
     ranked: list[list[tuple[TokenSeq, float]]] = [[] for _ in inputs]
     # the rows, document by document in input order and each document's in
-    # rank order: row i has prefix tokens[i, w - lengths[i]:w] (BOS before
-    # it), where column 0 is step `base`, and the given score, encoding,
-    # trie cursor, entities emitted and names finalized
+    # rank order: row i has prefix tokens[i, :w] after its BOS padding, where
+    # column 0 is step `base`, the given score and the state (trie cursor,
+    # entities emitted, names finalized)
     tokens = np.empty((0, 8), dtype=np.int64)
-    scores, lengths = np.zeros(0), np.zeros(0, dtype=np.int64)
-    encodings: list = []
-    cursors: list = []
-    emitted: list[frozenset[int]] = []
-    n_names: list[int] = []
+    scores = np.zeros(0)
+    states: list[tuple[TrieCursor, frozenset[int], int]] = []
     live: list[_Document] = []
     base = step = admitted = 0
 
     while True:
         new = range(admitted, min(admitted + max_live - len(live), len(inputs)))
-        live += [_Document(j, step) for j in new]
+        live += [_Document(j, step, scorer.encode(inputs[j])) for j in new]
         if not live:
             return ranked
         if live[0].start > base:  # no row reads the columns before the earliest live document's first step
             tokens, base = tokens[:, live[0].start - base:], live[0].start
         if new:
-            n_new, admitted = len(new), new.stop
-            encodings += [scorer.encode(inputs[j]) for j in new]
-            tokens = np.concatenate((tokens, np.full((n_new, tokens.shape[1]), BOS)))
-            scores = np.concatenate((scores, np.zeros(n_new)))
-            lengths = np.concatenate((lengths, np.zeros(n_new, dtype=np.int64)))
-            cursors += [trie.start_cursor()] * n_new
-            emitted += [frozenset()] * n_new
-            n_names += [0] * n_new
+            admitted = new.stop
+            tokens = np.concatenate((tokens, np.full((len(new), tokens.shape[1]), BOS)))
+            scores = np.concatenate((scores, np.zeros(len(new))))
+            states += [(trie.start_cursor(), frozenset(), 0)] * len(new)
         w = step - base
 
         # a live hypothesis always has a legal token: no-repeat pruning never reaches a dead end
-        allowed = [allowed_tokens(trie, c, e, config, n) for c, e, n in zip(cursors, emitted, n_names)]
+        allowed = [allowed_tokens(trie, c, e, config, n) for c, e, n in states]
         sizes = list(map(len, allowed))
-        if len(sizes) == 1:  # one row, as at beam 1 on one document: nothing to concatenate
-            cand, rows = allowed[0], np.zeros(sizes[0], dtype=np.intp)
-        else:
-            cand, rows = np.concatenate(allowed), np.arange(len(sizes)).repeat(sizes)
-        logits = _checked_logits(score_batch, encodings, tokens[:, :w], lengths, trie.vocab_size)
+        cand, rows = np.concatenate(allowed), np.arange(len(sizes)).repeat(sizes)
+        encodings = [doc.encoding for doc in live for _ in range(doc.rows)]
+        logits = _checked_logits(score_batch, encodings, tokens[:, :w], trie.vocab_size)
         cand_scores = scores[rows] + _normalized(logits, rows, cand, sizes, config.renormalize_constrained)
         counts = [doc.rows for doc in live]
         if beam_size == 1:  # each document has one row
@@ -260,31 +248,22 @@ def beam_decode_many(
                 still_live.append(doc)
 
         parents, next_tokens = rows[keep], cand[keep]
-        parent_list = parents.tolist()
-        next_cursors, next_emitted, next_names = [], [], []
-        for p, token in zip(parent_list, next_tokens.tolist()):
-            next_cursors.append(advance(trie, cursors[p], token))
+        next_states = []
+        for p, token in zip(parents.tolist(), next_tokens.tolist()):
+            cursor, emitted, n_names = states[p]
             if token == SEP:
-                next_emitted.append(emitted[p] | {trie.terminal_entity(cursors[p])})
-                next_names.append(n_names[p] + 1)
-            else:
-                next_emitted.append(emitted[p])
-                next_names.append(n_names[p])
-        tokens = tokens[: len(keep)] if parent_list == list(range(len(keep))) else tokens[parents]
+                emitted, n_names = emitted | {trie.terminal_entity(cursor)}, n_names + 1
+            next_states.append((advance(trie, cursor, token), emitted, n_names))
+        tokens = tokens[parents]
         if w == tokens.shape[1]:
             tokens = np.concatenate((tokens, np.empty((len(tokens), max(w, 8)), dtype=np.int64)), axis=1)
         tokens[:, w] = next_tokens
-        scores, lengths = cand_scores[keep], lengths[parents] + 1
-        encodings = [encodings[p] for p in parent_list]
-        cursors, emitted, n_names = next_cursors, next_emitted, next_names
-        live = still_live
+        scores, states, live = cand_scores[keep], next_states, still_live
         step += 1
 
 
 def _first_max_per_row(cand_scores: np.ndarray, rows: np.ndarray, sizes: list[int]) -> np.ndarray:
     """Each row's first maximum: a row's tokens ascend, so ties go to the lowest id."""
-    if len(sizes) == 1:
-        return cand_scores.argmax(keepdims=True)
     best = np.maximum.reduceat(cand_scores, list(accumulate(sizes[:-1], initial=0)))
     hits = np.flatnonzero(cand_scores == best[rows])
     return hits[np.searchsorted(rows[hits], np.arange(len(sizes)))]

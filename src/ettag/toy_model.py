@@ -336,10 +336,8 @@ class ToyScorer:
     def next_logprobs(self, encoding: np.ndarray, prefix: Sequence[int]) -> np.ndarray:
         return next_logprobs(self.params, encoding, [prefix])[0]
 
-    def next_logprobs_batch(
-        self, encodings: Sequence[np.ndarray], prefixes: np.ndarray, lengths: np.ndarray
-    ) -> np.ndarray:
-        # the rows are BOS-padded on the left, as the context window is, so ``lengths`` changes nothing
+    def next_logprobs_batch(self, encodings: Sequence[np.ndarray], prefixes: np.ndarray) -> np.ndarray:
+        # the context window is BOS-padded on the left too, so the padded rows need no trimming
         return next_logprobs(self.params, np.array(encodings), prefixes)
 
 

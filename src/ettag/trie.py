@@ -62,14 +62,6 @@ class TrieCursor(NamedTuple):
 
     node: int
 
-    @property
-    def at_boundary(self) -> bool:
-        return self.node == ROOT
-
-    @property
-    def finished(self) -> bool:
-        return self.node == FINISHED
-
 
 @dataclass
 class TokenTrie:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ettag.catalog import EOS, SEP, UNK, EntityCatalog, tokenize
+from ettag.catalog import BOS, EOS, SEP, UNK, EntityCatalog, tokenize
 from ettag.decoding import (
     DecodeConfig,
     _top_k,
@@ -115,7 +115,7 @@ def _uniform_batch_scorer(v, damage):
         def next_logprobs(self, enc, prefix):
             return np.full(v, -np.log(v))
 
-        def next_logprobs_batch(self, encodings, prefixes, lengths):
+        def next_logprobs_batch(self, encodings, prefixes):
             lp = np.full((len(prefixes), v), -np.log(v))
             return damage(lp) if len(prefixes) >= 2 else lp
 
@@ -140,6 +140,15 @@ def test_batched_scorer_contract_enforced(damage):
         beam_decode(_uniform_batch_scorer(len(vout), damage), trie, [], config)
 
 
+def test_non_numeric_logits_are_named():
+    # equal-length rows of strings (a ValueError in numpy) or of other objects (a TypeError)
+    cat, vout, trie = catalog_stack(EntityCatalog(["a b", "a c", "d"]))
+    for entry in ("a", {}):
+        scorer = _uniform_batch_scorer(len(vout), lambda lp: [[entry] * len(row) for row in lp])
+        with pytest.raises(ScorerContractViolation, match=r"not a numeric \[B, V\] matrix"):
+            beam_decode(scorer, trie, [], DecodeConfig(beam_size=2))
+
+
 def test_ragged_fallback_rows_enforced():
     # without next_logprobs_batch the per-row vectors are stacked; rows of two lengths cannot be
     cat, vout, trie = catalog_stack(EntityCatalog(["a b", "a c", "d"]))
@@ -155,14 +164,6 @@ def test_ragged_fallback_rows_enforced():
 
     with pytest.raises(ScorerContractViolation):
         beam_decode(Ragged(), trie, [], DecodeConfig(beam_size=2))
-
-
-@pytest.fixture(params=["partial-past-k", "default-cut-over"])
-def full_sort_max(request, monkeypatch):
-    """Runs a test with the partial selection taking every step of more than
-    k candidates, and with the decoder's own cut-over."""
-    if request.param == "partial-past-k":
-        monkeypatch.setattr("ettag.decoding._FULL_SORT_MAX", 0)
 
 
 class TestTopK:
@@ -184,7 +185,7 @@ class TestTopK:
         return neg, cand.astype(np.int64)
 
     @pytest.mark.parametrize("kind", ["continuous", "quantized", "signed-zero", "constant"])
-    def test_matches_the_full_sort(self, kind, full_sort_max):
+    def test_matches_the_full_sort(self, kind):
         rng = np.random.default_rng(["continuous", "quantized", "signed-zero", "constant"].index(kind))
         straddled = 0
         for k in (1, 2, 3, 5, 20):
@@ -199,7 +200,7 @@ class TestTopK:
         if kind != "continuous":
             assert straddled > 0
 
-    def test_negative_and_positive_zero_tie(self, full_sort_max):
+    def test_negative_and_positive_zero_tie(self):
         # -0.0 == 0.0, so their order is the token's, then the index's
         neg = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0])
         cand = np.array([3, 3, 0, 1, 2, 7])
@@ -222,14 +223,14 @@ class _Shifted:
         return self.base.next_logprobs(enc, prefix) + shift
 
 
-def _unpadded(prefixes, lengths):
-    """Row i's prefix: the last lengths[i] tokens of the BOS-padded row."""
-    return [p[len(p) - n:] for p, n in zip(prefixes.tolist(), lengths.tolist())]
+def _unpadded(prefixes):
+    """Each row's prefix: its tokens other than BOS, which is never an output token."""
+    return [[t for t in p if t != BOS] for p in prefixes.tolist()]
 
 
 class _ShiftedBatch(_Shifted):
-    def next_logprobs_batch(self, encodings, prefixes, lengths):
-        return np.array([self.next_logprobs(enc, p) for enc, p in zip(encodings, _unpadded(prefixes, lengths))])
+    def next_logprobs_batch(self, encodings, prefixes):
+        return np.array([self.next_logprobs(enc, p) for enc, p in zip(encodings, _unpadded(prefixes))])
 
 
 class TestBeam:
@@ -278,7 +279,7 @@ class TestBeam:
 
     @pytest.mark.parametrize("beam", [2, 5, 20])
     @pytest.mark.parametrize("seed", range(4))
-    def test_matches_the_reference_on_wide_steps(self, seed, beam, full_sort_max):
+    def test_matches_the_reference_on_wide_steps(self, seed, beam):
         # hundreds of names over 60 words: a step offers many times beam_size candidates
         rng = np.random.default_rng(900 + seed)
         cat, vout, trie = catalog_stack(random_catalog(rng, int(rng.integers(150, 401)), n_words=60))
@@ -367,6 +368,25 @@ class _EndsByInput(_ShiftedBatch):
         return row
 
 
+class _Recording(_EndsByInput):
+    """Records the (encoding, prefix) pair of every row it scores. Each row
+    of a batch call must be BOS padding followed by a prefix with no BOS."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.seen = []
+
+    def next_logprobs(self, enc, prefix):
+        assert isinstance(prefix, list)
+        self.seen.append((enc, tuple(prefix)))
+        return super().next_logprobs(enc, prefix)
+
+    def next_logprobs_batch(self, encodings, prefixes):
+        for row in prefixes.tolist():
+            assert BOS not in itertools.dropwhile(lambda t: t == BOS, row)
+        return super().next_logprobs_batch(encodings, prefixes)
+
+
 def _scorer(kind, v, seed):
     """RandomScorer through the per-row fallback, shifted rows through a
     batch method, shifted rows whose documents end early or late, a ToyScorer
@@ -397,9 +417,9 @@ class _Targets:
     def next_logprobs(self, oracle, prefix):
         return oracle.next_logprobs(None, prefix)
 
-    def next_logprobs_batch(self, encodings, prefixes, lengths):
+    def next_logprobs_batch(self, encodings, prefixes):
         self.calls.append(len(prefixes))
-        return np.array([self.next_logprobs(e, p) for e, p in zip(encodings, _unpadded(prefixes, lengths))])
+        return np.array([self.next_logprobs(e, p) for e, p in zip(encodings, _unpadded(prefixes))])
 
 
 @pytest.fixture
@@ -502,16 +522,7 @@ class TestManyDocuments:
         rng = np.random.default_rng(2200 + beam)
         cat, vout, trie = catalog_stack(random_catalog(rng, 25, n_words=30))
 
-        class Recording(_EndsByInput):
-            def __init__(self, base):
-                super().__init__(base)
-                self.seen = []
-
-            def next_logprobs(self, enc, prefix):
-                assert isinstance(prefix, list)
-                self.seen.append((enc, tuple(prefix)))
-                return super().next_logprobs(enc, prefix)
-
+        class Recording(_Recording):
             next_logprobs_batch = None
 
         inputs = [[j] * (1 + j % 2) for j in range(9)]
@@ -523,6 +534,24 @@ class TestManyDocuments:
             together = Recording(RandomScorer(len(vout), seed=beam))
             assert beam_decode_many(together, trie, inputs, config) == want
             assert sorted(together.seen) == sorted(alone.seen)
+
+    @pytest.mark.parametrize("beam", [1, 2, 5])
+    def test_batch_rows_are_bos_padded_prefixes(self, beam, monkeypatch):
+        # BOS padding marks where a row's prefix starts: unpadded, the rows of
+        # the batch calls are the (encoding, prefix) pairs of the one-document decodes
+        rng = np.random.default_rng(2300 + beam)
+        cat, vout, trie = catalog_stack(random_catalog(rng, 25, n_words=30))
+        inputs = [[j] * (1 + j % 2) for j in range(9)]
+        for i, switch in enumerate(self.SWITCHES):
+            config = DecodeConfig(**{"beam_size": beam, "max_entities": 1 + i % 3, **switch})
+            alone = _Recording(RandomScorer(len(vout), seed=beam))
+            want = [beam_decode(alone, trie, ids, config) for ids in inputs]
+            for group_rows in (2 * beam, 64):
+                monkeypatch.setattr("ettag.decoding._GROUP_ROWS", group_rows)
+                together = _Recording(RandomScorer(len(vout), seed=beam))
+                got = beam_decode_many(together, trie, inputs, config)
+                assert [[t for t, _ in ranked] for ranked in got] == [[t for t, _ in ranked] for ranked in want]
+                assert sorted(together.seen) == sorted(alone.seen)
 
     @pytest.mark.parametrize("batched", [False, True], ids=["per-row", "batch"])
     def test_a_bad_row_of_the_second_document_is_a_violation(self, batched):
@@ -538,8 +567,8 @@ class TestManyDocuments:
                 return np.full(self.v, np.nan if enc == (1,) and len(prefix) else -np.log(self.v))
 
         class NanForSecondBatch(NanForSecond):
-            def next_logprobs_batch(self, encodings, prefixes, lengths):
-                return np.array([self.next_logprobs(e, p) for e, p in zip(encodings, _unpadded(prefixes, lengths))])
+            def next_logprobs_batch(self, encodings, prefixes):
+                return np.array([self.next_logprobs(e, p) for e, p in zip(encodings, _unpadded(prefixes))])
 
         scorer = (NanForSecondBatch if batched else NanForSecond)(len(vout))
         for beam in (1, 2):

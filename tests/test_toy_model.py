@@ -124,7 +124,7 @@ class TestNextLogprobs:
                 # equal lengths, then unequal ones: row i is its last lengths[i] tokens, BOS-padded on the left
                 for lengths in (np.full(6, t), rng.integers(0, t + 1, size=6)):
                     prefixes[np.arange(t) < (t - lengths)[:, None]] = BOS
-                    batch = scorer.next_logprobs_batch([enc] * len(prefixes), prefixes, lengths)
+                    batch = scorer.next_logprobs_batch([enc] * len(prefixes), prefixes)
                     assert batch.shape == (6, len(vout))
                     for row, padded, n in zip(batch, prefixes.tolist(), lengths.tolist()):
                         prefix = padded[t - n:]

@@ -226,12 +226,12 @@ class TestAdvance:
     def test_sep_returns_to_boundary(self):
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth", "Parsec"]))
         cur = walk(trie, tokenize("Earth", vout, mode="output"))
-        assert advance(trie, cur, SEP).at_boundary
+        assert advance(trie, cur, SEP) == trie.start_cursor()
 
     def test_eos_finishes(self):
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth"]))
         cur = walk(trie, tokenize("Earth", vout, mode="output"))
-        assert advance(trie, cur, EOS).finished
+        assert advance(trie, cur, EOS) == TrieCursor(FINISHED)
 
     def test_disallowed(self):
         cat, vout, trie = catalog_stack(EntityCatalog(["Black hole", "Earth"]))
@@ -281,7 +281,7 @@ class TestLanguage:
                 continue
             seen.add(key)
             allowed = allowed_tokens(trie, cursor, emitted, config, n_names)
-            if cursor.finished:
+            if cursor.node == FINISHED:
                 continue
             assert allowed.size > 0, f"dead end at {key}"
             for token in allowed.tolist():
@@ -479,7 +479,7 @@ def tiny(tmp_path_factory):
     assert trie.child_keys.tolist() == [4, 7, 5, 6] and trie.child_vals.tolist() == [1, 4, 2, 3]
     assert len(vout) == 8
     tag = ["tag", "--model", str(model), "--kb", str(kb), "--in", str(docs), "--out", str(root / "p.jsonl")]
-    return cat, vout, trie, tag, KBSource.of(kb)
+    return cat, vout, trie, tag, KBSource.of(kb, "plain-lines")
 
 
 def _without_kb(tag):
