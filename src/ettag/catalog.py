@@ -100,14 +100,8 @@ class Vocabulary:
     __slots__ = ("tokens", "_index")
 
     def __init__(self, content_tokens: Iterable[str]):
-        toks = list(RESERVED_TOKENS)
-        seen = set(toks)
-        for t in content_tokens:
-            if t not in seen:
-                seen.add(t)
-                toks.append(t)
-        self.tokens: tuple[str, ...] = tuple(toks)
-        self._index: dict[str, int] = {t: i for i, t in enumerate(toks)}
+        self.tokens: tuple[str, ...] = tuple(dict.fromkeys((*RESERVED_TOKENS, *content_tokens)))
+        self._index: dict[str, int] = {t: i for i, t in enumerate(self.tokens)}
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -293,17 +287,19 @@ class KBSource(NamedTuple):
 
 
 def _reject_reserved_glyphs(names: list[str]) -> None:
-    # The separator's textual form and the word-boundary marker must not be
-    # spellable inside a catalog name. Neither contains a newline, so a match
-    # in the joined names lies inside one name.
+    # The separator's textual form, the word-boundary marker and NUL, which ends
+    # each name in a trie cache, must not be spellable inside a catalog name.
+    # None contains a newline, so a match in the joined names lies inside one name.
     joined = "\n".join(names)
-    if WORD_MARK not in joined and "<sep>" not in joined:
+    if WORD_MARK not in joined and "<sep>" not in joined and "\0" not in joined:
         return
     for name in names:
         if WORD_MARK in name:
             raise InvalidName(f"name contains the boundary marker U+2581: {name!r}")
         if "<sep>" in name:
             raise InvalidName(f"name contains the separator literal: {name!r}")
+        if "\0" in name:
+            raise InvalidName(f"name contains NUL: {name!r}")
 
 
 def build_vocabularies(
@@ -314,15 +310,10 @@ def build_vocabularies(
     """Build (input, output) vocabularies.
 
     Output: the catalog's own, ``catalog.name_table().vocab``. Input: reserved
-    plus corpus tokens with count >= min_count, in first encounter order.
+    plus corpus tokens with count >= min_count, in first encounter order. A
+    token holding NUL, which ends each token in a checkpoint, is left out and
+    so reads as UNK.
     """
     vocab_out = catalog.name_table().vocab  # raises EmptyCatalog before the corpus is read
-    counts: Counter[str] = Counter()
-    order: list[str] = []
-    for text in corpus:
-        for t in word_tokens(text):
-            if t not in counts:
-                order.append(t)
-            counts[t] += 1
-    in_tokens = [t for t in order if counts[t] >= min_count]
-    return Vocabulary(in_tokens), vocab_out
+    counts = Counter(t for text in corpus for t in word_tokens(text))  # a dict: first encounter order
+    return Vocabulary(t for t, n in counts.items() if n >= min_count and "\0" not in t), vocab_out

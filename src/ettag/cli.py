@@ -50,7 +50,7 @@ def _bool_flag(value: str) -> bool:
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise InputError(f"{path}: config must be a JSON object")
@@ -422,6 +422,9 @@ def main(argv=None) -> int:
         return 2
     except (EttagError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _report_error(exc)
+        return 1
+    except MemoryError as exc:  # named as such, not as numpy's private subclass
+        _report_error(MemoryError(str(exc)))
         return 1
 
 

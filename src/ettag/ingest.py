@@ -32,7 +32,7 @@ def jsonl_records(path, key: str) -> Iterator[dict]:
     record must be a JSON object holding a string under ``key``, and no two
     records may hold the same one."""
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         for line_no, line in enumerate(f, 1):
             line = line.strip()
             if not line:
@@ -168,87 +168,54 @@ def parse_aida_conll(path) -> list[ELDocument]:
     inside sentences and newlines between them; mention offsets index into
     that text. No two documents may share an id.
     """
-    docs: list[ELDocument] = []
-    doc_id: str | None = None
+    docs: list[tuple[str, list[str], list[Mention]]] = []  # (doc_id, text pieces, mentions)
     seen_ids: set[str] = set()
-    pieces: list[str] = []
-    pos = 0
-    mentions: list[Mention] = []
-    open_mention: list | None = None  # [start, end, entity]
-    at_sentence_start = True
-
-    def close_mention():
-        nonlocal open_mention
-        if open_mention is not None:
-            mentions.append(Mention(open_mention[0], open_mention[1], open_mention[2]))
-            open_mention = None
-
-    def close_doc():
-        nonlocal pieces, pos, mentions, at_sentence_start
-        close_mention()
-        if doc_id is not None:
-            docs.append(ELDocument(doc_id, "".join(pieces).rstrip("\n"), mentions))
-        pieces = []
-        pos = 0
-        mentions = []
-        at_sentence_start = True
-
-    with open(path, "r", encoding="utf-8") as f:
+    # the open document's text length, the gap owed before its next token, and whether mentions[-1] may grow
+    pos, gap, in_mention = 0, "", False
+    with open(path, "r", encoding="utf-8-sig") as f:
         for line_no, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if line.startswith("-DOCSTART-"):
-                close_doc()
-                lparen = line.find("(")
-                rparen = line.rfind(")")
+                lparen, rparen = line.find("("), line.rfind(")")
                 if lparen < 0 or rparen <= lparen:
                     raise MalformedLine(line_no, f"bad -DOCSTART- line: {line!r}")
                 doc_id = line[lparen + 1: rparen]
                 if doc_id in seen_ids:
                     raise MalformedLine(line_no, f"repeated document id {doc_id!r}")
                 seen_ids.add(doc_id)
+                pieces, mentions = [], []
+                docs.append((doc_id, pieces, mentions))
+                pos, gap, in_mention = 0, "", False
                 continue
-            if doc_id is None:
-                if not line.strip():
-                    continue
+            if not line.strip():  # a sentence break: a later token in the document starts a new line
+                gap, in_mention = "\n" if gap else "", False
+                continue
+            if not docs:
                 raise MalformedLine(line_no, "token line before any -DOCSTART-")
-            if not line.strip():
-                # sentence break
-                close_mention()
-                if not at_sentence_start:
-                    pieces.append("\n")
-                    pos += 1
-                    at_sentence_start = True
-                continue
             cols = line.split("\t")
             token = cols[0]
             if not token:
                 raise MalformedLine(line_no, "empty token")
-            if not at_sentence_start:
-                pieces.append(" ")
-                pos += 1
-            start = pos
-            pieces.append(token)
-            pos += len(token)
-            at_sentence_start = False
-
+            start = pos + len(gap)
+            pieces += (gap, token)
+            pos, gap = start + len(token), " "
             if len(cols) == 1:
-                close_mention()
+                in_mention = False
                 continue
             if len(cols) < 4:
                 raise MalformedLine(line_no, f"expected >= 4 columns, got {len(cols)}")
             bio = cols[1]
             entity = NIL if cols[3] == "--NME--" else _wiki_name(cols[4] if len(cols) > 4 else cols[3], line_no)
             if bio == "B":
-                close_mention()
-                open_mention = [start, pos, entity]
+                mentions.append(Mention(start, pos, entity))
+                in_mention = True
             elif bio == "I":
-                if open_mention is None:
+                if not in_mention:
                     raise DanglingIMention(line_no)
-                open_mention[1] = pos
+                mentions[-1] = dataclasses.replace(mentions[-1], end=pos)
             else:
                 raise MalformedLine(line_no, f"unknown tag {bio!r}")
-    close_doc()
-    return docs
+    return [ELDocument(doc_id, "".join(pieces), mentions) for doc_id, pieces, mentions in docs]
 
 
 def aida_split(doc_id: str) -> str:

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ettag.catalog import EntityCatalog, build_vocabularies, nul_terminated, tokenize
+from ettag.catalog import UNK, EntityCatalog, build_vocabularies, nul_terminated, tokenize
 from ettag.cli import _FIELD_OF, build_parser, main
 from ettag.decoding import DecodeConfig, beam_decode, parse_output
 from ettag.ingest import read_et_jsonl, read_text_jsonl, write_et_jsonl
@@ -378,6 +378,44 @@ class TestErrorHandling:
             ]
         )
         assert rc == 1
+
+    def test_config_byte_order_mark_skipped(self, world, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("\ufeff" + json.dumps({"build_kb": {"kb_format": "plain-lines"}}), encoding="utf-8")
+        argv = ["--config", str(cfg), "build-kb", "--kb", str(world["kb"]), "--cache-out", str(tmp_path / "t")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_nul_in_kb_name_exit_1(self, tmp_path, capsys):
+        kb = tmp_path / "kb.txt"
+        kb.write_text("Earth\na\0b\n", encoding="utf-8")
+        assert main(["build-kb", "--kb", str(kb), "--cache-out", str(tmp_path / "t.trie")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidName" and "NUL" in err["message"]
+        assert not (tmp_path / "t.trie").exists()
+
+    def test_nul_in_training_text_reads_as_unk(self, world, tmp_path, capsys):
+        # a token holding NUL cannot be written to the checkpoint's NUL-terminated vocabulary
+        name = world["catalog"].name_of(0)
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text(json.dumps({"doc_id": "a", "text": f"x\0y {name}", "gold": [name]}) + "\n", encoding="utf-8")
+        model = tmp_path / "m.bin"
+        argv = ["train", "--train", str(docs), "--kb", str(world["kb"]), "--model-out", str(model), "--dim", "4"]
+        assert main(argv + ["--epochs", "1"]) == 0
+        _, vocab_in = load_checkpoint(model, world["catalog"].name_table().vocab)
+        assert tokenize("x\0y", vocab_in) == [UNK] and not any("\0" in t for t in vocab_in.tokens)
+        out = tmp_path / "p.jsonl"
+        assert main(["tag", "--model", str(model), "--kb", str(world["kb"]), "--in", str(docs), "--out", str(out)]) == 0
+
+    def test_model_too_large_to_allocate_exit_1(self, world, tmp_path, capsys):
+        # more float64 weights than a 128 TiB address space holds: the allocation fails at once
+        model = tmp_path / "m.bin"
+        argv = ["train", "--train", str(world["train"]), "--kb", str(world["kb"]), "--model-out", str(model)]
+        capsys.readouterr()
+        assert main(argv + ["--dim", str(10**12)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "MemoryError"
+        assert not model.exists()
 
     def test_duplicate_kb_exit_1(self, tmp_path, capsys):
         kb = tmp_path / "dup.txt"

@@ -139,6 +139,55 @@ class TestAidaParser:
         with pytest.raises(MalformedLine, match="line 6: repeated document id '9 A'"):
             parse_aida_conll(path)
 
+    def test_empty_document_between_docstarts(self, tmp_path):
+        path = tmp_path / "doc.conll"
+        path.write_text("-DOCSTART- (1 A)\nx\n\n-DOCSTART- (2 B)\n\n-DOCSTART- (3 C)\ny\n", encoding="utf-8")
+        docs = parse_aida_conll(path)
+        assert [(d.doc_id, d.text, d.mentions) for d in docs] == [("1 A", "x", []), ("2 B", "", []), ("3 C", "y", [])]
+
+    def test_blank_lines_before_first_docstart(self, tmp_path):
+        path = tmp_path / "doc.conll"
+        path.write_text("\n \t\n-DOCSTART- (1 A)\nx\n", encoding="utf-8")
+        (doc,) = parse_aida_conll(path)
+        assert (doc.doc_id, doc.text) == ("1 A", "x")
+
+    def test_two_b_mentions_in_a_row(self, tmp_path):
+        path = tmp_path / "doc.conll"
+        path.write_text(
+            "-DOCSTART- (1 A)\nBlack\tB\tBlack\tBlack_hole\nhole\tB\thole\tEarth\tx\n", encoding="utf-8"
+        )
+        doc = parse_aida_conll(path)[0]
+        assert doc.text == "Black hole"
+        assert doc.mentions == [Mention(0, 5, "Black hole"), Mention(6, 10, "x")]
+
+    def test_i_after_one_column_token_is_dangling(self, tmp_path):
+        path = tmp_path / "doc.conll"
+        path.write_text(
+            "-DOCSTART- (1 A)\nBlack\tB\tBlack\tBlack_hole\nword\nhole\tI\thole\tBlack_hole\n", encoding="utf-8"
+        )
+        with pytest.raises(DanglingIMention, match="line 4"):
+            parse_aida_conll(path)
+
+    def test_empty_entity_on_i_line_is_malformed_before_dangling(self, tmp_path):
+        # the entity column is read before the tag is checked
+        path = tmp_path / "doc.conll"
+        path.write_text("-DOCSTART- (1 A)\nword\nhole\tI\thole\t\n", encoding="utf-8")
+        with pytest.raises(MalformedLine, match="line 3: entity column: name is empty"):
+            parse_aida_conll(path)
+
+    def test_trailing_blank_lines_add_no_newline(self, tmp_path):
+        path = tmp_path / "doc.conll"
+        path.write_text("-DOCSTART- (1 A)\nOne\n\n\nTwo\tB\tTwo\tEarth\n\n \n\n", encoding="utf-8")
+        doc = parse_aida_conll(path)[0]
+        assert doc.text == "One\nTwo"
+        assert doc.mentions == [Mention(4, 7, "Earth")]
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "doc.conll"
+        path.write_text("\ufeff-DOCSTART- (1 A)\nx\n", encoding="utf-8")
+        (doc,) = parse_aida_conll(path)
+        assert (doc.doc_id, doc.text) == ("1 A", "x")
+
     def test_split_counts_match_structure(self, tmp_path):
         path = tmp_path / "aida.conll"
         write_aida_file(path, n_train=12, n_testa=5, n_testb=7)
@@ -549,3 +598,9 @@ class TestJsonlRecords:
         path.write_text('{"doc_id": "\\ud800", "title": "\\ud800", "text": "x"}\n', encoding="utf-8")
         with pytest.raises(MalformedLine, match="line 1.*surrogate"):
             read(path)
+
+    def test_byte_order_mark_skipped(self, tmp_path, read):
+        path = tmp_path / "bom.jsonl"
+        record = {"doc_id": "a", "title": "a", "text": "x", "mentions": [], "gold": []}
+        path.write_text("\ufeff" + json.dumps(record) + "\n", encoding="utf-8")
+        assert len(read(path)) == 1
