@@ -81,17 +81,19 @@ def _config_value(flag: argparse.Action, section: str, val):
 def _resolve(args: argparse.Namespace, cfg: dict, *callees, **defaults) -> dict:
     """Every option of the command: its flag, else the command's config-file
     section, else the default of the parameter it sets in ``callees``
-    (dataclasses included), else its entry in ``defaults``.
+    (dataclasses included), else its entry in ``defaults``. Every section of
+    the file must be named after a command and be a JSON object.
     """
     opts = {k: v for k, v in vars(args).items() if k not in ("command", "config", "func", "flags")}
+    for name, given in cfg.items():
+        if name not in args.flags or not isinstance(given, dict):
+            raise InputError(f"config section {name!r} is not a JSON object named after one of {sorted(args.flags)}")
     section = args.command.replace("-", "_")
     given = cfg.get(section, {})
-    if not isinstance(given, dict):
-        raise InputError(f"config section {section!r} must be a JSON object")
     unknown = sorted(set(given) - set(opts))
     if unknown:
         raise InputError(f"config section {section!r}: unknown keys {unknown}")
-    given = {k: _config_value(args.flags[k], section, v) for k, v in given.items() if v is not None}
+    given = {k: _config_value(args.flags[section][k], section, v) for k, v in given.items() if v is not None}
     for fn in callees:
         for name, param in inspect.signature(fn).parameters.items():
             if param.default is not param.empty:
@@ -101,6 +103,20 @@ def _resolve(args: argparse.Namespace, cfg: dict, *callees, **defaults) -> dict:
             val = given.get(key)
         opts[key] = defaults.get(_FIELD_OF.get(key, key)) if val is None else val
     return opts
+
+
+def _sweep(opts: dict, key: str, parse=str) -> list:
+    """The comma-separated values of option ``key``, each read by ``parse``.
+    Raises InputError for an empty list, an entry ``parse`` rejects or a value given twice."""
+    try:
+        values = [parse(v.strip()) for v in str(opts[key]).split(",") if v.strip()]
+    except ValueError:
+        raise InputError(f"--{key} must be comma-separated integers, got {opts[key]!r}") from None
+    if not values:
+        raise InputError(f"--{key} is empty")
+    if len(set(values)) < len(values):
+        raise InputError(f"--{key} repeats a value: {opts[key]!r}")
+    return values
 
 
 def _config(cls, opts: dict, **override):
@@ -256,22 +272,16 @@ def _eval_decoded(eval_corpus, scorer, trie, vocab_in, config):
 
 def cmd_ablate_beam(args, cfg) -> int:
     opts = _resolve(args, cfg, EntityCatalog.load, DecodeConfig, beams=_BEAMS)
+    configs = [_config(DecodeConfig, opts, beam_size=beam) for beam in _sweep(opts, "beams", int)]
     catalog, vocab_in, trie, scorer = _load_model_stack(opts)
     eval_corpus = read_et_jsonl(opts["eval"], catalog)
-    try:
-        beams = [int(b) for b in str(opts["beams"]).split(",") if b.strip()]
-    except ValueError:
-        raise InputError(f"--beams must be comma-separated integers, got {opts['beams']!r}") from None
-    if not beams:
-        raise InputError("--beams is empty")
     rows = []
-    for beam in beams:
-        config = _config(DecodeConfig, opts, beam_size=beam)
+    for config in configs:
         report = _eval_decoded(eval_corpus, scorer, trie, vocab_in, config)
-        rows.append((beam, report.micro.f1, report.macro_f1))
+        rows.append((config.beam_size, report.micro.f1, report.macro_f1))
     _write_csv(opts["out"], ["beam", "micro_f1", "macro_f1"], rows)
     _write_runconfig(opts["out"], "ablate-beam", opts)
-    print(json.dumps({"beams": beams, "micro_f1": [r[1] for r in rows]}))
+    print(json.dumps({"beams": [r[0] for r in rows], "micro_f1": [r[1] for r in rows]}))
     return 0
 
 
@@ -279,23 +289,20 @@ def cmd_ablate_order(args, cfg) -> int:
     opts = _resolve(args, cfg, EntityCatalog.load, build_vocabularies, TrainConfig, DecodeConfig,
                     strategies=",".join(ORDER_STRATEGIES))
     config = _config(DecodeConfig, opts)
+    train_configs = [_config(TrainConfig, opts, order_strategy=s) for s in _sweep(opts, "strategies")]
     catalog = _load_kb(opts)
     train_corpus = read_et_jsonl(opts["train"], catalog)
     eval_corpus = read_et_jsonl(opts["eval"], catalog)
-    strategies = [s.strip() for s in str(opts["strategies"]).split(",") if s.strip()]
-    if not strategies:
-        raise InputError("--strategies is empty")
     vocab_in, vocab_out = build_vocabularies(
         catalog, (ex.text for ex in train_corpus), min_count=opts["min_count"]
     )
     bound = encode_examples(train_corpus, vocab_in)
     trie = build_trie(catalog, vocab_out)
     rows = []
-    for strategy in strategies:
-        tc = _config(TrainConfig, opts, order_strategy=strategy)
+    for tc in train_configs:
         params, curve = train(bound, tc, catalog, vocab_in, vocab_out)
         report = _eval_decoded(eval_corpus, ToyScorer(params), trie, vocab_in, config)
-        rows.append((strategy, report.micro.f1, report.macro_f1, curve[-1]))
+        rows.append((tc.order_strategy, report.micro.f1, report.macro_f1, curve[-1]))
     _write_csv(opts["out"], ["strategy", "micro_f1", "macro_f1", "final_loss"], rows)
     _write_runconfig(opts["out"], "ablate-order", opts)
     print(json.dumps({r[0]: r[1] for r in rows}))
@@ -407,8 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_decode_args(p)
     p.set_defaults(func=cmd_ablate_order)
 
-    for p in sub.choices.values():
-        p.set_defaults(flags={a.dest: a for a in p._actions})
+    # each command's config-file section -> its flags
+    parser.set_defaults(flags={name.replace("-", "_"): {a.dest: a for a in p._actions}
+                               for name, p in sub.choices.items()})
     return parser
 
 

@@ -25,14 +25,14 @@ bundled scorer's matrix product does, which moves scores in the last bits
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, islice
+from itertools import accumulate, islice, takewhile
 from typing import Any, Callable, Protocol, Sequence
 
 import numpy as np
 
 from .catalog import BOS, EOS, SEP, TokenSeq
 from .errors import InvalidConfig, NoFinishedHypothesis, ScorerContractViolation, require_ints
-from .trie import TokenTrie, TrieCursor, advance, allowed_tokens
+from .trie import ROOT, TokenTrie, TrieCursor, advance, allowed_tokens
 
 # the rows one scorer call may get: up to _GROUP_ROWS // beam_size documents
 # are live at once. A [B, 88] by [88, 3424] float64 product (the kb-470k
@@ -184,7 +184,7 @@ def beam_decode_many(
     ranked: list[list[tuple[TokenSeq, float]]] = [[] for _ in inputs]
     # the rows, document by document in input order and each document's in
     # rank order: row i has prefix tokens[i, :w] after its BOS padding, where
-    # column 0 is step `base`, the given score and the state (trie cursor,
+    # column 0 is step `base`, the given score and the state (trie node,
     # entities emitted, names finalized)
     tokens = np.empty((0, 8), dtype=np.int64)
     scores = np.zeros(0)
@@ -203,7 +203,7 @@ def beam_decode_many(
             admitted = new.stop
             tokens = np.concatenate((tokens, np.full((len(new), tokens.shape[1]), BOS)))
             scores = np.concatenate((scores, np.zeros(len(new))))
-            states += [(trie.start_cursor(), frozenset(), 0)] * len(new)
+            states += [(ROOT, frozenset(), 0)] * len(new)
         w = step - base
 
         # a live hypothesis always has a legal token: no-repeat pruning never reaches a dead end
@@ -250,10 +250,10 @@ def beam_decode_many(
         parents, next_tokens = rows[keep], cand[keep]
         next_states = []
         for p, token in zip(parents.tolist(), next_tokens.tolist()):
-            cursor, emitted, n_names = states[p]
+            node, emitted, n_names = states[p]
             if token == SEP:
-                emitted, n_names = emitted | {trie.terminal_entity(cursor)}, n_names + 1
-            next_states.append((advance(trie, cursor, token), emitted, n_names))
+                emitted, n_names = emitted | {trie.terminal_entity(node)}, n_names + 1
+            next_states.append((advance(trie, node, token), emitted, n_names))
         tokens = tokens[parents]
         if w == tokens.shape[1]:
             tokens = np.concatenate((tokens, np.empty((len(tokens), max(w, 8)), dtype=np.int64)), axis=1)
@@ -290,24 +290,9 @@ def parse_output(tokens: Sequence[int], trie: TokenTrie) -> tuple[set[int], int]
     segments that do not spell a catalog name are dropped and counted.
     Returns (entity id set, dropped segment count).
     """
-    body: list[int] = []
-    for t in tokens:
-        if t == EOS:
-            break
-        body.append(t)
-    entities: set[int] = set()
-    dropped = 0
+    body = list(takewhile(lambda t: t != EOS, tokens))
     if not body:
-        return entities, dropped
-    segment: list[int] = []
-    for t in body + [SEP]:
-        if t == SEP:
-            ent = trie.lookup(segment) if segment else None
-            if ent is None:
-                dropped += 1
-            else:
-                entities.add(ent)
-            segment = []
-        else:
-            segment.append(t)
-    return entities, dropped
+        return set(), 0
+    cuts = [i for i, t in enumerate(body) if t == SEP]
+    found = [trie.lookup(body[a + 1: b]) for a, b in zip([-1, *cuts], [*cuts, len(body)])]
+    return set(found) - {None}, found.count(None)

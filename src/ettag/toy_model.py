@@ -341,13 +341,10 @@ class ToyScorer:
         return next_logprobs(self.params, np.array(encodings), prefixes)
 
 
-def _checkpoint_body_size(d: int, k: int, v_in: int, v_out: int, vocab_bytes: int) -> int:
-    ok = min(d, k, v_in, v_out, vocab_bytes) >= 1
-    return vocab_bytes + 8 * sum(map(math.prod, _shapes(d, k, v_in, v_out))) if ok else -1
-
-
 _CHECKPOINT = SealedFormat(
-    b"ETMDL3\0\0", "model checkpoint", CorruptCheckpoint, struct.Struct("<iiiii"), _checkpoint_body_size
+    b"ETMDL3\0\0", "model checkpoint", CorruptCheckpoint, struct.Struct("<iiiii"),
+    lambda d, k, v_in, v_out, vocab_bytes: ((vocab_bytes, 8 * sum(map(math.prod, _shapes(d, k, v_in, v_out))))
+                                           if min(d, k, v_in, v_out, vocab_bytes) >= 1 else None),
 )
 
 
@@ -366,13 +363,13 @@ def load_checkpoint(path, vocab_out: Vocabulary) -> tuple[ToyModelParams, Vocabu
     vocabulary section spells V_in distinct tokens (reserved first) and every
     weight is finite; a checkpoint for another output vocabulary is rejected
     too."""
-    _, (d, k, v_in, v_out, n_vocab), body = _CHECKPOINT.read(path, vocab_out.content_hash())
-    vocab_in = read_vocabulary(bytes(body[:n_vocab]))
+    _, (d, k, v_in, v_out, _), (vocab, weights) = _CHECKPOINT.read(path, vocab_out.content_hash())
+    vocab_in = read_vocabulary(bytes(vocab))
     if vocab_in is None or len(vocab_in) != v_in:
         raise CorruptCheckpoint(f"{path}: bad vocabulary section")
     if v_out != len(vocab_out):
         raise CorruptCheckpoint(f"{path}: V_out {v_out} does not match the output vocabulary")
-    flat = np.frombuffer(body, dtype="<f8", offset=n_vocab).astype(np.float64)
+    flat = np.frombuffer(weights, dtype="<f8").astype(np.float64)
     if not np.isfinite(flat).all():
         raise CorruptCheckpoint(f"{path}: non-finite weights")
     return ToyModelParams(flat, d, k, v_in, v_out), vocab_in

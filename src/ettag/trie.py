@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,20 +47,16 @@ FINISHED = -1
 
 # key: the SHA-256 of the names section, the catalog's content hash.
 # dims (n nodes, e edges, m names, v vocabulary bytes, w names bytes, f the KB
-# format's index in CATALOG_FORMATS); body: the KB file's SHA-256 (32 bytes),
+# format's index in CATALOG_FORMATS); sections: the KB file's SHA-256 (32 bytes),
 # terminal, child counts (n), child keys, child values (e) as int32, then the
 # output vocabulary (v) and the catalog's names (w), each NUL-terminated UTF-8
 _CACHE = SealedFormat(
     b"ETRIE4\0\0", "trie cache", CacheMismatch, struct.Struct("<iiiiii"),
-    lambda n, e, m, v, w, f: (32 + 8 * (n + e) + v + w if n >= 1 and min(e, m, v, w) >= 0
-                              and 0 <= f < len(CATALOG_FORMATS) else -1),
+    lambda n, e, m, v, w, f: ((32, 4 * n, 4 * n, 4 * e, 4 * e, v, w) if n >= 1 and min(e, m, v, w) >= 0
+                              and 0 <= f < len(CATALOG_FORMATS) else None),
 )
 
-
-class TrieCursor(NamedTuple):
-    """Position inside the automaton. The root doubles as the entity boundary."""
-
-    node: int
+TrieCursor = int  # a position in the automaton is its node; ROOT is the entity boundary, FINISHED follows EOS
 
 
 @dataclass
@@ -162,10 +158,10 @@ class TokenTrie:
         return len(self.terminal)
 
     def start_cursor(self) -> TrieCursor:
-        return TrieCursor(ROOT)
+        return ROOT
 
-    def terminal_entity(self, cursor: TrieCursor) -> int | None:
-        t = int(self.terminal[cursor.node])
+    def terminal_entity(self, node: TrieCursor) -> int | None:
+        t = int(self.terminal[node])
         return None if t < 0 else t
 
     def child(self, node: int, token: int) -> int:
@@ -183,8 +179,7 @@ class TokenTrie:
             node = self.child(node, t)
             if node < 0:
                 return None
-        ent = int(self.terminal[node])
-        return None if ent < 0 or node == ROOT else ent
+        return self.terminal_entity(node)
 
 
 def build_trie(catalog: EntityCatalog, vocab: Vocabulary) -> TokenTrie:
@@ -242,14 +237,13 @@ _SEP_EOS_ARR = np.array([EOS, SEP], dtype=np.int32)
 _EMPTY = np.empty(0, dtype=np.int32)
 
 
-def allowed_tokens(trie: TokenTrie, cursor: TrieCursor, emitted, config, n_generated: int) -> np.ndarray:
-    """Sorted array of token ids legal at this cursor.
+def allowed_tokens(trie: TokenTrie, node: TrieCursor, emitted, config, n_generated: int) -> np.ndarray:
+    """Sorted array of token ids legal at this node.
 
     ``emitted`` is the set of entity ids already finalized by the hypothesis;
     ``n_generated`` is how many names were finalized (differs from
     len(emitted) only when no_repeat is off and a name repeated).
     """
-    node = cursor.node
     if node == FINISHED:
         return _EMPTY
     s, e = trie.child_start[node], trie.child_start[node + 1]
@@ -284,23 +278,22 @@ def allowed_tokens(trie: TokenTrie, cursor: TrieCursor, emitted, config, n_gener
     return np.concatenate((head, keys))
 
 
-def advance(trie: TokenTrie, cursor: TrieCursor, token: int) -> TrieCursor:
-    """Move the cursor by one token. SEP returns to the boundary, EOS finishes."""
-    node = cursor.node
+def advance(trie: TokenTrie, node: TrieCursor, token: int) -> TrieCursor:
+    """The node after one token: SEP returns to ROOT, the boundary, and EOS to FINISHED."""
     if node == FINISHED:
-        raise DisallowedToken("cursor already finished")
+        raise DisallowedToken("decode already finished")
     if token == EOS:
         if node != ROOT and trie.terminal[node] < 0:
             raise DisallowedToken("EOS is only legal at a terminal or the empty boundary")
-        return TrieCursor(FINISHED)
+        return FINISHED
     if token == SEP:
         if node == ROOT or trie.terminal[node] < 0:
             raise DisallowedToken("SEP is only legal at a terminal")
-        return TrieCursor(ROOT)
+        return ROOT
     nxt = trie.child(node, token)
     if nxt < 0:
         raise DisallowedToken(f"token {token} is not a continuation at node {node}")
-    return TrieCursor(nxt)
+    return nxt
 
 
 def trie_stats(trie: TokenTrie) -> dict[str, int]:
@@ -314,16 +307,11 @@ def trie_stats(trie: TokenTrie) -> dict[str, int]:
 def save_trie_cache(trie: TokenTrie, path, catalog: EntityCatalog, vocab: Vocabulary, source: KBSource) -> None:
     """Write the ``ETRIE4`` cache of ``trie``, its output vocabulary and the
     names of ``catalog``, read from the KB file ``source``."""
-    names = nul_terminated(catalog.names)
-    sections = [
-        source.sha256,
-        *(np.asarray(a, dtype="<i4").tobytes()
-          for a in (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)),
-        nul_terminated(vocab.tokens),
-        names,
-    ]
-    dims = (trie.node_count, len(trie.child_keys), len(catalog), len(sections[-2]), len(names),
+    ints = (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)
+    tokens, names = nul_terminated(vocab.tokens), nul_terminated(catalog.names)
+    dims = (trie.node_count, len(trie.child_keys), len(catalog), len(tokens), len(names),
             CATALOG_FORMATS.index(source.format))
+    sections = [source.sha256, *(np.asarray(a, dtype="<i4").tobytes() for a in ints), tokens, names]
     _CACHE.write(path, hashlib.sha256(names).digest(), dims, sections)
 
 
@@ -333,26 +321,23 @@ def load_trie_cache(path, source: KBSource | None = None) -> tuple[EntityCatalog
     built from the KB file ``source`` when one is given, and holds names that
     hash to its key, a vocabulary covering the trie and a well-formed trie
     over the names."""
-    key, (n, n_edges, n_names, n_vocab, _, fmt), body = _CACHE.read(path, None)
+    key, (_, _, n_names, _, _, fmt), (kb_sha256, terminal, counts, keys, vals, vocab, names) = _CACHE.read(path, None)
     if source is not None:
-        if body[:32] != source.sha256:
+        if kb_sha256 != source.sha256:
             raise CacheMismatch(f"{path}: built from a KB file with other bytes; rebuild it with build-kb")
         if CATALOG_FORMATS[fmt] != source.format:
             raise CacheMismatch(f"{path}: built from this KB file read as {CATALOG_FORMATS[fmt]!r}, "
                                 f"not {source.format!r}; rebuild it with build-kb")
-    ints_end = 32 + 8 * (n + n_edges)
-    names = body[ints_end + n_vocab:]
     if hashlib.sha256(names).digest() != key:
         raise CacheMismatch(f"{path}: names section does not match the key")
     catalog = read_catalog(names, n_names)
     if catalog is None:
         raise CacheMismatch(f"{path}: bad names section")
-    vocab = read_vocabulary(bytes(body[ints_end: ints_end + n_vocab]))
+    vocab = read_vocabulary(bytes(vocab))
     if vocab is None:
         raise CacheMismatch(f"{path}: bad vocabulary section")
-    ints = np.frombuffer(body, dtype="<i4", offset=32, count=2 * (n + n_edges))
-    terminal, counts, keys, vals = np.split(ints, [n, 2 * n, 2 * n + n_edges])
+    arrays = (np.frombuffer(a, dtype="<i4") for a in (terminal, counts, keys, vals))
     try:
-        return catalog, TokenTrie.from_arrays(terminal, counts, keys, vals, n_names, len(vocab)), vocab
+        return catalog, TokenTrie.from_arrays(*arrays, n_names, len(vocab)), vocab
     except CacheMismatch as exc:
         raise CacheMismatch(f"{path}: {exc}") from None

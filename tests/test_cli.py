@@ -756,6 +756,27 @@ class TestErrorHandling:
         assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, values, error", [
+        ("ablate-beam", "5,5,1", "InputError"),
+        ("ablate-beam", "5,0", "InvalidConfig"),
+        ("ablate-order", "shuffle,shuffle", "InputError"),
+        ("ablate-order", "shuffle,bogus", "InvalidConfig"),
+    ])
+    def test_ablation_lists_checked_before_any_run(self, world, tmp_path, capsys, monkeypatch, command, values, error):
+        """A repeated or invalid value in a sweep list exits 1 before the first decode or training run."""
+        runs = []
+        monkeypatch.setattr("ettag.cli.train", lambda *a, **k: runs.append("train"))
+        monkeypatch.setattr("ettag.cli.beam_decode_many", lambda *a, **k: runs.append("decode"))
+        out = tmp_path / "ablation.csv"
+        if command == "ablate-beam":
+            argv = ["ablate-beam", "--model", str(world["model"]), "--eval", str(world["eval"]), "--beams", values]
+        else:
+            argv = ["ablate-order", "--train", str(world["train"]), "--eval", str(world["eval"]),
+                    "--strategies", values]
+        assert main(argv + ["--kb", str(world["kb"]), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == error
+        assert runs == [] and not out.exists()
+
     @pytest.mark.parametrize("beams, error", [("1,x", "InputError"), (",", "InputError"), ("1,0", "InvalidConfig")])
     def test_ablate_beam_bad_beams_exit_1(self, world, tmp_path, capsys, beams, error):
         argv = CONSUMERS["et"](world, str(world["eval"]), str(tmp_path / "beam.csv"))
@@ -877,6 +898,22 @@ class TestConfigFile:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InputError" and "beams" in err["message"]
+
+    @pytest.mark.parametrize("section, value", [("tagg", {"beam": 0}), ("tag", 5), ("build_kb", [])])
+    def test_every_section_is_a_command_object(self, world, tmp_path, capsys, section, value):
+        """A section named after no command, or one that is not an object,
+        fails every command, not only the one it would configure."""
+        cfg = tmp_path / "cfg.json"
+        model = tmp_path / "m.bin"
+        argv = ["train", "--train", str(world["train"]), "--kb", str(world["kb"]), "--model-out", str(model)]
+        cfg.write_text(json.dumps({section: value, "train": {"epochs": 1, "dim": 4}}), encoding="utf-8")
+        assert main(["--config", str(cfg), *argv]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError" and repr(section) in err["message"]
+        assert not model.exists()
+        # a section for another command is allowed: one file serves train and tag
+        cfg.write_text(json.dumps({"tag": {"beam": 3}, "train": {"epochs": 1, "dim": 4}}), encoding="utf-8")
+        assert main(["--config", str(cfg), *argv]) == 0
 
     def test_flagless_runconfig_records_dataclass_defaults(self, world, tmp_path, capsys):
         flag_of = {field: flag for flag, field in _FIELD_OF.items()}

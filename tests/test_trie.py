@@ -20,7 +20,7 @@ from ettag.catalog import (
 from ettag.cli import main
 from ettag.decoding import DecodeConfig
 from ettag.errors import CacheMismatch, CorruptCheckpoint, DisallowedToken, EmptyCatalog, OutputOOV
-from ettag.toy_model import build_target, init_params, load_checkpoint, save_checkpoint
+from ettag.toy_model import ToyModelParams, build_target, init_params, load_checkpoint, save_checkpoint
 from ettag.trie import (
     _CACHE,
     FINISHED,
@@ -276,12 +276,12 @@ class TestLanguage:
         stack = [(trie.start_cursor(), frozenset(), 0)]
         while stack:
             cursor, emitted, n_names = stack.pop()
-            key = (cursor.node, emitted, n_names)
+            key = (cursor, emitted, n_names)
             if key in seen:
                 continue
             seen.add(key)
             allowed = allowed_tokens(trie, cursor, emitted, config, n_names)
-            if cursor.node == FINISHED:
+            if cursor == FINISHED:
                 continue
             assert allowed.size > 0, f"dead end at {key}"
             for token in allowed.tolist():
@@ -388,6 +388,21 @@ class TestCache:
         assert blob[128 + 4 * len(ints):] == vocab + names
         _, _, loaded_vocab = load_trie_cache(path)
         assert loaded_vocab.tokens == build_vocabularies(cat, [])[1].tokens
+
+    def test_artifact_bytes_are_pinned(self, tmp_path):
+        """The cache of the tiny catalog and a checkpoint with hand-set weights
+        have these exact bytes, so a change to either layout fails here."""
+        cat, vout, trie = catalog_stack(EntityCatalog(TINY_NAMES))
+        save_trie_cache(trie, tmp_path / "kb.trie", cat, vout, SOURCE)
+        vin, d, k = Vocabulary(["▁red"]), 2, 1
+        size = len(vin) * d + len(vout) * d + (d + k * d) * len(vout) + len(vout)  # E_in, E_out, W, b
+        params = ToyModelParams(np.arange(size) / 8, d, k, len(vin), len(vout))
+        save_checkpoint(params, tmp_path / "m.bin", vin, vout)
+        digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ("kb.trie", "m.bin")}
+        assert digests == {
+            "kb.trie": "678c7f596c36e2aaef6bd2e5392995b5796841e47a767bdc366bc66cd75563c1",
+            "m.bin": "b465415c2de5b81a2445c81989a55247f01eacd1e4f11fbb5ee56268932b8ed2",
+        }
 
     def test_every_byte_is_checked(self, tmp_path):
         """Every single-byte flip, truncation and padding of a trie cache or
