@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import unicodedata
 from collections import Counter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -171,7 +171,7 @@ class NameTable(NamedTuple):
 class EntityCatalog:
     """Ordered, deduplicated collection of canonical entity names."""
 
-    __slots__ = ("names", "_index", "_table")
+    __slots__ = ("names", "_index", "_vocab", "_table")
 
     def __init__(self, names: Iterable[str]):
         canonical = [canonicalize(n) for n in names]
@@ -186,6 +186,7 @@ class EntityCatalog:
             raise DuplicateName(dups)
         self.names: tuple[str, ...] = tuple(canonical)
         self._index: dict[str, EntityId] | None = None  # built on first use: build-kb never reads it
+        self._vocab: Vocabulary | None = None
         self._table: NameTable | None = None
 
     @classmethod
@@ -194,7 +195,7 @@ class EntityCatalog:
         distinct and free of reserved glyphs. Nothing is checked again, and the
         name -> id index is built on first use."""
         catalog = cls.__new__(cls)
-        catalog.names, catalog._index, catalog._table = tuple(names), None, None
+        catalog.names, catalog._index, catalog._vocab, catalog._table = tuple(names), None, None, None
         return catalog
 
     def __len__(self) -> int:
@@ -221,33 +222,56 @@ class EntityCatalog:
     def content_hash(self) -> bytes:
         return hashlib.sha256(nul_terminated(self.names)).digest()
 
+    def output_vocab(self, vocab: Vocabulary | None = None) -> Vocabulary:
+        """The output vocabulary, made on first use by a pass over the names, or by ``name_table``'s
+        pass if that came first: call that first when the table is wanted too. Raises EmptyCatalog
+        if there are no names, and OutputOOV if ``vocab`` is given and is not this vocabulary."""
+        if self._vocab is None:
+            self._vocab = self._tokenize_words()
+        if vocab is not None and vocab is not self._vocab and vocab.tokens != self._vocab.tokens:
+            raise OutputOOV(f"a vocabulary of {len(vocab)} tokens is not the catalog's {len(self._vocab)}")
+        return self._vocab
+
     def name_table(self, vocab: Vocabulary | None = None) -> NameTable:
-        """The names tokenized once, on first use, into their NameTable. Raises EmptyCatalog if
-        there are no names, and OutputOOV if ``vocab`` is given and is not the table's."""
+        """The names tokenized once, on first use, into their NameTable, in the same pass that makes
+        the output vocabulary. Raises as ``output_vocab`` does."""
         if self._table is None:
-            if not self.names:
-                raise EmptyCatalog("an empty catalog has no output vocabulary")
-            # names are words joined by single spaces and word_tokens works word by word, so each
-            # distinct word is tokenized once, where it first occurs; blocks bound the words alive
-            index = {t: i for i, t in enumerate(RESERVED_TOKENS)}
-            word_ids: dict[str, tuple[int, ...]] = {}
             ids, lengths = [], []
-            for lo in range(0, len(self.names), 1 << 15):
-                block = self.names[lo: lo + (1 << 15)]
-                words = " ".join(block).split(" ")
-                for word in dict.fromkeys(words):
-                    if word not in word_ids:
-                        word_ids[word] = tuple([index.setdefault(t, len(index)) for t in word_tokens(word)])
+
+            def add_rows(block: tuple[str, ...], words: list[str], word_ids: dict[str, tuple[int, ...]]) -> None:
                 rows = list(map(word_ids.__getitem__, words))
                 ids.append(np.fromiter(itertools.chain.from_iterable(rows), np.int32))
                 n_words = np.fromiter(map(str.count, block, itertools.repeat(" ")), np.int64, len(block)) + 1
                 word_lengths = np.fromiter(map(len, rows), np.int64, len(rows))
                 lengths.append(np.add.reduceat(word_lengths, np.cumsum(n_words) - n_words))
+
+            vocab_out = self._tokenize_words(add_rows)
+            if self._vocab is None:
+                self._vocab = vocab_out
             offsets = np.concatenate(([0], np.cumsum(np.concatenate(lengths))))
-            self._table = NameTable(Vocabulary(list(index)[N_RESERVED:]), offsets, np.concatenate(ids))
-        if vocab is not None and vocab is not self._table.vocab and vocab.tokens != self._table.vocab.tokens:
-            raise OutputOOV(f"a vocabulary of {len(vocab)} tokens is not the catalog's {len(self._table.vocab)}")
+            self._table = NameTable(self._vocab, offsets, np.concatenate(ids))
+        self.output_vocab(vocab)
         return self._table
+
+    def _tokenize_words(self, each_block: Callable[..., None] | None = None) -> Vocabulary:
+        """The output vocabulary: reserved tokens, then each name token in first-encounter order.
+        Names are words joined by single spaces and word_tokens works word by word, so each distinct
+        word is tokenized once, where it first occurs; blocks bound the words alive. ``each_block``,
+        if given, is called with each block of names, its words and the word -> token ids so far (a
+        generator's caller would hold each block's words through the next block, leaving more resident)."""
+        if not self.names:
+            raise EmptyCatalog("an empty catalog has no output vocabulary")
+        index = {t: i for i, t in enumerate(RESERVED_TOKENS)}
+        word_ids: dict[str, tuple[int, ...]] = {}
+        for lo in range(0, len(self.names), 1 << 15):
+            block = self.names[lo: lo + (1 << 15)]
+            words = " ".join(block).split(" ")
+            for word in dict.fromkeys(words):
+                if word not in word_ids:
+                    word_ids[word] = tuple([index.setdefault(t, len(index)) for t in word_tokens(word)])
+            if each_block is not None:
+                each_block(block, words, word_ids)
+        return Vocabulary(list(index)[N_RESERVED:])
 
     @classmethod
     def load(cls, path, format: str = "plain-lines") -> "EntityCatalog":
@@ -309,11 +333,11 @@ def build_vocabularies(
 ) -> tuple[Vocabulary, Vocabulary]:
     """Build (input, output) vocabularies.
 
-    Output: the catalog's own, ``catalog.name_table().vocab``. Input: reserved
-    plus corpus tokens with count >= min_count, in first encounter order. A
-    token holding NUL, which ends each token in a checkpoint, is left out and
-    so reads as UNK.
+    Output: the catalog's own, ``catalog.output_vocab()``; the name table is not
+    built for it. Input: reserved plus corpus tokens with count >= min_count, in
+    first encounter order. A token holding NUL, which ends each token in a
+    checkpoint, is left out and so reads as UNK.
     """
-    vocab_out = catalog.name_table().vocab  # raises EmptyCatalog before the corpus is read
+    vocab_out = catalog.output_vocab()  # raises EmptyCatalog before the corpus is read
     counts = Counter(t for text in corpus for t in word_tokens(text))  # a dict: first encounter order
     return Vocabulary(t for t, n in counts.items() if n >= min_count and "\0" not in t), vocab_out

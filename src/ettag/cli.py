@@ -293,11 +293,12 @@ def cmd_ablate_order(args, cfg) -> int:
     catalog = _load_kb(opts)
     train_corpus = read_et_jsonl(opts["train"], catalog)
     eval_corpus = read_et_jsonl(opts["eval"], catalog)
+    # the trie needs the name table, whose one pass over the names also yields the output vocabulary
+    trie = build_trie(catalog, catalog.name_table().vocab)
     vocab_in, vocab_out = build_vocabularies(
         catalog, (ex.text for ex in train_corpus), min_count=opts["min_count"]
     )
     bound = encode_examples(train_corpus, vocab_in)
-    trie = build_trie(catalog, vocab_out)
     rows = []
     for tc in train_configs:
         params, curve = train(bound, tc, catalog, vocab_in, vocab_out)

@@ -347,7 +347,9 @@ def write_et_jsonl(examples: Iterable[ETExample], path, catalog: EntityCatalog) 
 
 
 def read_et_jsonl(path, catalog: EntityCatalog) -> list[ETExample]:
-    index = catalog.name_index()  # built before the file is opened, so reading the file excludes it
+    # built before the file is opened, so reading excludes it. After the read, train builds the output
+    # vocabulary alone and ablate-order the name table with it; ablate-beam builds nothing more
+    index = catalog.name_index()
     out: list[ETExample] = []
     for rec in jsonl_records(path, "doc_id"):
         doc_id = rec["doc_id"]

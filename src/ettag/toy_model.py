@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .catalog import BOS, EOS, SEP, EntityCatalog, TokenSeq, Vocabulary, nul_terminated, read_vocabulary
+from .catalog import BOS, EOS, SEP, EntityCatalog, TokenSeq, Vocabulary, nul_terminated, read_vocabulary, tokenize
 from .errors import CorruptCheckpoint, InputError, InvalidConfig, UnknownEntity, require_ints
 from .ingest import ETExample
 from .sealed import SealedFormat
@@ -98,17 +98,18 @@ def build_target(
     vocab: Vocabulary,
 ) -> TokenSeq:
     """name tokens, SEP between names, EOS at the end, names ordered by ``order``.
-    Raises OutputOOV unless ``vocab`` is the catalog's output vocabulary."""
+    Each name is tokenized here, in ``vocab``: training builds the catalog's output
+    vocabulary, never its name table. Raises OutputOOV unless ``vocab`` is that vocabulary."""
     gold_set = set(gold)
     if set(order) != gold_set or len(order) != len(gold_set):
         raise ValueError("order must be a permutation of gold")
     for eid in order:
         if not 0 <= eid < len(catalog):
             raise UnknownEntity(f"entity id {eid} outside catalog")
-    _, offsets, ids = catalog.name_table(vocab)
+    catalog.output_vocab(vocab)
     out: TokenSeq = []
     for eid in order:
-        out += [SEP, *ids[offsets[eid]: offsets[eid + 1]].tolist()]
+        out += [SEP, *tokenize(catalog.name_of(eid), vocab, mode="output")]
     return out[1:] + [EOS]
 
 

@@ -157,9 +157,6 @@ class TokenTrie:
     def node_count(self) -> int:
         return len(self.terminal)
 
-    def start_cursor(self) -> TrieCursor:
-        return ROOT
-
     def terminal_entity(self, node: TrieCursor) -> int | None:
         t = int(self.terminal[node])
         return None if t < 0 else t

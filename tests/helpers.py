@@ -198,7 +198,7 @@ def enumerate_trie_language(
     """Everything reachable through allowed_tokens/advance until EOS."""
     out: set[tuple[int, ...]] = set()
     stack: list[tuple[TrieCursor, frozenset, int, tuple[int, ...]]] = [
-        (trie.start_cursor(), frozenset(), 0, ())
+        (ROOT, frozenset(), 0, ())
     ]
     while stack:
         cursor, emitted, n_names, prefix = stack.pop()
@@ -371,7 +371,7 @@ def reference_beam_decode(scorer, trie: TokenTrie, input_ids, config: DecodeConf
     same search on the whole beam at once and must return the same ranking."""
     beam_size = config.beam_size
     encoding = scorer.encode(input_ids)
-    active: list[Hypothesis] = [Hypothesis((), 0.0, trie.start_cursor(), frozenset())]
+    active: list[Hypothesis] = [Hypothesis((), 0.0, ROOT, frozenset())]
     pool: list[Hypothesis] = []
 
     for _ in range(config.max_tokens):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import sys
 import unicodedata
 
@@ -32,6 +33,7 @@ from ettag.errors import (
     MalformedLine,
     OutputOOV,
 )
+from ettag.toy_model import build_target
 
 
 class TestCanonicalize:
@@ -311,6 +313,24 @@ class TestBuildVocabularies:
     def test_empty_catalog_has_no_name_table(self):
         with pytest.raises(EmptyCatalog):
             EntityCatalog([]).name_table()
+
+    def test_vocabulary_only_path_matches_the_name_table_past_one_block(self):
+        # more names than one 32,768-name block; peeled, non-ASCII and free-standing punctuation words
+        pool = ["Alpha", "beta-9", "(x)", "O'Neill", "Q.", "&", "été", "東京", "Zürich,"]
+        pool += [f"w{i}" for i in range(33 - len(pool))]
+        names = [" ".join(words) for words in itertools.islice(itertools.product(pool, repeat=3), 33_000)]
+        names += ["w0 late-comer «Ωmega»", "«Ωmega» w1"]  # words first seen in the second block
+        assert len(names) > 1 << 15
+        cat, tabled = EntityCatalog(names), EntityCatalog(names)
+        vocab, table = cat.output_vocab(), tabled.name_table()
+        assert vocab.tokens == table.vocab.tokens
+        assert vocab.tokens[-4:] == ("▁late-comer", "▁«", "Ωmega", "»")
+        for eid in range(len(cat)):
+            row = table.ids[table.offsets[eid]: table.offsets[eid + 1]].tolist()
+            assert build_target({eid}, [eid], cat, vocab) == row + [EOS]
+        content = vocab.tokens[N_RESERVED:]
+        with pytest.raises(OutputOOV):
+            build_target({0}, [0], cat, Vocabulary(content[::-1]))
 
 
 def test_bijection_and_round_trip_sampled_at_kb_scale():

@@ -305,6 +305,30 @@ class TestAblations:
         assert [r[0] for r in rows[1:]] == ["shuffle", "mention_order"]
 
 
+@pytest.mark.parametrize("command", ["build-kb", "train", "tag", "ablate-beam", "ablate-order"])
+def test_each_command_tokenizes_the_names_in_one_pass(world, tmp_path, capsys, monkeypatch, command):
+    """A command that needs the output vocabulary, the name table or both makes one pass over the names."""
+    passes = []
+    tokenize_words = EntityCatalog._tokenize_words
+
+    def counted(catalog, *args):
+        passes.append(catalog)
+        return tokenize_words(catalog, *args)
+
+    monkeypatch.setattr(EntityCatalog, "_tokenize_words", counted)
+    kb, model, out = str(world["kb"]), str(world["model"]), str(tmp_path / "out")
+    corpora = ["--train", str(world["train"]), "--eval", str(world["eval"])]
+    argv = {
+        "build-kb": ["--kb", kb, "--cache-out", out],
+        "train": [*corpora[:2], "--kb", kb, "--model-out", out, "--epochs", "1"],
+        "tag": ["--model", model, "--kb", kb, "--in", str(world["eval"]), "--out", out],
+        "ablate-beam": ["--model", model, "--kb", kb, *corpora[2:], "--beams", "1", "--out", out],
+        "ablate-order": [*corpora, "--kb", kb, "--strategies", "shuffle", "--epochs", "1", "--out", out],
+    }[command]
+    assert main([command, *argv]) == 0
+    assert len(passes) == 1
+
+
 class TestErrorHandling:
     def test_missing_file_exit_1(self, tmp_path, capsys):
         rc = main(

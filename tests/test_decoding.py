@@ -14,7 +14,7 @@ from ettag.decoding import (
 )
 from ettag.errors import InvalidConfig, NoFinishedHypothesis, ScorerContractViolation
 from ettag.toy_model import ToyScorer, init_params
-from ettag.trie import allowed_tokens
+from ettag.trie import ROOT, allowed_tokens
 
 from helpers import (
     OracleScorer,
@@ -283,7 +283,7 @@ class TestBeam:
         # hundreds of names over 60 words: a step offers many times beam_size candidates
         rng = np.random.default_rng(900 + seed)
         cat, vout, trie = catalog_stack(random_catalog(rng, int(rng.integers(150, 401)), n_words=60))
-        assert len(allowed_tokens(trie, trie.start_cursor(), frozenset(), DecodeConfig(), 0)) > 2 * 20
+        assert len(allowed_tokens(trie, ROOT, frozenset(), DecodeConfig(), 0)) > 2 * 20
         scorers = (RandomScorer(len(vout), seed=seed), UniformScorer(len(vout)))
         for scorer, switch in itertools.product(scorers, ({}, {"renormalize_constrained": False})):
             config = DecodeConfig(**{"beam_size": beam, "max_entities": 3, **switch})
@@ -582,7 +582,7 @@ def oracle_score_raw(scorer, tokens, trie, config):
     # recompute a hypothesis score by teacher-forcing the decoder's own rule
     from ettag.trie import advance, allowed_tokens
 
-    cur = trie.start_cursor()
+    cur = ROOT
     emitted: frozenset = frozenset()
     n_names = 0
     enc = scorer.encode([])

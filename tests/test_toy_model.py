@@ -4,7 +4,8 @@ import pytest
 from ettag.catalog import BOS, EOS, SEP, EntityCatalog, build_vocabularies, nul_terminated, tokenize
 from ettag.decoding import DecodeConfig, greedy_decode, parse_output
 from ettag.errors import CorruptCheckpoint, InputError, InvalidConfig, MissingMentionOrder, UnknownEntity
-from ettag.ingest import ETExample
+from ettag.ingest import ETExample, encode_examples
+from ettag.synthetic import synthetic_benchmark
 from ettag.toy_model import (
     ToyScorer,
     TrainConfig,
@@ -424,6 +425,31 @@ class TestTrain:
             )
             _, curve = train(corpus, config, cat, vin, vout)
             assert all(np.isfinite(v) for v in curve)
+
+    @staticmethod
+    def _train_benchmark(catalog, data):
+        vin, vout = build_vocabularies(catalog, (ex.text for ex in data.train))
+        config = TrainConfig(epochs=2, seed=3, batch_size=16, d=8, k=4)
+        return train(encode_examples(data.train, vin), config, catalog, vin, vout)
+
+    def test_training_builds_no_name_table(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the catalog's name table was built")
+
+        monkeypatch.setattr(EntityCatalog, "name_table", fail)
+        data = synthetic_benchmark(seed=0)
+        _, curve = self._train_benchmark(data.catalog, data)
+        assert len(curve) == 2 and np.isfinite(curve).all()
+
+    def test_a_built_name_table_leaves_training_unchanged(self):
+        data = synthetic_benchmark(seed=0)
+        fresh, tabled = EntityCatalog(data.catalog.names), EntityCatalog(data.catalog.names)
+        tabled.name_table()
+        p1, c1 = self._train_benchmark(fresh, data)
+        p2, c2 = self._train_benchmark(tabled, data)
+        assert c1 == c2
+        for a, b in zip(p1.arrays(), p2.arrays()):
+            assert (a == b).all()
 
     def test_bitwise_determinism(self, small_world):
         cat, vin, vout = small_world

@@ -24,6 +24,7 @@ from ettag.toy_model import ToyModelParams, build_target, init_params, load_chec
 from ettag.trie import (
     _CACHE,
     FINISHED,
+    ROOT,
     TrieCursor,
     advance,
     allowed_tokens,
@@ -49,7 +50,7 @@ SOURCE = KBSource(bytes(range(32)), "plain-lines")
 
 
 def walk(trie, tokens, cursor=None):
-    cur = cursor or trie.start_cursor()
+    cur = cursor or ROOT
     for t in tokens:
         cur = advance(trie, cur, t)
     return cur
@@ -146,7 +147,7 @@ class TestBuild:
 class TestAllowedTokens:
     def test_boundary_lists_first_tokens(self):
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth", "Parsec"]))
-        allowed = allowed_tokens(trie, trie.start_cursor(), frozenset(), DecodeConfig(), 0)
+        allowed = allowed_tokens(trie, ROOT, frozenset(), DecodeConfig(), 0)
         first = {tokenize(n, vout, mode="output")[0] for n in ("Earth", "Parsec")}
         assert set(allowed.tolist()) == first
 
@@ -167,7 +168,7 @@ class TestAllowedTokens:
         config = DecodeConfig()
         allowed = allowed_tokens(trie, cur, frozenset({earth}), config, 1)
         assert allowed.tolist() == []
-        at_root = allowed_tokens(trie, trie.start_cursor(), frozenset({earth}), config, 1)
+        at_root = allowed_tokens(trie, ROOT, frozenset({earth}), config, 1)
         parsec_first = tokenize("Parsec", vout, mode="output")[0]
         assert at_root.tolist() == [parsec_first]
 
@@ -179,10 +180,10 @@ class TestAllowedTokens:
         paris_tok, metro_tok = tokenize("Paris Métro", vout, mode="output")
         cur = walk(trie, [paris_tok])
         assert allowed_tokens(trie, cur, frozenset({paris}), config, 1).tolist() == [metro_tok]
-        at_root = allowed_tokens(trie, trie.start_cursor(), frozenset({paris}), config, 1)
+        at_root = allowed_tokens(trie, ROOT, frozenset({paris}), config, 1)
         assert at_root.tolist() == [paris_tok]
         both = frozenset({paris, metro})
-        assert allowed_tokens(trie, trie.start_cursor(), both, config, 2).tolist() == []
+        assert allowed_tokens(trie, ROOT, both, config, 2).tolist() == []
 
     def test_last_entity_forces_eos(self):
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth"]))
@@ -199,11 +200,11 @@ class TestAllowedTokens:
     def test_allow_empty_adds_eos_at_start_only(self):
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth", "Parsec"]))
         config = DecodeConfig(allow_empty=True)
-        at_start = allowed_tokens(trie, trie.start_cursor(), frozenset(), config, 0)
+        at_start = allowed_tokens(trie, ROOT, frozenset(), config, 0)
         assert EOS in at_start.tolist()
         # after one entity + SEP the boundary must demand another name
         earth = cat.id_of("Earth")
-        post_sep = allowed_tokens(trie, trie.start_cursor(), frozenset({earth}), config, 1)
+        post_sep = allowed_tokens(trie, ROOT, frozenset({earth}), config, 1)
         assert EOS not in post_sep.tolist()
 
     def test_finished_cursor_has_no_tokens(self):
@@ -226,7 +227,7 @@ class TestAdvance:
     def test_sep_returns_to_boundary(self):
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth", "Parsec"]))
         cur = walk(trie, tokenize("Earth", vout, mode="output"))
-        assert advance(trie, cur, SEP) == trie.start_cursor()
+        assert advance(trie, cur, SEP) == ROOT
 
     def test_eos_finishes(self):
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth"]))
@@ -237,9 +238,9 @@ class TestAdvance:
         cat, vout, trie = catalog_stack(EntityCatalog(["Black hole", "Earth"]))
         hole = tokenize("Black hole", vout, mode="output")[1]
         with pytest.raises(DisallowedToken):
-            advance(trie, trie.start_cursor(), hole)
+            advance(trie, ROOT, hole)
         with pytest.raises(DisallowedToken):
-            advance(trie, trie.start_cursor(), SEP)
+            advance(trie, ROOT, SEP)
         black = walk(trie, tokenize("Black hole", vout, mode="output")[:1])
         with pytest.raises(DisallowedToken):
             advance(trie, black, EOS)  # mid-name, not terminal
@@ -273,7 +274,7 @@ class TestLanguage:
         cat, vout, trie = catalog_stack(cat)
         config = DecodeConfig(max_entities=3)
         seen = set()
-        stack = [(trie.start_cursor(), frozenset(), 0)]
+        stack = [(ROOT, frozenset(), 0)]
         while stack:
             cursor, emitted, n_names = stack.pop()
             key = (cursor, emitted, n_names)
@@ -543,6 +544,7 @@ class TestCacheStructure:
 
         monkeypatch.setattr("ettag.cli.build_vocabularies", fail)
         monkeypatch.setattr(EntityCatalog, "name_table", fail)
+        monkeypatch.setattr(EntityCatalog, "output_vocab", fail)
         monkeypatch.setattr("ettag.catalog.canonicalize", fail)
         monkeypatch.setattr(EntityCatalog, "name_index", fail)
         for argv in (tag, _without_kb(tag)):
