@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DuplicateName, EmptyCatalog, InvalidName, MalformedLine, OutputOOV
+from .errors import DuplicateName, EmptyCatalog, InvalidConfig, InvalidName, MalformedLine, OutputOOV
 
 EntityId = int
 TokenSeq = list[int]
@@ -123,17 +123,17 @@ def read_vocabulary(section: bytes) -> Vocabulary | None:
     return vocab if nul_terminated(vocab.tokens) == section else None
 
 
-def read_catalog(section, count: int) -> EntityCatalog | None:
+def read_catalog(section, count: int, vocab: Vocabulary | None = None) -> EntityCatalog | None:
     """The catalog whose names ``nul_terminated`` wrote as ``section``, taken
-    as checked (``EntityCatalog.from_canonical``); None unless the section is
-    strict UTF-8 holding exactly ``count`` names."""
+    as checked, with output vocabulary ``vocab`` if given (``EntityCatalog.from_canonical``);
+    None unless the section is strict UTF-8 holding exactly ``count`` names."""
     try:
         names = str(section, "utf-8").split("\0")
     except UnicodeDecodeError:
         return None
     if len(names) != count + 1 or names.pop():
         return None
-    return EntityCatalog.from_canonical(names)
+    return EntityCatalog.from_canonical(names, vocab)
 
 
 def tokenize(text: str, vocab: Vocabulary, mode: str = "input") -> TokenSeq:
@@ -160,10 +160,9 @@ def detokenize(ids: Sequence[int], vocab: Vocabulary) -> str:
 
 
 class NameTable(NamedTuple):
-    """The output vocabulary (reserved tokens, then name tokens in first-encounter order) and
-    each catalog name's token ids in it, in CSR form: name ``i`` is ``ids[offsets[i]:offsets[i + 1]]``."""
+    """Each catalog name's token ids in the catalog's output vocabulary, in CSR
+    form: name ``i`` is ``ids[offsets[i]:offsets[i + 1]]``."""
 
-    vocab: Vocabulary
     offsets: np.ndarray  # int64 [n_names + 1]
     ids: np.ndarray      # int32 [total name tokens]
 
@@ -171,7 +170,7 @@ class NameTable(NamedTuple):
 class EntityCatalog:
     """Ordered, deduplicated collection of canonical entity names."""
 
-    __slots__ = ("names", "_index", "_vocab", "_table")
+    __slots__ = ("names", "_index", "_vocab")
 
     def __init__(self, names: Iterable[str]):
         canonical = [canonicalize(n) for n in names]
@@ -187,15 +186,14 @@ class EntityCatalog:
         self.names: tuple[str, ...] = tuple(canonical)
         self._index: dict[str, EntityId] | None = None  # built on first use: build-kb never reads it
         self._vocab: Vocabulary | None = None
-        self._table: NameTable | None = None
 
     @classmethod
-    def from_canonical(cls, names: Iterable[str]) -> EntityCatalog:
+    def from_canonical(cls, names: Iterable[str], vocab: Vocabulary | None = None) -> EntityCatalog:
         """The catalog of names that an earlier catalog already checked: canonical,
-        distinct and free of reserved glyphs. Nothing is checked again, and the
-        name -> id index is built on first use."""
+        distinct and free of reserved glyphs, and its output vocabulary if given.
+        Nothing is checked again, and the name -> id index is built on first use."""
         catalog = cls.__new__(cls)
-        catalog.names, catalog._index, catalog._vocab, catalog._table = tuple(names), None, None, None
+        catalog.names, catalog._index, catalog._vocab = tuple(names), None, vocab
         return catalog
 
     def __len__(self) -> int:
@@ -222,36 +220,30 @@ class EntityCatalog:
     def content_hash(self) -> bytes:
         return hashlib.sha256(nul_terminated(self.names)).digest()
 
-    def output_vocab(self, vocab: Vocabulary | None = None) -> Vocabulary:
-        """The output vocabulary, made on first use by a pass over the names, or by ``name_table``'s
-        pass if that came first: call that first when the table is wanted too. Raises EmptyCatalog
-        if there are no names, and OutputOOV if ``vocab`` is given and is not this vocabulary."""
+    def output_vocab(self) -> Vocabulary:
+        """The output vocabulary: given at construction, else made on first use by a pass over the
+        names, or by ``name_table``'s pass if that came first. Raises EmptyCatalog if there are no names."""
         if self._vocab is None:
             self._vocab = self._tokenize_words()
-        if vocab is not None and vocab is not self._vocab and vocab.tokens != self._vocab.tokens:
-            raise OutputOOV(f"a vocabulary of {len(vocab)} tokens is not the catalog's {len(self._vocab)}")
         return self._vocab
 
-    def name_table(self, vocab: Vocabulary | None = None) -> NameTable:
-        """The names tokenized once, on first use, into their NameTable, in the same pass that makes
-        the output vocabulary. Raises as ``output_vocab`` does."""
-        if self._table is None:
-            ids, lengths = [], []
+    def name_table(self) -> NameTable:
+        """The names tokenized into their NameTable by a new pass over them, which also makes the
+        output vocabulary if there is none yet. Raises EmptyCatalog if there are no names."""
+        ids, lengths = [], []
 
-            def add_rows(block: tuple[str, ...], words: list[str], word_ids: dict[str, tuple[int, ...]]) -> None:
-                rows = list(map(word_ids.__getitem__, words))
-                ids.append(np.fromiter(itertools.chain.from_iterable(rows), np.int32))
-                n_words = np.fromiter(map(str.count, block, itertools.repeat(" ")), np.int64, len(block)) + 1
-                word_lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-                lengths.append(np.add.reduceat(word_lengths, np.cumsum(n_words) - n_words))
+        def add_rows(block: tuple[str, ...], words: list[str], word_ids: dict[str, tuple[int, ...]]) -> None:
+            rows = list(map(word_ids.__getitem__, words))
+            ids.append(np.fromiter(itertools.chain.from_iterable(rows), np.int32))
+            n_words = np.fromiter(map(str.count, block, itertools.repeat(" ")), np.int64, len(block)) + 1
+            word_lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+            lengths.append(np.add.reduceat(word_lengths, np.cumsum(n_words) - n_words))
 
-            vocab_out = self._tokenize_words(add_rows)
-            if self._vocab is None:
-                self._vocab = vocab_out
-            offsets = np.concatenate(([0], np.cumsum(np.concatenate(lengths))))
-            self._table = NameTable(self._vocab, offsets, np.concatenate(ids))
-        self.output_vocab(vocab)
-        return self._table
+        vocab = self._tokenize_words(add_rows)
+        if self._vocab is None:
+            self._vocab = vocab
+        offsets = np.concatenate(([0], np.cumsum(np.concatenate(lengths))))
+        return NameTable(offsets, np.concatenate(ids))
 
     def _tokenize_words(self, each_block: Callable[..., None] | None = None) -> Vocabulary:
         """The output vocabulary: reserved tokens, then each name token in first-encounter order.
@@ -336,8 +328,11 @@ def build_vocabularies(
     Output: the catalog's own, ``catalog.output_vocab()``; the name table is not
     built for it. Input: reserved plus corpus tokens with count >= min_count, in
     first encounter order. A token holding NUL, which ends each token in a
-    checkpoint, is left out and so reads as UNK.
+    checkpoint, is left out and so reads as UNK. Raises InvalidConfig unless
+    ``min_count`` is at least 1.
     """
+    if min_count < 1:
+        raise InvalidConfig(f"min_count must be an integer >= 1, got {min_count!r}")
     vocab_out = catalog.output_vocab()  # raises EmptyCatalog before the corpus is read
     counts = Counter(t for text in corpus for t in word_tokens(text))  # a dict: first encounter order
     return Vocabulary(t for t, n in counts.items() if n >= min_count and "\0" not in t), vocab_out

@@ -51,7 +51,11 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8-sig") as f:
-        cfg = json.load(f)
+        text = f.read()
+    try:
+        cfg = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also nested too deeply, or an integer past the digit limit
+        raise InputError(f"{path}: bad JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise InputError(f"{path}: config must be a JSON object")
     return cfg
@@ -161,9 +165,8 @@ def cmd_build_kb(args, cfg) -> int:
     opts = _resolve(args, cfg, EntityCatalog.load)
     source = _kb_source(opts)
     catalog = _load_kb(opts)
-    vocab_out = catalog.name_table().vocab
-    trie = build_trie(catalog, vocab_out)
-    save_trie_cache(trie, opts["cache_out"], catalog, vocab_out, source)
+    trie = build_trie(catalog)
+    save_trie_cache(trie, opts["cache_out"], catalog, source)
     _write_runconfig(opts["cache_out"], "build-kb", opts)
     print(json.dumps(trie_stats(trie)))
     return 0
@@ -200,7 +203,7 @@ def cmd_train(args, cfg) -> int:
         catalog, (ex.text for ex in corpus), min_count=opts["min_count"]
     )
     corpus = encode_examples(corpus, vocab_in)
-    params, curve = train(corpus, tc, catalog, vocab_in, vocab_out)
+    params, curve = train(corpus, tc, catalog, vocab_in)
     model_out = opts["model_out"]
     save_checkpoint(params, model_out, vocab_in, vocab_out)
     _write_csv(str(model_out) + ".loss.csv", ["epoch", "mean_nll"], enumerate(curve, 1))
@@ -211,19 +214,19 @@ def cmd_train(args, cfg) -> int:
 
 def _load_model_stack(opts: dict):
     """catalog + input vocabulary + trie + scorer for tagging commands. The
-    catalog, trie and output vocabulary come from the trie cache, which must
-    have been built from ``--kb`` when that is given too; without a cache
-    they are built from ``--kb``."""
+    catalog, its output vocabulary and the trie come from the trie cache,
+    which must have been built from ``--kb`` when that is given too; without
+    a cache they are built from ``--kb``."""
     if opts["kb_cache"]:
         source = None if opts["kb"] is None else _kb_source(opts)
-        catalog, trie, vocab_out = load_trie_cache(opts["kb_cache"], source)
+        catalog, trie = load_trie_cache(opts["kb_cache"], source)
     elif opts["kb"] is None:
         raise UsageError("give --kb, --kb-cache or both")
     else:
         catalog = _load_kb(opts)
-        vocab_out = catalog.name_table().vocab
-        trie = build_trie(catalog, vocab_out)
-    params, vocab_in = load_checkpoint(opts["model"], vocab_out)
+        trie = build_trie(catalog)
+    # the checkpoint is keyed by the output vocabulary: the cache's, or the one the trie's pass made
+    params, vocab_in = load_checkpoint(opts["model"], catalog.output_vocab())
     return catalog, vocab_in, trie, ToyScorer(params)
 
 
@@ -293,15 +296,14 @@ def cmd_ablate_order(args, cfg) -> int:
     catalog = _load_kb(opts)
     train_corpus = read_et_jsonl(opts["train"], catalog)
     eval_corpus = read_et_jsonl(opts["eval"], catalog)
-    # the trie needs the name table, whose one pass over the names also yields the output vocabulary
-    trie = build_trie(catalog, catalog.name_table().vocab)
-    vocab_in, vocab_out = build_vocabularies(
+    trie = build_trie(catalog)  # its pass over the names also makes the output vocabulary
+    vocab_in, _ = build_vocabularies(
         catalog, (ex.text for ex in train_corpus), min_count=opts["min_count"]
     )
     bound = encode_examples(train_corpus, vocab_in)
     rows = []
     for tc in train_configs:
-        params, curve = train(bound, tc, catalog, vocab_in, vocab_out)
+        params, curve = train(bound, tc, catalog, vocab_in)
         report = _eval_decoded(eval_corpus, ToyScorer(params), trie, vocab_in, config)
         rows.append((tc.order_strategy, report.micro.f1, report.macro_f1, curve[-1]))
     _write_csv(opts["out"], ["strategy", "micro_f1", "macro_f1", "final_loss"], rows)
@@ -429,7 +431,7 @@ def main(argv=None) -> int:
     except ContractError as exc:
         _report_error(exc)
         return 2
-    except (EttagError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (EttagError, OSError, UnicodeDecodeError) as exc:
         _report_error(exc)
         return 1
     except MemoryError as exc:  # named as such, not as numpy's private subclass

@@ -30,7 +30,8 @@ NIL = None  # entity slot of a mention with no KB entry
 def jsonl_records(path, key: str) -> Iterator[dict]:
     """The record on each non-blank line of a JSONL file. Each
     record must be a JSON object holding a string under ``key``, and no two
-    records may hold the same one."""
+    records may hold the same one. A line the decoder cannot hold (nested too
+    deeply, or an integer past Python's digit limit) is a MalformedLine too."""
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8-sig") as f:
         for line_no, line in enumerate(f, 1):
@@ -39,8 +40,8 @@ def jsonl_records(path, key: str) -> Iterator[dict]:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(line_no, f"bad JSON: {exc}") from exc
+            except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
+                raise MalformedLine(line_no, f"bad JSON: {exc}") from None
             if not isinstance(rec, dict):
                 raise SchemaError(f"<line {line_no}>", key, "record is not a JSON object")
             if "\\u" in line:  # an escape can spell a lone surrogate, which UTF-8 cannot hold
@@ -330,8 +331,12 @@ def read_text_jsonl(path) -> list[tuple[str, str]]:
 
 
 def read_name_sets(path, field: str) -> dict[str, set[str]]:
-    """doc_id -> the set of names in ``field``, one JSONL record per doc_id."""
-    return {rec["doc_id"]: set(_names(rec, rec["doc_id"], field)) for rec in jsonl_records(path, "doc_id")}
+    """doc_id -> the set of canonical names in ``field``, one JSONL record per doc_id.
+    A name that is empty after canonicalization is a SchemaError."""
+    return {
+        rec["doc_id"]: {_canonical(n, rec["doc_id"], field) for n in _names(rec, rec["doc_id"], field)}
+        for rec in jsonl_records(path, "doc_id")
+    }
 
 
 def write_et_jsonl(examples: Iterable[ETExample], path, catalog: EntityCatalog) -> None:
@@ -347,6 +352,9 @@ def write_et_jsonl(examples: Iterable[ETExample], path, catalog: EntityCatalog) 
 
 
 def read_et_jsonl(path, catalog: EntityCatalog) -> list[ETExample]:
+    """The examples of an ET JSONL file. Each ``gold`` and ``gold_order`` name is
+    canonicalized, as KB names are, then looked up in ``catalog``: a name that is
+    empty after canonicalization is a SchemaError, one outside the catalog an UnknownEntity."""
     # built before the file is opened, so reading excludes it. After the read, train builds the output
     # vocabulary alone and ablate-order the name table with it; ablate-beam builds nothing more
     index = catalog.name_index()
@@ -355,16 +363,16 @@ def read_et_jsonl(path, catalog: EntityCatalog) -> list[ETExample]:
         doc_id = rec["doc_id"]
         text = _text(rec, doc_id)
 
-        def resolve(name: str) -> int:
-            eid = index.get(name)
+        def resolve(name: str, field: str) -> int:
+            eid = index.get(_canonical(name, doc_id, field))
             if eid is None:
                 raise UnknownEntity(f"{doc_id!r}: entity {name!r} not in catalog")
             return eid
 
-        gold = frozenset(resolve(n) for n in _names(rec, doc_id, "gold"))
+        gold = frozenset(resolve(n, "gold") for n in _names(rec, doc_id, "gold"))
         order = None
         if rec.get("gold_order") is not None:
-            order = tuple(resolve(n) for n in _names(rec, doc_id, "gold_order"))
+            order = tuple(resolve(n, "gold_order") for n in _names(rec, doc_id, "gold_order"))
             if len(order) != len(gold) or set(order) != gold:
                 raise SchemaError(doc_id, "gold_order", "not a permutation of gold")
         out.append(ETExample(doc_id=doc_id, text=text, gold=gold, gold_order=order))

@@ -95,18 +95,17 @@ def build_target(
     gold: Iterable[int],
     order: Sequence[int],
     catalog: EntityCatalog,
-    vocab: Vocabulary,
 ) -> TokenSeq:
     """name tokens, SEP between names, EOS at the end, names ordered by ``order``.
-    Each name is tokenized here, in ``vocab``: training builds the catalog's output
-    vocabulary, never its name table. Raises OutputOOV unless ``vocab`` is that vocabulary."""
+    Each name is tokenized here, in the catalog's output vocabulary: training
+    never builds the name table."""
     gold_set = set(gold)
     if set(order) != gold_set or len(order) != len(gold_set):
         raise ValueError("order must be a permutation of gold")
     for eid in order:
         if not 0 <= eid < len(catalog):
             raise UnknownEntity(f"entity id {eid} outside catalog")
-    catalog.output_vocab(vocab)
+    vocab = catalog.output_vocab()
     out: TokenSeq = []
     for eid in order:
         out += [SEP, *tokenize(catalog.name_of(eid), vocab, mode="output")]
@@ -273,9 +272,9 @@ def train(
     config: TrainConfig,
     catalog: EntityCatalog,
     vocab_in: Vocabulary,
-    vocab_out: Vocabulary,
 ) -> tuple[ToyModelParams, list[float]]:
-    """Optimize the NLL of one freshly-ordered target per example per epoch.
+    """Optimize the NLL of one freshly-ordered target per example per epoch,
+    over the catalog's output vocabulary.
 
     With the shuffle strategy a new uniform permutation is drawn every epoch;
     mention_order and lexicographic targets are fixed. Returns the trained
@@ -290,6 +289,7 @@ def train(
         for ex in corpus:
             ex.require_order()
     rng = np.random.default_rng(config.seed)
+    vocab_out = catalog.output_vocab()
     params = init_params(len(vocab_in), len(vocab_out), config.d, config.k, seed=config.seed)
     opt = OPTIMIZERS[config.optimizer](params.flat, config.lr)
     # the first step allocates the gradient buffer and each later one rewrites it
@@ -307,7 +307,7 @@ def train(
         for lo in range(0, n, config.batch_size):
             batch = [corpus[int(i)] for i in order[lo: lo + config.batch_size]]
             targets = [
-                build_target(ex.gold, _example_order(ex, config.order_strategy, rng, catalog), catalog, vocab_out)
+                build_target(ex.gold, _example_order(ex, config.order_strategy, rng, catalog), catalog)
                 for ex in batch
             ]
             loss, grads = batch_backward(params, batch, targets, grads)

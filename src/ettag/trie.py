@@ -34,7 +34,6 @@ from .catalog import (
     SEP,
     EntityCatalog,
     KBSource,
-    Vocabulary,
     nul_terminated,
     read_catalog,
     read_vocabulary,
@@ -179,12 +178,12 @@ class TokenTrie:
         return self.terminal_entity(node)
 
 
-def build_trie(catalog: EntityCatalog, vocab: Vocabulary) -> TokenTrie:
-    """Build the prefix tree recognizing exactly the tokenized catalog names. Raises EmptyCatalog
-    on an empty catalog, and OutputOOV unless ``vocab`` is the catalog's output vocabulary."""
+def build_trie(catalog: EntityCatalog) -> TokenTrie:
+    """Build the prefix tree recognizing exactly the catalog names, tokenized in its output
+    vocabulary. Raises EmptyCatalog on an empty catalog."""
     # the build's temporaries are freed on return, before those of from_arrays are made
-    _, offsets, ids = catalog.name_table(vocab)
-    return TokenTrie.from_arrays(*_preorder_arrays(offsets, ids), len(catalog), len(vocab))
+    offsets, ids = catalog.name_table()
+    return TokenTrie.from_arrays(*_preorder_arrays(offsets, ids), len(catalog), len(catalog.output_vocab()))
 
 
 def _preorder_arrays(offsets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -301,23 +300,23 @@ def trie_stats(trie: TokenTrie) -> dict[str, int]:
     }
 
 
-def save_trie_cache(trie: TokenTrie, path, catalog: EntityCatalog, vocab: Vocabulary, source: KBSource) -> None:
-    """Write the ``ETRIE4`` cache of ``trie``, its output vocabulary and the
+def save_trie_cache(trie: TokenTrie, path, catalog: EntityCatalog, source: KBSource) -> None:
+    """Write the ``ETRIE4`` cache of ``trie``, the output vocabulary and the
     names of ``catalog``, read from the KB file ``source``."""
     ints = (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)
-    tokens, names = nul_terminated(vocab.tokens), nul_terminated(catalog.names)
+    tokens, names = nul_terminated(catalog.output_vocab().tokens), nul_terminated(catalog.names)
     dims = (trie.node_count, len(trie.child_keys), len(catalog), len(tokens), len(names),
             CATALOG_FORMATS.index(source.format))
     sections = [source.sha256, *(np.asarray(a, dtype="<i4").tobytes() for a in ints), tokens, names]
     _CACHE.write(path, hashlib.sha256(names).digest(), dims, sections)
 
 
-def load_trie_cache(path, source: KBSource | None = None) -> tuple[EntityCatalog, TokenTrie, Vocabulary]:
-    """The catalog, trie and output vocabulary of a cache written by
-    save_trie_cache. Raises CacheMismatch unless the file is intact, was
-    built from the KB file ``source`` when one is given, and holds names that
-    hash to its key, a vocabulary covering the trie and a well-formed trie
-    over the names."""
+def load_trie_cache(path, source: KBSource | None = None) -> tuple[EntityCatalog, TokenTrie]:
+    """The catalog, holding its output vocabulary, and the trie of a cache
+    written by save_trie_cache. Raises CacheMismatch unless the file is
+    intact, was built from the KB file ``source`` when one is given, and holds
+    names that hash to its key, a vocabulary covering the trie and a
+    well-formed trie over the names."""
     key, (_, _, n_names, _, _, fmt), (kb_sha256, terminal, counts, keys, vals, vocab, names) = _CACHE.read(path, None)
     if source is not None:
         if kb_sha256 != source.sha256:
@@ -327,14 +326,14 @@ def load_trie_cache(path, source: KBSource | None = None) -> tuple[EntityCatalog
                                 f"not {source.format!r}; rebuild it with build-kb")
     if hashlib.sha256(names).digest() != key:
         raise CacheMismatch(f"{path}: names section does not match the key")
-    catalog = read_catalog(names, n_names)
+    vocab = read_vocabulary(bytes(vocab))
+    catalog = read_catalog(names, n_names, vocab)
     if catalog is None:
         raise CacheMismatch(f"{path}: bad names section")
-    vocab = read_vocabulary(bytes(vocab))
     if vocab is None:
         raise CacheMismatch(f"{path}: bad vocabulary section")
     arrays = (np.frombuffer(a, dtype="<i4") for a in (terminal, counts, keys, vals))
     try:
-        return catalog, TokenTrie.from_arrays(*arrays, n_names, len(vocab)), vocab
+        return catalog, TokenTrie.from_arrays(*arrays, n_names, len(vocab))
     except CacheMismatch as exc:
         raise CacheMismatch(f"{path}: {exc}") from None

@@ -19,7 +19,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from ettag.catalog import BOS, EOS, SEP, EntityCatalog, Vocabulary, build_vocabularies, tokenize
+from ettag.catalog import BOS, EOS, SEP, EntityCatalog, Vocabulary, tokenize
 from ettag.decoding import DecodeConfig
 from ettag.errors import NoFinishedHypothesis, ScorerContractViolation
 from ettag.toy_model import ToyModelParams, _example_order, build_target, encode_input
@@ -125,8 +125,8 @@ def count_prefix_pairs(catalog, vocab) -> int:
 
 def catalog_stack(catalog: EntityCatalog):
     """(catalog, output vocab, trie) bundle for constraint tests."""
-    _, vocab_out = build_vocabularies(catalog, [])
-    return catalog, vocab_out, build_trie(catalog, vocab_out)
+    trie = build_trie(catalog)
+    return catalog, catalog.output_vocab(), trie
 
 
 def name_token_seqs(catalog: EntityCatalog, vocab: Vocabulary) -> list[tuple[int, ...]]:
@@ -450,14 +450,14 @@ def reference_backward(params: ToyModelParams, example, target):
     return loss, grads
 
 
-def reference_train(corpus, config, catalog, vocab_in, vocab_out):
+def reference_train(corpus, config, catalog, vocab_in):
     """The training loop one example at a time: ``reference_backward`` per
     example, gradients summed into a fresh buffer per batch, and Adam or SGD
     applied to the four arrays one by one. Initial weights are four draws in
     turn. ``ettag.toy_model.train`` must return the same curve and weights
     (bit for bit at batch size 1). No divergence check."""
     rng = np.random.default_rng(config.seed)
-    v_in, v_out, d, k = len(vocab_in), len(vocab_out), config.d, config.k
+    v_in, v_out, d, k = len(vocab_in), len(catalog.output_vocab()), config.d, config.k
     init = np.random.default_rng(config.seed)
     sizes = (v_in * d, v_out * d, (d + k * d) * v_out, v_out)
     params = ToyModelParams(np.concatenate([init.uniform(-0.1, 0.1, size=n) for n in sizes]), d, k, v_in, v_out)
@@ -475,7 +475,7 @@ def reference_train(corpus, config, catalog, vocab_in, vocab_out):
             for idx in batch:
                 ex = corpus[int(idx)]
                 ex_order = _example_order(ex, config.order_strategy, rng, catalog)
-                loss, grads = reference_backward(params, ex, build_target(ex.gold, ex_order, catalog, vocab_out))
+                loss, grads = reference_backward(params, ex, build_target(ex.gold, ex_order, catalog))
                 epoch_loss += loss
                 for a, g in zip(acc.arrays(), grads.arrays()):
                     a += g

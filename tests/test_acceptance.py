@@ -175,7 +175,7 @@ def test_criterion_05_gradient_check():
                 "g", text, frozenset(gold), tuple(order),
                 input=tokenize(text, vin, mode="input"),
             )
-            target = build_target(set(gold), order, cat, vout)
+            target = build_target(set(gold), order, cat)
             _, grads = backward(params, ex, target)
             for arr, g in zip(params.arrays(), grads.arrays()):
                 flat, gflat = arr.ravel(), g.ravel()
@@ -194,7 +194,7 @@ def test_criterion_05_gradient_check():
 def test_criterion_06_memorization():
     with criterion(6, "single-example-memorization", 30):
         cat = EntityCatalog(["red fox", "blue jay", "green frog"])
-        vin, vout = build_vocabularies(cat, ["red fox meets blue jay"])
+        vin, _ = build_vocabularies(cat, ["red fox meets blue jay"])
         from ettag.ingest import ETExample
 
         text = "red fox meets blue jay"
@@ -205,9 +205,9 @@ def test_criterion_06_memorization():
         config = TrainConfig(
             epochs=500, seed=1, lr=1e-2, order_strategy="lexicographic", d=8, k=2
         )
-        params, curve = train([ex], config, cat, vin, vout)
+        params, curve = train([ex], config, cat, vin)
         assert curve[-1] < 0.01, f"final loss {curve[-1]}"
-        trie = build_trie(cat, vout)
+        trie = build_trie(cat)
         tokens = greedy_decode(ToyScorer(params), trie, ex.input, DecodeConfig(beam_size=1))
         entities, dropped = parse_output(tokens, trie)
         assert dropped == 0
@@ -238,17 +238,17 @@ def test_criterion_07_order_strategy_analogue():
             data = synthetic_benchmark(
                 seed=seed, n_entities=50, n_train=200, n_eval=60, gold_range=(2, 6)
             )
-            vin, vout = build_vocabularies(data.catalog, (ex.text for ex in data.train))
+            vin, _ = build_vocabularies(data.catalog, (ex.text for ex in data.train))
             from ettag.ingest import encode_examples
 
             bound = encode_examples(data.train, vin)
-            trie = build_trie(data.catalog, vout)
+            trie = build_trie(data.catalog)
             f1 = {}
             for strategy in ("shuffle", "mention_order"):
                 config = TrainConfig(
                     epochs=100, seed=seed, lr=1e-2, order_strategy=strategy, d=24, k=10
                 )
-                params, _ = train(bound, config, data.catalog, vin, vout)
+                params, _ = train(bound, config, data.catalog, vin)
                 f1[strategy] = _benchmark_f1(params, data, vin, trie, beam_size=5)
             print(
                 f"  seed {seed}: shuffle={f1['shuffle']:.3f} "
@@ -302,16 +302,15 @@ def test_criterion_09_scale_benchmark():
         script = r"""
 import json, resource, time
 import numpy as np
-from ettag.catalog import EntityCatalog, build_vocabularies
+from ettag.catalog import EntityCatalog
 from ettag.decoding import DecodeConfig
 from ettag.synthetic import synthetic_kb_names
 from ettag.trie import TrieCursor, allowed_tokens, build_trie
 
 names = synthetic_kb_names(470_578, seed=0)
 catalog = EntityCatalog(names)
-_, vout = build_vocabularies(catalog, [])
 t0 = time.perf_counter()
-trie = build_trie(catalog, vout)
+trie = build_trie(catalog)
 build_seconds = time.perf_counter() - t0
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 

@@ -29,6 +29,7 @@ from ettag.catalog import (
 from ettag.errors import (
     DuplicateName,
     EmptyCatalog,
+    InvalidConfig,
     InvalidName,
     MalformedLine,
     OutputOOV,
@@ -241,6 +242,12 @@ class TestCatalog:
         assert cat.id_of("Black hole") == 1 and "São Paulo" in cat and "Mars" not in cat
         assert cat.content_hash() == EntityCatalog(names).content_hash()
 
+    def test_read_catalog_holds_a_given_vocabulary(self, monkeypatch):
+        vocab = EntityCatalog(["Earth", "Black hole"]).output_vocab()
+        cat = read_catalog(nul_terminated(["Earth", "Black hole"]), 2, vocab)
+        monkeypatch.setattr(EntityCatalog, "_tokenize_words", None)  # no pass over the names
+        assert cat.output_vocab() is vocab
+
     @pytest.mark.parametrize("section, count", [
         (b"Earth\0Mars\0", 3), (b"Earth\0Mars\0", 1), (b"Earth\0Mars", 2), (b"Earth\0\xe2\x96\0", 2),
     ], ids=["too-few", "too-many", "no-final-nul", "not-utf8"])
@@ -286,6 +293,11 @@ class TestBuildVocabularies:
         with pytest.raises(EmptyCatalog):
             build_vocabularies(EntityCatalog([]), [])
 
+    @pytest.mark.parametrize("min_count", [0, -3])
+    def test_min_count_below_one_rejected(self, min_count):
+        with pytest.raises(InvalidConfig, match="min_count"):
+            build_vocabularies(EntityCatalog(["Earth"]), ["Earth"], min_count=min_count)
+
     def test_name_table_rows_match_tokenize(self):
         # punctuation-heavy words, so the per-word tokenization peels pieces
         rng = np.random.default_rng(4)
@@ -293,8 +305,6 @@ class TestBuildVocabularies:
         cat = EntityCatalog(sorted({" ".join(rng.choice(pieces, size=int(rng.integers(1, 4)))) for _ in range(300)}))
         table = cat.name_table()
         _, vout = build_vocabularies(cat, [])
-        assert vout is table.vocab
-        assert cat.name_table() is table
         assert table.offsets.dtype == np.int64 and table.ids.dtype == np.int32
         assert table.offsets[0] == 0 and table.offsets[-1] == len(table.ids)
         for eid, name in enumerate(cat):
@@ -302,13 +312,6 @@ class TestBuildVocabularies:
             assert row.tolist() == tokenize(name, vout, mode="output")
         # reserved tokens, then every name token in first-encounter order
         assert vout.tokens == Vocabulary(t for name in cat for t in word_tokens(name)).tokens
-
-    def test_name_table_checks_a_given_vocabulary(self):
-        cat = EntityCatalog(["Earth", "Mars"])
-        vout = cat.name_table().vocab
-        assert cat.name_table(Vocabulary(vout.tokens[N_RESERVED:])) is cat.name_table()
-        with pytest.raises(OutputOOV):
-            cat.name_table(Vocabulary(reversed(vout.tokens[N_RESERVED:])))
 
     def test_empty_catalog_has_no_name_table(self):
         with pytest.raises(EmptyCatalog):
@@ -323,14 +326,11 @@ class TestBuildVocabularies:
         assert len(names) > 1 << 15
         cat, tabled = EntityCatalog(names), EntityCatalog(names)
         vocab, table = cat.output_vocab(), tabled.name_table()
-        assert vocab.tokens == table.vocab.tokens
+        assert vocab.tokens == tabled.output_vocab().tokens
         assert vocab.tokens[-4:] == ("▁late-comer", "▁«", "Ωmega", "»")
         for eid in range(len(cat)):
             row = table.ids[table.offsets[eid]: table.offsets[eid + 1]].tolist()
-            assert build_target({eid}, [eid], cat, vocab) == row + [EOS]
-        content = vocab.tokens[N_RESERVED:]
-        with pytest.raises(OutputOOV):
-            build_target({0}, [0], cat, Vocabulary(content[::-1]))
+            assert build_target({eid}, [eid], cat) == row + [EOS]
 
 
 def test_bijection_and_round_trip_sampled_at_kb_scale():

@@ -154,7 +154,7 @@ class TestTagAndEval:
         records = {r["doc_id"]: r for r in map(json.loads, out.read_text().splitlines())}
         docs = read_text_jsonl(world["eval"])
         catalog = EntityCatalog.load(world["kb"])
-        trie = build_trie(catalog, catalog.name_table().vocab)
+        trie = build_trie(catalog)
         for (doc_id, _), (tokens, score) in zip(docs, _decode_one_by_one(world, beam)):
             entities, _ = parse_output(tokens, trie)
             assert records[doc_id]["entities"] == sorted(map(catalog.name_of, entities))
@@ -305,17 +305,25 @@ class TestAblations:
         assert [r[0] for r in rows[1:]] == ["shuffle", "mention_order"]
 
 
-@pytest.mark.parametrize("command", ["build-kb", "train", "tag", "ablate-beam", "ablate-order"])
-def test_each_command_tokenizes_the_names_in_one_pass(world, tmp_path, capsys, monkeypatch, command):
-    """A command that needs the output vocabulary, the name table or both makes one pass over the names."""
+def _count_name_passes(monkeypatch) -> list[bool]:
+    """Each later pass over the names (``EntityCatalog._tokenize_words``), as
+    whether it built the name table too."""
     passes = []
     tokenize_words = EntityCatalog._tokenize_words
 
-    def counted(catalog, *args):
-        passes.append(catalog)
-        return tokenize_words(catalog, *args)
+    def counted(catalog, each_block=None):
+        passes.append(each_block is not None)
+        return tokenize_words(catalog, each_block)
 
     monkeypatch.setattr(EntityCatalog, "_tokenize_words", counted)
+    return passes
+
+
+@pytest.mark.parametrize("command", ["build-kb", "train", "tag", "ablate-beam", "ablate-order"])
+def test_each_command_tokenizes_the_names_in_one_pass(world, tmp_path, capsys, monkeypatch, command):
+    """A command that needs the output vocabulary, the name table or both makes
+    one pass over the names; train's pass builds no name table."""
+    passes = _count_name_passes(monkeypatch)
     kb, model, out = str(world["kb"]), str(world["model"]), str(tmp_path / "out")
     corpora = ["--train", str(world["train"]), "--eval", str(world["eval"])]
     argv = {
@@ -326,7 +334,22 @@ def test_each_command_tokenizes_the_names_in_one_pass(world, tmp_path, capsys, m
         "ablate-order": [*corpora, "--kb", kb, "--strategies", "shuffle", "--epochs", "1", "--out", out],
     }[command]
     assert main([command, *argv]) == 0
-    assert len(passes) == 1
+    assert passes == [command != "train"]
+
+
+@pytest.mark.parametrize("command", ["tag", "ablate-beam"])
+def test_a_trie_cache_spares_every_pass_over_the_names(world, tmp_path, capsys, monkeypatch, command):
+    """Given --kb-cache, with or without --kb, tagging takes the output vocabulary from the cache."""
+    cache, out = str(tmp_path / "kb.trie"), str(tmp_path / "out")
+    assert main(["build-kb", "--kb", str(world["kb"]), "--cache-out", cache]) == 0
+    passes = _count_name_passes(monkeypatch)
+    argv = {
+        "tag": ["--in", str(world["eval"]), "--out", out],
+        "ablate-beam": ["--eval", str(world["eval"]), "--beams", "1", "--out", out],
+    }[command]
+    for kb in ([], ["--kb", str(world["kb"])]):
+        assert main([command, "--model", str(world["model"]), "--kb-cache", cache, *kb, *argv]) == 0
+    assert passes == []
 
 
 class TestErrorHandling:
@@ -403,6 +426,23 @@ class TestErrorHandling:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("value", ["[" * 200_000 + "]" * 200_000, "9" * 5_000], ids=["deep", "long-int"])
+    @pytest.mark.parametrize("reader, error", [("config", "InputError"), ("text", "MalformedLine")])
+    def test_json_beyond_the_decoder_limits_exit_1(self, world, tmp_path, capsys, reader, error, value):
+        """JSON nested past the recursion limit, or holding an integer past Python's
+        digit limit, is an input error on one JSON line, in a config file and in a JSONL input."""
+        bad, out = tmp_path / "bad.json", tmp_path / "p.jsonl"
+        bad.write_text('{"doc_id": "a", "text": "x", "extra": %s}\n' % value, encoding="utf-8")
+        argv = _tag_argv(world, str(out), "--in", str(bad) if reader == "text" else str(world["eval"]))
+        if reader == "config":
+            argv = ["--config", str(bad), *argv]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == error
+        assert (str(bad) if reader == "config" else "line 1") in err[0]
+        assert not out.exists()
+
     def test_config_byte_order_mark_skipped(self, world, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("\ufeff" + json.dumps({"build_kb": {"kb_format": "plain-lines"}}), encoding="utf-8")
@@ -426,7 +466,7 @@ class TestErrorHandling:
         model = tmp_path / "m.bin"
         argv = ["train", "--train", str(docs), "--kb", str(world["kb"]), "--model-out", str(model), "--dim", "4"]
         assert main(argv + ["--epochs", "1"]) == 0
-        _, vocab_in = load_checkpoint(model, world["catalog"].name_table().vocab)
+        _, vocab_in = load_checkpoint(model, world["catalog"].output_vocab())
         assert tokenize("x\0y", vocab_in) == [UNK] and not any("\0" in t for t in vocab_in.tokens)
         out = tmp_path / "p.jsonl"
         assert main(["tag", "--model", str(model), "--kb", str(world["kb"]), "--in", str(docs), "--out", str(out)]) == 0
@@ -486,6 +526,14 @@ class TestErrorHandling:
             ("convert", [], {"convert": {"stats_out": 1}}),
             ("convert", [], {"convert": {"keep_empty": "no"}}),
             ("eval", [], {"eval": {"json_out": 2}}),
+            ("train", ["--min-count", "0"], None),
+            ("train", ["--min-count", "-3"], None),
+            ("train", [], {"train": {"min_count": 0}}),
+            ("train", [], {"train": {"min_count": -3}}),
+            ("ablate-order", ["--min-count", "0"], None),
+            ("ablate-order", ["--min-count", "-3"], None),
+            ("ablate-order", [], {"ablate_order": {"min_count": 0}}),
+            ("ablate-order", [], {"ablate_order": {"min_count": -3}}),
         ],
     )
     def test_out_of_range_setting_exit_1(self, world, tmp_path, monkeypatch, capsys, command, bad, config):
@@ -505,6 +553,8 @@ class TestErrorHandling:
             "build-kb": ["build-kb", *kb, "--cache-out", "kb.trie"],
             "convert": ["convert", *kb, "--format", "el-jsonl", "--in", str(el), "--out", "c.jsonl"],
             "eval": ["eval", "--pred", str(pred), "--gold", str(world["eval"])],
+            "ablate-order": ["ablate-order", *kb, "--train", str(world["train"]), "--eval", str(world["eval"]),
+                             "--out", "o.csv"],
         }[command]
         if config is not None:
             cfg = tmp_path / "cfg.json"
@@ -550,6 +600,20 @@ class TestErrorHandling:
         assert main(["ablate-order", "--train", str(corpus), "--eval", str(corpus), "--out", str(tmp_path / "o.csv"),
                      "--strategies", strategy, *common]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_gold_and_eval_names_are_canonicalized(self, tmp_path, capsys):
+        """ET JSONL gold names and eval's name sets are canonicalized as KB names are."""
+        kb = tmp_path / "kb.txt"
+        kb.write_text("Red Planet\nEarth\n", encoding="utf-8")
+        corpus, pred = tmp_path / "train.jsonl", tmp_path / "pred.jsonl"
+        corpus.write_text(json.dumps({"doc_id": "a", "text": "the red planet", "gold": ["Red  Planet"],
+                                      "gold_order": [" Red Planet"]}) + "\n", encoding="utf-8")
+        pred.write_text(json.dumps({"doc_id": "a", "entities": ["Red Planet"]}) + "\n", encoding="utf-8")
+        argv = ["train", "--train", str(corpus), "--kb", str(kb), "--model-out", str(tmp_path / "m.bin")]
+        assert main(argv + ["--epochs", "1", "--dim", "4", "--order-strategy", "mention_order"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--pred", str(pred), "--gold", str(corpus), "--json-out", str(tmp_path / "r.json")]) == 0
+        assert json.loads((tmp_path / "r.json").read_text())["dataset"]["micro"]["f1"] == 1.0
 
     def test_truncated_checkpoint_exit_1(self, world, tmp_path, capsys):
         model = tmp_path / "cut.bin"
@@ -811,9 +875,8 @@ class TestErrorHandling:
 def _decode_one_by_one(world, beam):
     """The best (tokens, score) of each document of the world's eval file, decoded alone."""
     catalog = EntityCatalog.load(world["kb"])
-    vocab_out = catalog.name_table().vocab
-    trie = build_trie(catalog, vocab_out)
-    params, vocab_in = load_checkpoint(world["model"], vocab_out)
+    trie = build_trie(catalog)
+    params, vocab_in = load_checkpoint(world["model"], catalog.output_vocab())
     config = DecodeConfig(beam_size=beam)
     return [beam_decode(ToyScorer(params), trie, tokenize(text, vocab_in, mode="input"), config)[0]
             for _, text in read_text_jsonl(world["eval"])]

@@ -525,6 +525,31 @@ class TestEtJsonl:
             read_et_jsonl(tmp_path / "missing.jsonl", catalog)
         assert catalog._index == {"Earth": 0, "Mars": 1}
 
+    def test_gold_names_are_canonicalized(self, tmp_path):
+        catalog = EntityCatalog(["Red Planet", "Earth"])
+        path = tmp_path / "et.jsonl"
+        rec = {"doc_id": "a", "text": "x", "gold": ["Red  Planet", " Earth"], "gold_order": ["Earth\t", "Red\nPlanet"]}
+        path.write_text(json.dumps(rec), encoding="utf-8")
+        assert read_et_jsonl(path, catalog) == [ETExample("a", "x", frozenset({0, 1}), (1, 0))]
+
+    @pytest.mark.parametrize("field", ["gold", "gold_order"])
+    def test_name_empty_after_canonicalization_is_a_schema_error(self, tmp_path, field):
+        catalog = EntityCatalog(["Earth"])
+        path = tmp_path / "et.jsonl"
+        rec = {"doc_id": "a", "text": "x", "gold": ["Earth"], "gold_order": ["Earth"]}
+        rec[field] = [" \t"]
+        path.write_text(json.dumps(rec), encoding="utf-8")
+        with pytest.raises(SchemaError, match=field):
+            read_et_jsonl(path, catalog)
+
+    def test_name_sets_are_canonicalized(self, tmp_path):
+        path = tmp_path / "pred.jsonl"
+        path.write_text(json.dumps({"doc_id": "a", "entities": ["Red  Planet", "Cafe\u0301"]}), encoding="utf-8")
+        assert read_name_sets(path, "entities") == {"a": {"Red Planet", "Caf\u00e9"}}
+        path.write_text(json.dumps({"doc_id": "a", "entities": ["  "]}), encoding="utf-8")
+        with pytest.raises(SchemaError, match="entities"):
+            read_name_sets(path, "entities")
+
     def test_order_must_be_permutation(self, tmp_path):
         catalog = EntityCatalog(["Earth", "Mars"])
         path = tmp_path / "et.jsonl"
@@ -591,6 +616,14 @@ class TestJsonlRecords:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"doc_id": \n', encoding="utf-8")
         with pytest.raises(MalformedLine):
+            read(path)
+
+    @pytest.mark.parametrize("value", ["[" * 200_000 + "]" * 200_000, "9" * 5_000], ids=["deep", "long-int"])
+    def test_json_beyond_the_decoder_limits(self, tmp_path, read, value):
+        # nested past the recursion limit, or an integer past Python's digit limit
+        path = tmp_path / "bad.jsonl"
+        path.write_text('\n{"doc_id": "a", "title": "a", "text": "x", "extra": %s}\n' % value, encoding="utf-8")
+        with pytest.raises(MalformedLine, match="line 2"):
             read(path)
 
     def test_lone_surrogate(self, tmp_path, read):

@@ -138,12 +138,12 @@ class TestNextLogprobs:
 class TestBuildTarget:
     def test_singleton(self, small_world):
         cat, vin, vout = small_world
-        target = build_target({0}, [0], cat, vout)
+        target = build_target({0}, [0], cat)
         assert target == tokenize("red fox", vout, mode="output") + [EOS]
 
     def test_order_respected(self, small_world):
         cat, vin, vout = small_world
-        target = build_target({0, 1}, [1, 0], cat, vout)
+        target = build_target({0, 1}, [1, 0], cat)
         want = (
             tokenize("blue jay", vout, mode="output")
             + [SEP]
@@ -158,19 +158,19 @@ class TestBuildTarget:
         for _ in range(50):
             m = int(rng.integers(1, 4))
             gold = list(rng.choice(3, size=m, replace=False))
-            target = build_target(set(gold), gold, cat, vout)
+            target = build_target(set(gold), gold, cat)
             assert target.count(SEP) == m - 1
             assert target.count(EOS) == 1 and target[-1] == EOS
 
     def test_not_a_permutation(self, small_world):
         cat, vin, vout = small_world
         with pytest.raises(ValueError):
-            build_target({0, 1}, [0], cat, vout)
+            build_target({0, 1}, [0], cat)
 
     def test_unknown_entity(self, small_world):
         cat, vin, vout = small_world
         with pytest.raises(UnknownEntity):
-            build_target({99}, [99], cat, vout)
+            build_target({99}, [99], cat)
 
 
 class TestSamplePermutation:
@@ -214,7 +214,7 @@ class TestLoss:
         params = init_params(len(vin), v, d=3, k=2, seed=0)
         params.flat[:] = 0.0
         ex = example(cat, vin, "red fox", {0})
-        target = build_target({0}, [0], cat, vout)
+        target = build_target({0}, [0], cat)
         assert nll_loss(params, ex, target) == pytest.approx(len(target) * np.log(v), rel=1e-12)
 
     def test_loss_nonnegative(self, small_world):
@@ -222,14 +222,14 @@ class TestLoss:
         for seed in range(10):
             params = init_params(len(vin), len(vout), d=4, k=2, seed=seed)
             ex = example(cat, vin, "blue jay and red fox", {0, 1})
-            target = build_target({0, 1}, [0, 1], cat, vout)
+            target = build_target({0, 1}, [0, 1], cat)
             assert nll_loss(params, ex, target) >= 0.0
 
     def test_loss_near_uniform_at_init(self, small_world):
         cat, vin, vout = small_world
         params = init_params(len(vin), len(vout), d=8, k=3, seed=3)
         ex = example(cat, vin, "green frog alone", {2})
-        target = build_target({2}, [2], cat, vout)
+        target = build_target({2}, [2], cat)
         uniform = len(target) * np.log(len(vout))
         assert abs(nll_loss(params, ex, target) - uniform) / uniform < 0.01
 
@@ -242,7 +242,7 @@ class TestBackward:
         for seed in range(6):
             params = init_params(len(vin), len(vout), d=3, k=2, seed=seed)
             ex = example(cat, vin, "red fox and blue jay", {0, 1})
-            target = build_target({0, 1}, [seed % 2, 1 - seed % 2], cat, vout)
+            target = build_target({0, 1}, [seed % 2, 1 - seed % 2], cat)
             _, grads = backward(params, ex, target)
             for arr, g in zip(params.arrays(), grads.arrays()):
                 flat, gflat = arr.ravel(), g.ravel()
@@ -282,7 +282,7 @@ class TestBackward:
         cat, vin, vout = small_world
         params = init_params(len(vin), len(vout), d=4, k=2, seed=2)
         ex = example(cat, vin, "red fox", {0})
-        target = build_target({0}, [0], cat, vout)
+        target = build_target({0}, [0], cat)
         _, grads = backward(params, ex, target)
         used = set(ex.input)
         for row in range(len(vin)):
@@ -381,7 +381,7 @@ class TestBatchBackward:
             params = init_params(len(vin), len(vout), d=3, k=2, seed=seed)
             batch = [example(cat, vin, "red fox and blue jay", {0, 1}), example(cat, vin, "", {2}),
                      example(cat, vin, "green frog blue jay green frog", {1, 2})]
-            targets = [build_target(ex.gold, sorted(ex.gold, key=lambda g: (g + seed) % 3), cat, vout) for ex in batch]
+            targets = [build_target(ex.gold, sorted(ex.gold, key=lambda g: (g + seed) % 3), cat) for ex in batch]
             _, grads = batch_backward(params, batch, targets)
             for idx in rng.choice(len(params.flat), size=60, replace=False):
                 old = params.flat[idx]
@@ -400,9 +400,9 @@ class TestTrain:
         cat, vin, vout = small_world
         ex = example(cat, vin, "red fox and blue jay", {0, 1})
         config = TrainConfig(epochs=500, seed=1, lr=1e-2, order_strategy="lexicographic", d=8, k=2)
-        params, curve = train([ex], config, cat, vin, vout)
+        params, curve = train([ex], config, cat, vin)
         assert curve[-1] < 0.01
-        trie = build_trie(cat, vout)
+        trie = build_trie(cat)
         toks = greedy_decode(ToyScorer(params), trie, ex.input, DecodeConfig(beam_size=1))
         entities, dropped = parse_output(toks, trie)
         assert dropped == 0 and entities == set(ex.gold)
@@ -423,14 +423,14 @@ class TestTrain:
                 optimizer=("adam", "sgd")[seed % 2],
                 batch_size=1 + seed % 3, d=6, k=2,
             )
-            _, curve = train(corpus, config, cat, vin, vout)
+            _, curve = train(corpus, config, cat, vin)
             assert all(np.isfinite(v) for v in curve)
 
     @staticmethod
     def _train_benchmark(catalog, data):
-        vin, vout = build_vocabularies(catalog, (ex.text for ex in data.train))
+        vin, _ = build_vocabularies(catalog, (ex.text for ex in data.train))
         config = TrainConfig(epochs=2, seed=3, batch_size=16, d=8, k=4)
-        return train(encode_examples(data.train, vin), config, catalog, vin, vout)
+        return train(encode_examples(data.train, vin), config, catalog, vin)
 
     def test_training_builds_no_name_table(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -456,8 +456,8 @@ class TestTrain:
         ex1 = example(cat, vin, "red fox", {0})
         ex2 = example(cat, vin, "blue jay green frog", {1, 2}, order=[2, 1])
         config = TrainConfig(epochs=20, seed=7, order_strategy="shuffle", d=6, k=2)
-        p1, c1 = train([ex1, ex2], config, cat, vin, vout)
-        p2, c2 = train([ex1, ex2], config, cat, vin, vout)
+        p1, c1 = train([ex1, ex2], config, cat, vin)
+        p2, c2 = train([ex1, ex2], config, cat, vin)
         assert c1 == c2
         for a, b in zip(p1.arrays(), p2.arrays()):
             assert np.array_equal(a, b)
@@ -477,8 +477,8 @@ class TestTrain:
     def test_batch_one_is_the_reference_bit_for_bit(self, small_world, optimizer, strategy):
         cat, vin, vout = small_world
         config = TrainConfig(epochs=6, seed=4, lr=0.05, order_strategy=strategy, optimizer=optimizer, d=5, k=3)
-        params, curve = train(self._corpus(cat, vin), config, cat, vin, vout)
-        want, want_curve = reference_train(self._corpus(cat, vin), config, cat, vin, vout)
+        params, curve = train(self._corpus(cat, vin), config, cat, vin)
+        want, want_curve = reference_train(self._corpus(cat, vin), config, cat, vin)
         assert curve == want_curve
         assert params.flat.tobytes() == want.flat.tobytes()
 
@@ -489,8 +489,8 @@ class TestTrain:
         for strategy in ("shuffle", "mention_order", "lexicographic"):
             config = TrainConfig(epochs=6, seed=5, lr=0.05, order_strategy=strategy, optimizer=optimizer,
                                  batch_size=batch_size, d=5, k=3)
-            params, curve = train(self._corpus(cat, vin) * 4, config, cat, vin, vout)
-            want, want_curve = reference_train(self._corpus(cat, vin) * 4, config, cat, vin, vout)
+            params, curve = train(self._corpus(cat, vin) * 4, config, cat, vin)
+            want, want_curve = reference_train(self._corpus(cat, vin) * 4, config, cat, vin)
             np.testing.assert_allclose(curve, want_curve, rtol=1e-9)
             np.testing.assert_allclose(params.flat, want.flat, rtol=1e-9, atol=1e-9)
 
@@ -499,14 +499,14 @@ class TestTrain:
         ex = example(cat, vin, "red fox", {0}, order=None)
         config = TrainConfig(epochs=1, order_strategy="mention_order")
         with pytest.raises(MissingMentionOrder):
-            train([ex], config, cat, vin, vout)
+            train([ex], config, cat, vin)
 
     def test_divergence_raises(self, small_world):
         cat, vin, vout = small_world
         corpus = [example(cat, vin, "red fox", {0}), example(cat, vin, "blue jay green frog", {1, 2})]
         config = TrainConfig(epochs=3, optimizer="sgd", lr=1e200, d=6, k=2)
         with pytest.raises(InputError, match="diverged"):
-            train(corpus, config, cat, vin, vout)
+            train(corpus, config, cat, vin)
 
     def test_non_finite_weights_after_the_last_update_raise(self, small_world):
         # the epoch's loss is taken before its last update, so only the weights
@@ -516,7 +516,7 @@ class TestTrain:
         corpus = [example(cat, vin, "red fox blue jay green frog", {0, 1, 2})]
         config = TrainConfig(epochs=1, optimizer="sgd", lr=1.79e308, order_strategy="lexicographic", d=6, k=2)
         with pytest.raises(InputError, match="diverged"):
-            train(corpus, config, cat, vin, vout)
+            train(corpus, config, cat, vin)
 
     def test_finite_divergence_raises(self, small_world):
         # the mean loss reaches 4e54 by epoch 3 but stays finite
@@ -524,7 +524,7 @@ class TestTrain:
         corpus = [example(cat, vin, "red fox", {0}), example(cat, vin, "blue jay green frog", {1, 2})]
         config = TrainConfig(epochs=3, optimizer="sgd", lr=1e6, d=6, k=2)
         with pytest.raises(InputError, match="diverged"):
-            train(corpus, config, cat, vin, vout)
+            train(corpus, config, cat, vin)
 
 
 class TestCheckpoint:

@@ -7,7 +7,6 @@ import pytest
 
 from ettag.catalog import (
     EOS,
-    N_RESERVED,
     SEP,
     EntityCatalog,
     KBSource,
@@ -19,8 +18,8 @@ from ettag.catalog import (
 )
 from ettag.cli import main
 from ettag.decoding import DecodeConfig
-from ettag.errors import CacheMismatch, CorruptCheckpoint, DisallowedToken, EmptyCatalog, OutputOOV
-from ettag.toy_model import ToyModelParams, build_target, init_params, load_checkpoint, save_checkpoint
+from ettag.errors import CacheMismatch, CorruptCheckpoint, DisallowedToken, EmptyCatalog
+from ettag.toy_model import ToyModelParams, init_params, load_checkpoint, save_checkpoint
 from ettag.trie import (
     _CACHE,
     FINISHED,
@@ -67,26 +66,8 @@ class TestBuild:
         assert trie.terminal_entity(child) == cat.id_of("Paris Métro")
 
     def test_empty_catalog(self):
-        cat = EntityCatalog(["Earth"])
-        _, vout = build_vocabularies(cat, [])
         with pytest.raises(EmptyCatalog):
-            build_trie(EntityCatalog([]), vout)
-
-    @pytest.mark.parametrize(
-        "content",
-        [("▁Earth",), ("▁Mars", "▁Earth"), ("▁Earth", "▁Mars", "▁Venus")],
-        ids=["smaller", "reordered", "superset"],
-    )
-    @pytest.mark.parametrize(
-        "build",
-        [build_trie, lambda cat, vocab: build_target({0}, [0], cat, vocab)],
-        ids=["build_trie", "build_target"],
-    )
-    def test_vocab_gap_is_contract_violation(self, build, content):
-        cat = EntityCatalog(["Earth", "Mars"])
-        assert cat.name_table().vocab.tokens[N_RESERVED:] == ("▁Earth", "▁Mars")
-        with pytest.raises(OutputOOV):
-            build(cat, Vocabulary(content))
+            build_trie(EntityCatalog([]))
 
     def test_recognizes_exactly_the_catalog(self):
         rng = np.random.default_rng(5)
@@ -134,7 +115,7 @@ class TestBuild:
         rng = np.random.default_rng(9)
         cat = random_catalog(rng, 60)
         cat, vout, t1 = catalog_stack(cat)
-        t2 = build_trie(cat, vout)
+        t2 = build_trie(cat)
         assert trie_stats(t1) == trie_stats(t2)
         config = DecodeConfig()
         sample = np.random.default_rng(1).integers(0, t1.node_count, size=1000)
@@ -315,10 +296,10 @@ def test_build_matches_the_insertion_reference():
     for seed in range(240):
         rng = np.random.default_rng(seed)
         cat = _punctuated_catalog(rng, 1 if seed == 0 else int(rng.integers(2, 40)))
-        vout = cat.name_table().vocab
+        vout = cat.output_vocab()
         seqs = name_token_seqs(cat, vout)
         want = reference_build_trie(seqs, len(vout))
-        got = build_trie(cat, vout)
+        got = build_trie(cat)
         for field in ("terminal", "child_start", "child_keys", "child_vals", "child_lo", "child_hi", "entity_rank"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and np.array_equal(a, b), (seed, field)
@@ -334,10 +315,10 @@ class TestCache:
         cat = random_catalog(rng, 50)
         cat, vout, trie = catalog_stack(cat)
         path = tmp_path / "kb.trie"
-        save_trie_cache(trie, path, cat, vout, SOURCE)
-        loaded_cat, loaded, loaded_vocab = load_trie_cache(path, SOURCE)
+        save_trie_cache(trie, path, cat, SOURCE)
+        loaded_cat, loaded = load_trie_cache(path, SOURCE)
         assert loaded_cat.names == cat.names and loaded_cat.content_hash() == cat.content_hash()
-        assert loaded_vocab.tokens == vout.tokens
+        assert loaded_cat.output_vocab().tokens == vout.tokens
         assert trie_stats(loaded) == trie_stats(trie)
         assert np.array_equal(loaded.terminal, trie.terminal)
         assert np.array_equal(loaded.child_keys, trie.child_keys)
@@ -354,7 +335,7 @@ class TestCache:
         format, is rejected; unchecked, it loads its own names."""
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth", "Mars"]))
         path = tmp_path / "kb.trie"
-        save_trie_cache(trie, path, cat, vout, SOURCE)
+        save_trie_cache(trie, path, cat, SOURCE)
         with pytest.raises(CacheMismatch, match="other bytes; rebuild it with build-kb"):
             load_trie_cache(path, SOURCE._replace(sha256=bytes(32)))
         with pytest.raises(CacheMismatch, match="read as 'plain-lines', not 'tsv'; rebuild it with build-kb"):
@@ -364,7 +345,7 @@ class TestCache:
     def test_not_a_cache(self, tmp_path):
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth"]))
         path = tmp_path / "junk"
-        save_trie_cache(trie, path, cat, vout, SOURCE)
+        save_trie_cache(trie, path, cat, SOURCE)
         # the magics of the earlier formats
         earlier = [magic + path.read_bytes()[6:] for magic in (b"ETRIE2", b"ETRIE3")]
         for junk in (b"hello world", *earlier):
@@ -378,7 +359,7 @@ class TestCache:
         vocabulary and its names, whose SHA-256 is the key."""
         cat, vout, trie = catalog_stack(random_catalog(np.random.default_rng(5), 40))
         path = tmp_path / "kb.trie"
-        save_trie_cache(trie, path, cat, vout, SOURCE)
+        save_trie_cache(trie, path, cat, SOURCE)
         blob = path.read_bytes()
         assert blob[8:40] == cat.content_hash() and blob[96:128] == SOURCE.sha256
         n, n_edges = trie.node_count, len(trie.child_keys)
@@ -387,14 +368,14 @@ class TestCache:
         assert ints.tobytes() == b"".join(np.asarray(a, dtype="<i4").tobytes() for a in expected)
         vocab, names = nul_terminated(vout.tokens), nul_terminated(cat.names)
         assert blob[128 + 4 * len(ints):] == vocab + names
-        _, _, loaded_vocab = load_trie_cache(path)
-        assert loaded_vocab.tokens == build_vocabularies(cat, [])[1].tokens
+        loaded_cat, _ = load_trie_cache(path)
+        assert loaded_cat.output_vocab().tokens == build_vocabularies(cat, [])[1].tokens
 
     def test_artifact_bytes_are_pinned(self, tmp_path):
         """The cache of the tiny catalog and a checkpoint with hand-set weights
         have these exact bytes, so a change to either layout fails here."""
         cat, vout, trie = catalog_stack(EntityCatalog(TINY_NAMES))
-        save_trie_cache(trie, tmp_path / "kb.trie", cat, vout, SOURCE)
+        save_trie_cache(trie, tmp_path / "kb.trie", cat, SOURCE)
         vin, d, k = Vocabulary(["▁red"]), 2, 1
         size = len(vin) * d + len(vout) * d + (d + k * d) * len(vout) + len(vout)  # E_in, E_out, W, b
         params = ToyModelParams(np.arange(size) / 8, d, k, len(vin), len(vout))
@@ -415,8 +396,8 @@ class TestCache:
         params2 = init_params(len(vin), len(vout2), d=1, k=1, seed=0)
         other_source = SOURCE._replace(sha256=bytes(32))
         artifacts = [
-            (lambda p: save_trie_cache(trie, p, cat, vout, SOURCE),
-             lambda p: save_trie_cache(trie2, p, other, vout2, other_source),
+            (lambda p: save_trie_cache(trie, p, cat, SOURCE),
+             lambda p: save_trie_cache(trie2, p, other, other_source),
              lambda p: load_trie_cache(p, SOURCE), CacheMismatch, "other bytes"),
             (lambda p: save_checkpoint(params, p, vin, vout), lambda p: save_checkpoint(params2, p, vin, vout2),
              lambda p: load_checkpoint(p, vout), CorruptCheckpoint, "made for a different KB"),
@@ -530,21 +511,21 @@ class TestCacheStructure:
 
     def test_untampered_cache_tags(self, tiny, tmp_path, capsys):
         cat, vout, trie, tag, source = tiny
-        save_trie_cache(trie, tmp_path / "kb.trie", cat, vout, source)
+        save_trie_cache(trie, tmp_path / "kb.trie", cat, source)
         assert main(tag + ["--kb-cache", str(tmp_path / "kb.trie")]) == 0
 
     def test_tag_with_cache_builds_no_vocabulary(self, tiny, tmp_path, capsys, monkeypatch):
-        """With a cache, with or without --kb, ``tag`` builds no output
-        vocabulary, and canonicalizes and indexes no name: build-kb checked them."""
+        """With a cache, with or without --kb, ``tag`` makes no pass over the
+        names: the output vocabulary is the cache's. It canonicalizes and
+        indexes no name either: build-kb checked them."""
         cat, vout, trie, tag, source = tiny
-        save_trie_cache(trie, tmp_path / "kb.trie", cat, vout, source)
+        save_trie_cache(trie, tmp_path / "kb.trie", cat, source)
 
         def fail(*args, **kwargs):
             raise AssertionError("the output vocabulary was rebuilt, or a name canonicalized or indexed")
 
         monkeypatch.setattr("ettag.cli.build_vocabularies", fail)
-        monkeypatch.setattr(EntityCatalog, "name_table", fail)
-        monkeypatch.setattr(EntityCatalog, "output_vocab", fail)
+        monkeypatch.setattr(EntityCatalog, "_tokenize_words", fail)
         monkeypatch.setattr("ettag.catalog.canonicalize", fail)
         monkeypatch.setattr(EntityCatalog, "name_index", fail)
         for argv in (tag, _without_kb(tag)):
@@ -562,7 +543,7 @@ class TestCacheStructure:
         )
         tamper(bad)
         path = tmp_path / "kb.trie"
-        save_trie_cache(bad, path, cat, vout, source)
+        save_trie_cache(bad, path, cat, source)
         with pytest.raises(CacheMismatch, match=message):
             load_trie_cache(path, source)
         _assert_tag_rejects(tag, path, capsys)
@@ -619,7 +600,7 @@ class TestCacheStructure:
         user to rebuild the cache; the KB file is not parsed."""
         cat, vout, trie, tag, source = tiny
         path = tmp_path / "kb.trie"
-        save_trie_cache(trie, path, cat, vout, source)
+        save_trie_cache(trie, path, cat, source)
         i = tag.index("--kb") + 1
         if other == "other-bytes":
             kb = tmp_path / "other.txt"
