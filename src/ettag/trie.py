@@ -301,19 +301,20 @@ def trie_stats(trie: TokenTrie) -> dict[str, int]:
 
 
 def save_trie_cache(trie: TokenTrie, path, catalog: EntityCatalog, source: KBSource) -> None:
-    """Write the ``ETRIE4`` cache of ``trie``, the output vocabulary and the
-    names of ``catalog``, read from the KB file ``source``."""
+    """Write the ``ETRIE4`` cache of ``trie``, the output vocabulary of
+    ``catalog`` and its names as it holds them, read from the KB file ``source``."""
     ints = (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)
-    tokens, names = nul_terminated(catalog.output_vocab().tokens), nul_terminated(catalog.names)
+    tokens, names = nul_terminated(catalog.output_vocab().tokens), catalog.names_section
     dims = (trie.node_count, len(trie.child_keys), len(catalog), len(tokens), len(names),
             CATALOG_FORMATS.index(source.format))
     sections = [source.sha256, *(np.asarray(a, dtype="<i4").tobytes() for a in ints), tokens, names]
-    _CACHE.write(path, hashlib.sha256(names).digest(), dims, sections)
+    _CACHE.write(path, catalog.content_hash(), dims, sections)
 
 
 def load_trie_cache(path, source: KBSource | None = None) -> tuple[EntityCatalog, TokenTrie]:
-    """The catalog, holding its output vocabulary, and the trie of a cache
-    written by save_trie_cache. Raises CacheMismatch unless the file is
+    """The catalog and the trie of a cache written by save_trie_cache; the
+    catalog is a view of the cache's names section and holds its output
+    vocabulary. Raises CacheMismatch unless the file is
     intact, was built from the KB file ``source`` when one is given, and holds
     names that hash to its key, a vocabulary covering the trie and a
     well-formed trie over the names."""

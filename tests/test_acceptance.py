@@ -289,7 +289,7 @@ def test_criterion_08_beam_sweep_analogue(tmp_path):
         assert rc == 0
         import csv as _csv
 
-        rows = list(_csv.reader(out.open()))
+        rows = list(_csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["beam", "micro_f1", "macro_f1"]
         table = {int(r[0]): float(r[1]) for r in rows[1:]}
         assert sorted(table) == [1, 5, 10, 20, 30]

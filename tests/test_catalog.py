@@ -14,6 +14,7 @@ from ettag.catalog import (
     SEP,
     UNK,
     EntityCatalog,
+    KBSource,
     Vocabulary,
     WORD_MARK,
     _is_punct,
@@ -35,6 +36,7 @@ from ettag.errors import (
     OutputOOV,
 )
 from ettag.toy_model import build_target
+from ettag.trie import build_trie, load_trie_cache, save_trie_cache
 
 
 class TestCanonicalize:
@@ -238,7 +240,7 @@ class TestCatalog:
     def test_read_catalog_indexes_on_first_lookup(self):
         names = ["Earth", "Black hole", "São Paulo"]
         cat = read_catalog(nul_terminated(names), 3)
-        assert cat.names == tuple(names) and cat._index is None
+        assert tuple(cat) == tuple(names) and cat._index is None
         assert cat.id_of("Black hole") == 1 and "São Paulo" in cat and "Mars" not in cat
         assert cat.content_hash() == EntityCatalog(names).content_hash()
 
@@ -318,12 +320,7 @@ class TestBuildVocabularies:
             EntityCatalog([]).name_table()
 
     def test_vocabulary_only_path_matches_the_name_table_past_one_block(self):
-        # more names than one 32,768-name block; peeled, non-ASCII and free-standing punctuation words
-        pool = ["Alpha", "beta-9", "(x)", "O'Neill", "Q.", "&", "été", "東京", "Zürich,"]
-        pool += [f"w{i}" for i in range(33 - len(pool))]
-        names = [" ".join(words) for words in itertools.islice(itertools.product(pool, repeat=3), 33_000)]
-        names += ["w0 late-comer «Ωmega»", "«Ωmega» w1"]  # words first seen in the second block
-        assert len(names) > 1 << 15
+        names = _two_block_names()
         cat, tabled = EntityCatalog(names), EntityCatalog(names)
         vocab, table = cat.output_vocab(), tabled.name_table()
         assert vocab.tokens == tabled.output_vocab().tokens
@@ -331,6 +328,46 @@ class TestBuildVocabularies:
         for eid in range(len(cat)):
             row = table.ids[table.offsets[eid]: table.offsets[eid + 1]].tolist()
             assert build_target({eid}, [eid], cat) == row + [EOS]
+
+
+def _two_block_names() -> list[str]:
+    """More names than one 32,768-name block; peeled, non-ASCII and free-standing punctuation words."""
+    pool = ["Alpha", "beta-9", "(x)", "O'Neill", "Q.", "&", "été", "東京", "Zürich,"]
+    pool += [f"w{i}" for i in range(33 - len(pool))]
+    names = [" ".join(words) for words in itertools.islice(itertools.product(pool, repeat=3), 33_000)]
+    names += ["w0 late-comer «Ωmega»", "«Ωmega» w1"]  # words first seen in the second block
+    assert len(names) > 1 << 15
+    return names
+
+
+# NFC names spelled in NFD in the KB file, with two-, three- and four-byte UTF-8
+_NON_ASCII = ["São Paulo", "Zürich", "東京 Tower", "Ωmega «x»", "naïve café", "Łódź", "🚀 Launch", "Ångström"]
+_PUNCTUATED = ["Astronomy & Astrophysics", "A & B", "Q.E.D.", "( x )", "- minus -", "Physical Review D", "&"]
+
+
+@pytest.mark.parametrize("names", [_NON_ASCII, _PUNCTUATED, _two_block_names()],
+                         ids=["non-ascii", "punctuated", "two-blocks"])
+def test_a_catalog_read_from_a_trie_cache_is_the_kb_files(tmp_path, names):
+    """The catalog a trie cache holds, its names section, answers every query as
+    the catalog loaded from the KB file does."""
+    kb, cache = tmp_path / "kb.txt", tmp_path / "kb.trie"
+    kb.write_text("".join(unicodedata.normalize("NFD", name) + "\n" for name in names), encoding="utf-8")
+    want = EntityCatalog.load(kb)
+    save_trie_cache(build_trie(want), cache, want, KBSource.of(kb, "plain-lines"))
+    got, _ = load_trie_cache(cache, KBSource.of(kb, "plain-lines"))
+    n = len(want)
+    assert len(got) == n == len(names) and list(got) == list(want) == names
+    assert [got.name_of(i) for i in range(-n, n)] == [want.name_of(i) for i in range(-n, n)] == names * 2
+    for catalog in (got, want):
+        for entity_id in (n, -n - 1):
+            with pytest.raises(IndexError):
+                catalog.name_of(entity_id)
+    assert all(got.id_of(name) == i for i, name in enumerate(names)) and all(name in got for name in names)
+    assert got.id_of("Mars Colony") is None and "Mars Colony" not in got and "" not in got
+    assert got.content_hash() == want.content_hash()
+    assert got.output_vocab().tokens == want.output_vocab().tokens
+    got_table, want_table = got.name_table(), want.name_table()
+    assert np.array_equal(got_table.offsets, want_table.offsets) and np.array_equal(got_table.ids, want_table.ids)
 
 
 def test_bijection_and_round_trip_sampled_at_kb_scale():

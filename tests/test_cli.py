@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from ettag import cli
 from ettag.catalog import UNK, EntityCatalog, build_vocabularies, nul_terminated, tokenize
 from ettag.cli import _FIELD_OF, build_parser, main
 from ettag.decoding import DecodeConfig, beam_decode, parse_output
@@ -22,7 +23,7 @@ from ettag.toy_model import (
     load_checkpoint,
     save_checkpoint,
 )
-from ettag.trie import build_trie
+from ettag.trie import build_trie, load_trie_cache
 
 from helpers import write_aida_file
 
@@ -106,7 +107,7 @@ class TestTrainArtifacts:
     def test_sidecars_written(self, world):
         written = {p.name for p in world["root"].glob("model.bin*")}
         assert written == {"model.bin", "model.bin.loss.csv", "model.bin.runconfig.json"}
-        loss_rows = list(csv.reader((world["root"] / "model.bin.loss.csv").open()))
+        loss_rows = list(csv.reader((world["root"] / "model.bin.loss.csv").read_text().splitlines()))
         assert loss_rows[0] == ["epoch", "mean_nll"]
         assert len(loss_rows) == 61
         runconfig = json.loads((world["root"] / "model.bin.runconfig.json").read_text())
@@ -115,7 +116,7 @@ class TestTrainArtifacts:
         assert runconfig["config"]["seed"] == 3
 
     def test_loss_decreases(self, world):
-        rows = list(csv.reader((world["root"] / "model.bin.loss.csv").open()))[1:]
+        rows = list(csv.reader((world["root"] / "model.bin.loss.csv").read_text().splitlines()))[1:]
         losses = [float(r[1]) for r in rows]
         assert losses[-1] < losses[0]
 
@@ -264,7 +265,7 @@ class TestAblations:
             ]
         )
         assert rc == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["beam", "micro_f1", "macro_f1"]
         assert [r[0] for r in rows[1:]] == ["1", "3", "5"]
         for r in rows[1:]:
@@ -300,7 +301,7 @@ class TestAblations:
             ]
         )
         assert rc == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["strategy", "micro_f1", "macro_f1", "final_loss"]
         assert [r[0] for r in rows[1:]] == ["shuffle", "mention_order"]
 
@@ -350,6 +351,33 @@ def test_a_trie_cache_spares_every_pass_over_the_names(world, tmp_path, capsys, 
     for kb in ([], ["--kb", str(world["kb"])]):
         assert main([command, "--model", str(world["model"]), "--kb-cache", cache, *kb, *argv]) == 0
     assert passes == []
+
+
+def test_tag_from_a_trie_cache_decodes_only_the_predicted_names(world, tmp_path, capsys, monkeypatch):
+    """Given --kb-cache, with or without --kb, tag works from a catalog that is a
+    view of the cache's names section, and neither lists nor indexes its names:
+    it decodes the name of each predicted entity."""
+    cache, out = str(tmp_path / "kb.trie"), tmp_path / "out.jsonl"
+    assert main(["build-kb", "--kb", str(world["kb"]), "--cache-out", cache]) == 0
+    names, loaded = nul_terminated(list(EntityCatalog.load(world["kb"]))), []
+
+    def load(*args):
+        loaded.append(load_trie_cache(*args))
+        return loaded[-1]
+
+    def refuse(catalog):
+        raise AssertionError("tag decoded every name of the catalog")
+
+    monkeypatch.setattr(cli, "load_trie_cache", load)
+    monkeypatch.setattr(EntityCatalog, "__iter__", refuse)
+    monkeypatch.setattr(EntityCatalog, "name_index", refuse)
+    for kb in ([], ["--kb", str(world["kb"])]):
+        argv = ["tag", "--model", str(world["model"]), "--kb-cache", cache, *kb, "--in", str(world["eval"])]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert any(json.loads(line)["entities"] for line in out.read_text().splitlines())
+    assert len(loaded) == 2
+    for catalog, _ in loaded:
+        assert isinstance(catalog.names_section, memoryview) and catalog.names_section == names
 
 
 class TestErrorHandling:

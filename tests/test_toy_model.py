@@ -443,7 +443,7 @@ class TestTrain:
 
     def test_a_built_name_table_leaves_training_unchanged(self):
         data = synthetic_benchmark(seed=0)
-        fresh, tabled = EntityCatalog(data.catalog.names), EntityCatalog(data.catalog.names)
+        fresh, tabled = EntityCatalog(tuple(data.catalog)), EntityCatalog(tuple(data.catalog))
         tabled.name_table()
         p1, c1 = self._train_benchmark(fresh, data)
         p2, c2 = self._train_benchmark(tabled, data)

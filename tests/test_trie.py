@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from ettag.catalog import (
 from ettag.cli import main
 from ettag.decoding import DecodeConfig
 from ettag.errors import CacheMismatch, CorruptCheckpoint, DisallowedToken, EmptyCatalog
+from ettag.synthetic import synthetic_kb_names
 from ettag.toy_model import ToyModelParams, init_params, load_checkpoint, save_checkpoint
 from ettag.trie import (
     _CACHE,
@@ -317,7 +320,7 @@ class TestCache:
         path = tmp_path / "kb.trie"
         save_trie_cache(trie, path, cat, SOURCE)
         loaded_cat, loaded = load_trie_cache(path, SOURCE)
-        assert loaded_cat.names == cat.names and loaded_cat.content_hash() == cat.content_hash()
+        assert tuple(loaded_cat) == tuple(cat) and loaded_cat.content_hash() == cat.content_hash()
         assert loaded_cat.output_vocab().tokens == vout.tokens
         assert trie_stats(loaded) == trie_stats(trie)
         assert np.array_equal(loaded.terminal, trie.terminal)
@@ -330,6 +333,20 @@ class TestCache:
         config = DecodeConfig(max_entities=3)
         assert enumerate_trie_language(loaded, config) == enumerate_trie_language(trie, config)
 
+    def test_a_loaded_catalog_holds_no_name_strings(self, tmp_path):
+        """Loading the cache of a 100,000-name KB allocates objects for the
+        vocabulary's tokens, not one per name: the catalog is the names section."""
+        cat = EntityCatalog(synthetic_kb_names(100_000, seed=0))
+        path = tmp_path / "kb.trie"
+        save_trie_cache(build_trie(cat), path, cat, SOURCE)
+        del cat
+        gc.collect()
+        before = sys.getallocatedblocks()
+        loaded_cat, _ = load_trie_cache(path, SOURCE)
+        gc.collect()
+        assert sys.getallocatedblocks() - before < 10_000
+        assert len(loaded_cat) == 100_000
+
     def test_hash_mismatch(self, tmp_path):
         """A cache checked against a KB file other than its own, by bytes or by
         format, is rejected; unchecked, it loads its own names."""
@@ -340,7 +357,7 @@ class TestCache:
             load_trie_cache(path, SOURCE._replace(sha256=bytes(32)))
         with pytest.raises(CacheMismatch, match="read as 'plain-lines', not 'tsv'; rebuild it with build-kb"):
             load_trie_cache(path, SOURCE._replace(format="tsv"))
-        assert load_trie_cache(path)[0].names == ("Earth", "Mars")
+        assert tuple(load_trie_cache(path)[0]) == ("Earth", "Mars")
 
     def test_not_a_cache(self, tmp_path):
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth"]))
@@ -366,7 +383,7 @@ class TestCache:
         ints = np.frombuffer(blob, dtype="<i4", offset=128, count=2 * (n + n_edges))
         expected = (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)
         assert ints.tobytes() == b"".join(np.asarray(a, dtype="<i4").tobytes() for a in expected)
-        vocab, names = nul_terminated(vout.tokens), nul_terminated(cat.names)
+        vocab, names = nul_terminated(vout.tokens), nul_terminated(tuple(cat))
         assert blob[128 + 4 * len(ints):] == vocab + names
         loaded_cat, _ = load_trie_cache(path)
         assert loaded_cat.output_vocab().tokens == build_vocabularies(cat, [])[1].tokens
@@ -563,7 +580,7 @@ class TestCacheStructure:
         first, covering every child key is rejected under a valid SHA-256."""
         cat, vout, trie, tag, source = tiny
         path = tmp_path / "kb.trie"
-        _write_cache(path, trie, source, section(vout.tokens), nul_terminated(cat.names), len(cat))
+        _write_cache(path, trie, source, section(vout.tokens), nul_terminated(tuple(cat)), len(cat))
         with pytest.raises(CacheMismatch, match=message):
             load_trie_cache(path, source)
         _assert_tag_rejects(tag, path, capsys)
