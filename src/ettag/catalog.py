@@ -5,9 +5,7 @@ canonical entity names. In memory the catalog is one buffer, its names as
 NUL-terminated UTF-8: the bytes its content hash covers and a trie cache's
 names section, so a catalog read from a cache is a view of that section. A
 name is decoded when it is used, and only the name -> id index, built on
-first lookup, holds name strings. On the 470,578-name KB, which ``tag
---kb-cache`` never indexes, this took tag's peak RSS from 162.9 to about
-127 MB.
+first lookup, holds name strings.
 
 The tokenizer splits on whitespace and peels leading/trailing punctuation
 off each word; word-initial tokens carry a boundary marker so

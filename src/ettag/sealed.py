@@ -20,7 +20,8 @@ class SealedFormat:
     dims: struct.Struct
     sections: Callable[..., Sequence[int] | None]  # each section's bytes, None for impossible dims
 
-    def write(self, path, key: bytes, dims: Sequence[int], sections: Sequence[bytes]) -> None:
+    def write(self, path, key: bytes, dims: Sequence[int], sections: Sequence) -> None:
+        """Write the file; each section is any contiguous bytes-like object, written without a copy."""
         head = self.dims.pack(*dims)
         digest = hashlib.sha256(key + head)
         for section in sections:

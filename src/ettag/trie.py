@@ -15,7 +15,9 @@ time: stable sorts put the names in sorted order, an equality test gives
 each name's common prefix with the one before, the tokens past it are new
 nodes in preorder, and a running maximum finds their parents. A depth
 touches only the names longer than it, so time and memory grow with the
-total number of name tokens.
+total number of name tokens. Both derivations, the build's and the derived
+fields of ``TokenTrie.from_arrays``, index in int32, the cache's width, and
+free each temporary before the next large one is made.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ class TokenTrie:
     child_start: np.ndarray   # int64 [n_nodes + 1], CSR offsets
     child_keys: np.ndarray    # int32 [n_edges], token ids, sorted per node
     child_vals: np.ndarray    # int32 [n_edges], child node indices
-    child_lo: np.ndarray      # int64 [n_edges], first entity rank under the child
-    child_hi: np.ndarray      # int64 [n_edges], one past its last entity rank
-    entity_rank: np.ndarray   # int64 [n_entities], catalog id -> rank
+    child_lo: np.ndarray      # int32 [n_edges], first entity rank under the child
+    child_hi: np.ndarray      # int32 [n_edges], one past its last entity rank
+    entity_rank: np.ndarray   # int32 [n_entities], catalog id -> rank
     entity_count: int
     max_depth: int
     vocab_size: int           # output vocabulary size, the width of a scorer row
@@ -94,61 +96,77 @@ class TokenTrie:
         n, n_edges = len(terminal), len(child_keys)
         require(child_counts.min() >= 0 and child_counts.sum() == n_edges,
                 "child counts do not sum to the edge count")
-        term_nodes = np.flatnonzero(terminal >= 0)
-        require(terminal[ROOT] == -1 and terminal.min() >= -1
-                and np.array_equal(np.sort(terminal[term_nodes]), np.arange(n_entities)),
-                "terminal ids are not the catalog ids, each once and none at the root")
+        # preorder visits terminals in sorted-name order, so a name's rank is its
+        # terminal's place among the terminals; entity_rank, filled from the
+        # terminal ids in node order, is also the mask of the ids seen
+        ids = terminal[terminal >= 0]
+        bad_ids = "terminal ids are not the catalog ids, each once and none at the root"
+        require(terminal[ROOT] == -1 and terminal.min() >= -1 and len(ids) == n_entities
+                and ids.max(initial=-1) < n_entities, bad_ids)
+        entity_rank = np.full(n_entities, -1, dtype=np.int32)
+        entity_rank[ids] = np.arange(n_entities, dtype=np.int32)
+        del ids
+        require((entity_rank >= 0).all(), bad_ids)
         # a non-terminal leaf would be a decode dead end; the root is one unless it has children
         require((terminal[child_counts == 0] >= 0).all(), "a leaf is not terminal")
 
         child_start = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(child_counts, out=child_start[1:])
-        first = child_start[:-1][child_counts > 0]  # edge index of each node's first child
         rising = np.diff(child_keys) > 0
-        rising[first[1:] - 1] = True  # keys restart at each node's first child
+        rising[child_start[1:-1][child_counts[1:] > 0] - 1] = True  # keys restart at each node's first child
         require(child_keys.min() >= N_RESERVED and child_keys.max() < vocab_size and rising.all(),
                 "child keys are not increasing content ids of the output vocabulary")
+        del rising
         require(child_vals.min() > ROOT and child_vals.max() < n, "child index out of range")
 
         # breadth-first levels; more visits than nodes means a node has two parents
         levels = [np.array([ROOT], dtype=np.int32)]
         visited = 1
         while True:
-            starts, counts = child_start[levels[-1]], child_counts[levels[-1]]
+            counts = child_counts[levels[-1]]
             total = int(counts.sum())
             if total == 0:
                 break
             visited += total
             require(visited <= n, "a node has more than one parent")
-            offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-            levels.append(child_vals[offsets + np.arange(total)])
+            # the next level's edges, in int32: each node's run starts at its child_start
+            base = child_start[levels[-1]].astype(np.int32)
+            base -= np.cumsum(counts, dtype=np.int32) - counts
+            edges = np.repeat(base, counts)
+            del base, counts
+            edges += np.arange(total, dtype=np.int32)
+            levels.append(child_vals[edges])
+            del edges
+        max_depth = len(levels) - 1
 
         # subtree of v is the index range [v, end[v]) when the nodes are in preorder
         end = np.arange(1, n + 1, dtype=np.int32)
-        for level in reversed(levels):
+        while levels:
+            level = levels.pop()
             inner = level[child_counts[level] > 0]
             end[inner] = end[child_vals[child_start[inner + 1] - 1]]
         expected = np.empty(n_edges, dtype=np.int32)
         expected[1:] = end[child_vals[:-1]]
-        expected[first] = np.flatnonzero(child_counts) + 1
+        inner = np.flatnonzero(child_counts)
+        expected[child_start[inner]] = inner + 1
+        del inner
         require(end[ROOT] == n and np.array_equal(expected, child_vals), "nodes are not in preorder")
+        del expected
 
-        # preorder visits terminals in sorted-name order, so the terminals
-        # before a node are its entity rank
-        rank = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(terminal >= 0, out=rank[1:])
-        entity_rank = np.empty(n_entities, dtype=np.int64)
-        entity_rank[terminal[term_nodes]] = rank[term_nodes]
+        # the terminals before a node are its entity rank
+        rank = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(terminal >= 0, dtype=np.int32, out=rank[1:])
+        end = end[child_vals]  # the first node past each child's subtree
         return cls(
             terminal=terminal,
             child_start=child_start,
             child_keys=child_keys,
             child_vals=child_vals,
             child_lo=rank[child_vals],
-            child_hi=rank[end[child_vals]],
+            child_hi=rank[end],
             entity_rank=entity_rank,
             entity_count=n_entities,
-            max_depth=len(levels) - 1,
+            max_depth=max_depth,
             vocab_size=vocab_size,
         )
 
@@ -188,44 +206,53 @@ def build_trie(catalog: EntityCatalog) -> TokenTrie:
 
 def _preorder_arrays(offsets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, ...]:
     """The ``TokenTrie.from_arrays`` arrays of the trie over these CSR token rows."""
-    start, length = offsets[:-1], np.diff(offsets)
+    start = offsets[:-1].astype(np.int32)
+    length = np.subtract(offsets[1:], offsets[:-1], dtype=np.int32)
     n, depth = len(length), int(length.max())
 
     # sorted order by stable sorts from the last depth; names of length d + 1 have not moved yet
-    by_length = np.argsort(length, kind="stable")
-    at_most = np.searchsorted(length[by_length], np.arange(depth + 1), side="right")
+    by_length = np.argsort(length, kind="stable").astype(np.int32)
+    at_most = np.cumsum(np.bincount(length, minlength=depth + 1))  # names of at most d tokens
     order = by_length[:0]
     for d in range(depth - 1, -1, -1):
         order = np.concatenate((by_length[at_most[d]: at_most[d + 1]], order))
         order = order[np.argsort(ids[start[order] + d], kind="stable")]
+    del by_length
     start, length = start[order], length[order]
 
     # common prefix with the name before (sorted, so a name equal up to d is as long as it)
-    lcp, same = np.zeros(n, dtype=np.int64), np.arange(1, n)
+    lcp, same = np.zeros(n, dtype=np.int32), np.arange(1, n, dtype=np.int32)
     for d in range(depth):
         same = same[length[same - 1] > d]
         same = same[ids[start[same] + d] == ids[start[same - 1] + d]]
         lcp[same] += 1
+    del same
 
     # the tokens past that prefix are new nodes, numbered in preorder, so a name's
     # last node is its terminal and a node shared with earlier names is the running maximum
     added = length - lcp
-    last = np.cumsum(added)
+    last = np.cumsum(added, dtype=np.int32)
     first = last - added + 1
     terminal = np.full(int(last[-1]) + 1, -1, dtype=np.int32)
     terminal[last] = order
+    del added, last, order
     parents, keys = np.empty((2, len(terminal) - 1), dtype=np.int32)  # of node i + 1
-    alive, path = np.arange(n), np.zeros(n, dtype=np.int64)  # names longer than d, their nodes at d - 1
+    alive, path = np.arange(n, dtype=np.int32), np.zeros(n, dtype=np.int32)  # names longer than d, their nodes at d - 1
     for d in range(depth):
         alive = alive[length[alive] > d]
         new = lcp[alive] <= d
         node = np.where(new, first[alive] + d - lcp[alive], 0)
         parents[node[new] - 1], keys[node[new] - 1] = path[alive[new]], ids[start[alive[new]] + d]
         path[alive] = np.maximum.accumulate(node)
+    del start, length, lcp, first, alive, path, new, node
 
     # a stable sort on parent alone keeps each node's children in key order
-    by_parent = np.argsort(parents, kind="stable")
-    return terminal, np.bincount(parents, minlength=len(terminal)), keys[by_parent], (by_parent + 1).astype(np.int32)
+    child_counts = np.bincount(parents, minlength=len(terminal)).astype(np.int32)
+    by_parent = np.argsort(parents, kind="stable").astype(np.int32)
+    del parents
+    keys = keys[by_parent]
+    by_parent += 1
+    return terminal, child_counts, keys, by_parent
 
 
 _EOS_ARR = np.array([EOS], dtype=np.int32)
@@ -307,7 +334,8 @@ def save_trie_cache(trie: TokenTrie, path, catalog: EntityCatalog, source: KBSou
     tokens, names = nul_terminated(catalog.output_vocab().tokens), catalog.names_section
     dims = (trie.node_count, len(trie.child_keys), len(catalog), len(tokens), len(names),
             CATALOG_FORMATS.index(source.format))
-    sections = [source.sha256, *(np.asarray(a, dtype="<i4").tobytes() for a in ints), tokens, names]
+    # the int32 arrays go out as buffers: hashing and writing them makes no copy
+    sections = [source.sha256, *(np.asarray(a, dtype="<i4") for a in ints), tokens, names]
     _CACHE.write(path, catalog.content_hash(), dims, sections)
 
 

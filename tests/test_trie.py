@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,6 +313,19 @@ def test_build_matches_the_insertion_reference():
     assert lengths == set(range(1, 9)) and prefix_pairs > 0
 
 
+TRIE_ARRAYS = ("terminal", "child_start", "child_keys", "child_vals", "child_lo", "child_hi", "entity_rank")
+
+
+@pytest.fixture(scope="module")
+def cache_100k(tmp_path_factory):
+    """The trie cache of a 100,000-name synthetic KB and the trie's node count."""
+    cat = EntityCatalog(synthetic_kb_names(100_000, seed=0))
+    path = tmp_path_factory.mktemp("kb100k") / "kb.trie"
+    trie = build_trie(cat)
+    save_trie_cache(trie, path, cat, SOURCE)
+    return path, trie.node_count
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(23)
@@ -323,29 +337,49 @@ class TestCache:
         assert tuple(loaded_cat) == tuple(cat) and loaded_cat.content_hash() == cat.content_hash()
         assert loaded_cat.output_vocab().tokens == vout.tokens
         assert trie_stats(loaded) == trie_stats(trie)
-        assert np.array_equal(loaded.terminal, trie.terminal)
-        assert np.array_equal(loaded.child_keys, trie.child_keys)
-        assert np.array_equal(loaded.child_vals, trie.child_vals)
-        assert np.array_equal(loaded.child_lo, trie.child_lo)
-        assert np.array_equal(loaded.child_hi, trie.child_hi)
+        for field in TRIE_ARRAYS:
+            a, b = getattr(loaded, field), getattr(trie, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
         assert loaded.max_depth == trie.max_depth
-        assert np.array_equal(loaded.entity_rank, trie.entity_rank)
         config = DecodeConfig(max_entities=3)
         assert enumerate_trie_language(loaded, config) == enumerate_trie_language(trie, config)
 
-    def test_a_loaded_catalog_holds_no_name_strings(self, tmp_path):
+    def test_index_arrays_are_int32(self, tmp_path):
+        """Built or loaded, every index array has the cache's int32 width,
+        except the CSR offsets ``child_start``, which stay int64: as int32 they
+        slowed in-process desk-tag decoding at beam 20 by 2-3 % (2-core Xeon
+        VM), since the decoder slices the edge arrays with them once per row."""
+        cat, vout, trie = catalog_stack(random_catalog(np.random.default_rng(3), 30))
+        save_trie_cache(trie, tmp_path / "kb.trie", cat, SOURCE)
+        for t in (trie, load_trie_cache(tmp_path / "kb.trie")[1]):
+            assert {f: getattr(t, f).dtype for f in TRIE_ARRAYS} == {
+                f: np.dtype(np.int64 if f == "child_start" else np.int32) for f in TRIE_ARRAYS}
+
+    def test_a_loaded_catalog_holds_no_name_strings(self, cache_100k):
         """Loading the cache of a 100,000-name KB allocates objects for the
         vocabulary's tokens, not one per name: the catalog is the names section."""
-        cat = EntityCatalog(synthetic_kb_names(100_000, seed=0))
-        path = tmp_path / "kb.trie"
-        save_trie_cache(build_trie(cat), path, cat, SOURCE)
-        del cat
+        path, _ = cache_100k
         gc.collect()
         before = sys.getallocatedblocks()
         loaded_cat, _ = load_trie_cache(path, SOURCE)
         gc.collect()
         assert sys.getallocatedblocks() - before < 10_000
         assert len(loaded_cat) == 100_000
+
+    def test_loading_needs_little_memory_past_the_file(self, cache_100k):
+        """Loading a cache peaks, past the file's own bytes, below 60 bytes per
+        trie node: the derived arrays take about 18 (the int64 CSR offsets, two
+        int32 rank bounds per edge, an int32 rank per name), and no temporary
+        of the derivation is wider than one of them."""
+        path, n_nodes = cache_100k
+        gc.collect()
+        tracemalloc.start()
+        try:
+            load_trie_cache(path, SOURCE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - path.stat().st_size) / n_nodes < 60
 
     def test_hash_mismatch(self, tmp_path):
         """A cache checked against a KB file other than its own, by bytes or by
