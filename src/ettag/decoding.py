@@ -16,10 +16,12 @@ step makes one scorer call, one contract check and one normalization over the
 rows of every live document, while selection, the pool, the early stop and
 the max_tokens budget stay each document's own. The rows' prefixes may differ
 in length: each is left-padded with BOS, which is never an output token, so
-the padding marks where a prefix starts. So a document decodes as it would
-alone, unless the scorer's rounding depends on how many rows a call has: the
-bundled scorer's matrix product does, which moves scores in the last bits
-(about 1e-14).
+the padding marks where a prefix starts. The decoder normalizes and selects
+every row the same way, whatever else shares its step, so it equals scoring
+one hypothesis at a time bit for bit at every beam, and a document's ranked
+list does not depend on its batch whenever the scorer's rows do not. The
+per-row fallback's rows never do; the bundled scorer's matrix product rounds
+by the call's row count, which moves scores in the last bits (about 1e-14).
 """
 
 from __future__ import annotations
@@ -89,17 +91,13 @@ def _checked_logits(score_batch: Callable, encodings: list, prefixes: np.ndarray
     return logits
 
 
-def _normalized(logits: np.ndarray, rows: np.ndarray, cand: np.ndarray, sizes: list[int], allowed_only: bool):
-    """``logits[rows, cand]`` minus the log-sum-exp of each row's candidates
-    (``sizes`` counts them per row) if ``allowed_only``, else of its whole row."""
+def _normalized(logits: np.ndarray, rows: np.ndarray, cand: np.ndarray, starts: list[int], allowed_only: bool):
+    """``logits[rows, cand]`` minus the log-sum-exp of each row's candidates,
+    row i's from ``starts[i]`` on, if ``allowed_only``, else of its whole row."""
     vals = logits[rows, cand]
     if not allowed_only:
         m = logits.max(axis=1)
         return vals - (m + np.log(np.exp(logits - m[:, None]).sum(axis=1)))[rows]
-    if len(sizes) == 1:  # np.sum's pairwise order keeps beam 1 bit-identical to per-row scoring
-        m = vals.max()
-        return vals - (m + np.log(np.exp(vals - m).sum()))
-    starts = list(accumulate(sizes[:-1], initial=0))
     m = np.maximum.reduceat(vals, starts)
     return vals - (m + np.log(np.add.reduceat(np.exp(vals - m[rows]), starts)))[rows]
 
@@ -210,16 +208,16 @@ def beam_decode_many(
         allowed = [allowed_tokens(trie, c, e, config, n) for c, e, n in states]
         sizes = list(map(len, allowed))
         cand, rows = np.concatenate(allowed), np.arange(len(sizes)).repeat(sizes)
+        cand_at = list(accumulate(sizes, initial=0))  # row i's candidates are cand[cand_at[i]:cand_at[i + 1]]
         encodings = [doc.encoding for doc in live for _ in range(doc.rows)]
         logits = _checked_logits(score_batch, encodings, tokens[:, :w], trie.vocab_size)
-        cand_scores = scores[rows] + _normalized(logits, rows, cand, sizes, config.renormalize_constrained)
+        cand_scores = scores[rows] + _normalized(logits, rows, cand, cand_at[:-1], config.renormalize_constrained)
         counts = [doc.rows for doc in live]
         if beam_size == 1:  # each document has one row
-            top, n_top = _first_max_per_row(cand_scores, rows, sizes), counts
+            top, n_top = _first_max_per_row(cand_scores, rows, cand_at[:-1]), counts
         else:
             # a document's candidates are contiguous and in parent order, so
             # index order within them is parent rank
-            cand_at = list(accumulate(sizes, initial=0))
             row_at = list(accumulate(counts, initial=0))
             picks = [c0 + _top_k(-cand_scores[c0:c1], cand[c0:c1], beam_size)
                      for c0, c1 in ((cand_at[a], cand_at[b]) for a, b in zip(row_at, row_at[1:]))]
@@ -262,11 +260,11 @@ def beam_decode_many(
         step += 1
 
 
-def _first_max_per_row(cand_scores: np.ndarray, rows: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """Each row's first maximum: a row's tokens ascend, so ties go to the lowest id."""
-    best = np.maximum.reduceat(cand_scores, list(accumulate(sizes[:-1], initial=0)))
+def _first_max_per_row(cand_scores: np.ndarray, rows: np.ndarray, starts: list[int]) -> np.ndarray:
+    """Each row's first maximum, row i's from ``starts[i]`` on: its tokens ascend, so ties go to the lowest id."""
+    best = np.maximum.reduceat(cand_scores, starts)
     hits = np.flatnonzero(cand_scores == best[rows])
-    return hits[np.searchsorted(rows[hits], np.arange(len(sizes)))]
+    return hits[np.searchsorted(rows[hits], np.arange(len(starts)))]
 
 
 def _ranked_pool(doc: _Document, config: DecodeConfig) -> list[tuple[TokenSeq, float]]:

@@ -22,7 +22,6 @@ free each temporary before the next large one is made.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -353,12 +352,12 @@ def load_trie_cache(path, source: KBSource | None = None) -> tuple[EntityCatalog
         if CATALOG_FORMATS[fmt] != source.format:
             raise CacheMismatch(f"{path}: built from this KB file read as {CATALOG_FORMATS[fmt]!r}, "
                                 f"not {source.format!r}; rebuild it with build-kb")
-    if hashlib.sha256(names).digest() != key:
-        raise CacheMismatch(f"{path}: names section does not match the key")
     vocab = read_vocabulary(bytes(vocab))
     catalog = read_catalog(names, n_names, vocab)
     if catalog is None:
         raise CacheMismatch(f"{path}: bad names section")
+    if catalog.content_hash() != key:
+        raise CacheMismatch(f"{path}: names section does not match the key")
     if vocab is None:
         raise CacheMismatch(f"{path}: bad vocabulary section")
     arrays = (np.frombuffer(a, dtype="<i4") for a in (terminal, counts, keys, vals))

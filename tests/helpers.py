@@ -325,12 +325,15 @@ def _checked_logprobs(scorer, encoding, prefix, vocab_size: int) -> np.ndarray:
 
 def _step_logprobs(lp: np.ndarray, allowed: np.ndarray, config: DecodeConfig) -> np.ndarray:
     """The allowed tokens' log-probabilities, normalized over the allowed
-    tokens or, with renormalization off, over the whole row."""
+    tokens or, with renormalization off, over the whole row, in the
+    decoder's arithmetic: the allowed tokens are summed as one segment of
+    ``np.add.reduceat``, and a value is ``x - (max + log Σ)``."""
     if not config.renormalize_constrained:
-        return log_softmax(lp)[allowed]
+        m = lp.max()
+        return lp[allowed] - (m + np.log(np.exp(lp - m).sum()))
     vals = lp[allowed]
     m = vals.max()
-    return vals - (m + np.log(np.exp(vals - m).sum()))
+    return vals - (m + np.log(np.add.reduceat(np.exp(vals - m), [0])[0]))
 
 
 def _extend(trie: TokenTrie, hyp: Hypothesis, token: int, score: float) -> Hypothesis:

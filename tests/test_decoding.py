@@ -6,6 +6,7 @@ import pytest
 from ettag.catalog import BOS, EOS, SEP, UNK, EntityCatalog, tokenize
 from ettag.decoding import (
     DecodeConfig,
+    _normalized,
     _top_k,
     beam_decode,
     beam_decode_many,
@@ -208,6 +209,23 @@ class TestTopK:
         assert _top_k(neg, cand, 4).tolist() == [5, 3, 4, 0]
 
 
+@pytest.mark.parametrize("allowed_only", [True, False], ids=["allowed-only", "full-row"])
+def test_a_row_normalizes_the_same_alone_or_among_others(allowed_only):
+    # compared with ==: a row's normalized values must not depend on the other rows of its step
+    rng = np.random.default_rng(2500 + allowed_only)
+    v = 5000
+    for _ in range(6):
+        sizes = rng.integers(1, v + 1, size=int(rng.integers(2, 12)))
+        logits = rng.normal(scale=4.0, size=(len(sizes), v))
+        parts = [np.sort(rng.choice(v, size=n, replace=False)) for n in sizes]
+        starts = [0, *np.cumsum(sizes)[:-1].tolist()]
+        rows = np.arange(len(sizes)).repeat(sizes)
+        together = _normalized(logits, rows, np.concatenate(parts), starts, allowed_only)
+        for i, (cand, c0) in enumerate(zip(parts, starts)):
+            alone = _normalized(logits[i:i + 1], np.zeros(len(cand), dtype=np.int64), cand, [0], allowed_only)
+            assert np.array_equal(alone, together[c0:c0 + len(cand)]), (i, len(cand))
+
+
 class _Shifted:
     """A scorer's rows, each plus a constant of up to 100 in size that
     depends on the prefix: the same distributions, unnormalized."""
@@ -265,17 +283,17 @@ class TestBeam:
                 if want is NoFinishedHypothesis:
                     assert got is NoFinishedHypothesis
                     continue
-                assert [t for t, _ in got] == [t for t, _ in want]
-                np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-9)
+                assert got == want
 
     def test_beam_1_is_bit_identical_to_per_row_scoring(self):
-        # compared with ==: at beam 1 a step's normalizer sums in np.sum's order, as per-row scoring does
-        config = DecodeConfig(beam_size=1, max_entities=3)
+        # compared with ==: the decoder normalizes a lone row as it does any row, and so does the reference
         for seed in range(120):
             rng = np.random.default_rng(1500 + seed)
             cat, vout, trie = catalog_stack(random_catalog(rng, int(rng.integers(10, 60)), n_words=30))
             scorer = RandomScorer(len(vout), seed=seed)
-            assert beam_decode(scorer, trie, [seed], config) == reference_beam_decode(scorer, trie, [seed], config)
+            for renormalize in (True, False):
+                config = DecodeConfig(beam_size=1, max_entities=3, renormalize_constrained=renormalize)
+                assert beam_decode(scorer, trie, [seed], config) == reference_beam_decode(scorer, trie, [seed], config)
 
     @pytest.mark.parametrize("beam", [2, 5, 20])
     @pytest.mark.parametrize("seed", range(4))
@@ -288,9 +306,7 @@ class TestBeam:
         for scorer, switch in itertools.product(scorers, ({}, {"renormalize_constrained": False})):
             config = DecodeConfig(**{"beam_size": beam, "max_entities": 3, **switch})
             want = reference_beam_decode(scorer, trie, [seed], config)
-            got = beam_decode(scorer, trie, [seed], config)
-            assert [t for t, _ in got] == [t for t, _ in want]
-            np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=0, atol=1e-9)
+            assert beam_decode(scorer, trie, [seed], config) == want
 
     @pytest.mark.parametrize("renormalize", [True, False])
     def test_beam_matches_exhaustive_search(self, renormalize):
@@ -457,8 +473,13 @@ class TestManyDocuments:
                 got = beam_decode_many(scorer, trie, [inputs[j] for j in order], config)
                 assert len(got) == len(inputs)
                 for j, ranked in zip(order, got):
-                    assert [t for t, _ in ranked] == [t for t, _ in want[j]]
-                    np.testing.assert_allclose([s for _, s in ranked], [s for _, s in want[j]], rtol=0, atol=1e-12)
+                    if kind == "toy":
+                        # ToyScorer's matrix product rounds by the call's row count in the BLAS
+                        # numpy ships, so its rows, and the scores built on them, move in the last bits
+                        assert [t for t, _ in ranked] == [t for t, _ in want[j]]
+                        np.testing.assert_allclose([s for _, s in ranked], [s for _, s in want[j]], rtol=0, atol=1e-12)
+                    else:
+                        assert ranked == want[j]
 
     def test_no_documents(self):
         cat, vout, trie = catalog_stack(EntityCatalog(["a b", "d"]))
