@@ -32,6 +32,11 @@ BOS, EOS, SEP, UNK = 0, 1, 2, 3
 RESERVED_TOKENS = ("<bos>", "<eos>", "<sep>", "<unk>")
 N_RESERVED = len(RESERVED_TOKENS)
 CATALOG_FORMATS = ("plain-lines", "tsv")  # the KB file layouts EntityCatalog.load reads
+_BLOCK_BYTES = 1 << 20  # EntityCatalog.load reads the KB file in blocks of about this many bytes
+# EntityCatalog(names) and each pass over a catalog's names take the names in
+# blocks of this many, so few of their strings are alive at once
+_BLOCK_NAMES = 1 << 12
+_name_hash = hash  # the per-name hash the duplicate check sorts; names of equal hash are compared
 
 # Marks a token that starts a whitespace-delimited word. Tokens without the
 # marker attach directly to the previous token on detokenization.
@@ -188,25 +193,66 @@ class EntityCatalog:
     """Ordered, deduplicated collection of canonical entity names, held as
     ``names_section``: the names as ``nul_terminated`` writes them, a trie cache's
     names section. ``_ends`` holds the position of each name's NUL; a name is
-    decoded from the section each time it is used."""
+    decoded from the section each time it is used. The section is built block
+    by block, from a list of names or a KB file, so no list of every name is
+    made on the way."""
 
     __slots__ = ("names_section", "_ends", "_index", "_vocab")
 
     def __init__(self, names: Iterable[str]):
-        canonical = [canonicalize(n) for n in names]
-        _reject_reserved_glyphs(canonical)
-        if len(set(canonical)) < len(canonical):
-            seen: set[str] = set()
-            dups = []
-            for name in canonical:
-                if name in seen:
-                    dups.append(name)
-                seen.add(name)
-            raise DuplicateName(dups)
-        self.names_section: bytes | memoryview = nul_terminated(canonical)
+        names = iter(names)
+        self._fill(iter(lambda: list(itertools.islice(names, _BLOCK_NAMES)), []))
+
+    def _fill(self, blocks: Iterable[list[str]]) -> None:
+        """Make the catalog of the names in ``blocks``, canonicalized. The names
+        section grows block by block and each name leaves only its hash behind,
+        so no list of all the names is made. Raises what checking every name in
+        turn raises: InvalidName for the first name that is empty once
+        canonical, else for the first holding a reserved glyph, else
+        DuplicateName listing every repeat in order."""
+        section, hashes = bytearray(), bytearray()  # grown in place, the hashes as int64
+        empty = reserved = None
+        for names in blocks:
+            if empty is None and not _canonical_ascii(names):
+                try:
+                    names = list(map(canonicalize, names))
+                except InvalidName as exc:
+                    empty = exc
+                    continue
+                if reserved is None:
+                    try:
+                        _reject_reserved_glyphs(names)
+                    except InvalidName as exc:
+                        reserved = exc
+            if empty is None and reserved is None:
+                section += nul_terminated(names)
+                hashes += np.fromiter(map(_name_hash, names), np.int64, len(names)).tobytes()
+        if empty or reserved:
+            raise empty or reserved
+        self.names_section: bytes | memoryview = memoryview(section).toreadonly()
         self._ends = _nul_positions(self.names_section)
         self._index: dict[str, EntityId] | None = None  # built on first use: build-kb never reads it
         self._vocab: Vocabulary | None = None
+        if hashes:
+            self._reject_repeats(np.frombuffer(hashes, np.int64))
+
+    def _reject_repeats(self, hashes: np.ndarray) -> None:
+        """Raise DuplicateName if a name repeats. Only names whose hashes
+        collide are compared, by their strings."""
+        ordered = np.sort(hashes)
+        collided = ordered[1:][ordered[1:] == ordered[:-1]]
+        del ordered
+        if not len(collided):
+            return
+        seen: set[str] = set()
+        dups = []
+        for i in np.flatnonzero(np.isin(hashes, collided)).tolist():
+            name = self.name_of(i)
+            if name in seen:
+                dups.append(name)
+            seen.add(name)
+        if dups:
+            raise DuplicateName(dups)
 
     def __len__(self) -> int:
         return len(self._ends)
@@ -252,20 +298,21 @@ class EntityCatalog:
     def name_table(self) -> NameTable:
         """The names tokenized into their NameTable by a new pass over them, which also makes the
         output vocabulary if there is none yet. Raises EmptyCatalog if there are no names."""
-        ids, lengths = [], []
+        ids, lengths = bytearray(), bytearray()  # int32 and int64, grown in place: no block waits for a concatenation
 
         def add_rows(block: list[str], words: list[str], word_ids: dict[str, tuple[int, ...]]) -> None:
             rows = list(map(word_ids.__getitem__, words))
-            ids.append(np.fromiter(itertools.chain.from_iterable(rows), np.int32))
+            ids.extend(np.fromiter(itertools.chain.from_iterable(rows), np.int32).tobytes())
             n_words = np.fromiter(map(str.count, block, itertools.repeat(" ")), np.int64, len(block)) + 1
             word_lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-            lengths.append(np.add.reduceat(word_lengths, np.cumsum(n_words) - n_words))
+            lengths.extend(np.add.reduceat(word_lengths, np.cumsum(n_words) - n_words).tobytes())
 
         vocab = self._tokenize_words(add_rows)
         if self._vocab is None:
             self._vocab = vocab
-        offsets = np.concatenate(([0], np.cumsum(np.concatenate(lengths))))
-        return NameTable(offsets, np.concatenate(ids))
+        offsets = np.zeros(len(lengths) // 8 + 1, dtype=np.int64)
+        np.cumsum(np.frombuffer(lengths, np.int64), out=offsets[1:])
+        return NameTable(offsets, np.frombuffer(ids, np.int32))
 
     def _tokenize_words(self, each_block: Callable[..., None] | None = None) -> Vocabulary:
         """The output vocabulary: reserved tokens, then each name token in first-encounter order.
@@ -277,12 +324,13 @@ class EntityCatalog:
             raise EmptyCatalog("an empty catalog has no output vocabulary")
         index = {t: i for i, t in enumerate(RESERVED_TOKENS)}
         word_ids: dict[str, tuple[int, ...]] = {}
-        for lo in range(0, len(self), 1 << 15):
-            block = self._decode(lo, min(lo + (1 << 15), len(self)))
+        for lo in range(0, len(self), _BLOCK_NAMES):
+            block = self._decode(lo, min(lo + _BLOCK_NAMES, len(self)))
             words = " ".join(block).split(" ")
-            for word in dict.fromkeys(words):
-                if word not in word_ids:
-                    word_ids[word] = tuple([index.setdefault(t, len(index)) for t in word_tokens(word)])
+            if not word_ids.keys() >= set(words):  # once most words are known, most blocks skip the loop
+                for word in dict.fromkeys(words):
+                    if word not in word_ids:
+                        word_ids[word] = tuple([index.setdefault(t, len(index)) for t in word_tokens(word)])
             if each_block is not None:
                 each_block(block, words, word_ids)
         return Vocabulary(list(index)[N_RESERVED:])
@@ -291,21 +339,21 @@ class EntityCatalog:
     def load(cls, path, format: str = "plain-lines") -> "EntityCatalog":
         """Load a UTF-8 KB file, a leading byte-order mark skipped: one name per line, or TSV ``id<TAB>name``.
 
-        Lines beginning with '#' and fully empty lines are ignored. The TSV
-        id column is external metadata; dense ids always follow file order.
+        Lines end at "\\n", "\\r\\n" or a lone "\\r", as in text mode. Lines
+        beginning with '#' and fully empty lines are ignored. The TSV id column
+        is external metadata; dense ids always follow file order. The file is
+        read in blocks of about ``_BLOCK_BYTES``, each ending at a line end, so
+        what is held past the catalog is one block and a hash per name.
+        UnicodeDecodeError for bytes that are not UTF-8, and MalformedLine for
+        the first TSV line without a tab, are raised before any fault of the
+        names.
         """
         if format not in CATALOG_FORMATS:
             raise ValueError(f"unknown catalog format {format!r}")
-        with open(path, "r", encoding="utf-8-sig") as f:
-            lines = f.read().split("\n")
-        names = [line for line in lines if line and not line.startswith("#")]
-        if format == "tsv":
-            for line_no, line in enumerate(lines, 1):
-                if line and not line.startswith("#") and "\t" not in line:
-                    raise MalformedLine(line_no, "expected id<TAB>name")
-            names = [line.split("\t", 1)[1] for line in names]
-        del lines  # the names alone are alive while the catalog is built
-        return cls(names)
+        catalog = cls.__new__(cls)
+        with open(path, "rb") as f:
+            catalog._fill(_kb_names(f, format == "tsv"))
+        return catalog
 
 
 class KBSource(NamedTuple):
@@ -338,6 +386,67 @@ def _reject_reserved_glyphs(names: list[str]) -> None:
             raise InvalidName(f"name contains the separator literal: {name!r}")
         if "\0" in name:
             raise InvalidName(f"name contains NUL: {name!r}")
+
+
+# The ASCII characters other than the space that str.split() splits on, two
+# spaces in a row, NUL and the separator literal: ASCII names joined by spaces,
+# with a space before and after, hold none of them exactly when each name is
+# canonical (no other whitespace, no space at either end or next to another,
+# not empty) and free of reserved glyphs.
+_NOT_CANONICAL_ASCII = ("\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "  ", "\0", "<sep>")
+
+
+def _canonical_ascii(names: list[str]) -> bool:
+    """True if every name is ASCII, canonical and free of reserved glyphs, told
+    by a few scans of the block's text instead of a call per name."""
+    text = " " + " ".join(names) + " "
+    return text.isascii() and not any(s in text for s in _NOT_CANONICAL_ASCII)
+
+
+def _kb_names(f, tsv: bool) -> Iterator[list[str]]:
+    """The raw names of a KB file opened in binary mode, a list per block of
+    text. Raises MalformedLine for the first TSV line without a tab, counting
+    every physical line, once the whole file has decoded."""
+    line_no, malformed = 0, None
+    for text in _text_blocks(f):
+        if malformed is not None:
+            continue
+        lines = text.split("\n")
+        if "#" in text:
+            names = [line for line in lines if line and not line.startswith("#")]
+        else:  # no comment in the block: dropping blank lines, at C speed, is all the filtering
+            names = [*filter(None, lines)]
+        if tsv:
+            for i, line in enumerate(lines, line_no + 1):
+                if line and not line.startswith("#") and "\t" not in line:
+                    malformed = MalformedLine(i, "expected id<TAB>name")  # raised once every block has decoded
+                    break
+            else:
+                names = [name.split("\t", 1)[1] for name in names]
+        line_no += len(lines) - 1
+        if malformed is None:
+            yield names
+    if malformed is not None:
+        raise malformed
+
+
+def _text_blocks(f) -> Iterator[str]:
+    """The text of a UTF-8 file opened in binary mode, read as text mode reads
+    it (a byte-order mark skipped at the start only; "\\r\\n" and a lone "\\r"
+    become "\\n"), in blocks of about ``_BLOCK_BYTES``. Each block but the last
+    ends at a line end, so none splits a character or a "\\r\\n"."""
+    data, encoding = f.read(_BLOCK_BYTES), "utf-8-sig"  # the first block starts the file
+    while data:
+        chunk = f.read(_BLOCK_BYTES)
+        # after the last "\n", or a "\r" that is known not to begin a "\r\n"
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1 if chunk else len(data)
+        if cut:
+            block = data[:cut]
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            yield block.decode(encoding)
+            encoding = "utf-8"
+        data = data[cut:] + chunk
 
 
 def build_vocabularies(

@@ -197,16 +197,18 @@ class TokenTrie:
 
 def build_trie(catalog: EntityCatalog) -> TokenTrie:
     """Build the prefix tree recognizing exactly the catalog names, tokenized in its output
-    vocabulary. Raises EmptyCatalog on an empty catalog."""
-    # the build's temporaries are freed on return, before those of from_arrays are made
+    vocabulary. Raises EmptyCatalog on an empty catalog. The name table and the build's
+    temporaries are freed before ``from_arrays`` makes its own."""
+    return TokenTrie.from_arrays(*_preorder_arrays(catalog), len(catalog), len(catalog.output_vocab()))
+
+
+def _preorder_arrays(catalog: EntityCatalog) -> tuple[np.ndarray, ...]:
+    """The ``TokenTrie.from_arrays`` arrays of the trie over the catalog's name table.
+    The table is made here, so each part of it is freed as soon as it has been read."""
     offsets, ids = catalog.name_table()
-    return TokenTrie.from_arrays(*_preorder_arrays(offsets, ids), len(catalog), len(catalog.output_vocab()))
-
-
-def _preorder_arrays(offsets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The ``TokenTrie.from_arrays`` arrays of the trie over these CSR token rows."""
     start = offsets[:-1].astype(np.int32)
     length = np.subtract(offsets[1:], offsets[:-1], dtype=np.int32)
+    del offsets
     n, depth = len(length), int(length.max())
 
     # sorted order by stable sorts from the last depth; names of length d + 1 have not moved yet
@@ -243,7 +245,7 @@ def _preorder_arrays(offsets: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, 
         node = np.where(new, first[alive] + d - lcp[alive], 0)
         parents[node[new] - 1], keys[node[new] - 1] = path[alive[new]], ids[start[alive[new]] + d]
         path[alive] = np.maximum.accumulate(node)
-    del start, length, lcp, first, alive, path, new, node
+    del ids, start, length, lcp, first, alive, path, new, node
 
     # a stable sort on parent alone keeps each node's children in key order
     child_counts = np.bincount(parents, minlength=len(terminal)).astype(np.int32)
@@ -329,7 +331,8 @@ def trie_stats(trie: TokenTrie) -> dict[str, int]:
 def save_trie_cache(trie: TokenTrie, path, catalog: EntityCatalog, source: KBSource) -> None:
     """Write the ``ETRIE4`` cache of ``trie``, the output vocabulary of
     ``catalog`` and its names as it holds them, read from the KB file ``source``."""
-    ints = (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)
+    counts = np.subtract(trie.child_start[1:], trie.child_start[:-1], dtype=np.int32)
+    ints = (trie.terminal, counts, trie.child_keys, trie.child_vals)
     tokens, names = nul_terminated(catalog.output_vocab().tokens), catalog.names_section
     dims = (trie.node_count, len(trie.child_keys), len(catalog), len(tokens), len(names),
             CATALOG_FORMATS.index(source.format))

@@ -1,6 +1,7 @@
 """Shared test scaffolding: deterministic scorers, random catalogs, and the
 independent oracles the spec-level checks compare against, among them the
 name-by-name trie insertion that the per-depth build must reproduce, the
+whole-file KB read that the streamed catalog load must reproduce, the
 per-hypothesis beam search that the batched decoder must reproduce and the
 per-example backward and training loop that batched training must reproduce.
 
@@ -19,9 +20,9 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from ettag.catalog import BOS, EOS, SEP, EntityCatalog, Vocabulary, tokenize
+from ettag.catalog import BOS, EOS, SEP, EntityCatalog, Vocabulary, canonicalize, nul_terminated, tokenize
 from ettag.decoding import DecodeConfig
-from ettag.errors import NoFinishedHypothesis, ScorerContractViolation
+from ettag.errors import DuplicateName, InvalidName, MalformedLine, NoFinishedHypothesis, ScorerContractViolation
 from ettag.toy_model import ToyModelParams, _example_order, build_target, encode_input
 from ettag.trie import FINISHED, ROOT, TokenTrie, TrieCursor, advance, allowed_tokens, build_trie
 
@@ -168,6 +169,44 @@ def reference_build_trie(seqs: list[tuple[int, ...]], vocab_size: int) -> TokenT
         n_entities=len(seqs),
         vocab_size=vocab_size,
     )
+
+
+def reference_names_section(names) -> bytes:
+    """The names section of a catalog of ``names``, checked over one list of
+    them all: InvalidName for the first name that is empty once canonical,
+    else for the first canonical name holding a reserved glyph, else
+    DuplicateName listing every repeat in order."""
+    canonical = [canonicalize(name) for name in names]
+    for name in canonical:
+        if "\u2581" in name:
+            raise InvalidName(f"name contains the boundary marker U+2581: {name!r}")
+        if "<sep>" in name:
+            raise InvalidName(f"name contains the separator literal: {name!r}")
+        if "\0" in name:
+            raise InvalidName(f"name contains NUL: {name!r}")
+    seen: set[str] = set()
+    dups = []
+    for name in canonical:
+        if name in seen:
+            dups.append(name)
+        seen.add(name)
+    if dups:
+        raise DuplicateName(dups)
+    return nul_terminated(canonical)
+
+
+def reference_kb_names(path, format: str = "plain-lines") -> list[str]:
+    """The raw names of the KB file at ``path``, read whole in text mode
+    (universal newlines, a leading byte-order mark skipped) and split on "\\n"."""
+    with open(path, "r", encoding="utf-8-sig") as f:
+        lines = f.read().split("\n")
+    names = [line for line in lines if line and not line.startswith("#")]
+    if format == "tsv":
+        for line_no, line in enumerate(lines, 1):
+            if line and not line.startswith("#") and "\t" not in line:
+                raise MalformedLine(line_no, "expected id<TAB>name")
+        names = [line.split("\t", 1)[1] for line in names]
+    return names
 
 
 def brute_force_language(

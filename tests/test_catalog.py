@@ -1,13 +1,20 @@
+import codecs
+import gc
 import hashlib
 import itertools
+import os
+import subprocess
 import sys
+import tracemalloc
 import unicodedata
 
 import numpy as np
 import pytest
 
+import ettag.catalog as catalog_module
 from ettag.catalog import (
     BOS,
+    CATALOG_FORMATS,
     EOS,
     N_RESERVED,
     RESERVED_TOKENS,
@@ -35,8 +42,18 @@ from ettag.errors import (
     MalformedLine,
     OutputOOV,
 )
+from ettag.synthetic import synthetic_kb_names
 from ettag.toy_model import build_target
 from ettag.trie import build_trie, load_trie_cache, save_trie_cache
+from helpers import reference_kb_names, reference_names_section
+
+
+@pytest.fixture(scope="module")
+def kb_200k(tmp_path_factory):
+    """A KB file of ``synthetic_kb_names(200_000, seed=0)``, about 4.5 MB."""
+    path = tmp_path_factory.mktemp("kb") / "kb.txt"
+    path.write_text("".join(name + "\n" for name in synthetic_kb_names(200_000, seed=0)), encoding="utf-8")
+    return path
 
 
 class TestCanonicalize:
@@ -395,3 +412,210 @@ def test_round_trip_over_random_catalog():
     _, vout = build_vocabularies(cat, [])
     for name in cat:
         assert detokenize(tokenize(name, vout, mode="output"), vout) == name
+
+
+def _outcome(make, *args):
+    """The names section ``make(*args)`` gives, or what identifies the error it raises."""
+    try:
+        return bytes(make(*args))
+    except UnicodeDecodeError:
+        return "UnicodeDecodeError"
+    except (InvalidName, DuplicateName, MalformedLine) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "offenders", None), getattr(exc, "line_no", None)
+
+
+def _loaded_section(path, fmt):
+    return EntityCatalog.load(path, format=fmt).names_section
+
+
+def _reference_section(path, fmt):
+    return reference_names_section(reference_kb_names(path, fmt))
+
+
+# Whitespace a name may hold between its words: str.split() splits on all of
+# it and str.splitlines() on some of it ("\x0b", "\x0c", "\x1c"-"\x1e",
+# "\x85", U+2028), but none of it ends a line of a KB file.
+_INNER_SPACES = [" ", " ", " ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2028", "\x85"]
+_WORDS = ["Earth", "black", "hole", "Z\u00fcrich", "Zu\u0308rich", "\u6771\u4eac", "e\u0301clair", "\u03a9mega", "&"]
+_LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r"]
+_FAULTS = ["dup", "canonical-dup", "nul", "sep", "mark", "empty", "no-tab", "utf8"]
+
+
+def _kb_bytes(rng: np.random.Generator, tsv: bool, faults: list[str]) -> bytes:
+    """A KB file of about 60 lines: names (most plain ASCII, some spelled with
+    other whitespace, in NFD or with spaces at their ends), comments and blank
+    lines, ended by "\\n", "\\r\\n" or a lone "\\r", perhaps after a byte-order
+    mark; each fault named is put in the second half of the file."""
+    lines, named, clean = [], [], []  # every line, the lines that name, the names already canonical
+    for i in range(60):
+        kind = rng.random()
+        if kind < 0.1:
+            lines.append("# cömment \t <sep> ▁ \0 " + "#" * int(rng.integers(0, 3)))
+        elif kind < 0.15:
+            lines.append("")
+        else:
+            words = [f"n{i}", *rng.choice(_WORDS[:3], size=int(rng.integers(0, 3)))]
+            if rng.random() < 0.3:
+                words.append(str(rng.choice(_WORDS)))
+                seps = rng.choice(_INNER_SPACES, size=len(words) - 1)
+                name = "".join(w + s for w, s in zip(words, seps)) + words[-1]
+                name = " " * int(rng.integers(0, 2)) + name + " " * int(rng.integers(0, 2))
+            else:
+                name = " ".join(words)
+                clean.append(name)
+            lines.append(f"{i}\t{name}" if tsv else name)
+            named.append(lines[-1])
+    for fault in faults:
+        at = int(rng.integers(30, len(lines) + 1))
+        if fault == "dup":
+            lines.insert(at, str(rng.choice(named)))
+        elif fault == "canonical-dup":
+            name = str(rng.choice(clean))
+            spelled = " " + name.replace(" ", str(rng.choice(_INNER_SPACES[3:]))) + "\t"
+            lines.insert(at, f"7\t{spelled}" if tsv else spelled)
+        elif fault in ("nul", "sep", "mark"):
+            glyph = {"nul": "\0", "sep": "<sep>", "mark": "▁"}[fault]
+            lines.insert(at, f"8\tx{glyph}y{at}" if tsv else f"x{glyph}y{at}")
+        elif fault == "empty":
+            spaces = " " * at + "\x0b\u2028\t"
+            lines.insert(at, f"9\t{spaces}" if tsv else spaces)
+        elif fault == "no-tab":
+            lines.insert(at, f"line {at} has no tab")
+    text = "".join(line + str(rng.choice(_LINE_ENDS)) for line in lines)
+    data = ("\ufeff" * int(rng.integers(0, 2)) + text).encode("utf-8")
+    if "utf8" in faults:
+        at = int(rng.integers(len(data) // 2, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+class TestStreamedLoad:
+    """``EntityCatalog.load`` reads a file in blocks, and ``EntityCatalog(names)``
+    takes names in blocks; both must give what one whole read of the file and
+    one list of its names give (``reference_kb_names``, ``reference_names_section``)."""
+
+    @pytest.mark.parametrize("fmt, faults", [
+        pytest.param(fmt, faults, id=f"{fmt}-{'+'.join(faults) or 'clean'}")
+        for faults in [[], *([f] for f in _FAULTS), ["nul", "empty"], ["dup", "mark"], ["no-tab", "utf8", "dup"],
+                       ["sep", "canonical-dup", "no-tab"], ["empty", "mark", "empty", "nul"],
+                       ["no-tab", "empty", "no-tab"]]
+        for fmt in CATALOG_FORMATS if fmt == "tsv" or "no-tab" not in faults])  # only TSV lines need a tab
+    def test_matches_one_whole_read(self, tmp_path, monkeypatch, fmt, faults):
+        results = []
+        real = catalog_module._canonical_ascii
+        monkeypatch.setattr("ettag.catalog._canonical_ascii", lambda names: results.append(real(names)) or results[-1])
+        path = tmp_path / "kb.txt"
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            path.write_bytes(_kb_bytes(rng, fmt == "tsv", faults))
+            want = _outcome(_reference_section, path, fmt)
+            for block_bytes, block_names in ((1, 1), (37, 3), (200, 5), (1 << 20, 1 << 12)):
+                monkeypatch.setattr("ettag.catalog._BLOCK_BYTES", block_bytes)
+                monkeypatch.setattr("ettag.catalog._BLOCK_NAMES", block_names)
+                assert _outcome(_loaded_section, path, fmt) == want, (seed, block_bytes)
+                if want != "UnicodeDecodeError" and not (isinstance(want, tuple) and want[0] == "MalformedLine"):
+                    # the file reads as a list of names, whose catalog must agree too
+                    names = reference_kb_names(path, fmt)
+                    assert _outcome(lambda: EntityCatalog(names).names_section) == want, (seed, block_names)
+            if not faults:
+                assert isinstance(want, bytes)
+        # blocks of plain ASCII names skip the call per name, other blocks make it
+        assert True in results and False in results
+
+    @pytest.mark.parametrize("fmt", CATALOG_FORMATS)
+    def test_every_block_cut(self, tmp_path, monkeypatch, fmt):
+        """A file whose line ends are "\\r\\n", lone "\\r", "\\r\\r\\n" and "\\n", read
+        with every block size from one byte to its length, so that a block cut
+        falls at every byte, inside every "\\r\\n" and every character included."""
+        lines = ["# héader", "Earth", "", "Zürich  x", "東京", "# a comment\r7\tends early", "Mars\x0bRover",
+                 "éclair", "A B", "last"]
+        ends = ["\r\n", "\n", "\r", "\r\r\n", "\r\n", "\n", "\r", "\r\n", "\n", ""]
+        text = "".join((f"{i}\t{line}" if fmt == "tsv" and line and not line.startswith("#") else line) + end
+                       for i, (line, end) in enumerate(zip(lines, ends)))
+        path = tmp_path / "kb.txt"
+        wants = []
+        for data in (text.encode(), codecs.BOM_UTF8 + text.encode(), text.encode() + b"\r",
+                     (text + "\r\nno tab\r\n").encode(), codecs.BOM_UTF8 + codecs.BOM_UTF8 + text.encode()):
+            path.write_bytes(data)
+            wants.append(_outcome(_reference_section, path, fmt))
+            for block_bytes in range(1, len(data) + 2):
+                monkeypatch.setattr("ettag.catalog._BLOCK_BYTES", block_bytes)
+                assert _outcome(_loaded_section, path, fmt) == wants[-1], (data, block_bytes)
+        section = nul_terminated(["Earth", "Zürich x", "東京", "ends early" if fmt == "tsv" else "7 ends early",
+                                  "Mars Rover", "éclair", "A B", "last"])
+        assert wants[:3] == [section] * 3
+        if fmt == "tsv":  # "\r\r\n" ends two lines, the "\r" inside the comment one
+            assert wants[3:] == [("MalformedLine", f"line {n}: expected id<TAB>name", None, n) for n in (13, 1)]
+        else:  # only the first byte-order mark is skipped
+            assert wants[3:] == [section + b"no tab\0", nul_terminated(["\ufeff# héader"]) + section]
+
+    def test_the_ascii_shortcut_is_exact(self):
+        """``_canonical_ascii`` holds for a block exactly when every name in it is
+        ASCII, already canonical and free of reserved glyphs."""
+        rng = np.random.default_rng(5)
+        pieces = ["a", "Bc", " ", " ", "  ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x1b", "\0", "<sep>",
+                  "<se", "p>", "▁", "\xa0", "\xe9", "#", ""]
+        seen = set()
+        for _ in range(20_000):
+            names = ["".join(rng.choice(pieces, size=int(rng.integers(0, 4)))) for _ in range(int(rng.integers(1, 4)))]
+            want = all(name.isascii() and name and " ".join(name.split()) == name
+                       and "\0" not in name and "<sep>" not in name for name in names)
+            assert catalog_module._canonical_ascii(names) == want, names
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_colliding_hashes_are_compared_by_name(self, tmp_path, monkeypatch):
+        """With every name hashing alike, distinct names still make a catalog and
+        repeats raise the same DuplicateName, from a list or from a file."""
+        names = ["b", "a", "c", "é", "b a", "a b"]
+        want = EntityCatalog(names).names_section
+        dups = ["b", "a", "c", "a", "b  ", "é", "é", "b", "d"]
+        path = tmp_path / "kb.txt"
+        path.write_text("\n".join(dups), encoding="utf-8")
+        monkeypatch.setattr("ettag.catalog._name_hash", lambda name: 7)
+        assert EntityCatalog(names).names_section == want
+        for make in (lambda: EntityCatalog(dups), lambda: EntityCatalog.load(path)):
+            with pytest.raises(DuplicateName) as exc_info:
+                make()
+            assert exc_info.value.offenders == ["a", "b", "é", "b"]
+
+    def test_no_result_depends_on_the_hash_seed(self, tmp_path):
+        """Python salts ``hash`` of a str per process; the catalog of a KB file and
+        the repeats it reports are the same under any PYTHONHASHSEED."""
+        names = [f"name {i}{' x' * (i % 7)}" for i in range(3000)]
+        kb, dup_kb = tmp_path / "kb.txt", tmp_path / "dups.txt"
+        kb.write_text("\n".join(names), encoding="utf-8")
+        dup_kb.write_text("\n".join(names + names[::-3] + [" name  3 x x x "]), encoding="utf-8")
+        script = (
+            "import sys\n"
+            "from ettag.catalog import EntityCatalog\n"
+            "from ettag.errors import DuplicateName\n"
+            "print(EntityCatalog.load(sys.argv[1]).content_hash().hex())\n"
+            "try:\n"
+            "    EntityCatalog.load(sys.argv[2])\n"
+            "except DuplicateName as exc:\n"
+            "    print(exc.offenders)\n"
+        )
+        outputs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run([sys.executable, "-c", script, str(kb), str(dup_kb)], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONHASHSEED": seed})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        want = [names[i] for i in range(len(names) - 1, -1, -3)] + ["name 3 x x x"]
+        assert outputs[0] == outputs[1] == f"{EntityCatalog(names).content_hash().hex()}\n{want}\n"
+
+    def test_loading_holds_little_past_the_file(self, kb_200k):
+        """Loading a 200,000-name KB peaks, under tracemalloc, below 4.5 times the
+        file's bytes: the names section (about the file's size), a hash and a NUL
+        position per name, and one block's names as strings. It measured 3.4
+        times, and the whole-file read that came before 6.7 times."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            catalog = EntityCatalog.load(kb_200k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(catalog) == 200_000
+        assert peak / kb_200k.stat().st_size < 4.5
