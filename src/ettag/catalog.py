@@ -344,9 +344,10 @@ class EntityCatalog:
         is external metadata; dense ids always follow file order. The file is
         read in blocks of about ``_BLOCK_BYTES``, each ending at a line end, so
         what is held past the catalog is one block and a hash per name.
-        UnicodeDecodeError for bytes that are not UTF-8, and MalformedLine for
-        the first TSV line without a tab, are raised before any fault of the
-        names.
+        UnicodeDecodeError for bytes that are not UTF-8 (from a file that can
+        seek, the error one whole read gives, placing the byte in the file),
+        and MalformedLine for the first TSV line without a tab, are raised
+        before any fault of the names.
         """
         if format not in CATALOG_FORMATS:
             raise ValueError(f"unknown catalog format {format!r}")
@@ -412,13 +413,10 @@ def _kb_names(f, tsv: bool) -> Iterator[list[str]]:
         if malformed is not None:
             continue
         lines = text.split("\n")
-        if "#" in text:
-            names = [line for line in lines if line and not line.startswith("#")]
-        else:  # no comment in the block: dropping blank lines, at C speed, is all the filtering
-            names = [*filter(None, lines)]
+        names = [line for line in lines if line and line[0] != "#"]
         if tsv:
             for i, line in enumerate(lines, line_no + 1):
-                if line and not line.startswith("#") and "\t" not in line:
+                if line and line[0] != "#" and "\t" not in line:
                     malformed = MalformedLine(i, "expected id<TAB>name")  # raised once every block has decoded
                     break
             else:
@@ -444,7 +442,14 @@ def _text_blocks(f) -> Iterator[str]:
             block = data[:cut]
             if b"\r" in block:
                 block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            yield block.decode(encoding)
+            try:
+                text = block.decode(encoding)
+            except UnicodeDecodeError:
+                if f.seekable():  # the error of one whole read, which places the byte in the file
+                    f.seek(0)
+                    f.read().decode("utf-8-sig")
+                raise
+            yield text
             encoding = "utf-8"
         data = data[cut:] + chunk
 

@@ -418,8 +418,8 @@ def _outcome(make, *args):
     """The names section ``make(*args)`` gives, or what identifies the error it raises."""
     try:
         return bytes(make(*args))
-    except UnicodeDecodeError:
-        return "UnicodeDecodeError"
+    except UnicodeDecodeError as exc:
+        return "UnicodeDecodeError", str(exc)
     except (InvalidName, DuplicateName, MalformedLine) as exc:
         return type(exc).__name__, str(exc), getattr(exc, "offenders", None), getattr(exc, "line_no", None)
 
@@ -513,7 +513,7 @@ class TestStreamedLoad:
                 monkeypatch.setattr("ettag.catalog._BLOCK_BYTES", block_bytes)
                 monkeypatch.setattr("ettag.catalog._BLOCK_NAMES", block_names)
                 assert _outcome(_loaded_section, path, fmt) == want, (seed, block_bytes)
-                if want != "UnicodeDecodeError" and not (isinstance(want, tuple) and want[0] == "MalformedLine"):
+                if not (isinstance(want, tuple) and want[0] in ("UnicodeDecodeError", "MalformedLine")):
                     # the file reads as a list of names, whose catalog must agree too
                     names = reference_kb_names(path, fmt)
                     assert _outcome(lambda: EntityCatalog(names).names_section) == want, (seed, block_names)
@@ -548,6 +548,19 @@ class TestStreamedLoad:
             assert wants[3:] == [("MalformedLine", f"line {n}: expected id<TAB>name", None, n) for n in (13, 1)]
         else:  # only the first byte-order mark is skipped
             assert wants[3:] == [section + b"no tab\0", nul_terminated(["\ufeff# héader"]) + section]
+
+    @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["no-bom", "bom"])
+    def test_a_bad_byte_is_placed_in_the_file(self, tmp_path, monkeypatch, bom):
+        """A byte that is not UTF-8, past the first block and after "\r\n" line
+        ends, is reported at its offset in the file (past a byte-order mark, as
+        one whole read reports it), not in its block with the "\r" bytes gone."""
+        head = "".join(f"name {i}\r\n" for i in range(40)).encode()
+        path = tmp_path / "kb.txt"
+        path.write_bytes(bom + head + b"bad \xff byte\r\nlast\r\n")
+        monkeypatch.setattr("ettag.catalog._BLOCK_BYTES", 64)
+        want = f"'utf-8' codec can't decode byte 0xff in position {len(head) + 4}: invalid start byte"
+        assert _outcome(_reference_section, path, "plain-lines") == ("UnicodeDecodeError", want)
+        assert _outcome(_loaded_section, path, "plain-lines") == ("UnicodeDecodeError", want)
 
     def test_the_ascii_shortcut_is_exact(self):
         """``_canonical_ascii`` holds for a block exactly when every name in it is

@@ -79,11 +79,17 @@ class TestBuildKb:
 
     def test_peak_memory_follows_the_kb_file(self, tmp_path):
         """On a 200,000-name KB, `build-kb` peaks, past a process that only
-        imports the CLI, below 8 times the file's bytes. With the KB file read
-        in blocks it measured 7.0-7.2 times, and with the whole-file read
-        before it 8.7-9.0 times (2-core Xeon VM, numpy 2.4). Both commands are
-        started from a small process of their own, because a child's
-        ``ru_maxrss`` is at least that of the process it was started from."""
+        imports the CLI, below 10 times the file's bytes. It measured 6.8-7.2
+        times over 16 runs that differed only in the size of the environment
+        (2-core Xeon VM, numpy 2.4.6, glibc 2.36), a spread of 1.9 MB that
+        comes from heap layout; the bound leaves 12.6 MB above the highest
+        reading, so it catches gross regressions, such as every name held as
+        a str through the trie build (about 3.5 times the file), but not the
+        whole-file read before the streamed load (8.6-8.9 times), which the
+        tracemalloc bound of ``EntityCatalog.load`` in test_catalog.py does.
+        Both commands are started from a small process of their own, because
+        a child's ``ru_maxrss`` is at least that of the process it was
+        started from."""
         kb = tmp_path / "kb.txt"
         kb.write_text("".join(name + "\n" for name in synthetic_kb_names(200_000, seed=0)), encoding="utf-8")
         proc = subprocess.run(
@@ -93,7 +99,7 @@ class TestBuildKb:
         )
         assert proc.returncode == 0, proc.stderr
         baseline, peak = map(int, proc.stdout.split())
-        assert (peak - baseline) / kb.stat().st_size < 8.0
+        assert (peak - baseline) / kb.stat().st_size < 10.0
 
 
 # Prints the peak resident bytes, as os.wait4 reports them, of a process that
