@@ -4,8 +4,9 @@ The catalog is a bijection between dense integer ids (file order) and
 canonical entity names. In memory the catalog is one buffer, its names as
 NUL-terminated UTF-8: the bytes its content hash covers and a trie cache's
 names section, so a catalog read from a cache is a view of that section. A
-name is decoded when it is used, and only the name -> id index, built on
-first lookup, holds name strings.
+name is decoded when it is used: a pass over the names, such as the one
+that finds the ids of a set of names, decodes them a block at a time, so no
+string of every name is ever held.
 
 The tokenizer splits on whitespace and peels leading/trailing punctuation
 off each word; word-initial tokens carry a boundary marker so
@@ -149,13 +150,20 @@ def read_catalog(section, count: int, vocab: Vocabulary | None = None) -> Entity
         except UnicodeDecodeError:
             return None
     catalog = EntityCatalog.__new__(EntityCatalog)
-    catalog.names_section, catalog._ends, catalog._index, catalog._vocab = section, ends, None, vocab
+    catalog.names_section, catalog._ends, catalog._vocab = section, ends, vocab
     return catalog
 
 
 def _nul_positions(section) -> memoryview:
+    """The position of each NUL in ``section``, found a ``_BLOCK_BYTES`` slice at a
+    time: int32, the width of a trie cache's dims, unless the section is 2 GiB or more."""
+    data = np.frombuffer(section, np.uint8)
+    dtype = np.int32 if len(data) < 1 << 31 else np.int64
+    ends = bytearray()  # grown in place, so no list of per-slice arrays waits for a concatenation
+    for lo in range(0, len(data), _BLOCK_BYTES):
+        ends += (np.flatnonzero(data[lo: lo + _BLOCK_BYTES] == 0).astype(dtype) + lo).tobytes()
     # a memoryview indexes to Python ints, which name_of slices with at no conversion cost
-    return memoryview(np.flatnonzero(np.frombuffer(section, np.uint8) == 0))
+    return memoryview(np.frombuffer(ends, dtype))
 
 
 def tokenize(text: str, vocab: Vocabulary, mode: str = "input") -> TokenSeq:
@@ -197,7 +205,7 @@ class EntityCatalog:
     by block, from a list of names or a KB file, so no list of every name is
     made on the way."""
 
-    __slots__ = ("names_section", "_ends", "_index", "_vocab")
+    __slots__ = ("names_section", "_ends", "_vocab")
 
     def __init__(self, names: Iterable[str]):
         names = iter(names)
@@ -231,7 +239,6 @@ class EntityCatalog:
             raise empty or reserved
         self.names_section: bytes | memoryview = memoryview(section).toreadonly()
         self._ends = _nul_positions(self.names_section)
-        self._index: dict[str, EntityId] | None = None  # built on first use: build-kb never reads it
         self._vocab: Vocabulary | None = None
         if hashes:
             self._reject_repeats(np.frombuffer(hashes, np.int64))
@@ -258,10 +265,8 @@ class EntityCatalog:
         return len(self._ends)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._decode(0, len(self)))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.name_index()
+        for _, block in self._blocks():
+            yield from block
 
     def name_of(self, entity_id: EntityId) -> str:
         ends = self._ends
@@ -269,24 +274,30 @@ class EntityCatalog:
         start = ends[entity_id - 1] + 1 if entity_id % len(ends) else 0
         return str(self.names_section[start:end], "utf-8")
 
-    def id_of(self, name: str) -> EntityId | None:
-        return self.name_index().get(name)
-
-    def name_index(self) -> dict[str, EntityId]:
-        """The name -> id dict, built on first use."""
-        if self._index is None:
-            self._index = dict(zip(self._decode(0, len(self)), range(len(self))))
-        return self._index
+    def ids_of(self, names: Iterable[str]) -> dict[str, EntityId]:
+        """The id of each of ``names`` that is in the catalog, found by one pass over
+        the names, a block at a time, that stops once all are found."""
+        wanted = set(names)
+        found: dict[str, EntityId] = {}
+        for lo, block in self._blocks():
+            for name in wanted.intersection(block):
+                found[name] = lo + block.index(name)
+            if len(found) == len(wanted):
+                break
+        return found
 
     def content_hash(self) -> bytes:
         return hashlib.sha256(self.names_section).digest()
 
     def _decode(self, lo: int, hi: int) -> list[str]:
-        """Names ``lo`` up to ``hi``, decoded from the section."""
-        if lo >= hi:
-            return []
+        """Names ``lo`` up to ``hi`` (``lo < hi``), decoded from the section."""
         start = self._ends[lo - 1] + 1 if lo else 0
         return str(self.names_section[start: self._ends[hi - 1]], "utf-8").split("\0")
+
+    def _blocks(self) -> Iterator[tuple[EntityId, list[str]]]:
+        """The names in blocks of ``_BLOCK_NAMES``, each with the id of its first name."""
+        for lo in range(0, len(self), _BLOCK_NAMES):
+            yield lo, self._decode(lo, min(lo + _BLOCK_NAMES, len(self)))
 
     def output_vocab(self) -> Vocabulary:
         """The output vocabulary: given at construction, else made on first use by a pass over the
@@ -324,8 +335,7 @@ class EntityCatalog:
             raise EmptyCatalog("an empty catalog has no output vocabulary")
         index = {t: i for i, t in enumerate(RESERVED_TOKENS)}
         word_ids: dict[str, tuple[int, ...]] = {}
-        for lo in range(0, len(self), _BLOCK_NAMES):
-            block = self._decode(lo, min(lo + _BLOCK_NAMES, len(self)))
+        for _, block in self._blocks():
             words = " ".join(block).split(" ")
             if not word_ids.keys() >= set(words):  # once most words are known, most blocks skip the loop
                 for word in dict.fromkeys(words):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 from urllib.parse import unquote
 
 from .catalog import EntityCatalog, TokenSeq, Vocabulary, canonicalize, tokenize
@@ -266,13 +266,14 @@ def parse_wiki_jsonl(path) -> list[ELDocument]:
 
 def el_to_et(
     doc: ELDocument,
-    catalog: EntityCatalog,
+    ids: Mapping[str, int],
     stats: ConversionStats | None = None,
 ) -> ETExample:
-    """Strip mention boundaries: gold becomes the set of in-catalog entities,
-    NIL and out-of-catalog mentions are dropped and counted. A document's
-    title entity comes last in the order (it has no span), unless it is
-    already gold; a title outside the catalog is counted."""
+    """Strip mention boundaries: gold becomes the set of the ids that ``ids``
+    maps the mentioned names to, NIL mentions and names it does not hold
+    (out of the catalog) are dropped and counted. A document's title entity
+    comes last in the order (it has no span), unless it is already gold; a
+    title outside ``ids`` is counted."""
     stats = stats if stats is not None else ConversionStats()
     first_seen: dict[int, int] = {}  # entity id -> earliest mention start
     oov: set[str] = set()
@@ -280,7 +281,7 @@ def el_to_et(
         if m.entity is NIL:
             stats.dropped_nil_mentions += 1
             continue
-        eid = catalog.id_of(m.entity)
+        eid = ids.get(m.entity)
         if eid is None:
             oov.add(m.entity)
             continue
@@ -289,7 +290,7 @@ def el_to_et(
     stats.dropped_oov_entities += len(oov)
     order = tuple(sorted(first_seen, key=first_seen.__getitem__))
     if doc.title is not None:
-        title_id = catalog.id_of(doc.title)
+        title_id = ids.get(doc.title)
         if title_id is None:
             stats.dropped_titles += 1
         elif title_id not in first_seen:
@@ -308,12 +309,16 @@ def convert_documents(
     keep_empty: bool = False,
 ) -> tuple[list[ETExample], ConversionStats]:
     """Convert every document; one with no gold entity left is dropped and
-    counted unless ``keep_empty``."""
+    counted unless ``keep_empty``. Every name is looked up in one pass over the catalog."""
+    docs = list(docs)
+    ids = catalog.ids_of(
+        name for doc in docs for name in (doc.title, *(m.entity for m in doc.mentions)) if name is not None
+    )
     stats = ConversionStats()
     out: list[ETExample] = []
     for doc in docs:
         stats.docs_in += 1
-        ex = el_to_et(doc, catalog, stats)
+        ex = el_to_et(doc, ids, stats)
         if not ex.gold and not keep_empty:
             stats.dropped_empty_docs += 1
             continue
@@ -351,15 +356,35 @@ def write_et_jsonl(examples: Iterable[ETExample], path, catalog: EntityCatalog) 
     ))
 
 
+def _gold_names(records: list[dict]) -> Iterator[str]:
+    """Each string in a record's ``gold`` or ``gold_order`` list that is not empty
+    once canonical, canonicalized: the names ``read_et_jsonl`` may look up."""
+    for rec in records:
+        for field in ("gold", "gold_order"):
+            value = rec.get(field)
+            for name in value if isinstance(value, list) else ():
+                if isinstance(name, str):
+                    try:
+                        yield canonicalize(name)
+                    except InvalidName:  # the record's own check raises it
+                        pass
+
+
 def read_et_jsonl(path, catalog: EntityCatalog) -> list[ETExample]:
     """The examples of an ET JSONL file. Each ``gold`` and ``gold_order`` name is
     canonicalized, as KB names are, then looked up in ``catalog``: a name that is
-    empty after canonicalization is a SchemaError, one outside the catalog an UnknownEntity."""
-    # built before the file is opened, so reading excludes it. After the read, train builds the output
-    # vocabulary alone and ablate-order the name table with it; ablate-beam builds nothing more
-    index = catalog.name_index()
+    empty after canonicalization is a SchemaError, one outside the catalog an UnknownEntity.
+    The file is read once and every name looked up in one pass over the catalog; the
+    first fault in file order is raised, as when each record is checked as it is read."""
+    records, fault = [], None
+    try:
+        for rec in jsonl_records(path, "doc_id"):
+            records.append(rec)
+    except Exception as exc:  # raised once the records read before it are checked
+        fault = exc
+    index = catalog.ids_of(_gold_names(records))
     out: list[ETExample] = []
-    for rec in jsonl_records(path, "doc_id"):
+    for rec in records:
         doc_id = rec["doc_id"]
         text = _text(rec, doc_id)
 
@@ -376,4 +401,6 @@ def read_et_jsonl(path, catalog: EntityCatalog) -> list[ETExample]:
             if len(order) != len(gold) or set(order) != gold:
                 raise SchemaError(doc_id, "gold_order", "not a permutation of gold")
         out.append(ETExample(doc_id=doc_id, text=text, gold=gold, gold_order=order))
+    if fault is not None:
+        raise fault
     return out

@@ -130,6 +130,30 @@ def catalog_stack(catalog: EntityCatalog):
     return catalog, catalog.output_vocab(), trie
 
 
+def decode_spans(monkeypatch, block_names: int) -> list[int]:
+    """Make each pass over a catalog's names take them ``block_names`` at a time,
+    and return the list that then records how many names each
+    ``EntityCatalog._decode`` call decodes."""
+    import ettag.catalog
+
+    monkeypatch.setattr(ettag.catalog, "_BLOCK_NAMES", block_names)
+    spans: list[int] = []
+    decode = EntityCatalog._decode
+
+    def recorded(catalog, lo, hi):
+        spans.append(hi - lo)
+        return decode(catalog, lo, hi)
+
+    monkeypatch.setattr(EntityCatalog, "_decode", recorded)
+    return spans
+
+
+def every_id(catalog: EntityCatalog) -> dict[str, int]:
+    """Each catalog name's id, from a decode of every name: the mapping
+    ``EntityCatalog.ids_of`` gives for a query of every name."""
+    return {name: i for i, name in enumerate(catalog)}
+
+
 def name_token_seqs(catalog: EntityCatalog, vocab: Vocabulary) -> list[tuple[int, ...]]:
     return [tuple(tokenize(n, vocab, mode="output")) for n in catalog]
 

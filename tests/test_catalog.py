@@ -45,7 +45,7 @@ from ettag.errors import (
 from ettag.synthetic import synthetic_kb_names
 from ettag.toy_model import build_target
 from ettag.trie import build_trie, load_trie_cache, save_trie_cache
-from helpers import reference_kb_names, reference_names_section
+from helpers import decode_spans, reference_kb_names, reference_names_section
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +191,7 @@ class TestCatalog:
         path.write_text("Earth\nParsec\nBlack hole\n", encoding="utf-8")
         cat = EntityCatalog.load(path)
         assert len(cat) == 3
-        assert [cat.id_of(n) for n in ("Earth", "Parsec", "Black hole")] == [0, 1, 2]
+        assert cat.ids_of(["Earth", "Parsec", "Black hole"]) == {"Earth": 0, "Parsec": 1, "Black hole": 2}
 
     def test_duplicate_rejected(self, tmp_path):
         path = tmp_path / "kb.txt"
@@ -199,12 +199,6 @@ class TestCatalog:
         with pytest.raises(DuplicateName) as exc_info:
             EntityCatalog.load(path)
         assert "Earth" in str(exc_info.value)
-
-    def test_indexes_on_first_lookup(self):
-        cat = EntityCatalog(["Earth", " Black   hole"])
-        assert cat._index is None
-        assert cat.id_of("Black hole") == 1 and "Earth" in cat and "Mars" not in cat
-        assert cat.name_index() == {"Earth": 0, "Black hole": 1}
 
     def test_duplicates_listed_in_order(self):
         with pytest.raises(DuplicateName) as exc_info:
@@ -225,7 +219,7 @@ class TestCatalog:
         path.write_text("17\tEarth\n99\tParsec\n", encoding="utf-8")
         cat = EntityCatalog.load(path, format="tsv")
         # external ids are metadata; dense ids follow file order
-        assert cat.id_of("Earth") == 0 and cat.id_of("Parsec") == 1
+        assert cat.ids_of(["Earth", "Parsec"]) == {"Earth": 0, "Parsec": 1}
 
     @pytest.mark.parametrize("fmt, text", [
         ("plain-lines", "# my kb\nEarth\nParsec\n"),
@@ -254,11 +248,11 @@ class TestCatalog:
             EntityCatalog.load(path, format="tsv")
         assert exc_info.value.line_no == 4
 
-    def test_read_catalog_indexes_on_first_lookup(self):
+    def test_read_catalog_looks_names_up(self):
         names = ["Earth", "Black hole", "São Paulo"]
         cat = read_catalog(nul_terminated(names), 3)
-        assert tuple(cat) == tuple(names) and cat._index is None
-        assert cat.id_of("Black hole") == 1 and "São Paulo" in cat and "Mars" not in cat
+        assert tuple(cat) == tuple(names)
+        assert cat.ids_of(["Black hole", "Mars"]) == {"Black hole": 1} and "São Paulo" in cat and "Mars" not in cat
         assert cat.content_hash() == EntityCatalog(names).content_hash()
 
     def test_read_catalog_holds_a_given_vocabulary(self, monkeypatch):
@@ -289,10 +283,38 @@ class TestCatalog:
             }
         )
         cat = EntityCatalog(names)
+        ids = cat.ids_of(cat)
         for name in cat:
-            assert cat.name_of(cat.id_of(name)) == name
+            assert cat.name_of(ids[name]) == name
         for eid in range(len(cat)):
-            assert cat.id_of(cat.name_of(eid)) == eid
+            assert ids[cat.name_of(eid)] == eid
+
+
+class TestIdsOf:
+    NAMES = ["Earth", "São Paulo", "東京 Tower", "Black hole", "Zürich", "🚀 Launch", "Astronomy & Astrophysics", "Ωmega"]
+
+    @pytest.mark.parametrize("block_names", [3, 1 << 12], ids=["straddling-blocks", "one-block"])
+    def test_agrees_with_a_dict_of_the_names(self, monkeypatch, block_names):
+        monkeypatch.setattr(catalog_module, "_BLOCK_NAMES", block_names)
+        cat = EntityCatalog(self.NAMES)
+        index = dict(zip(self.NAMES, itertools.count()))
+        outside = ["Mars", "", "earth", "Earth ", "Sa\u0303o Paulo", "Black"]
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            query = [str(n) for n in rng.choice(self.NAMES + outside, size=int(rng.integers(0, 12)))]
+            assert cat.ids_of(query) == {name: index[name] for name in query if name in index}
+        assert cat.ids_of(self.NAMES[::-1] * 2) == index
+        assert cat.ids_of(iter(["Ωmega", "Earth", "Ωmega"])) == {"Earth": 0, "Ωmega": 7}
+        assert cat.ids_of(outside) == {} and EntityCatalog([]).ids_of(["Earth"]) == {}
+
+    def test_stops_once_every_name_is_found(self, monkeypatch):
+        cat = EntityCatalog(self.NAMES)
+        spans = decode_spans(monkeypatch, 3)
+        assert cat.ids_of(["São Paulo", "Earth"]) == {"Earth": 0, "São Paulo": 1}
+        assert spans == [3]
+        spans.clear()
+        assert cat.ids_of(["Earth", "Mars"]) == {"Earth": 0}
+        assert spans == [3, 3, 2]
 
 
 class TestBuildVocabularies:
@@ -379,8 +401,7 @@ def test_a_catalog_read_from_a_trie_cache_is_the_kb_files(tmp_path, names):
         for entity_id in (n, -n - 1):
             with pytest.raises(IndexError):
                 catalog.name_of(entity_id)
-    assert all(got.id_of(name) == i for i, name in enumerate(names)) and all(name in got for name in names)
-    assert got.id_of("Mars Colony") is None and "Mars Colony" not in got and "" not in got
+    assert got.ids_of([*names, "Mars Colony", ""]) == {name: i for i, name in enumerate(names)}
     assert got.content_hash() == want.content_hash()
     assert got.output_vocab().tokens == want.output_vocab().tokens
     got_table, want_table = got.name_table(), want.name_table()
@@ -395,9 +416,10 @@ def test_bijection_and_round_trip_sampled_at_kb_scale():
     assert len(cat) == 470_578
     _, vout = build_vocabularies(cat, [])
     rng = np.random.default_rng(0)
-    for eid in rng.integers(0, len(cat), size=5000):
-        name = cat.name_of(int(eid))
-        assert cat.id_of(name) == int(eid)
+    sampled = [(int(eid), cat.name_of(int(eid))) for eid in rng.integers(0, len(cat), size=5000)]
+    ids = cat.ids_of(name for _, name in sampled)
+    for eid, name in sampled:
+        assert ids[name] == eid
         assert detokenize(tokenize(name, vout, mode="output"), vout) == name
 
 

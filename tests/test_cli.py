@@ -25,7 +25,7 @@ from ettag.toy_model import (
 )
 from ettag.trie import build_trie, load_trie_cache
 
-from helpers import write_aida_file
+from helpers import decode_spans, write_aida_file
 
 
 @pytest.fixture(scope="module")
@@ -390,9 +390,31 @@ def test_a_trie_cache_spares_every_pass_over_the_names(world, tmp_path, capsys, 
     assert passes == []
 
 
+@pytest.mark.parametrize("command", ["train", "convert", "ablate-beam"])
+def test_commands_that_look_names_up_decode_a_block_at_a_time(world, tmp_path, capsys, monkeypatch, command):
+    """Commands that look a corpus's names up in the catalog decode it one block
+    at a time, here 5 of its 12 names: no string of every name is made."""
+    names = list(world["catalog"])
+    el = tmp_path / "el.jsonl"
+    mentions = [{"start": 0, "end": 1, "entity": names[-1]}, {"start": 2, "end": 3, "entity": "Mars"}]
+    el.write_text(json.dumps({"doc_id": "d", "text": "x y", "mentions": mentions}) + "\n", encoding="utf-8")
+    spans = decode_spans(monkeypatch, 5)
+    kb, out = str(world["kb"]), tmp_path / "out"
+    argv = {
+        "train": ["--train", str(world["train"]), "--kb", kb, "--model-out", str(out), "--epochs", "1"],
+        "convert": ["--format", "el-jsonl", "--in", str(el), "--kb", kb, "--out", str(out)],
+        "ablate-beam": ["--model", str(world["model"]), "--kb", kb, "--eval", str(world["eval"]), "--beams", "1",
+                        "--out", str(out)],
+    }[command]
+    assert main([command, *argv]) == 0
+    assert len(names) > 5 and spans and max(spans) <= 5
+    if command == "convert":
+        assert json.loads(out.read_text())["gold"] == [names[-1]]
+
+
 def test_tag_from_a_trie_cache_decodes_only_the_predicted_names(world, tmp_path, capsys, monkeypatch):
     """Given --kb-cache, with or without --kb, tag works from a catalog that is a
-    view of the cache's names section, and neither lists nor indexes its names:
+    view of the cache's names section, and neither lists nor looks up its names:
     it decodes the name of each predicted entity."""
     cache, out = str(tmp_path / "kb.trie"), tmp_path / "out.jsonl"
     assert main(["build-kb", "--kb", str(world["kb"]), "--cache-out", cache]) == 0
@@ -402,12 +424,12 @@ def test_tag_from_a_trie_cache_decodes_only_the_predicted_names(world, tmp_path,
         loaded.append(load_trie_cache(*args))
         return loaded[-1]
 
-    def refuse(catalog):
+    def refuse(*args):
         raise AssertionError("tag decoded every name of the catalog")
 
     monkeypatch.setattr(cli, "load_trie_cache", load)
     monkeypatch.setattr(EntityCatalog, "__iter__", refuse)
-    monkeypatch.setattr(EntityCatalog, "name_index", refuse)
+    monkeypatch.setattr(EntityCatalog, "ids_of", refuse)
     for kb in ([], ["--kb", str(world["kb"])]):
         argv = ["tag", "--model", str(world["model"]), "--kb-cache", cache, *kb, "--in", str(world["eval"])]
         assert main([*argv, "--out", str(out)]) == 0

@@ -670,7 +670,7 @@ class TestParseOutput:
         parsec = tokenize("Parsec", vout, mode="output")
         seq = earth + [SEP] + earth + [SEP] + parsec + [EOS]
         entities, dropped = parse_output(seq, trie)
-        assert entities == {cat.id_of("Earth"), cat.id_of("Parsec")}
+        assert entities == set(cat.ids_of(["Earth", "Parsec"]).values()) == {0, 1}
         assert dropped == 0
 
     def test_empty_output(self):
@@ -682,7 +682,7 @@ class TestParseOutput:
         earth = tokenize("Earth", vout, mode="output")
         seq = earth + [SEP, UNK, EOS]
         entities, dropped = parse_output(seq, trie)
-        assert entities == {cat.id_of("Earth")}
+        assert entities == {cat.ids_of(["Earth"])["Earth"]}
         assert dropped == 1
 
     def test_total_on_arbitrary_sequences(self):

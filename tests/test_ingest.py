@@ -28,7 +28,7 @@ from ettag.ingest import (
     write_et_jsonl,
 )
 
-from helpers import write_aida_file
+from helpers import decode_spans, every_id, write_aida_file
 
 
 class TestAidaParser:
@@ -233,7 +233,7 @@ class TestElToEt:
         assert len(doc.mentions) == 10
         names = sorted({m.entity for m in doc.mentions})
         catalog = EntityCatalog(names)
-        ex = el_to_et(doc, catalog)
+        ex = el_to_et(doc, every_id(catalog))
         got = sorted(catalog.name_of(e) for e in ex.gold)
         assert got == [
             "Astronomy",
@@ -251,7 +251,7 @@ class TestElToEt:
     def test_gold_order_is_first_mention_order(self):
         doc = self.figure_doc()
         catalog = EntityCatalog(sorted({m.entity for m in doc.mentions}))
-        ex = el_to_et(doc, catalog)
+        ex = el_to_et(doc, every_id(catalog))
         names_in_order = [catalog.name_of(e) for e in ex.gold_order]
         assert names_in_order[0] == "Astronomy & Astrophysics"
         assert names_in_order[-1] == "Earth"
@@ -262,7 +262,7 @@ class TestElToEt:
         doc = ELDocument("nil-doc", "Bob spoke", [Mention(0, 3, None)])
         catalog = EntityCatalog(["Earth"])
         stats = ConversionStats()
-        ex = el_to_et(doc, catalog, stats)
+        ex = el_to_et(doc, every_id(catalog), stats)
         assert ex.gold == frozenset()
         assert stats.dropped_nil_mentions == 1
 
@@ -271,7 +271,7 @@ class TestElToEt:
             "oov", "x y", [Mention(0, 1, "Earth"), Mention(2, 3, "Mars")]
         )
         stats = ConversionStats()
-        ex = el_to_et(doc, EntityCatalog(["Earth"]), stats)
+        ex = el_to_et(doc, every_id(EntityCatalog(["Earth"])), stats)
         assert ex.gold == frozenset({0})
         assert stats.dropped_oov_entities == 1
 
@@ -292,7 +292,7 @@ class TestElToEt:
                 mentions.append(Mention(2 * i, 2 * i + 1, name))
             doc = ELDocument("z", "x" * (2 * n + 1), mentions)
             stats = ConversionStats()
-            ex = el_to_et(doc, catalog, stats)
+            ex = el_to_et(doc, every_id(catalog), stats)
             distinct_non_nil = {m.entity for m in mentions if m.entity is not None}
             nil_count = sum(1 for m in mentions if m.entity is None)
             assert len(ex.gold) + stats.dropped_oov_entities == len(distinct_non_nil)
@@ -301,13 +301,13 @@ class TestElToEt:
     def test_conversion_idempotent_on_reconstruction(self):
         doc = self.figure_doc()
         catalog = EntityCatalog(sorted({m.entity for m in doc.mentions}))
-        ex = el_to_et(doc, catalog)
+        ex = el_to_et(doc, every_id(catalog))
         rebuilt = ELDocument(
             ex.doc_id,
             ex.text,
             [Mention(i, i + 1, catalog.name_of(e)) for i, e in enumerate(ex.gold_order)],
         )
-        again = el_to_et(rebuilt, catalog)
+        again = el_to_et(rebuilt, every_id(catalog))
         assert again.gold == ex.gold
 
     def test_empty_docs_excluded_by_default(self):
@@ -517,13 +517,49 @@ class TestEtJsonl:
         with pytest.raises(UnknownEntity):
             read_et_jsonl(path, catalog)
 
-    def test_name_index_is_built_before_the_file_is_opened(self, tmp_path):
-        # the index exists before the file is opened, so reading the file excludes building it
-        catalog = EntityCatalog(["Earth", "Mars"])
-        assert catalog._index is None
-        with pytest.raises(FileNotFoundError):
-            read_et_jsonl(tmp_path / "missing.jsonl", catalog)
-        assert catalog._index == {"Earth": 0, "Mars": 1}
+    def test_names_are_looked_up_a_block_at_a_time(self, tmp_path, monkeypatch):
+        """Reading an ET file and converting EL documents decode the catalog a
+        block at a time: no string of every name is made to look names up."""
+        catalog = EntityCatalog([f"Entity {i}" for i in range(10)])
+        spans = decode_spans(monkeypatch, 3)
+        path = tmp_path / "et.jsonl"
+        records = [{"doc_id": "a", "text": "x", "gold": ["Entity 8", "Entity 1"], "gold_order": ["Entity 1", "Entity 8"]},
+                   {"doc_id": "b", "text": "y", "gold": ["Entity 4"], "gold_order": None}]
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+        assert read_et_jsonl(path, catalog) == [ETExample("a", "x", frozenset({1, 8}), (1, 8)),
+                                                ETExample("b", "y", frozenset({4}), None)]
+        docs = [ELDocument("a", "x y", [Mention(0, 1, "Entity 9"), Mention(2, 3, "Mars")], title="Entity 2")]
+        examples, stats = convert_documents(docs, catalog)
+        assert [ex.gold_order for ex in examples] == [(9, 2)] and stats.dropped_oov_entities == 1
+        assert spans and max(spans) <= 3
+
+    @pytest.mark.parametrize("lines, error, message", [
+        ([{"doc_id": "a", "text": "x", "gold": ["Mars"], "gold_order": None}, "{not json"],
+         UnknownEntity, "'a': entity 'Mars' not in catalog"),
+        ([{"doc_id": "a", "text": "x", "gold": ["Mars"], "gold_order": "Mars"}],
+         UnknownEntity, "'a': entity 'Mars' not in catalog"),
+        ([{"doc_id": "a", "text": "x", "gold": [" "], "gold_order": None},
+          {"doc_id": "b", "text": "y", "gold": ["Mars"], "gold_order": None}],
+         SchemaError, "record 'a', field 'gold': name is empty after normalization: ' '"),
+        ([{"doc_id": "a", "text": "x", "gold": ["Earth"], "gold_order": None}, "{not json"],
+         MalformedLine, "line 2: bad JSON: "),
+        ([{"doc_id": "a", "text": "x", "gold": ["Earth", "Mars"], "gold_order": ["Earth"]}],
+         UnknownEntity, "'a': entity 'Mars' not in catalog"),
+        ([{"doc_id": "a", "text": "x", "gold": ["Earth"], "gold_order": None},
+          {"doc_id": "a", "text": "y", "gold": ["Mars"], "gold_order": None}],
+         SchemaError, "record 'a', field 'doc_id': duplicate on line 2"),
+    ], ids=["unknown-then-bad-json", "unknown-then-order-not-a-list", "empty-then-unknown",
+            "bad-json-after-good-record", "unknown-in-gold-before-order",
+            "duplicate-id-before-unknown"])
+    def test_the_first_fault_in_file_order_is_raised(self, tmp_path, lines, error, message):
+        """The error raised is that of the first faulty record in file order and,
+        within a record, of its first failing check: gold before gold_order."""
+        path = tmp_path / "et.jsonl"
+        path.write_text("".join((line if isinstance(line, str) else json.dumps(line)) + "\n" for line in lines),
+                        encoding="utf-8")
+        with pytest.raises(error) as exc_info:
+            read_et_jsonl(path, EntityCatalog(["Earth"]))
+        assert str(exc_info.value).startswith(message)
 
     def test_gold_names_are_canonicalized(self, tmp_path):
         catalog = EntityCatalog(["Red Planet", "Earth"])

@@ -64,10 +64,11 @@ class TestBuild:
         cat, vout, trie = catalog_stack(EntityCatalog(["Paris", "Paris Métro"]))
         paris = tokenize("Paris", vout, mode="output")
         cur = walk(trie, paris)
-        assert trie.terminal_entity(cur) == cat.id_of("Paris")
+        ids = cat.ids_of(["Paris", "Paris Métro"])
+        assert trie.terminal_entity(cur) == ids["Paris"]
         metro = tokenize("Paris Métro", vout, mode="output")[-1]
         child = advance(trie, cur, metro)
-        assert trie.terminal_entity(child) == cat.id_of("Paris Métro")
+        assert trie.terminal_entity(child) == ids["Paris Métro"]
 
     def test_empty_catalog(self):
         with pytest.raises(EmptyCatalog):
@@ -148,7 +149,7 @@ class TestAllowedTokens:
         # with "Earth" emitted, the cursor after "Earth" must offer nothing
         # (the node is fully blocked), and the boundary must not offer Earth
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth", "Parsec"]))
-        earth = cat.id_of("Earth")
+        earth = cat.ids_of(["Earth"])["Earth"]
         cur = walk(trie, tokenize("Earth", vout, mode="output"))
         config = DecodeConfig()
         allowed = allowed_tokens(trie, cur, frozenset({earth}), config, 1)
@@ -161,7 +162,8 @@ class TestAllowedTokens:
         # the way on to "Paris Métro", and the root still leads there; with
         # both emitted the root no longer offers their first token
         cat, vout, trie = catalog_stack(EntityCatalog(["Paris", "Paris Métro"]))
-        paris, metro = cat.id_of("Paris"), cat.id_of("Paris Métro")
+        ids = cat.ids_of(["Paris", "Paris Métro"])
+        paris, metro = ids["Paris"], ids["Paris Métro"]
         paris_tok, metro_tok = tokenize("Paris Métro", vout, mode="output")
         cur = walk(trie, [paris_tok])
         assert allowed_tokens(trie, cur, frozenset({paris}), config, 1).tolist() == [metro_tok]
@@ -188,7 +190,7 @@ class TestAllowedTokens:
         at_start = allowed_tokens(trie, ROOT, frozenset(), config, 0)
         assert EOS in at_start.tolist()
         # after one entity + SEP the boundary must demand another name
-        earth = cat.id_of("Earth")
+        earth = cat.ids_of(["Earth"])["Earth"]
         post_sep = allowed_tokens(trie, ROOT, frozenset({earth}), config, 1)
         assert EOS not in post_sep.tolist()
 
@@ -198,7 +200,7 @@ class TestAllowedTokens:
 
     def test_no_repeat_off_allows_repeat(self):
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth"]))
-        earth = cat.id_of("Earth")
+        earth = cat.ids_of(["Earth"])["Earth"]
         config = DecodeConfig(no_repeat=False, max_entities=3)
         cur = walk(trie, tokenize("Earth", vout, mode="output"))
         allowed = allowed_tokens(trie, cur, frozenset({earth}), config, 1)
@@ -568,17 +570,17 @@ class TestCacheStructure:
     def test_tag_with_cache_builds_no_vocabulary(self, tiny, tmp_path, capsys, monkeypatch):
         """With a cache, with or without --kb, ``tag`` makes no pass over the
         names: the output vocabulary is the cache's. It canonicalizes and
-        indexes no name either: build-kb checked them."""
+        looks no name up either: build-kb checked them."""
         cat, vout, trie, tag, source = tiny
         save_trie_cache(trie, tmp_path / "kb.trie", cat, source)
 
         def fail(*args, **kwargs):
-            raise AssertionError("the output vocabulary was rebuilt, or a name canonicalized or indexed")
+            raise AssertionError("the output vocabulary was rebuilt, or a name canonicalized or looked up")
 
         monkeypatch.setattr("ettag.cli.build_vocabularies", fail)
         monkeypatch.setattr(EntityCatalog, "_tokenize_words", fail)
         monkeypatch.setattr("ettag.catalog.canonicalize", fail)
-        monkeypatch.setattr(EntityCatalog, "name_index", fail)
+        monkeypatch.setattr(EntityCatalog, "ids_of", fail)
         for argv in (tag, _without_kb(tag)):
             assert main(argv + ["--kb-cache", str(tmp_path / "kb.trie")]) == 0
 
