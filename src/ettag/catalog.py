@@ -12,15 +12,19 @@ The tokenizer splits on whitespace and peels leading/trailing punctuation
 off each word; word-initial tokens carry a boundary marker so
 detokenization reproduces the canonical string exactly, including names
 with free-standing punctuation ("Astronomy & Astrophysics").
+
+Every text input opens through ``open_text``: UTF-8 read as text mode reads
+it, with a byte that is not UTF-8 placed at its offset in the file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import unicodedata
 from collections import Counter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -33,7 +37,9 @@ BOS, EOS, SEP, UNK = 0, 1, 2, 3
 RESERVED_TOKENS = ("<bos>", "<eos>", "<sep>", "<unk>")
 N_RESERVED = len(RESERVED_TOKENS)
 CATALOG_FORMATS = ("plain-lines", "tsv")  # the KB file layouts EntityCatalog.load reads
-_BLOCK_BYTES = 1 << 20  # EntityCatalog.load reads the KB file in blocks of about this many bytes
+# EntityCatalog.load reads a KB file this many characters at a time (1 MB of ASCII);
+# KBSource.of hashes it, and _nul_positions scans a names section, this many bytes at a time
+_BLOCK_BYTES = 1 << 20
 # EntityCatalog(names) and each pass over a catalog's names take the names in
 # blocks of this many, so few of their strings are alive at once
 _BLOCK_NAMES = 1 << 12
@@ -92,6 +98,22 @@ def word_tokens(text: str) -> list[str]:
 def join_tokens(tokens: Iterable[str]) -> str:
     """Inverse of word_tokens on canonical text."""
     return "".join(tokens).replace(WORD_MARK, " ").lstrip(" ")
+
+
+@contextlib.contextmanager
+def open_text(path) -> Iterator[TextIO]:
+    """The UTF-8 file at ``path`` in text mode: a leading byte-order mark skipped, "\\r\\n" and a
+    lone "\\r" read as "\\n". A UnicodeDecodeError raised while it is open becomes, if the file can
+    seek, the one a whole read raises, which places the byte at its offset in the file (past a
+    byte-order mark), not in the decoder's chunk; from a pipe it is raised as read."""
+    with open(path, encoding="utf-8-sig") as f:
+        try:
+            yield f
+        except UnicodeDecodeError:
+            if f.seekable():
+                f.buffer.seek(0)
+                f.buffer.read().decode("utf-8-sig")
+            raise
 
 
 def nul_terminated(strings: Sequence[str]) -> bytes:
@@ -347,22 +369,22 @@ class EntityCatalog:
 
     @classmethod
     def load(cls, path, format: str = "plain-lines") -> "EntityCatalog":
-        """Load a UTF-8 KB file, a leading byte-order mark skipped: one name per line, or TSV ``id<TAB>name``.
+        """Load a UTF-8 KB file: one name per line, or TSV ``id<TAB>name``.
 
-        Lines end at "\\n", "\\r\\n" or a lone "\\r", as in text mode. Lines
+        The file is read through ``open_text``, so a leading byte-order mark is
+        skipped and lines end at "\\n", "\\r\\n" or a lone "\\r". Lines
         beginning with '#' and fully empty lines are ignored. The TSV id column
-        is external metadata; dense ids always follow file order. The file is
-        read in blocks of about ``_BLOCK_BYTES``, each ending at a line end, so
-        what is held past the catalog is one block and a hash per name.
-        UnicodeDecodeError for bytes that are not UTF-8 (from a file that can
-        seek, the error one whole read gives, placing the byte in the file),
-        and MalformedLine for the first TSV line without a tab, are raised
-        before any fault of the names.
+        is external metadata; dense ids always follow file order. The text is
+        read ``_BLOCK_BYTES`` characters at a time and each read is cut after
+        its last line end, so what is held past the catalog is one block and a
+        hash per name. UnicodeDecodeError for bytes that are not UTF-8 (placed
+        in the file as ``open_text`` places it), and MalformedLine for the first
+        TSV line without a tab, are raised before any fault of the names.
         """
         if format not in CATALOG_FORMATS:
             raise ValueError(f"unknown catalog format {format!r}")
         catalog = cls.__new__(cls)
-        with open(path, "rb") as f:
+        with open_text(path) as f:
             catalog._fill(_kb_names(f, format == "tsv"))
         return catalog
 
@@ -378,33 +400,33 @@ class KBSource(NamedTuple):
     def of(cls, path, format: str) -> KBSource:
         digest = hashlib.sha256()
         with open(path, "rb") as f:
-            for block in iter(lambda: f.read(1 << 20), b""):
+            for block in iter(lambda: f.read(_BLOCK_BYTES), b""):
                 digest.update(block)
         return cls(digest.digest(), format)
 
 
+# The glyphs no catalog name may spell, in the order a name is checked, with what InvalidName calls each:
+# the word-boundary marker, the separator's textual form and NUL, which ends each name in a trie cache.
+_RESERVED_GLYPHS = {WORD_MARK: "the boundary marker U+2581", "<sep>": "the separator literal", "\0": "NUL"}
+
+
 def _reject_reserved_glyphs(names: list[str]) -> None:
-    # The separator's textual form, the word-boundary marker and NUL, which ends
-    # each name in a trie cache, must not be spellable inside a catalog name.
-    # None contains a newline, so a match in the joined names lies inside one name.
+    # No glyph contains a newline, so a match in the joined names lies inside one name.
     joined = "\n".join(names)
-    if WORD_MARK not in joined and "<sep>" not in joined and "\0" not in joined:
+    if not any(glyph in joined for glyph in _RESERVED_GLYPHS):
         return
     for name in names:
-        if WORD_MARK in name:
-            raise InvalidName(f"name contains the boundary marker U+2581: {name!r}")
-        if "<sep>" in name:
-            raise InvalidName(f"name contains the separator literal: {name!r}")
-        if "\0" in name:
-            raise InvalidName(f"name contains NUL: {name!r}")
+        for glyph, what in _RESERVED_GLYPHS.items():
+            if glyph in name:
+                raise InvalidName(f"name contains {what}: {name!r}")
 
 
 # The ASCII characters other than the space that str.split() splits on, two
-# spaces in a row, NUL and the separator literal: ASCII names joined by spaces,
-# with a space before and after, hold none of them exactly when each name is
-# canonical (no other whitespace, no space at either end or next to another,
-# not empty) and free of reserved glyphs.
-_NOT_CANONICAL_ASCII = ("\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "  ", "\0", "<sep>")
+# spaces in a row and the reserved glyphs (the marker, not ASCII, is never found
+# in ASCII text): ASCII names joined by spaces, with a space before and after,
+# hold none of them exactly when each name is canonical (no other whitespace, no
+# space at either end or next to another, not empty) and free of reserved glyphs.
+_NOT_CANONICAL_ASCII = ("\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "  ", *_RESERVED_GLYPHS)
 
 
 def _canonical_ascii(names: list[str]) -> bool:
@@ -415,53 +437,26 @@ def _canonical_ascii(names: list[str]) -> bool:
 
 
 def _kb_names(f, tsv: bool) -> Iterator[list[str]]:
-    """The raw names of a KB file opened in binary mode, a list per block of
-    text. Raises MalformedLine for the first TSV line without a tab, counting
-    every physical line, once the whole file has decoded."""
-    line_no, malformed = 0, None
-    for text in _text_blocks(f):
-        if malformed is not None:
+    """The raw names of a KB file opened by ``open_text``, a list per read of ``_BLOCK_BYTES``
+    characters cut after its last line end, the rest carried to the next read. Raises MalformedLine
+    for the first TSV line without a tab, counting every line, once the whole file has decoded."""
+    line_no, data = 0, f.read(_BLOCK_BYTES)
+    while data:
+        chunk = f.read(_BLOCK_BYTES)
+        cut = data.rfind("\n") + 1 if chunk else len(data)
+        lines, data = data[:cut].split("\n"), data[cut:] + chunk
+        if not cut:  # no line ends in what is read so far
             continue
-        lines = text.split("\n")
         names = [line for line in lines if line and line[0] != "#"]
         if tsv:
             for i, line in enumerate(lines, line_no + 1):
                 if line and line[0] != "#" and "\t" not in line:
-                    malformed = MalformedLine(i, "expected id<TAB>name")  # raised once every block has decoded
-                    break
-            else:
-                names = [name.split("\t", 1)[1] for name in names]
+                    for _ in iter(lambda: f.read(_BLOCK_BYTES), ""):  # a byte that is not UTF-8 is raised first
+                        pass
+                    raise MalformedLine(i, "expected id<TAB>name")
+            names = [name.split("\t", 1)[1] for name in names]
         line_no += len(lines) - 1
-        if malformed is None:
-            yield names
-    if malformed is not None:
-        raise malformed
-
-
-def _text_blocks(f) -> Iterator[str]:
-    """The text of a UTF-8 file opened in binary mode, read as text mode reads
-    it (a byte-order mark skipped at the start only; "\\r\\n" and a lone "\\r"
-    become "\\n"), in blocks of about ``_BLOCK_BYTES``. Each block but the last
-    ends at a line end, so none splits a character or a "\\r\\n"."""
-    data, encoding = f.read(_BLOCK_BYTES), "utf-8-sig"  # the first block starts the file
-    while data:
-        chunk = f.read(_BLOCK_BYTES)
-        # after the last "\n", or a "\r" that is known not to begin a "\r\n"
-        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1 if chunk else len(data)
-        if cut:
-            block = data[:cut]
-            if b"\r" in block:
-                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            try:
-                text = block.decode(encoding)
-            except UnicodeDecodeError:
-                if f.seekable():  # the error of one whole read, which places the byte in the file
-                    f.seek(0)
-                    f.read().decode("utf-8-sig")
-                raise
-            yield text
-            encoding = "utf-8"
-        data = data[cut:] + chunk
+        yield names
 
 
 def build_vocabularies(

@@ -13,11 +13,13 @@ import argparse
 import csv
 import inspect
 import json
+import os
+import stat
 import sys
 from dataclasses import fields
 
 from . import __version__
-from .catalog import CATALOG_FORMATS, EntityCatalog, KBSource, build_vocabularies, tokenize
+from .catalog import CATALOG_FORMATS, EntityCatalog, KBSource, build_vocabularies, open_text, tokenize
 from .decoding import DecodeConfig, beam_decode_many, parse_output
 from .errors import ContractError, EttagError, InputError, InvalidConfig, UsageError
 from .ingest import (
@@ -50,7 +52,7 @@ def _bool_flag(value: str) -> bool:
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8-sig") as f:
+    with open_text(path) as f:
         text = f.read()
     try:
         cfg = json.loads(text)
@@ -163,6 +165,8 @@ def _kb_source(opts: dict) -> KBSource:
 
 def cmd_build_kb(args, cfg) -> int:
     opts = _resolve(args, cfg, EntityCatalog.load)
+    if not stat.S_ISREG(os.stat(opts["kb"]).st_mode):
+        raise InputError(f"--kb {opts['kb']} is not a regular file: build-kb reads it twice, to hash it and to load it")
     source = _kb_source(opts)
     catalog = _load_kb(opts)
     trie = build_trie(catalog)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 from urllib.parse import unquote
 
-from .catalog import EntityCatalog, TokenSeq, Vocabulary, canonicalize, tokenize
+from .catalog import EntityCatalog, TokenSeq, Vocabulary, canonicalize, open_text, tokenize
 from .errors import (
     DanglingIMention,
     InvalidName,
@@ -33,7 +33,7 @@ def jsonl_records(path, key: str) -> Iterator[dict]:
     records may hold the same one. A line the decoder cannot hold (nested too
     deeply, or an integer past Python's digit limit) is a MalformedLine too."""
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8-sig") as f:
+    with open_text(path) as f:
         for line_no, line in enumerate(f, 1):
             line = line.strip()
             if not line:
@@ -173,7 +173,7 @@ def parse_aida_conll(path) -> list[ELDocument]:
     seen_ids: set[str] = set()
     # the open document's text length, the gap owed before its next token, and whether mentions[-1] may grow
     pos, gap, in_mention = 0, "", False
-    with open(path, "r", encoding="utf-8-sig") as f:
+    with open_text(path) as f:
         for line_no, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if line.startswith("-DOCSTART-"):

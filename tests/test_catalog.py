@@ -527,10 +527,12 @@ class TestStreamedLoad:
         real = catalog_module._canonical_ascii
         monkeypatch.setattr("ettag.catalog._canonical_ascii", lambda names: results.append(real(names)) or results[-1])
         path = tmp_path / "kb.txt"
+        decodes = False  # whether some file of this parameter set is UTF-8
         for seed in range(8):
             rng = np.random.default_rng(seed)
             path.write_bytes(_kb_bytes(rng, fmt == "tsv", faults))
             want = _outcome(_reference_section, path, fmt)
+            decodes |= not (isinstance(want, tuple) and want[0] == "UnicodeDecodeError")
             for block_bytes, block_names in ((1, 1), (37, 3), (200, 5), (1 << 20, 1 << 12)):
                 monkeypatch.setattr("ettag.catalog._BLOCK_BYTES", block_bytes)
                 monkeypatch.setattr("ettag.catalog._BLOCK_NAMES", block_names)
@@ -541,8 +543,10 @@ class TestStreamedLoad:
                     assert _outcome(lambda: EntityCatalog(names).names_section) == want, (seed, block_names)
             if not faults:
                 assert isinstance(want, bytes)
-        # blocks of plain ASCII names skip the call per name, other blocks make it
-        assert True in results and False in results
+        # blocks of plain ASCII names skip the call per name, other blocks make it; the text layer
+        # decodes ahead of the names, so a bad byte may be raised before any block reaches the check
+        if decodes:
+            assert True in results and False in results
 
     @pytest.mark.parametrize("fmt", CATALOG_FORMATS)
     def test_every_block_cut(self, tmp_path, monkeypatch, fmt):

@@ -1,7 +1,9 @@
 import argparse
+import codecs
 import csv
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -827,12 +829,18 @@ class TestErrorHandling:
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
 
-    @pytest.mark.parametrize("kind", ["kb", "text"])
+    @pytest.mark.parametrize("kind", ["kb", "text", "et", "el-jsonl", "wiki", "pred", "aida", "config"])
     def test_non_utf8_input_exit_1(self, world, tmp_path, capsys, kind):
+        """A byte that is not UTF-8, after a byte-order mark and more than 8 KB of valid lines ended
+        by "\\r\\n", is reported as one whole read of the file reports it: at its offset in the
+        file, not in the chunk a decoder was reading."""
         bad = tmp_path / "bad"
-        bad.write_bytes(VALID[kind](world).read_bytes() + b"\xff\n")
+        data = _padded(kind, b"bad \xff byte\r\n")
+        bad.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as want:
+            data.decode("utf-8-sig")
         assert main(CONSUMERS[kind](world, str(bad), str(tmp_path / "out"))) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "UnicodeDecodeError"
+        assert json.loads(capsys.readouterr().err) == {"error": "UnicodeDecodeError", "message": str(want.value)}
 
     @pytest.mark.parametrize("kind", ["text", "et", "el-jsonl", "wiki", "pred"])
     def test_non_object_record_exit_1(self, world, tmp_path, capsys, kind):
@@ -994,7 +1002,30 @@ CONSUMERS = {
         "convert", "--format", "wiki-abstracts", "--in", path, "--out", out, "--kb", str(w["kb"]),
     ],
     "pred": lambda w, path, out: ["eval", "--pred", path, "--gold", str(w["eval"])],
+    "aida": lambda w, path, out: ["convert", "--format", "aida-conll", "--in", path, "--out", out, "--kb", str(w["kb"])],
+    "config": lambda w, path, out: ["--config", path, "build-kb", "--kb", str(w["kb"]), "--cache-out", out],
 }
+
+# kind of text input -> the i-th of the valid lines that pad it, each record with an id of its own
+PADDING = {
+    "kb": lambda i: f"padding name {i}",
+    "text": lambda i: json.dumps({"doc_id": f"pad {i}", "text": "padding"}),
+    "et": lambda i: json.dumps({"doc_id": f"pad {i}", "text": "padding", "gold": []}),
+    "el-jsonl": lambda i: json.dumps({"doc_id": f"pad {i}", "text": "padding", "mentions": []}),
+    "wiki": lambda i: json.dumps({"title": f"pad {i}", "text": "padding"}),
+    "pred": lambda i: json.dumps({"doc_id": f"pad {i}", "entities": []}),
+    "aida": lambda i: f"-DOCSTART- (pad {i})\r\npadding",
+    "config": lambda i: "{" if i == 0 else " " * 20,  # whitespace inside one JSON object
+}
+
+
+def _padded(kind: str, tail: bytes) -> bytes:
+    """A byte-order mark, then lines of ``PADDING[kind]`` ended by "\\r\\n", more than 8 KB of
+    them (a text-mode decoder's chunk), then ``tail``."""
+    data = codecs.BOM_UTF8 + "".join(PADDING[kind](i) + "\r\n" for i in range(600)).encode()
+    assert len(data) > 8 << 10
+    return data + tail
+
 
 # kind of input file -> a valid one
 VALID = {
@@ -1039,6 +1070,82 @@ def test_cli_fuzz_corrupted_inputs(world, tmp_path, capsys):
                 assert len(lines) == 1 and {"error", "message"} <= set(json.loads(lines[0])), case
             if kind in ("cache", "checkpoint"):
                 assert rc == 1, case
+
+
+def _train_argv(world, out, flag, path):
+    files = {"--train": world["train"], "--kb": world["kb"], flag: path}
+    return ["train", "--epochs", "2", "--dim", "8", "--model-out", out, *(str(x) for pair in files.items() for x in pair)]
+
+
+# Copies the file named first on its command line into the named pipe named second.
+_FEED = "import shutil, sys\nwith open(sys.argv[1], 'rb') as src, open(sys.argv[2], 'wb') as dst:\n    shutil.copyfileobj(src, dst)\n"
+
+
+def _run_fed(argv: list, feeds: dict) -> subprocess.CompletedProcess:
+    """``python -m ettag.cli argv`` in a child process, each named pipe in ``feeds`` (pipe -> the
+    file fed through it) written by a child of its own. A command that hangs fails its test after
+    60 s, and a feeder still waiting for a reader is killed, so nothing is left running."""
+    feeders = []
+    for pipe, src in feeds.items():
+        os.mkfifo(pipe)
+        feeders.append(subprocess.Popen([sys.executable, "-c", _FEED, str(src), str(pipe)], stderr=subprocess.DEVNULL))
+    try:
+        return subprocess.run([sys.executable, "-m", "ettag.cli", *map(str, argv)],
+                              capture_output=True, text=True, timeout=60)
+    finally:
+        for feeder in feeders:
+            feeder.kill()
+            feeder.wait()
+
+
+class TestNamedPipes:
+    """An input that a command reads once may be a named pipe, as perfbench feeds ``tag --in`` and
+    ``train --train``; ``build-kb``, which reads ``--kb`` twice, refuses one."""
+
+    # a command and the flag whose file is fed through a pipe -> its argv maker, the kind of file
+    # (a key of PADDING) and the world's valid one
+    CASES = {"tag --in": (_tag_argv, "text", "eval"), "train --train": (_train_argv, "et", "train"),
+             "train --kb": (_train_argv, "kb", "kb")}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_pipe_reads_as_the_file(self, world, tmp_path, case):
+        argv, _, valid = self.CASES[case]
+        flag, src = case.split()[1], world[valid]
+        outputs = []
+        for fed in (False, True):
+            run = tmp_path / ("pipe" if fed else "file")
+            run.mkdir()
+            path = run / "input" if fed else src
+            proc = _run_fed(argv(world, run / "out", flag, path), {path: src} if fed else {})
+            assert proc.returncode == 0, proc.stderr
+            # every output but the run config, which records the input's path
+            outputs.append((proc.stdout, {p.name: p.read_bytes() for p in run.iterdir()
+                                          if p != path and not p.name.endswith(".runconfig.json")}))
+        assert outputs[0] == outputs[1] and outputs[0][1]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_bad_byte_from_a_pipe_is_raised_as_read(self, world, tmp_path, case):
+        """A pipe cannot seek back for a whole read, so the decoder's own error is raised, and the
+        command exits 1 without hanging."""
+        argv, kind, _ = self.CASES[case]
+        bad, pipe = tmp_path / "bad", tmp_path / "input"
+        bad.write_bytes(_padded(kind, b"bad \xff byte\r\n"))
+        proc = _run_fed(argv(world, tmp_path / "out", case.split()[1], pipe), {pipe: bad})
+        assert proc.returncode == 1
+        err = json.loads(proc.stderr)
+        assert err["error"] == "UnicodeDecodeError" and "can't decode byte 0xff" in err["message"]
+
+    def test_build_kb_refuses_a_named_pipe(self, world, tmp_path):
+        """``build-kb`` hashes ``--kb`` and then loads it. A pipe's second open would wait for a
+        writer that is gone, so a pipe exits 1 at once."""
+        pipe, cache = tmp_path / "kb", tmp_path / "kb.trie"
+        proc = _run_fed(["build-kb", "--kb", pipe, "--cache-out", cache], {pipe: world["kb"]})
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr) == {
+            "error": "InputError",
+            "message": f"--kb {pipe} is not a regular file: build-kb reads it twice, to hash it and to load it",
+        }
+        assert not cache.exists()
 
 
 class TestConfigFile:
