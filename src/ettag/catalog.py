@@ -161,18 +161,20 @@ def read_vocabulary(section: bytes) -> Vocabulary | None:
 def read_catalog(section, count: int, vocab: Vocabulary | None = None) -> EntityCatalog | None:
     """The catalog whose names ``nul_terminated`` wrote as ``section``, taken as
     checked, with output vocabulary ``vocab`` if given; None unless the section
-    is strict UTF-8 holding exactly ``count`` names. The catalog holds
-    ``section`` itself, not a copy, and decodes a name only when it is used."""
+    is strict UTF-8 holding exactly ``count`` names, a section with a byte past
+    ASCII checked by a pass over its blocks. The catalog holds ``section``
+    itself, not a copy, and decodes a name only when it is used."""
     ends = _nul_positions(section)
     if len(ends) != count or len(section) != (ends[-1] + 1 if count else 0):
         return None
-    if np.frombuffer(section, np.uint8).max(initial=0) > 0x7F:
-        try:
-            str(section, "utf-8")
-        except UnicodeDecodeError:
-            return None
     catalog = EntityCatalog.__new__(EntityCatalog)
     catalog.names_section, catalog._ends, catalog._vocab = section, ends, vocab
+    if np.frombuffer(section, np.uint8).max(initial=0) > 0x7F:
+        try:
+            for _ in catalog._blocks():
+                pass
+        except UnicodeDecodeError:
+            return None
     return catalog
 
 
@@ -375,11 +377,12 @@ class EntityCatalog:
         skipped and lines end at "\\n", "\\r\\n" or a lone "\\r". Lines
         beginning with '#' and fully empty lines are ignored. The TSV id column
         is external metadata; dense ids always follow file order. The text is
-        read ``_BLOCK_BYTES`` characters at a time and each read is cut after
-        its last line end, so what is held past the catalog is one block and a
-        hash per name. UnicodeDecodeError for bytes that are not UTF-8 (placed
-        in the file as ``open_text`` places it), and MalformedLine for the first
-        TSV line without a tab, are raised before any fault of the names.
+        read ``_BLOCK_BYTES`` characters at a time, each read completed to its
+        line end by the text layer's ``readline``, so what is held past the
+        catalog is one block and a hash per name. UnicodeDecodeError for bytes
+        that are not UTF-8 (placed in the file as ``open_text`` places it), and
+        MalformedLine for the first TSV line without a tab, are raised before
+        any fault of the names.
         """
         if format not in CATALOG_FORMATS:
             raise ValueError(f"unknown catalog format {format!r}")
@@ -438,15 +441,11 @@ def _canonical_ascii(names: list[str]) -> bool:
 
 def _kb_names(f, tsv: bool) -> Iterator[list[str]]:
     """The raw names of a KB file opened by ``open_text``, a list per read of ``_BLOCK_BYTES``
-    characters cut after its last line end, the rest carried to the next read. Raises MalformedLine
+    characters completed to its line end, so no text is kept between reads. Raises MalformedLine
     for the first TSV line without a tab, counting every line, once the whole file has decoded."""
-    line_no, data = 0, f.read(_BLOCK_BYTES)
-    while data:
-        chunk = f.read(_BLOCK_BYTES)
-        cut = data.rfind("\n") + 1 if chunk else len(data)
-        lines, data = data[:cut].split("\n"), data[cut:] + chunk
-        if not cut:  # no line ends in what is read so far
-            continue
+    line_no = 0
+    for data in iter(lambda: f.read(_BLOCK_BYTES) + f.readline(), ""):
+        lines = data.split("\n")
         names = [line for line in lines if line and line[0] != "#"]
         if tsv:
             for i, line in enumerate(lines, line_no + 1):

@@ -168,6 +168,11 @@ class TestVocabulary:
         with pytest.raises(OutputOOV):
             tokenize("Mars", vout, mode="output")
 
+    def test_unknown_mode_rejected(self):
+        _, vout = build_vocabularies(EntityCatalog(["Earth"]), [])
+        with pytest.raises(ValueError, match="unknown tokenize mode 'both'"):
+            tokenize("Earth", vout, mode="both")
+
     def test_reserved_tokens_never_produced(self):
         # tokenizing any text can never emit a reserved token string
         for text in ["<sep>", "x<sep>", "(<eos>)", "<unk> <bos>", "a<sep>b"]:
@@ -235,6 +240,12 @@ class TestCatalog:
         assert list(got) == list(want) == ["Earth", "Parsec"]
         assert got.content_hash() == want.content_hash()
 
+    def test_unknown_format_rejected(self, tmp_path):
+        path = tmp_path / "kb.csv"
+        path.write_text("Earth\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown catalog format 'csv'"):
+            EntityCatalog.load(path, format="csv")
+
     def test_tsv_requires_tab(self, tmp_path):
         path = tmp_path / "kb.tsv"
         path.write_text("Earth\n", encoding="utf-8")
@@ -266,6 +277,27 @@ class TestCatalog:
     ], ids=["too-few", "too-many", "no-final-nul", "not-utf8"])
     def test_read_catalog_rejects(self, section, count):
         assert read_catalog(section, count) is None
+
+    def test_read_catalog_checks_non_ascii_a_block_at_a_time(self):
+        """A 200,000-name section holding one character outside the BMP is checked
+        block by block: the tracemalloc peak of ``read_catalog`` stays below the
+        section's bytes (it measured 0.44 times; one str of the whole section,
+        four bytes a character, measured 5.2 times). A bad byte in its middle
+        still makes it None."""
+        names = synthetic_kb_names(200_000, seed=0)
+        names[len(names) // 3] += " 🚀"
+        section = nul_terminated(names)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            catalog = read_catalog(section, len(names))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert catalog is not None and catalog.name_of(len(names) // 3).endswith(" 🚀")
+        assert peak / len(section) < 1
+        middle = section.index(b"\0", len(section) // 2) - 1  # the last byte of a name
+        assert read_catalog(section[:middle] + b"\xff" + section[middle + 1:], len(names)) is None
 
     def test_separator_glyph_rejected(self):
         with pytest.raises(InvalidName):

@@ -188,17 +188,36 @@ class TestTagAndEval:
             assert r["dropped"] == 0
             assert r["entities"] == sorted(r["entities"])
 
-    @pytest.mark.parametrize("beam", [1, 5])
-    def test_predictions_match_one_document_decodes(self, world, beam):
-        out = self.run_tag(world, f"pred_b{beam}.jsonl", ("--beam", str(beam)))
+    @pytest.mark.parametrize("beam, flags, options", [
+        pytest.param(1, (), {}, id="1"),
+        pytest.param(5, (), {}, id="5"),
+        pytest.param(5, ("--no-repeat", "false", "--renormalize", "false"),
+                     {"no_repeat": False, "renormalize_constrained": False}, id="5-both-off"),
+    ])
+    def test_predictions_match_one_document_decodes(self, world, beam, flags, options):
+        """``tag`` writes what decoding each document alone with the same DecodeConfig
+        gives, and its runconfig records the boolean flags as decoded."""
+        out = self.run_tag(world, f"pred_b{beam}{'_off' if flags else ''}.jsonl", ("--beam", str(beam), *flags))
         records = {r["doc_id"]: r for r in map(json.loads, out.read_text().splitlines())}
         docs = read_text_jsonl(world["eval"])
         catalog = EntityCatalog.load(world["kb"])
         trie = build_trie(catalog)
-        for (doc_id, _), (tokens, score) in zip(docs, _decode_one_by_one(world, beam)):
+        decodes = _decode_one_by_one(world, beam, **options)
+        for (doc_id, _), (tokens, score) in zip(docs, decodes):
             entities, _ = parse_output(tokens, trie)
             assert records[doc_id]["entities"] == sorted(map(catalog.name_of, entities))
             assert abs(records[doc_id]["score"] - score) <= 1e-12
+        if options:  # the flags change the decode, so an ignored flag would show
+            assert decodes != _decode_one_by_one(world, beam)
+        recorded = json.loads(out.with_name(out.name + ".runconfig.json").read_text())["config"]
+        assert (recorded["no_repeat"], recorded["renormalize"]) == (not options, not options)
+
+    @pytest.mark.parametrize("words, want", [(("1", "true", "yes", "on"), True), (("0", "false", "no", "off"), False)],
+                             ids=["true", "false"])
+    def test_every_boolean_spelling_parses(self, words, want):
+        for word in words:
+            for spelled in (word, word.upper(), word.title(), word[0] + word[1:].upper(), f" \t{word.upper()}  "):
+                assert cli._bool_flag(spelled) is want, spelled
 
     def test_empty_input_tags_nothing(self, world, tmp_path, capsys):
         empty, out = tmp_path / "empty.jsonl", tmp_path / "p.jsonl"
@@ -488,7 +507,9 @@ class TestErrorHandling:
         (lambda w, out: ["build-kb", "--kb", str(w["kb"])], "the following arguments are required: --cache-out"),
         (lambda w, out: ["tag", "--model", str(w["model"]), "--in", str(w["eval"]), "--out", out],
          "give --kb, --kb-cache or both"),
-    ], ids=["bad-int", "bad-choice", "missing-flag", "tag-without-kb"])
+        (lambda w, out: _tag_argv(w, out, "--no-repeat", "maybe"),
+         "argument --no-repeat: expected a boolean, got 'maybe'"),
+    ], ids=["bad-int", "bad-choice", "missing-flag", "tag-without-kb", "bad-bool"])
     def test_usage_error_exit_1(self, world, tmp_path, capsys, argv, message):
         """A command line that does not parse exits 1 with one JSON line, not argparse's exit 2 and usage text."""
         assert main(argv(world, str(tmp_path / "out"))) == 1
@@ -967,12 +988,13 @@ class TestErrorHandling:
         assert json.loads(capsys.readouterr().err)["error"] == error
 
 
-def _decode_one_by_one(world, beam):
-    """The best (tokens, score) of each document of the world's eval file, decoded alone."""
+def _decode_one_by_one(world, beam, **options):
+    """The best (tokens, score) of each document of the world's eval file, decoded alone
+    with DecodeConfig ``options``."""
     catalog = EntityCatalog.load(world["kb"])
     trie = build_trie(catalog)
     params, vocab_in = load_checkpoint(world["model"], catalog.output_vocab())
-    config = DecodeConfig(beam_size=beam)
+    config = DecodeConfig(beam_size=beam, **options)
     return [beam_decode(ToyScorer(params), trie, tokenize(text, vocab_in, mode="input"), config)[0]
             for _, text in read_text_jsonl(world["eval"])]
 
@@ -1195,6 +1217,25 @@ class TestConfigFile:
         # a section for another command is allowed: one file serves train and tag
         cfg.write_text(json.dumps({"tag": {"beam": 3}, "train": {"epochs": 1, "dim": 4}}), encoding="utf-8")
         assert main(["--config", str(cfg), *argv]) == 0
+
+    def test_config_that_is_not_an_object_exit_1(self, world, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]", encoding="utf-8")
+        argv = ["--config", str(cfg), "build-kb", "--kb", str(world["kb"]), "--cache-out", str(tmp_path / "t")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "InputError"
+        assert "config must be a JSON object" in json.loads(err[0])["message"]
+        assert not (tmp_path / "t").exists()
+
+    def test_an_integer_serves_a_float_flag(self, world, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"lr": 1, "epochs": 1, "dim": 4}}), encoding="utf-8")
+        model = tmp_path / "m.bin"
+        argv = ["train", "--train", str(world["train"]), "--kb", str(world["kb"]), "--model-out", str(model)]
+        assert main(["--config", str(cfg), *argv]) == 0
+        lr = json.loads((tmp_path / "m.bin.runconfig.json").read_text())["config"]["lr"]
+        assert lr == 1.0 and type(lr) is float
 
     def test_flagless_runconfig_records_dataclass_defaults(self, world, tmp_path, capsys):
         flag_of = {field: flag for flag, field in _FIELD_OF.items()}

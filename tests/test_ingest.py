@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ettag.catalog import EntityCatalog, build_vocabularies
+from ettag.cli import main
 from ettag.errors import (
     DanglingIMention,
     MalformedLine,
@@ -112,11 +113,25 @@ class TestAidaParser:
         with pytest.raises(DanglingIMention):
             parse_aida_conll(path)
 
-    def test_malformed_line(self, tmp_path):
-        path = tmp_path / "doc.conll"
-        path.write_text("-DOCSTART- (8 BAD)\nword\tB\tw\n", encoding="utf-8")
-        with pytest.raises(MalformedLine):
-            parse_aida_conll(path)
+    def test_malformed_line(self, tmp_path, capsys):
+        path, kb, out = tmp_path / "doc.conll", tmp_path / "kb.txt", tmp_path / "out.jsonl"
+        kb.write_text("Earth\n", encoding="utf-8")
+        for text, line_no, message in [
+            ("-DOCSTART- (8 BAD)\nword\tB\tw\n", 2, "expected >= 4 columns, got 3"),
+            ("-DOCSTART- 1\nx\n", 1, "bad -DOCSTART- line: '-DOCSTART- 1'"),
+            ("-DOCSTART- (1 A)\n\tB\tx\tEarth\n", 2, "empty token"),
+            ("-DOCSTART- (1 A)\nword\tX\tw\tEarth\n", 2, "unknown tag 'X'"),
+        ]:
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(MalformedLine) as exc_info:
+                parse_aida_conll(path)
+            assert type(exc_info.value) is MalformedLine and exc_info.value.line_no == line_no
+            assert str(exc_info.value) == f"line {line_no}: {message}"
+            argv = ["convert", "--format", "aida-conll", "--in", str(path), "--out", str(out), "--kb", str(kb)]
+            assert main(argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and json.loads(err[0])["error"] == "MalformedLine" and not out.exists()
+            assert f"line {line_no}: {message}" in json.loads(err[0])["message"]
 
     def test_empty_entity_name(self, tmp_path):
         path = tmp_path / "doc.conll"

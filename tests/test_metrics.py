@@ -138,6 +138,12 @@ class TestCrossDatasetAverage:
         avg = cross_dataset_average({"a": rep, "b": rep})
         assert avg == pytest.approx(rep.micro.f1)
 
+    def test_nothing_to_average_and_unknown_aggregation_rejected(self):
+        with pytest.raises(EmptyDataset):
+            cross_dataset_average({})
+        with pytest.raises(ValueError, match="unknown aggregation 'median'"):
+            cross_dataset_average({"a": aggregate([DocScore.from_counts(1, 0, 0)])}, which="median")
+
     def test_macro_selector(self):
         rep1 = aggregate([DocScore.from_counts(1, 0, 0), DocScore.from_counts(0, 2, 2)])
         avg = cross_dataset_average({"a": rep1}, which="macro")
@@ -221,6 +227,10 @@ class TestFormatReport:
             name = next(n for n, r in reports.items() if isinstance(r, float))
             with pytest.raises(ValueError, match=repr(name)):
                 format_report(reports, style="table4")
+
+    def test_nothing_to_format(self):
+        with pytest.raises(EmptyDataset):
+            format_report({})
 
     def test_unknown_style(self):
         with pytest.raises(ValueError):

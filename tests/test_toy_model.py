@@ -372,6 +372,13 @@ class TestBatchBackward:
             assert loss == want_loss
             assert buf.flat.tobytes() == want.flat.tobytes()
 
+    def test_an_unencoded_example_rejected(self, small_world):
+        _, vin, vout = small_world
+        params = init_params(len(vin), len(vout), d=3, k=2, seed=0)
+        batch = [ETExample("d", "", frozenset(), input=[]), ETExample("e", "red fox", frozenset())]
+        with pytest.raises(ValueError, match="encode the corpus first"):
+            batch_backward(params, batch, [[EOS], [EOS]])
+
     def test_finite_differences_of_a_batch(self, small_world):
         # the summed loss of three examples, perturbed one weight at a time
         cat, vin, vout = small_world
@@ -566,6 +573,18 @@ class TestCheckpoint:
             _CHECKPOINT.write(path, vout.content_hash(), dims, [section, *arrays])
             with pytest.raises(CorruptCheckpoint, match="truncated or padded"):
                 load_checkpoint(path, vout)
+
+    def test_rejects_a_v_out_other_than_the_vocabularys(self, small_world, tmp_path):
+        """A body sized for one more output token, under the output vocabulary's
+        key and a valid SHA-256, is not that vocabulary's checkpoint."""
+        _, vin, vout = small_world
+        path = tmp_path / "model.bin"
+        v_out = len(vout) + 1
+        section = nul_terminated(vin.tokens)
+        arrays = [bytes(8 * n) for n in (len(vin) * 3, v_out * 3, 9 * v_out, v_out)]  # d=3, k=2
+        _CHECKPOINT.write(path, vout.content_hash(), (3, 2, len(vin), v_out, len(section)), [section, *arrays])
+        with pytest.raises(CorruptCheckpoint, match=f"V_out {v_out} does not match the output vocabulary"):
+            load_checkpoint(path, vout)
 
     def test_rejects_other_output_vocabulary(self, small_world, tmp_path):
         _, vin, vout = small_world
