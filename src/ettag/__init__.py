@@ -17,7 +17,6 @@ from .catalog import (
     Vocabulary,
     build_vocabularies,
     canonicalize,
-    detokenize,
     tokenize,
 )
 from .decoding import DecodeConfig, Scorer, beam_decode, beam_decode_many, greedy_decode, parse_output
@@ -36,7 +35,6 @@ __all__ = [
     "build_vocabularies",
     "canonicalize",
     "tokenize",
-    "detokenize",
     "TokenTrie",
     "TrieCursor",
     "build_trie",

@@ -9,9 +9,9 @@ that finds the ids of a set of names, decodes them a block at a time, so no
 string of every name is ever held.
 
 The tokenizer splits on whitespace and peels leading/trailing punctuation
-off each word; word-initial tokens carry a boundary marker so
-detokenization reproduces the canonical string exactly, including names
-with free-standing punctuation ("Astronomy & Astrophysics").
+off each word; word-initial tokens carry a boundary marker so joining
+the tokens reproduces the canonical string exactly, including names with
+free-standing punctuation ("Astronomy & Astrophysics").
 
 Every text input opens through ``open_text``: UTF-8 read as text mode reads
 it, with a byte that is not UTF-8 placed at its offset in the file.
@@ -36,9 +36,8 @@ TokenSeq = list[int]
 BOS, EOS, SEP, UNK = 0, 1, 2, 3
 RESERVED_TOKENS = ("<bos>", "<eos>", "<sep>", "<unk>")
 N_RESERVED = len(RESERVED_TOKENS)
-CATALOG_FORMATS = ("plain-lines", "tsv")  # the KB file layouts EntityCatalog.load reads
 # EntityCatalog.load reads a KB file this many characters at a time (1 MB of ASCII);
-# KBSource.of hashes it, and _nul_positions scans a names section, this many bytes at a time
+# kb_sha256 hashes it, and _nul_positions scans a names section, this many bytes at a time
 _BLOCK_BYTES = 1 << 20
 # EntityCatalog(names) and each pass over a catalog's names take the names in
 # blocks of this many, so few of their strings are alive at once
@@ -46,7 +45,7 @@ _BLOCK_NAMES = 1 << 12
 _name_hash = hash  # the per-name hash the duplicate check sorts; names of equal hash are compared
 
 # Marks a token that starts a whitespace-delimited word. Tokens without the
-# marker attach directly to the previous token on detokenization.
+# marker attach directly to the previous token when tokens are joined.
 WORD_MARK = "▁"
 
 
@@ -93,11 +92,6 @@ def word_tokens(text: str) -> list[str]:
         out.append(WORD_MARK + parts[0])
         out.extend(parts[1:])
     return out
-
-
-def join_tokens(tokens: Iterable[str]) -> str:
-    """Inverse of word_tokens on canonical text."""
-    return "".join(tokens).replace(WORD_MARK, " ").lstrip(" ")
 
 
 @contextlib.contextmanager
@@ -205,12 +199,6 @@ def tokenize(text: str, vocab: Vocabulary, mode: str = "input") -> TokenSeq:
             i = UNK
         ids.append(i)
     return ids
-
-
-def detokenize(ids: Sequence[int], vocab: Vocabulary) -> str:
-    """Map content token ids back to text. Reserved ids are skipped."""
-    toks = vocab.tokens
-    return join_tokens(toks[i] for i in ids if i >= N_RESERVED)
 
 
 class NameTable(NamedTuple):
@@ -370,42 +358,34 @@ class EntityCatalog:
         return Vocabulary(list(index)[N_RESERVED:])
 
     @classmethod
-    def load(cls, path, format: str = "plain-lines") -> "EntityCatalog":
+    def load(cls, path) -> "EntityCatalog":
         """Load a UTF-8 KB file: one name per line, or TSV ``id<TAB>name``.
 
         The file is read through ``open_text``, so a leading byte-order mark is
         skipped and lines end at "\\n", "\\r\\n" or a lone "\\r". Lines
-        beginning with '#' and fully empty lines are ignored. The TSV id column
-        is external metadata; dense ids always follow file order. The text is
-        read ``_BLOCK_BYTES`` characters at a time, each read completed to its
-        line end by the text layer's ``readline``, so what is held past the
-        catalog is one block and a hash per name. UnicodeDecodeError for bytes
-        that are not UTF-8 (placed in the file as ``open_text`` places it), and
-        MalformedLine for the first TSV line without a tab, are raised before
-        any fault of the names.
+        beginning with '#' and fully empty lines are ignored. The first other
+        line decides the layout: the file is TSV if that line holds a tab. The
+        TSV id column is external metadata; dense ids always follow file order.
+        The text is read ``_BLOCK_BYTES`` characters at a time, each read
+        completed to its line end by the text layer's ``readline``, so what is
+        held past the catalog is one block and a hash per name.
+        UnicodeDecodeError for bytes that are not UTF-8 (placed in the file as
+        ``open_text`` places it), and MalformedLine for the first line of a TSV
+        file that names without a tab, are raised before any fault of the names.
         """
-        if format not in CATALOG_FORMATS:
-            raise ValueError(f"unknown catalog format {format!r}")
         catalog = cls.__new__(cls)
         with open_text(path) as f:
-            catalog._fill(_kb_names(f, format == "tsv"))
+            catalog._fill(_kb_names(f))
         return catalog
 
 
-class KBSource(NamedTuple):
-    """The KB file a catalog was read from, as a trie cache records it: the
-    SHA-256 of the file's bytes and the ``EntityCatalog.load`` format."""
-
-    sha256: bytes
-    format: str
-
-    @classmethod
-    def of(cls, path, format: str) -> KBSource:
-        digest = hashlib.sha256()
-        with open(path, "rb") as f:
-            for block in iter(lambda: f.read(_BLOCK_BYTES), b""):
-                digest.update(block)
-        return cls(digest.digest(), format)
+def kb_sha256(path) -> bytes:
+    """The SHA-256 of a KB file's bytes, which fix both its names and its layout."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(_BLOCK_BYTES), b""):
+            digest.update(block)
+    return digest.digest()
 
 
 # The glyphs no catalog name may spell, in the order a name is checked, with what InvalidName calls each:
@@ -439,20 +419,24 @@ def _canonical_ascii(names: list[str]) -> bool:
     return text.isascii() and not any(s in text for s in _NOT_CANONICAL_ASCII)
 
 
-def _kb_names(f, tsv: bool) -> Iterator[list[str]]:
+def _kb_names(f) -> Iterator[list[str]]:
     """The raw names of a KB file opened by ``open_text``, a list per read of ``_BLOCK_BYTES``
-    characters completed to its line end, so no text is kept between reads. Raises MalformedLine
-    for the first TSV line without a tab, counting every line, once the whole file has decoded."""
-    line_no = 0
+    characters completed to its line end, so no text is kept between reads. The first line that
+    names decides the layout. In a TSV file, MalformedLine is raised for the first line that names
+    without a tab, counting every line, once the whole file has decoded."""
+    # None until a line names; then the number of that line if it holds a tab (TSV), else 0
+    line_no, tsv_line = 0, None
     for data in iter(lambda: f.read(_BLOCK_BYTES) + f.readline(), ""):
         lines = data.split("\n")
         names = [line for line in lines if line and line[0] != "#"]
-        if tsv:
+        if tsv_line is None and names:
+            tsv_line = line_no + 1 + lines.index(names[0]) if "\t" in names[0] else 0
+        if tsv_line:
             for i, line in enumerate(lines, line_no + 1):
                 if line and line[0] != "#" and "\t" not in line:
                     for _ in iter(lambda: f.read(_BLOCK_BYTES), ""):  # a byte that is not UTF-8 is raised first
                         pass
-                    raise MalformedLine(i, "expected id<TAB>name")
+                    raise MalformedLine(i, f"expected id<TAB>name, as line {tsv_line} has")
             names = [name.split("\t", 1)[1] for name in names]
         line_no += len(lines) - 1
         yield names

@@ -19,7 +19,7 @@ import sys
 from dataclasses import fields
 
 from . import __version__
-from .catalog import CATALOG_FORMATS, EntityCatalog, KBSource, build_vocabularies, open_text, tokenize
+from .catalog import EntityCatalog, build_vocabularies, kb_sha256, open_text, tokenize
 from .decoding import DecodeConfig, beam_decode_many, parse_output
 from .errors import ContractError, EttagError, InputError, InvalidConfig, UsageError
 from .ingest import (
@@ -64,8 +64,7 @@ def _load_config(path: str | None) -> dict:
 
 
 # flag dest -> the DecodeConfig/TrainConfig field or callee parameter it sets, where they differ
-_FIELD_OF = {"beam": "beam_size", "renormalize": "renormalize_constrained", "dim": "d", "window": "k",
-             "kb_format": "format"}
+_FIELD_OF = {"beam": "beam_size", "renormalize": "renormalize_constrained", "dim": "d", "window": "k"}
 _BEAMS = "1,5,10,20,30"  # ablate-beam's default sweep
 
 
@@ -151,26 +150,18 @@ def _write_runconfig(out_path: str, command: str, resolved: dict) -> None:
     _write_json(str(out_path) + ".runconfig.json", {"command": command, "version": __version__, "config": resolved})
 
 
-def _load_kb(opts: dict) -> EntityCatalog:
-    return EntityCatalog.load(opts["kb"], format=opts["kb_format"])
-
-
-def _kb_source(opts: dict) -> KBSource:
-    return KBSource.of(opts["kb"], format=opts["kb_format"])
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_build_kb(args, cfg) -> int:
-    opts = _resolve(args, cfg, EntityCatalog.load)
+    opts = _resolve(args, cfg)
     if not stat.S_ISREG(os.stat(opts["kb"]).st_mode):
         raise InputError(f"--kb {opts['kb']} is not a regular file: build-kb reads it twice, to hash it and to load it")
-    source = _kb_source(opts)
-    catalog = _load_kb(opts)
+    digest = kb_sha256(opts["kb"])
+    catalog = EntityCatalog.load(opts["kb"])
     trie = build_trie(catalog)
-    save_trie_cache(trie, opts["cache_out"], catalog, source)
+    save_trie_cache(trie, opts["cache_out"], catalog, digest)
     _write_runconfig(opts["cache_out"], "build-kb", opts)
     print(json.dumps(trie_stats(trie)))
     return 0
@@ -181,10 +172,10 @@ _PARSERS = {"aida-conll": parse_aida_conll, "el-jsonl": parse_normalized_jsonl, 
 
 
 def cmd_convert(args, cfg) -> int:
-    opts = _resolve(args, cfg, EntityCatalog.load, convert_documents, split="all")
+    opts = _resolve(args, cfg, convert_documents, split="all")
     if opts["split"] != "all" and opts["format"] != "aida-conll":
         raise InputError(f"--split {opts['split']} applies only to --format aida-conll")
-    catalog = _load_kb(opts)
+    catalog = EntityCatalog.load(opts["kb"])
     docs = _PARSERS[opts["format"]](opts["in_path"])
     if opts["split"] != "all":
         docs = [d for d in docs if aida_split(d.doc_id) == opts["split"]]
@@ -199,9 +190,9 @@ def cmd_convert(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
-    opts = _resolve(args, cfg, EntityCatalog.load, build_vocabularies, TrainConfig)
+    opts = _resolve(args, cfg, build_vocabularies, TrainConfig)
     tc = _config(TrainConfig, opts)
-    catalog = _load_kb(opts)
+    catalog = EntityCatalog.load(opts["kb"])
     corpus = read_et_jsonl(opts["train"], catalog)
     vocab_in, vocab_out = build_vocabularies(
         catalog, (ex.text for ex in corpus), min_count=opts["min_count"]
@@ -222,12 +213,11 @@ def _load_model_stack(opts: dict):
     which must have been built from ``--kb`` when that is given too; without
     a cache they are built from ``--kb``."""
     if opts["kb_cache"]:
-        source = None if opts["kb"] is None else _kb_source(opts)
-        catalog, trie = load_trie_cache(opts["kb_cache"], source)
+        catalog, trie = load_trie_cache(opts["kb_cache"], None if opts["kb"] is None else kb_sha256(opts["kb"]))
     elif opts["kb"] is None:
         raise UsageError("give --kb, --kb-cache or both")
     else:
-        catalog = _load_kb(opts)
+        catalog = EntityCatalog.load(opts["kb"])
         trie = build_trie(catalog)
     # the checkpoint is keyed by the output vocabulary: the cache's, or the one the trie's pass made
     params, vocab_in = load_checkpoint(opts["model"], catalog.output_vocab())
@@ -245,7 +235,7 @@ def _tag_documents(docs, scorer, trie, vocab_in, config):
 
 
 def cmd_tag(args, cfg) -> int:
-    opts = _resolve(args, cfg, EntityCatalog.load, DecodeConfig)
+    opts = _resolve(args, cfg, DecodeConfig)
     config = _config(DecodeConfig, opts)
     catalog, vocab_in, trie, scorer = _load_model_stack(opts)
     docs = read_text_jsonl(opts["in_path"])
@@ -278,7 +268,7 @@ def _eval_decoded(eval_corpus, scorer, trie, vocab_in, config):
 
 
 def cmd_ablate_beam(args, cfg) -> int:
-    opts = _resolve(args, cfg, EntityCatalog.load, DecodeConfig, beams=_BEAMS)
+    opts = _resolve(args, cfg, DecodeConfig, beams=_BEAMS)
     configs = [_config(DecodeConfig, opts, beam_size=beam) for beam in _sweep(opts, "beams", int)]
     catalog, vocab_in, trie, scorer = _load_model_stack(opts)
     eval_corpus = read_et_jsonl(opts["eval"], catalog)
@@ -293,11 +283,11 @@ def cmd_ablate_beam(args, cfg) -> int:
 
 
 def cmd_ablate_order(args, cfg) -> int:
-    opts = _resolve(args, cfg, EntityCatalog.load, build_vocabularies, TrainConfig, DecodeConfig,
+    opts = _resolve(args, cfg, build_vocabularies, TrainConfig, DecodeConfig,
                     strategies=",".join(ORDER_STRATEGIES))
     config = _config(DecodeConfig, opts)
     train_configs = [_config(TrainConfig, opts, order_strategy=s) for s in _sweep(opts, "strategies")]
-    catalog = _load_kb(opts)
+    catalog = EntityCatalog.load(opts["kb"])
     train_corpus = read_et_jsonl(opts["train"], catalog)
     eval_corpus = read_et_jsonl(opts["eval"], catalog)
     trie = build_trie(catalog)  # its pass over the names also makes the output vocabulary
@@ -321,9 +311,8 @@ def cmd_ablate_order(args, cfg) -> int:
 
 
 def _add_kb_args(p: argparse.ArgumentParser, cache: bool = False) -> None:
-    """--kb and --kb-format; with ``cache`` also --kb-cache, which makes --kb optional."""
-    p.add_argument("--kb", required=not cache, help="entity name file (one per line or TSV)")
-    p.add_argument("--kb-format", choices=CATALOG_FORMATS, default=None)
+    """--kb; with ``cache`` also --kb-cache, which makes --kb optional."""
+    p.add_argument("--kb", required=not cache, help="entity name file: one per line, or TSV id<TAB>name")
     if cache:
         p.add_argument("--kb-cache", default=None, help="trie cache from build-kb; it holds the KB's names")
 

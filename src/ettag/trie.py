@@ -29,12 +29,10 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import (
-    CATALOG_FORMATS,
     EOS,
     N_RESERVED,
     SEP,
     EntityCatalog,
-    KBSource,
     nul_terminated,
     read_catalog,
     read_vocabulary,
@@ -46,14 +44,13 @@ ROOT = 0
 FINISHED = -1
 
 # key: the SHA-256 of the names section, the catalog's content hash.
-# dims (n nodes, e edges, m names, v vocabulary bytes, w names bytes, f the KB
-# format's index in CATALOG_FORMATS); sections: the KB file's SHA-256 (32 bytes),
-# terminal, child counts (n), child keys, child values (e) as int32, then the
-# output vocabulary (v) and the catalog's names (w), each NUL-terminated UTF-8
+# dims (n nodes, e edges, m names, v vocabulary bytes, w names bytes); sections:
+# the KB file's SHA-256 (32 bytes), terminal, child counts (n), child keys, child
+# values (e) as int32, then the output vocabulary (v) and the catalog's names (w),
+# each NUL-terminated UTF-8
 _CACHE = SealedFormat(
-    b"ETRIE4\0\0", "trie cache", CacheMismatch, struct.Struct("<iiiiii"),
-    lambda n, e, m, v, w, f: ((32, 4 * n, 4 * n, 4 * e, 4 * e, v, w) if n >= 1 and min(e, m, v, w) >= 0
-                              and 0 <= f < len(CATALOG_FORMATS) else None),
+    b"ETRIE5\0\0", "trie cache", CacheMismatch, struct.Struct("<iiiii"),
+    lambda n, e, m, v, w: (32, 4 * n, 4 * n, 4 * e, 4 * e, v, w) if n >= 1 and min(e, m, v, w) >= 0 else None,
 )
 
 TrieCursor = int  # a position in the automaton is its node; ROOT is the entity boundary, FINISHED follows EOS
@@ -328,33 +325,28 @@ def trie_stats(trie: TokenTrie) -> dict[str, int]:
     }
 
 
-def save_trie_cache(trie: TokenTrie, path, catalog: EntityCatalog, source: KBSource) -> None:
-    """Write the ``ETRIE4`` cache of ``trie``, the output vocabulary of
-    ``catalog`` and its names as it holds them, read from the KB file ``source``."""
+def save_trie_cache(trie: TokenTrie, path, catalog: EntityCatalog, kb_sha256: bytes) -> None:
+    """Write the ``ETRIE5`` cache of ``trie``, the output vocabulary of ``catalog``
+    and its names as it holds them, read from the KB file whose SHA-256 is ``kb_sha256``."""
     counts = np.subtract(trie.child_start[1:], trie.child_start[:-1], dtype=np.int32)
     ints = (trie.terminal, counts, trie.child_keys, trie.child_vals)
     tokens, names = nul_terminated(catalog.output_vocab().tokens), catalog.names_section
-    dims = (trie.node_count, len(trie.child_keys), len(catalog), len(tokens), len(names),
-            CATALOG_FORMATS.index(source.format))
+    dims = (trie.node_count, len(trie.child_keys), len(catalog), len(tokens), len(names))
     # the int32 arrays go out as buffers: hashing and writing them makes no copy
-    sections = [source.sha256, *(np.asarray(a, dtype="<i4") for a in ints), tokens, names]
+    sections = [kb_sha256, *(np.asarray(a, dtype="<i4") for a in ints), tokens, names]
     _CACHE.write(path, catalog.content_hash(), dims, sections)
 
 
-def load_trie_cache(path, source: KBSource | None = None) -> tuple[EntityCatalog, TokenTrie]:
+def load_trie_cache(path, kb_sha256: bytes | None = None) -> tuple[EntityCatalog, TokenTrie]:
     """The catalog and the trie of a cache written by save_trie_cache; the
     catalog is a view of the cache's names section and holds its output
-    vocabulary. Raises CacheMismatch unless the file is
-    intact, was built from the KB file ``source`` when one is given, and holds
+    vocabulary. Raises CacheMismatch unless the file is intact, was built from
+    the KB file whose SHA-256 is ``kb_sha256`` when one is given, and holds
     names that hash to its key, a vocabulary covering the trie and a
     well-formed trie over the names."""
-    key, (_, _, n_names, _, _, fmt), (kb_sha256, terminal, counts, keys, vals, vocab, names) = _CACHE.read(path, None)
-    if source is not None:
-        if kb_sha256 != source.sha256:
-            raise CacheMismatch(f"{path}: built from a KB file with other bytes; rebuild it with build-kb")
-        if CATALOG_FORMATS[fmt] != source.format:
-            raise CacheMismatch(f"{path}: built from this KB file read as {CATALOG_FORMATS[fmt]!r}, "
-                                f"not {source.format!r}; rebuild it with build-kb")
+    key, (_, _, n_names, _, _), (built_from, terminal, counts, keys, vals, vocab, names) = _CACHE.read(path, None)
+    if kb_sha256 is not None and built_from != kb_sha256:
+        raise CacheMismatch(f"{path}: built from a KB file with other bytes; rebuild it with build-kb")
     vocab = read_vocabulary(bytes(vocab))
     catalog = read_catalog(names, n_names, vocab)
     if catalog is None:

@@ -219,18 +219,20 @@ def reference_names_section(names) -> bytes:
     return nul_terminated(canonical)
 
 
-def reference_kb_names(path, format: str = "plain-lines") -> list[str]:
+def reference_kb_names(path) -> list[str]:
     """The raw names of the KB file at ``path``, read whole in text mode
-    (universal newlines, a leading byte-order mark skipped) and split on "\\n"."""
+    (universal newlines, a leading byte-order mark skipped) and split on "\\n".
+    The first line that is neither empty nor a '#' comment decides the layout:
+    if it holds a tab, every such line must be ``id<TAB>name``."""
     with open(path, "r", encoding="utf-8-sig") as f:
         lines = f.read().split("\n")
-    names = [line for line in lines if line and not line.startswith("#")]
-    if format == "tsv":
-        for line_no, line in enumerate(lines, 1):
-            if line and not line.startswith("#") and "\t" not in line:
-                raise MalformedLine(line_no, "expected id<TAB>name")
-        names = [line.split("\t", 1)[1] for line in names]
-    return names
+    named = [(line_no, line) for line_no, line in enumerate(lines, 1) if line and not line.startswith("#")]
+    if not named or "\t" not in named[0][1]:
+        return [line for _, line in named]
+    for line_no, line in named:
+        if "\t" not in line:
+            raise MalformedLine(line_no, f"expected id<TAB>name, as line {named[0][0]} has")
+    return [line.split("\t", 1)[1] for _, line in named]
 
 
 def brute_force_language(

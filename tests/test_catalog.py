@@ -14,21 +14,19 @@ import pytest
 import ettag.catalog as catalog_module
 from ettag.catalog import (
     BOS,
-    CATALOG_FORMATS,
     EOS,
     N_RESERVED,
     RESERVED_TOKENS,
     SEP,
     UNK,
     EntityCatalog,
-    KBSource,
     Vocabulary,
     WORD_MARK,
     _is_punct,
     _split_word,
     build_vocabularies,
     canonicalize,
-    detokenize,
+    kb_sha256,
     nul_terminated,
     read_catalog,
     tokenize,
@@ -46,6 +44,12 @@ from ettag.synthetic import synthetic_kb_names
 from ettag.toy_model import build_target
 from ettag.trie import build_trie, load_trie_cache, save_trie_cache
 from helpers import decode_spans, reference_kb_names, reference_names_section
+
+
+def _joined(ids, vocab: Vocabulary) -> str:
+    """The text of token ids, the inverse of tokenize on canonical text: the
+    content tokens joined, each boundary marker read as a space."""
+    return "".join(vocab.tokens[i] for i in ids if i >= N_RESERVED).replace(WORD_MARK, " ").lstrip(" ")
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +132,7 @@ class TestTokenizer:
     def test_round_trip(self, name):
         cat = EntityCatalog([name])
         _, vout = build_vocabularies(cat, [])
-        assert detokenize(tokenize(name, vout, mode="output"), vout) == name
+        assert _joined(tokenize(name, vout, mode="output"), vout) == name
 
     def test_no_alphanumeric_code_point_is_punctuation(self):
         """What lets word_tokens keep an isalnum() word whole unscanned."""
@@ -222,41 +226,33 @@ class TestCatalog:
     def test_tsv_format(self, tmp_path):
         path = tmp_path / "kb.tsv"
         path.write_text("17\tEarth\n99\tParsec\n", encoding="utf-8")
-        cat = EntityCatalog.load(path, format="tsv")
+        cat = EntityCatalog.load(path)
         # external ids are metadata; dense ids follow file order
         assert cat.ids_of(["Earth", "Parsec"]) == {"Earth": 0, "Parsec": 1}
 
-    @pytest.mark.parametrize("fmt, text", [
-        ("plain-lines", "# my kb\nEarth\nParsec\n"),
-        ("plain-lines", "Earth\nParsec\n"),
-        ("tsv", "17\tEarth\n99\tParsec\n"),
-    ], ids=["comment-first", "name-first", "tsv"])
-    def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path, fmt, text):
+    @pytest.mark.parametrize("text", ["# my kb\nEarth\nParsec\n", "Earth\nParsec\n", "17\tEarth\n99\tParsec\n"],
+                             ids=["comment-first", "name-first", "tsv"])
+    def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path, text):
         plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
         plain.write_text(text, encoding="utf-8")
         marked.write_text(text, encoding="utf-8-sig")
         assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
-        want, got = EntityCatalog.load(plain, format=fmt), EntityCatalog.load(marked, format=fmt)
+        want, got = EntityCatalog.load(plain), EntityCatalog.load(marked)
         assert list(got) == list(want) == ["Earth", "Parsec"]
         assert got.content_hash() == want.content_hash()
 
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "kb.csv"
-        path.write_text("Earth\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="unknown catalog format 'csv'"):
-            EntityCatalog.load(path, format="csv")
-
     def test_tsv_requires_tab(self, tmp_path):
+        """A first name line with a tab makes the file TSV, so every later name line needs one."""
         path = tmp_path / "kb.tsv"
-        path.write_text("Earth\n", encoding="utf-8")
+        path.write_text("1\tEarth\nParsec\n", encoding="utf-8")
         with pytest.raises(MalformedLine):
-            EntityCatalog.load(path, format="tsv")
+            EntityCatalog.load(path)
 
     def test_tsv_error_names_the_file_line(self, tmp_path):
         path = tmp_path / "kb.tsv"
         path.write_text("# ids\n1\tEarth\n\nParsec\n", encoding="utf-8")
-        with pytest.raises(MalformedLine) as exc_info:
-            EntityCatalog.load(path, format="tsv")
+        with pytest.raises(MalformedLine, match="^line 4: expected id<TAB>name, as line 2 has$") as exc_info:
+            EntityCatalog.load(path)
         assert exc_info.value.line_no == 4
 
     def test_read_catalog_looks_names_up(self):
@@ -424,8 +420,8 @@ def test_a_catalog_read_from_a_trie_cache_is_the_kb_files(tmp_path, names):
     kb, cache = tmp_path / "kb.txt", tmp_path / "kb.trie"
     kb.write_text("".join(unicodedata.normalize("NFD", name) + "\n" for name in names), encoding="utf-8")
     want = EntityCatalog.load(kb)
-    save_trie_cache(build_trie(want), cache, want, KBSource.of(kb, "plain-lines"))
-    got, _ = load_trie_cache(cache, KBSource.of(kb, "plain-lines"))
+    save_trie_cache(build_trie(want), cache, want, kb_sha256(kb))
+    got, _ = load_trie_cache(cache, kb_sha256(kb))
     n = len(want)
     assert len(got) == n == len(names) and list(got) == list(want) == names
     assert [got.name_of(i) for i in range(-n, n)] == [want.name_of(i) for i in range(-n, n)] == names * 2
@@ -452,7 +448,7 @@ def test_bijection_and_round_trip_sampled_at_kb_scale():
     ids = cat.ids_of(name for _, name in sampled)
     for eid, name in sampled:
         assert ids[name] == eid
-        assert detokenize(tokenize(name, vout, mode="output"), vout) == name
+        assert _joined(tokenize(name, vout, mode="output"), vout) == name
 
 
 def test_round_trip_over_random_catalog():
@@ -465,7 +461,7 @@ def test_round_trip_over_random_catalog():
     cat = EntityCatalog(sorted(names))
     _, vout = build_vocabularies(cat, [])
     for name in cat:
-        assert detokenize(tokenize(name, vout, mode="output"), vout) == name
+        assert _joined(tokenize(name, vout, mode="output"), vout) == name
 
 
 def _outcome(make, *args):
@@ -478,12 +474,12 @@ def _outcome(make, *args):
         return type(exc).__name__, str(exc), getattr(exc, "offenders", None), getattr(exc, "line_no", None)
 
 
-def _loaded_section(path, fmt):
-    return EntityCatalog.load(path, format=fmt).names_section
+def _loaded_section(path):
+    return EntityCatalog.load(path).names_section
 
 
-def _reference_section(path, fmt):
-    return reference_names_section(reference_kb_names(path, fmt))
+def _reference_section(path):
+    return reference_names_section(reference_kb_names(path))
 
 
 # Whitespace a name may hold between its words: str.split() splits on all of
@@ -493,13 +489,16 @@ _INNER_SPACES = [" ", " ", " ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1
 _WORDS = ["Earth", "black", "hole", "Z\u00fcrich", "Zu\u0308rich", "\u6771\u4eac", "e\u0301clair", "\u03a9mega", "&"]
 _LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r"]
 _FAULTS = ["dup", "canonical-dup", "nul", "sep", "mark", "empty", "no-tab", "utf8"]
+_LAYOUTS = ("plain-lines", "tsv")
 
 
 def _kb_bytes(rng: np.random.Generator, tsv: bool, faults: list[str]) -> bytes:
     """A KB file of about 60 lines: names (most plain ASCII, some spelled with
     other whitespace, in NFD or with spaces at their ends), comments and blank
     lines, ended by "\\n", "\\r\\n" or a lone "\\r", perhaps after a byte-order
-    mark; each fault named is put in the second half of the file."""
+    mark; each fault named is put in the second half of the file. The first
+    name of a file that is not TSV is spelled without a tab, which would make
+    the file TSV."""
     lines, named, clean = [], [], []  # every line, the lines that name, the names already canonical
     for i in range(60):
         kind = rng.random()
@@ -514,6 +513,8 @@ def _kb_bytes(rng: np.random.Generator, tsv: bool, faults: list[str]) -> bytes:
                 seps = rng.choice(_INNER_SPACES, size=len(words) - 1)
                 name = "".join(w + s for w, s in zip(words, seps)) + words[-1]
                 name = " " * int(rng.integers(0, 2)) + name + " " * int(rng.integers(0, 2))
+                if not (tsv or named):
+                    name = name.replace("\t", " ")
             else:
                 name = " ".join(words)
                 clean.append(name)
@@ -553,7 +554,7 @@ class TestStreamedLoad:
         for faults in [[], *([f] for f in _FAULTS), ["nul", "empty"], ["dup", "mark"], ["no-tab", "utf8", "dup"],
                        ["sep", "canonical-dup", "no-tab"], ["empty", "mark", "empty", "nul"],
                        ["no-tab", "empty", "no-tab"]]
-        for fmt in CATALOG_FORMATS if fmt == "tsv" or "no-tab" not in faults])  # only TSV lines need a tab
+        for fmt in _LAYOUTS if fmt == "tsv" or "no-tab" not in faults])  # only TSV lines need a tab
     def test_matches_one_whole_read(self, tmp_path, monkeypatch, fmt, faults):
         results = []
         real = catalog_module._canonical_ascii
@@ -563,15 +564,15 @@ class TestStreamedLoad:
         for seed in range(8):
             rng = np.random.default_rng(seed)
             path.write_bytes(_kb_bytes(rng, fmt == "tsv", faults))
-            want = _outcome(_reference_section, path, fmt)
+            want = _outcome(_reference_section, path)
             decodes |= not (isinstance(want, tuple) and want[0] == "UnicodeDecodeError")
             for block_bytes, block_names in ((1, 1), (37, 3), (200, 5), (1 << 20, 1 << 12)):
                 monkeypatch.setattr("ettag.catalog._BLOCK_BYTES", block_bytes)
                 monkeypatch.setattr("ettag.catalog._BLOCK_NAMES", block_names)
-                assert _outcome(_loaded_section, path, fmt) == want, (seed, block_bytes)
+                assert _outcome(_loaded_section, path) == want, (seed, block_bytes)
                 if not (isinstance(want, tuple) and want[0] in ("UnicodeDecodeError", "MalformedLine")):
                     # the file reads as a list of names, whose catalog must agree too
-                    names = reference_kb_names(path, fmt)
+                    names = reference_kb_names(path)
                     assert _outcome(lambda: EntityCatalog(names).names_section) == want, (seed, block_names)
             if not faults:
                 assert isinstance(want, bytes)
@@ -580,7 +581,7 @@ class TestStreamedLoad:
         if decodes:
             assert True in results and False in results
 
-    @pytest.mark.parametrize("fmt", CATALOG_FORMATS)
+    @pytest.mark.parametrize("fmt", _LAYOUTS)
     def test_every_block_cut(self, tmp_path, monkeypatch, fmt):
         """A file whose line ends are "\\r\\n", lone "\\r", "\\r\\r\\n" and "\\n", read
         with every block size from one byte to its length, so that a block cut
@@ -595,17 +596,37 @@ class TestStreamedLoad:
         for data in (text.encode(), codecs.BOM_UTF8 + text.encode(), text.encode() + b"\r",
                      (text + "\r\nno tab\r\n").encode(), codecs.BOM_UTF8 + codecs.BOM_UTF8 + text.encode()):
             path.write_bytes(data)
-            wants.append(_outcome(_reference_section, path, fmt))
+            wants.append(_outcome(_reference_section, path))
             for block_bytes in range(1, len(data) + 2):
                 monkeypatch.setattr("ettag.catalog._BLOCK_BYTES", block_bytes)
-                assert _outcome(_loaded_section, path, fmt) == wants[-1], (data, block_bytes)
+                assert _outcome(_loaded_section, path) == wants[-1], (data, block_bytes)
         section = nul_terminated(["Earth", "Zürich x", "東京", "ends early" if fmt == "tsv" else "7 ends early",
                                   "Mars Rover", "éclair", "A B", "last"])
         assert wants[:3] == [section] * 3
+        # only the first byte-order mark is skipped, so "\ufeff# héader" is the first name line, with no tab
         if fmt == "tsv":  # "\r\r\n" ends two lines, the "\r" inside the comment one
-            assert wants[3:] == [("MalformedLine", f"line {n}: expected id<TAB>name", None, n) for n in (13, 1)]
-        else:  # only the first byte-order mark is skipped
+            assert wants[3] == ("MalformedLine", "line 13: expected id<TAB>name, as line 2 has", None, 13)
+            assert wants[4] == nul_terminated(["\ufeff# héader", "1 Earth", "3 Zürich x", "4 東京", "7 ends early",
+                                               "6 Mars Rover", "7 éclair", "8 A B", "9 last"])
+        else:
             assert wants[3:] == [section + b"no tab\0", nul_terminated(["\ufeff# héader"]) + section]
+
+    @pytest.mark.parametrize("text, want", [
+        ("# ids\n\n" * 20 + "1\tEarth\n# more\n2\tBlack  hole\n", ["Earth", "Black hole"]),
+        ("\ufeff1\tEarth\n2\tParsec\n", ["Earth", "Parsec"]),
+        ("Earth\tMoon\nParsec\n", ("MalformedLine", "line 2: expected id<TAB>name, as line 1 has", None, 2)),
+    ], ids=["decided-in-a-later-block", "bom-then-tsv", "tab-in-the-first-name"])
+    def test_the_first_name_line_decides_the_layout(self, tmp_path, monkeypatch, text, want):
+        """The first line that names decides, wherever it falls: after many comment
+        and blank lines, so past the first blocks; after a byte-order mark; and
+        in a file meant as a name per line whose first name holds a tab."""
+        path = tmp_path / "kb.txt"
+        path.write_bytes(text.encode())
+        want = nul_terminated(want) if isinstance(want, list) else want
+        assert _outcome(_reference_section, path) == want
+        for block_bytes in (1, 7, 1 << 20):
+            monkeypatch.setattr("ettag.catalog._BLOCK_BYTES", block_bytes)
+            assert _outcome(_loaded_section, path) == want, block_bytes
 
     @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["no-bom", "bom"])
     def test_a_bad_byte_is_placed_in_the_file(self, tmp_path, monkeypatch, bom):
@@ -617,8 +638,8 @@ class TestStreamedLoad:
         path.write_bytes(bom + head + b"bad \xff byte\r\nlast\r\n")
         monkeypatch.setattr("ettag.catalog._BLOCK_BYTES", 64)
         want = f"'utf-8' codec can't decode byte 0xff in position {len(head) + 4}: invalid start byte"
-        assert _outcome(_reference_section, path, "plain-lines") == ("UnicodeDecodeError", want)
-        assert _outcome(_loaded_section, path, "plain-lines") == ("UnicodeDecodeError", want)
+        assert _outcome(_reference_section, path) == ("UnicodeDecodeError", want)
+        assert _outcome(_loaded_section, path) == ("UnicodeDecodeError", want)
 
     def test_the_ascii_shortcut_is_exact(self):
         """``_canonical_ascii`` holds for a block exactly when every name in it is

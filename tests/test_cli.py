@@ -79,6 +79,32 @@ class TestBuildKb:
         assert main(["build-kb", "--kb", str(world["kb"]), "--cache-out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_a_tsv_kb_needs_no_flag(self, world, tmp_path, capsys):
+        """A KB file of ``id<TAB>name`` lines goes through build-kb, train and
+        ``tag --kb --kb-cache`` as it is, giving the names section, model and
+        predictions of the same names one per line; a config that still sets
+        kb_format is refused as an unknown key."""
+        tsv = tmp_path / "kb.tsv"
+        tsv.write_text("# id\tname\n" + "".join(f"Q{i}\t{n}\n" for i, n in enumerate(world["catalog"])),
+                       encoding="utf-8")
+        runs = {}
+        for kb in (world["kb"], tsv):
+            cache, model, pred = (tmp_path / f"{kb.name}.{ext}" for ext in ("trie", "bin", "jsonl"))
+            assert main(["build-kb", "--kb", str(kb), "--cache-out", str(cache)]) == 0
+            assert main(["train", "--train", str(world["train"]), "--kb", str(kb), "--model-out", str(model),
+                         "--epochs", "5", "--dim", "8"]) == 0
+            assert main(["tag", "--model", str(model), "--kb", str(kb), "--kb-cache", str(cache),
+                         "--in", str(world["eval"]), "--out", str(pred)]) == 0
+            runs[kb] = bytes(load_trie_cache(cache)[0].names_section), model.read_bytes(), pred.read_bytes()
+        assert runs[tsv] == runs[world["kb"]]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"build_kb": {"kb_format": "tsv"}}), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "build-kb", "--kb", str(tsv), "--cache-out", str(tmp_path / "t")]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "InputError", "message": "config section 'build_kb': unknown keys ['kb_format']"}
+        assert not (tmp_path / "t").exists()
+
     def test_peak_memory_follows_the_kb_file(self, tmp_path):
         """On a 200,000-name KB, `build-kb` peaks, past a process that only
         imports the CLI, below 10 times the file's bytes. It measured 6.8-7.2
@@ -502,8 +528,8 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("argv, message", [
         (lambda w, out: _tag_argv(w, out, "--beam", "abc"), "argument --beam: invalid int value: 'abc'"),
-        (lambda w, out: ["build-kb", "--kb", str(w["kb"]), "--cache-out", out, "--kb-format", "csv"],
-         "argument --kb-format: invalid choice: 'csv'"),
+        (lambda w, out: ["eval", "--pred", out, "--gold", str(w["eval"]), "--style", "csv"],
+         "argument --style: invalid choice: 'csv'"),
         (lambda w, out: ["build-kb", "--kb", str(w["kb"])], "the following arguments are required: --cache-out"),
         (lambda w, out: ["tag", "--model", str(w["model"]), "--in", str(w["eval"]), "--out", out],
          "give --kb, --kb-cache or both"),
@@ -554,11 +580,13 @@ class TestErrorHandling:
         assert not out.exists()
 
     def test_config_byte_order_mark_skipped(self, world, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("\ufeff" + json.dumps({"build_kb": {"kb_format": "plain-lines"}}), encoding="utf-8")
-        argv = ["--config", str(cfg), "build-kb", "--kb", str(world["kb"]), "--cache-out", str(tmp_path / "t")]
+        cfg, out = tmp_path / "cfg.json", tmp_path / "p.jsonl"
+        cfg.write_text("\ufeff" + json.dumps({"tag": {"beam": 2}}), encoding="utf-8")
+        argv = ["--config", str(cfg), "tag", "--model", str(world["model"]), "--kb", str(world["kb"]),
+                "--in", str(world["eval"]), "--out", str(out)]
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
+        assert json.loads(out.with_name(out.name + ".runconfig.json").read_text())["config"]["beam"] == 2
 
     def test_nul_in_kb_name_exit_1(self, tmp_path, capsys):
         kb = tmp_path / "kb.txt"
@@ -632,7 +660,7 @@ class TestErrorHandling:
             ("tag", [], {"tag": {"no_repeat": "false"}}),
             ("train", [], {"train": {"window": 0}}),
             ("train", [], {"train": {"min_count": "2"}}),
-            ("build-kb", [], {"build_kb": {"kb_format": 5}}),
+            ("build-kb", [], {"build_kb": {"cache_out": 5}}),
             ("convert", [], {"convert": {"stats_out": 1}}),
             ("convert", [], {"convert": {"keep_empty": "no"}}),
             ("eval", [], {"eval": {"json_out": 2}}),
@@ -1258,7 +1286,7 @@ class TestConfigFile:
 
 # Options of the decode/train commands that configure neither dataclass.
 NON_CONFIG_DESTS = {
-    "help", "model", "kb", "kb_format", "kb_cache", "in_path", "out",
+    "help", "model", "kb", "kb_cache", "in_path", "out",
     "train", "model_out", "min_count", "eval", "beams", "strategies",
 }
 

@@ -12,9 +12,9 @@ from ettag.catalog import (
     EOS,
     SEP,
     EntityCatalog,
-    KBSource,
     Vocabulary,
     build_vocabularies,
+    kb_sha256,
     nul_terminated,
     tokenize,
     word_tokens,
@@ -48,8 +48,8 @@ from helpers import (
 )
 
 
-# the KB file recorded in caches of catalogs that were built in memory
-SOURCE = KBSource(bytes(range(32)), "plain-lines")
+# the KB file's SHA-256 recorded in caches of catalogs that were built in memory
+KB_DIGEST = bytes(range(32))
 
 
 def walk(trie, tokens, cursor=None):
@@ -324,7 +324,7 @@ def cache_100k(tmp_path_factory):
     cat = EntityCatalog(synthetic_kb_names(100_000, seed=0))
     path = tmp_path_factory.mktemp("kb100k") / "kb.trie"
     trie = build_trie(cat)
-    save_trie_cache(trie, path, cat, SOURCE)
+    save_trie_cache(trie, path, cat, KB_DIGEST)
     return path, trie.node_count
 
 
@@ -334,8 +334,8 @@ class TestCache:
         cat = random_catalog(rng, 50)
         cat, vout, trie = catalog_stack(cat)
         path = tmp_path / "kb.trie"
-        save_trie_cache(trie, path, cat, SOURCE)
-        loaded_cat, loaded = load_trie_cache(path, SOURCE)
+        save_trie_cache(trie, path, cat, KB_DIGEST)
+        loaded_cat, loaded = load_trie_cache(path, KB_DIGEST)
         assert tuple(loaded_cat) == tuple(cat) and loaded_cat.content_hash() == cat.content_hash()
         assert loaded_cat.output_vocab().tokens == vout.tokens
         assert trie_stats(loaded) == trie_stats(trie)
@@ -352,7 +352,7 @@ class TestCache:
         slowed in-process desk-tag decoding at beam 20 by 2-3 % (2-core Xeon
         VM), since the decoder slices the edge arrays with them once per row."""
         cat, vout, trie = catalog_stack(random_catalog(np.random.default_rng(3), 30))
-        save_trie_cache(trie, tmp_path / "kb.trie", cat, SOURCE)
+        save_trie_cache(trie, tmp_path / "kb.trie", cat, KB_DIGEST)
         for t in (trie, load_trie_cache(tmp_path / "kb.trie")[1]):
             assert {f: getattr(t, f).dtype for f in TRIE_ARRAYS} == {
                 f: np.dtype(np.int64 if f == "child_start" else np.int32) for f in TRIE_ARRAYS}
@@ -363,7 +363,7 @@ class TestCache:
         path, _ = cache_100k
         gc.collect()
         before = sys.getallocatedblocks()
-        loaded_cat, _ = load_trie_cache(path, SOURCE)
+        loaded_cat, _ = load_trie_cache(path, KB_DIGEST)
         gc.collect()
         assert sys.getallocatedblocks() - before < 10_000
         assert len(loaded_cat) == 100_000
@@ -377,50 +377,48 @@ class TestCache:
         gc.collect()
         tracemalloc.start()
         try:
-            load_trie_cache(path, SOURCE)
+            load_trie_cache(path, KB_DIGEST)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert (peak - path.stat().st_size) / n_nodes < 60
 
     def test_hash_mismatch(self, tmp_path):
-        """A cache checked against a KB file other than its own, by bytes or by
-        format, is rejected; unchecked, it loads its own names."""
+        """A cache checked against a KB file other than its own is rejected;
+        unchecked, it loads its own names."""
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth", "Mars"]))
         path = tmp_path / "kb.trie"
-        save_trie_cache(trie, path, cat, SOURCE)
+        save_trie_cache(trie, path, cat, KB_DIGEST)
         with pytest.raises(CacheMismatch, match="other bytes; rebuild it with build-kb"):
-            load_trie_cache(path, SOURCE._replace(sha256=bytes(32)))
-        with pytest.raises(CacheMismatch, match="read as 'plain-lines', not 'tsv'; rebuild it with build-kb"):
-            load_trie_cache(path, SOURCE._replace(format="tsv"))
+            load_trie_cache(path, bytes(32))
         assert tuple(load_trie_cache(path)[0]) == ("Earth", "Mars")
 
     def test_not_a_cache(self, tmp_path):
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth"]))
         path = tmp_path / "junk"
-        save_trie_cache(trie, path, cat, SOURCE)
+        save_trie_cache(trie, path, cat, KB_DIGEST)
         # the magics of the earlier formats
-        earlier = [magic + path.read_bytes()[6:] for magic in (b"ETRIE2", b"ETRIE3")]
+        earlier = [magic + path.read_bytes()[6:] for magic in (b"ETRIE2", b"ETRIE3", b"ETRIE4")]
         for junk in (b"hello world", *earlier):
             path.write_bytes(junk)
             with pytest.raises(CacheMismatch, match="not a trie cache"):
                 load_trie_cache(path)
 
     def test_sections_equal_the_built_trie(self, tmp_path):
-        """After the 96-byte header come the KB file's SHA-256, the int32
+        """After the 92-byte header come the KB file's SHA-256, the int32
         sections, which are the trie's own arrays, the catalog's output
         vocabulary and its names, whose SHA-256 is the key."""
         cat, vout, trie = catalog_stack(random_catalog(np.random.default_rng(5), 40))
         path = tmp_path / "kb.trie"
-        save_trie_cache(trie, path, cat, SOURCE)
+        save_trie_cache(trie, path, cat, KB_DIGEST)
         blob = path.read_bytes()
-        assert blob[8:40] == cat.content_hash() and blob[96:128] == SOURCE.sha256
+        assert blob[8:40] == cat.content_hash() and blob[92:124] == KB_DIGEST
         n, n_edges = trie.node_count, len(trie.child_keys)
-        ints = np.frombuffer(blob, dtype="<i4", offset=128, count=2 * (n + n_edges))
+        ints = np.frombuffer(blob, dtype="<i4", offset=124, count=2 * (n + n_edges))
         expected = (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)
         assert ints.tobytes() == b"".join(np.asarray(a, dtype="<i4").tobytes() for a in expected)
         vocab, names = nul_terminated(vout.tokens), nul_terminated(tuple(cat))
-        assert blob[128 + 4 * len(ints):] == vocab + names
+        assert blob[124 + 4 * len(ints):] == vocab + names
         loaded_cat, _ = load_trie_cache(path)
         assert loaded_cat.output_vocab().tokens == build_vocabularies(cat, [])[1].tokens
 
@@ -428,14 +426,14 @@ class TestCache:
         """The cache of the tiny catalog and a checkpoint with hand-set weights
         have these exact bytes, so a change to either layout fails here."""
         cat, vout, trie = catalog_stack(EntityCatalog(TINY_NAMES))
-        save_trie_cache(trie, tmp_path / "kb.trie", cat, SOURCE)
+        save_trie_cache(trie, tmp_path / "kb.trie", cat, KB_DIGEST)
         vin, d, k = Vocabulary(["▁red"]), 2, 1
         size = len(vin) * d + len(vout) * d + (d + k * d) * len(vout) + len(vout)  # E_in, E_out, W, b
         params = ToyModelParams(np.arange(size) / 8, d, k, len(vin), len(vout))
         save_checkpoint(params, tmp_path / "m.bin", vin, vout)
         digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ("kb.trie", "m.bin")}
         assert digests == {
-            "kb.trie": "678c7f596c36e2aaef6bd2e5392995b5796841e47a767bdc366bc66cd75563c1",
+            "kb.trie": "349730d5b60e3e349a1a4e983c3576927ee26ee2d520e4828933e545e220c800",
             "m.bin": "b465415c2de5b81a2445c81989a55247f01eacd1e4f11fbb5ee56268932b8ed2",
         }
 
@@ -447,11 +445,10 @@ class TestCache:
         params = init_params(len(vin), len(vout), d=1, k=1, seed=0)
         other, vout2, trie2 = catalog_stack(EntityCatalog(["Earth", "Mars", "Venus"]))
         params2 = init_params(len(vin), len(vout2), d=1, k=1, seed=0)
-        other_source = SOURCE._replace(sha256=bytes(32))
         artifacts = [
-            (lambda p: save_trie_cache(trie, p, cat, SOURCE),
-             lambda p: save_trie_cache(trie2, p, other, other_source),
-             lambda p: load_trie_cache(p, SOURCE), CacheMismatch, "other bytes"),
+            (lambda p: save_trie_cache(trie, p, cat, KB_DIGEST),
+             lambda p: save_trie_cache(trie2, p, other, bytes(32)),
+             lambda p: load_trie_cache(p, KB_DIGEST), CacheMismatch, "other bytes"),
             (lambda p: save_checkpoint(params, p, vin, vout), lambda p: save_checkpoint(params2, p, vin, vout2),
              lambda p: load_checkpoint(p, vout), CorruptCheckpoint, "made for a different KB"),
         ]
@@ -529,7 +526,7 @@ def tiny(tmp_path_factory):
     assert trie.child_keys.tolist() == [4, 7, 5, 6] and trie.child_vals.tolist() == [1, 4, 2, 3]
     assert len(vout) == 8
     tag = ["tag", "--model", str(model), "--kb", str(kb), "--in", str(docs), "--out", str(root / "p.jsonl")]
-    return cat, vout, trie, tag, KBSource.of(kb, "plain-lines")
+    return cat, vout, trie, tag, kb_sha256(kb)
 
 
 def _without_kb(tag):
@@ -537,16 +534,16 @@ def _without_kb(tag):
     return tag[:i] + tag[i + 2:]
 
 
-def _write_cache(path, trie, source, vocab_section, names_section, n_names, key=None):
+def _write_cache(path, trie, kb_digest, vocab_section, names_section, n_names, key=None):
     """A cache of these sections under a valid SHA-256, keyed by the names
     section's SHA-256 unless ``key`` is given."""
     ints = [
         np.asarray(a, dtype="<i4").tobytes()
         for a in (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)
     ]
-    dims = (trie.node_count, len(trie.child_keys), n_names, len(vocab_section), len(names_section), 0)
+    dims = (trie.node_count, len(trie.child_keys), n_names, len(vocab_section), len(names_section))
     key = key or hashlib.sha256(names_section).digest()
-    _CACHE.write(path, key, dims, [source.sha256, *ints, vocab_section, names_section])
+    _CACHE.write(path, key, dims, [kb_digest, *ints, vocab_section, names_section])
 
 
 def _assert_tag_rejects(tag, path, capsys, error="CacheMismatch"):
@@ -563,16 +560,16 @@ class TestCacheStructure:
     rejected on load, and ``tag --kb-cache`` on it exits 1 with one JSON line."""
 
     def test_untampered_cache_tags(self, tiny, tmp_path, capsys):
-        cat, vout, trie, tag, source = tiny
-        save_trie_cache(trie, tmp_path / "kb.trie", cat, source)
+        cat, vout, trie, tag, kb_digest = tiny
+        save_trie_cache(trie, tmp_path / "kb.trie", cat, kb_digest)
         assert main(tag + ["--kb-cache", str(tmp_path / "kb.trie")]) == 0
 
     def test_tag_with_cache_builds_no_vocabulary(self, tiny, tmp_path, capsys, monkeypatch):
         """With a cache, with or without --kb, ``tag`` makes no pass over the
         names: the output vocabulary is the cache's. It canonicalizes and
         looks no name up either: build-kb checked them."""
-        cat, vout, trie, tag, source = tiny
-        save_trie_cache(trie, tmp_path / "kb.trie", cat, source)
+        cat, vout, trie, tag, kb_digest = tiny
+        save_trie_cache(trie, tmp_path / "kb.trie", cat, kb_digest)
 
         def fail(*args, **kwargs):
             raise AssertionError("the output vocabulary was rebuilt, or a name canonicalized or looked up")
@@ -586,7 +583,7 @@ class TestCacheStructure:
 
     @pytest.mark.parametrize("tamper, message", TAMPERS)
     def test_tampered_cache_rejected(self, tiny, tmp_path, capsys, tamper, message):
-        cat, vout, trie, tag, source = tiny
+        cat, vout, trie, tag, kb_digest = tiny
         bad = dataclasses.replace(
             trie,
             terminal=trie.terminal.copy(),
@@ -596,9 +593,9 @@ class TestCacheStructure:
         )
         tamper(bad)
         path = tmp_path / "kb.trie"
-        save_trie_cache(bad, path, cat, source)
+        save_trie_cache(bad, path, cat, kb_digest)
         with pytest.raises(CacheMismatch, match=message):
-            load_trie_cache(path, source)
+            load_trie_cache(path, kb_digest)
         _assert_tag_rejects(tag, path, capsys)
 
     @pytest.mark.parametrize(
@@ -614,11 +611,11 @@ class TestCacheStructure:
     def test_bad_vocabulary_rejected(self, tiny, tmp_path, capsys, section, message):
         """A vocabulary section that is not distinct UTF-8 tokens, reserved
         first, covering every child key is rejected under a valid SHA-256."""
-        cat, vout, trie, tag, source = tiny
+        cat, vout, trie, tag, kb_digest = tiny
         path = tmp_path / "kb.trie"
-        _write_cache(path, trie, source, section(vout.tokens), nul_terminated(tuple(cat)), len(cat))
+        _write_cache(path, trie, kb_digest, section(vout.tokens), nul_terminated(tuple(cat)), len(cat))
         with pytest.raises(CacheMismatch, match=message):
-            load_trie_cache(path, source)
+            load_trie_cache(path, kb_digest)
         _assert_tag_rejects(tag, path, capsys)
 
     @pytest.mark.parametrize(
@@ -637,29 +634,30 @@ class TestCacheStructure:
         """A names section that does not hash to the key, is not strict UTF-8,
         or does not hold exactly the dims' count of names, each the name of one
         trie terminal, is rejected under a valid SHA-256."""
-        cat, vout, trie, tag, source = tiny
+        cat, vout, trie, tag, kb_digest = tiny
         path = tmp_path / "kb.trie"
         key = cat.content_hash() if key == "catalog" else None
-        _write_cache(path, trie, source, nul_terminated(vout.tokens), names, count, key)
+        _write_cache(path, trie, kb_digest, nul_terminated(vout.tokens), names, count, key)
         with pytest.raises(CacheMismatch, match=message):
-            load_trie_cache(path, source)
+            load_trie_cache(path, kb_digest)
         _assert_tag_rejects(tag, path, capsys)
         _assert_tag_rejects(_without_kb(tag), path, capsys)
 
     @pytest.mark.parametrize("other", ["other-bytes", "other-format"])
     def test_other_kb_rejected(self, tiny, tmp_path, capsys, other):
-        """``tag --kb`` with a KB file other than the cache's, by its bytes
-        (here the same names and a comment) or its format, exits 1 telling the
-        user to rebuild the cache; the KB file is not parsed."""
-        cat, vout, trie, tag, source = tiny
+        """``tag --kb`` with a KB file other than the cache's exits 1 telling the
+        user to rebuild the cache; the KB file is not parsed. Here the other
+        file holds the same names, after a comment or in the other layout, TSV."""
+        cat, vout, trie, tag, kb_digest = tiny
         path = tmp_path / "kb.trie"
-        save_trie_cache(trie, path, cat, source)
-        i = tag.index("--kb") + 1
+        save_trie_cache(trie, path, cat, kb_digest)
+        kb = tmp_path / "other.txt"
         if other == "other-bytes":
-            kb = tmp_path / "other.txt"
             kb.write_text("# a comment\n" + "".join(n + "\n" for n in TINY_NAMES), encoding="utf-8")
-            argv = [*tag[:i], str(kb), *tag[i + 1:]]
-        else:  # as TSV this KB file would be a MalformedLine
-            argv = tag + ["--kb-format", "tsv"]
+        else:
+            kb.write_text("".join(f"{i}\t{n}\n" for i, n in enumerate(TINY_NAMES)), encoding="utf-8")
+            assert list(EntityCatalog.load(kb)) == list(cat)
+        i = tag.index("--kb") + 1
+        argv = [*tag[:i], str(kb), *tag[i + 1:]]
         message = _assert_tag_rejects(argv, path, capsys)
         assert "rebuild it with build-kb" in message
