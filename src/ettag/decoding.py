@@ -20,8 +20,9 @@ the padding marks where a prefix starts. The decoder normalizes and selects
 every row the same way, whatever else shares its step, so it equals scoring
 one hypothesis at a time bit for bit at every beam, and a document's ranked
 list does not depend on its batch whenever the scorer's rows do not. The
-per-row fallback's rows never do; the bundled scorer's matrix product rounds
-by the call's row count, which moves scores in the last bits (about 1e-14).
+per-row fallback's rows never do, nor do the bundled scorer's on the BLAS
+build its tests name, so there a document's ranked list is bit for bit its
+own.
 """
 
 from __future__ import annotations

@@ -96,9 +96,13 @@ def build_target(
     order: Sequence[int],
     catalog: EntityCatalog,
 ) -> TokenSeq:
-    """name tokens, SEP between names, EOS at the end, names ordered by ``order``.
-    Each name is tokenized here, in the catalog's output vocabulary: training
-    never builds the name table."""
+    """name tokens, SEP between names, EOS at the end, names ordered by ``order``."""
+    return _join(_name_tokens(gold, order, catalog))
+
+
+def _name_tokens(gold: Iterable[int], order: Sequence[int], catalog: EntityCatalog) -> list[TokenSeq]:
+    """The tokens of each name in ``order``, a permutation of ``gold``, in the
+    catalog's output vocabulary: training never builds the name table."""
     gold_set = set(gold)
     if set(order) != gold_set or len(order) != len(gold_set):
         raise ValueError("order must be a permutation of gold")
@@ -106,9 +110,14 @@ def build_target(
         if not 0 <= eid < len(catalog):
             raise UnknownEntity(f"entity id {eid} outside catalog")
     vocab = catalog.output_vocab()
+    return [tokenize(catalog.name_of(eid), vocab, mode="output") for eid in order]
+
+
+def _join(names: Iterable[TokenSeq]) -> TokenSeq:
+    """The target spelling of tokenized names: SEP between them, EOS at the end."""
     out: TokenSeq = []
-    for eid in order:
-        out += [SEP, *tokenize(catalog.name_of(eid), vocab, mode="output")]
+    for tokens in names:
+        out += [SEP, *tokens]
     return out[1:] + [EOS]
 
 
@@ -245,21 +254,6 @@ class _Sgd:
         p -= self.lr * g
 
 
-def _example_order(
-    example: ETExample,
-    strategy: str,
-    rng: np.random.Generator,
-    catalog: EntityCatalog,
-) -> list[int]:
-    base = sorted(example.gold, key=catalog.name_of)
-    if strategy == "lexicographic":
-        return base
-    if strategy == "mention_order":
-        return list(example.require_order())
-    perm = sample_permutation(rng, len(base))
-    return [base[i] for i in perm]
-
-
 OPTIMIZERS = {"adam": _Adam, "sgd": _Sgd}
 ORDER_STRATEGIES = ("shuffle", "mention_order", "lexicographic")
 # an epoch whose mean loss exceeds this multiple of the uniform model's has diverged
@@ -276,7 +270,9 @@ def train(
     """Optimize the NLL of one freshly-ordered target per example per epoch,
     over the catalog's output vocabulary.
 
-    With the shuffle strategy a new uniform permutation is drawn every epoch;
+    Each example's gold names are ordered and tokenized before the first
+    epoch, in mention order or else in name order, and never read again. With
+    the shuffle strategy a step draws a new uniform permutation of them;
     mention_order and lexicographic targets are fixed. Returns the trained
     parameters and the per-epoch mean loss curve. Fully deterministic in the
     config seed. Raises InputError on an empty corpus, and when the optimizer
@@ -286,8 +282,12 @@ def train(
     if not corpus:
         raise InputError("empty training corpus")
     if config.order_strategy == "mention_order":
-        for ex in corpus:
-            ex.require_order()
+        orders = [ex.require_order() for ex in corpus]
+    else:
+        orders = [sorted(ex.gold, key=catalog.name_of) for ex in corpus]
+    names = [_name_tokens(ex.gold, ids, catalog) for ex, ids in zip(corpus, orders)]
+    fixed = [_join(tokens) for tokens in names]  # a target's length does not depend on its order
+    shuffle = config.order_strategy == "shuffle"
     rng = np.random.default_rng(config.seed)
     vocab_out = catalog.output_vocab()
     params = init_params(len(vocab_in), len(vocab_out), config.d, config.k, seed=config.seed)
@@ -300,23 +300,19 @@ def train(
 
     curve: list[float] = []
     n = len(corpus)
+    uniform = sum(map(len, fixed)) / n * math.log(len(vocab_out))
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        epoch_tokens = 0
         for lo in range(0, n, config.batch_size):
-            batch = [corpus[int(i)] for i in order[lo: lo + config.batch_size]]
-            targets = [
-                build_target(ex.gold, _example_order(ex, config.order_strategy, rng, catalog), catalog)
-                for ex in batch
-            ]
-            loss, grads = batch_backward(params, batch, targets, grads)
+            idx = order[lo: lo + config.batch_size].tolist()
+            targets = [_join([names[i][j] for j in sample_permutation(rng, len(names[i]))]) if shuffle else fixed[i]
+                       for i in idx]
+            loss, grads = batch_backward(params, [corpus[i] for i in idx], targets, grads)
             epoch_loss += loss
-            epoch_tokens += sum(map(len, targets))
-            grads.flat *= 1.0 / len(batch)  # the update follows the batch's mean gradient
+            grads.flat *= 1.0 / len(idx)  # the update follows the batch's mean gradient
             opt.step(params.flat, grads.flat)
         curve.append(epoch_loss / n)
-        uniform = epoch_tokens / n * math.log(len(vocab_out))
         if not (curve[-1] <= _DIVERGED * uniform and np.isfinite(params.flat).all()):
             raise InputError(
                 f"training diverged: epoch {epoch} ended with mean loss {curve[-1]} "
@@ -326,20 +322,35 @@ def train(
 
 
 class ToyScorer:
-    """Adapter exposing the Scorer contract over frozen parameters."""
+    """Adapter exposing the Scorer contract over frozen parameters.
+
+    A row's logits do not depend on the rows scored beside it. The projection
+    and bias are padded once with zero columns to a multiple of 8, and a lone
+    row is scored as two identical rows, so every call is a matrix-matrix
+    product whose rows round alike whatever their number (seen on numpy 2.4.6
+    with OpenBLAS 0.3.31, one and two threads; see the tests)."""
 
     def __init__(self, params: ToyModelParams):
-        self.params = params
+        self.params = self._padded = params
+        if pad := -params.v_out % 8:
+            v_out = params.v_out + pad
+            size = sum(map(math.prod, _shapes(params.d, params.k, params.v_in, v_out)))
+            self._padded = ToyModelParams(np.zeros(size), params.d, params.k, params.v_in, v_out)
+            for padded, a in zip(self._padded.arrays(), params.arrays()):
+                padded[tuple(map(slice, a.shape))] = a  # E_out gains zero rows too, which no token reads
 
     def encode(self, input_ids: Sequence[int]) -> np.ndarray:
         return encode_input(self.params, input_ids)
 
     def next_logprobs(self, encoding: np.ndarray, prefix: Sequence[int]) -> np.ndarray:
-        return next_logprobs(self.params, encoding, [prefix])[0]
+        return self.next_logprobs_batch([encoding], np.array([prefix], dtype=np.int64))[0]
 
     def next_logprobs_batch(self, encodings: Sequence[np.ndarray], prefixes: np.ndarray) -> np.ndarray:
         # the context window is BOS-padded on the left too, so the padded rows need no trimming
-        return next_logprobs(self.params, np.array(encodings), prefixes)
+        b, encodings = len(prefixes), np.array(encodings)
+        if b == 1:
+            encodings, prefixes = np.repeat(encodings, 2, axis=0), np.repeat(prefixes, 2, axis=0)
+        return next_logprobs(self._padded, encodings, prefixes)[:b, :self.params.v_out]
 
 
 _CHECKPOINT = SealedFormat(

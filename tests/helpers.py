@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from ettag.catalog import BOS, EOS, SEP, EntityCatalog, Vocabulary, canonicalize, nul_terminated, tokenize
 from ettag.decoding import DecodeConfig
 from ettag.errors import DuplicateName, InvalidName, MalformedLine, NoFinishedHypothesis, ScorerContractViolation
-from ettag.toy_model import ToyModelParams, _example_order, build_target, encode_input
+from ettag.toy_model import ToyModelParams, build_target, encode_input, sample_permutation
 from ettag.trie import FINISHED, ROOT, TokenTrie, TrieCursor, advance, allowed_tokens, build_trie
 
 
@@ -522,8 +522,10 @@ def reference_train(corpus, config, catalog, vocab_in):
     """The training loop one example at a time: ``reference_backward`` per
     example, gradients summed into a fresh buffer per batch, and Adam or SGD
     applied to the four arrays one by one. Initial weights are four draws in
-    turn. ``ettag.toy_model.train`` must return the same curve and weights
-    (bit for bit at batch size 1). No divergence check."""
+    turn. Each step orders and tokenizes its example's names anew: sorted by
+    name, in ``gold_order``, or a permutation of the sorted names.
+    ``ettag.toy_model.train`` must return the same curve and weights (bit for
+    bit at batch size 1). No divergence check."""
     rng = np.random.default_rng(config.seed)
     v_in, v_out, d, k = len(vocab_in), len(catalog.output_vocab()), config.d, config.k
     init = np.random.default_rng(config.seed)
@@ -542,7 +544,11 @@ def reference_train(corpus, config, catalog, vocab_in):
             acc = params.zeros_like()
             for idx in batch:
                 ex = corpus[int(idx)]
-                ex_order = _example_order(ex, config.order_strategy, rng, catalog)
+                ex_order = sorted(ex.gold, key=catalog.name_of)
+                if config.order_strategy == "mention_order":
+                    ex_order = list(ex.gold_order)
+                elif config.order_strategy == "shuffle":
+                    ex_order = [ex_order[i] for i in sample_permutation(rng, len(ex_order))]
                 loss, grads = reference_backward(params, ex, build_target(ex.gold, ex_order, catalog))
                 epoch_loss += loss
                 for a, g in zip(acc.arrays(), grads.arrays()):

@@ -472,14 +472,10 @@ class TestManyDocuments:
                 monkeypatch.setattr("ettag.decoding._GROUP_ROWS", group_rows)
                 got = beam_decode_many(scorer, trie, [inputs[j] for j in order], config)
                 assert len(got) == len(inputs)
+                # the toy scorer's rows are batch-invariant on the BLAS build numpy 2.4.6
+                # ships (OpenBLAS 0.3.31, AVX-512, one and two threads), so its scores are too
                 for j, ranked in zip(order, got):
-                    if kind == "toy":
-                        # ToyScorer's matrix product rounds by the call's row count in the BLAS
-                        # numpy ships, so its rows, and the scores built on them, move in the last bits
-                        assert [t for t, _ in ranked] == [t for t, _ in want[j]]
-                        np.testing.assert_allclose([s for _, s in ranked], [s for _, s in want[j]], rtol=0, atol=1e-12)
-                    else:
-                        assert ranked == want[j]
+                    assert ranked == want[j]
 
     def test_no_documents(self):
         cat, vout, trie = catalog_stack(EntityCatalog(["a b", "d"]))

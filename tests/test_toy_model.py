@@ -7,6 +7,7 @@ from ettag.errors import CorruptCheckpoint, InputError, InvalidConfig, MissingMe
 from ettag.ingest import ETExample, encode_examples
 from ettag.synthetic import synthetic_benchmark
 from ettag.toy_model import (
+    ORDER_STRATEGIES,
     ToyScorer,
     TrainConfig,
     backward,
@@ -113,7 +114,9 @@ class TestNextLogprobs:
 
 
     def test_batch_rows_match_single_rows(self, small_world):
-        # reference: the single-prefix form, one feature vector times W
+        # a lone prefix's logits equal its row of a batch bit for bit (seen on numpy
+        # 2.4.6 with OpenBLAS 0.3.31, AVX-512, one and two threads); the hand-written
+        # one-row product, one feature vector times W, rounds otherwise
         cat, vin, vout = small_world
         rng = np.random.default_rng(8)
         for seed in range(5):
@@ -131,7 +134,7 @@ class TestNextLogprobs:
                         prefix = padded[t - n:]
                         ctx = ([BOS] * params.k + prefix)[-params.k:]
                         want = np.concatenate((enc, params.e_out[ctx].ravel())) @ params.w + params.b
-                        np.testing.assert_array_equal(scorer.next_logprobs(enc, prefix), want)
+                        np.testing.assert_array_equal(scorer.next_logprobs(enc, prefix), row)
                         np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
 
 
@@ -500,6 +503,32 @@ class TestTrain:
             want, want_curve = reference_train(self._corpus(cat, vin) * 4, config, cat, vin)
             np.testing.assert_allclose(curve, want_curve, rtol=1e-9)
             np.testing.assert_allclose(params.flat, want.flat, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("strategy", ORDER_STRATEGIES)
+    def test_name_reads_do_not_grow_with_epochs(self, small_world, monkeypatch, strategy, batch_size):
+        cat, vin, vout = small_world
+        corpus = self._corpus(cat, vin)
+        calls = []
+        name_of = EntityCatalog.name_of
+        monkeypatch.setattr(EntityCatalog, "name_of", lambda self, eid: calls.append(eid) or name_of(self, eid))
+        counts = []
+        for epochs in (1, 4):
+            calls.clear()
+            train(corpus, TrainConfig(epochs=epochs, order_strategy=strategy, batch_size=batch_size, d=3, k=2),
+                  cat, vin)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("strategy", ORDER_STRATEGIES)
+    def test_gold_ids_are_checked_as_build_target_checks_them(self, small_world, strategy):
+        cat, vin, vout = small_world
+        config = TrainConfig(epochs=1, order_strategy=strategy, d=3, k=2)
+        with pytest.raises(UnknownEntity):  # name_of would read -1 as the last name
+            train([example(cat, vin, "red fox", {0, -1}, order=[0, -1])], config, cat, vin)
+        if strategy == "mention_order":
+            with pytest.raises(ValueError, match="permutation"):
+                train([example(cat, vin, "red fox", {0, 1}, order=[0])], config, cat, vin)
 
     def test_mention_order_requires_gold_order(self, small_world):
         cat, vin, vout = small_world
