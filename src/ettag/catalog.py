@@ -2,11 +2,10 @@
 
 The catalog is a bijection between dense integer ids (file order) and
 canonical entity names. In memory the catalog is one buffer, its names as
-NUL-terminated UTF-8: the bytes its content hash covers and a trie cache's
-names section, so a catalog read from a cache is a view of that section. A
-name is decoded when it is used: a pass over the names, such as the one
-that finds the ids of a set of names, decodes them a block at a time, so no
-string of every name is ever held.
+NUL-terminated UTF-8: a trie cache's names section, so a catalog read from a
+cache is a view of that section. A name is decoded when it is used: a pass
+over the names, such as the one that finds the ids of a set of names,
+decodes them a block at a time, so no string of every name is ever held.
 
 The tokenizer splits on whitespace and peels leading/trailing punctuation
 off each word; word-initial tokens carry a boundary marker so joining
@@ -111,9 +110,9 @@ def open_text(path) -> Iterator[TextIO]:
 
 
 def nul_terminated(strings: Sequence[str]) -> bytes:
-    """Each string as UTF-8 followed by a NUL byte: the bytes a content hash
-    covers, the form an EntityCatalog holds its names in, and the checkpoint's
-    input-vocabulary section."""
+    """Each string as UTF-8 followed by a NUL byte: the bytes a vocabulary's
+    content hash covers, the form an EntityCatalog holds its names in, and the
+    checkpoint's input-vocabulary section."""
     return "\0".join((*strings, "")).encode("utf-8")
 
 
@@ -152,14 +151,14 @@ def read_vocabulary(section: bytes) -> Vocabulary | None:
     return vocab if nul_terminated(vocab.tokens) == section else None
 
 
-def read_catalog(section, count: int, vocab: Vocabulary | None = None) -> EntityCatalog | None:
+def read_catalog(section, vocab: Vocabulary | None = None) -> EntityCatalog | None:
     """The catalog whose names ``nul_terminated`` wrote as ``section``, taken as
     checked, with output vocabulary ``vocab`` if given; None unless the section
-    is strict UTF-8 holding exactly ``count`` names, a section with a byte past
-    ASCII checked by a pass over its blocks. The catalog holds ``section``
-    itself, not a copy, and decodes a name only when it is used."""
+    is strict UTF-8 and each of its names ends in a NUL, a section with a byte
+    past ASCII checked by a pass over its blocks. The catalog holds
+    ``section`` itself, not a copy, and decodes a name only when it is used."""
     ends = _nul_positions(section)
-    if len(ends) != count or len(section) != (ends[-1] + 1 if count else 0):
+    if len(section) != (ends[-1] + 1 if len(ends) else 0):
         return None
     catalog = EntityCatalog.__new__(EntityCatalog)
     catalog.names_section, catalog._ends, catalog._vocab = section, ends, vocab
@@ -297,9 +296,6 @@ class EntityCatalog:
             if len(found) == len(wanted):
                 break
         return found
-
-    def content_hash(self) -> bytes:
-        return hashlib.sha256(self.names_section).digest()
 
     def _decode(self, lo: int, hi: int) -> list[str]:
         """Names ``lo`` up to ``hi`` (``lo < hi``), decoded from the section."""

@@ -36,7 +36,7 @@ from .ingest import (
     write_jsonl,
 )
 from .metrics import REPORT_STYLES, format_report, score_predictions
-from .toy_model import OPTIMIZERS, ORDER_STRATEGIES, ToyScorer, TrainConfig, load_checkpoint, save_checkpoint, train
+from .toy_model import ORDER_STRATEGIES, ToyScorer, TrainConfig, load_checkpoint, save_checkpoint, train
 from .trie import build_trie, load_trie_cache, save_trie_cache, trie_stats
 
 
@@ -340,7 +340,6 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--optimizer", choices=list(OPTIMIZERS), default=None)
     p.add_argument("--dim", type=int, default=None, help="embedding dimension")
     p.add_argument("--window", type=int, default=None, help="decoder context window")
 

@@ -1,7 +1,9 @@
 """The framing shared by trie caches and model checkpoints: an 8-byte magic
-(so the 72-byte header keeps the sections after it aligned), the 32-byte key
-of the KB the file was made for, a SHA-256 of the key and of every byte after
-the hash, a struct of dims, then the sections whose lengths the dims declare."""
+(so the 72-byte header keeps the sections after it aligned), a 32-byte key
+naming what the file was made for, a SHA-256 of the key and of every byte
+after the hash, a struct of dims, then the sections whose lengths the dims
+declare. A trie cache's key is the SHA-256 of its KB file, a checkpoint's
+that of its output vocabulary, and ``read`` checks the key it is given."""
 
 import hashlib
 import struct
@@ -21,8 +23,12 @@ class SealedFormat:
     sections: Callable[..., Sequence[int] | None]  # each section's bytes, None for impossible dims
 
     def write(self, path, key: bytes, dims: Sequence[int], sections: Sequence) -> None:
-        """Write the file; each section is any contiguous bytes-like object, written without a copy."""
-        head = self.dims.pack(*dims)
+        """Write the file; each section is any contiguous bytes-like object, written without a copy.
+        Raises InputError, creating no file, for dims the struct cannot hold."""
+        try:
+            head = self.dims.pack(*dims)
+        except struct.error:
+            raise InputError(f"{path}: a {self.what} cannot hold dims {tuple(dims)}") from None
         digest = hashlib.sha256(key + head)
         for section in sections:
             digest.update(section)
@@ -30,9 +36,9 @@ class SealedFormat:
             f.write(self.magic + key + digest.digest() + head)
             f.writelines(sections)
 
-    def read(self, path, key: bytes | None) -> tuple[bytes, tuple[int, ...], list[memoryview]]:
-        """The key, dims and sections of a file; ``error`` unless the magic, the
-        length the dims imply, the SHA-256 and then the key, when one is given, match."""
+    def read(self, path, key: bytes | None) -> tuple[tuple[int, ...], list[memoryview]]:
+        """The dims and sections of a file; ``error`` unless the magic, the length
+        the dims imply, the SHA-256 and then the key, when one is given, match."""
         with open(path, "rb") as f:
             blob = memoryview(f.read())
         start = 72 + self.dims.size
@@ -49,4 +55,4 @@ class SealedFormat:
         if key is not None and blob[8:40] != key:
             raise self.error(f"{path}: {self.what} was made for a different KB")
         ends = list(accumulate(sizes, initial=start))
-        return bytes(blob[8:40]), dims, [blob[a:b] for a, b in zip(ends, ends[1:])]
+        return dims, [blob[a:b] for a, b in zip(ends, ends[1:])]

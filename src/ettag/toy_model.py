@@ -204,7 +204,6 @@ class TrainConfig:
     lr: float = 1e-2
     order_strategy: str = "shuffle"  # one of ORDER_STRATEGIES
     batch_size: int = 1
-    optimizer: str = "adam"  # a key of OPTIMIZERS
     d: int = 32
     k: int = 3
 
@@ -216,8 +215,6 @@ class TrainConfig:
             raise InvalidConfig(f"lr must be a finite number > 0, got {lr!r}")
         if self.order_strategy not in ORDER_STRATEGIES:
             raise InvalidConfig(f"unknown order_strategy {self.order_strategy!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise InvalidConfig(f"unknown optimizer {self.optimizer!r}")
 
 
 class _Adam:
@@ -246,15 +243,6 @@ class _Adam:
         p -= r
 
 
-class _Sgd:
-    def __init__(self, flat: np.ndarray, lr: float):
-        self.lr = lr
-
-    def step(self, p: np.ndarray, g: np.ndarray) -> None:
-        p -= self.lr * g
-
-
-OPTIMIZERS = {"adam": _Adam, "sgd": _Sgd}
 ORDER_STRATEGIES = ("shuffle", "mention_order", "lexicographic")
 # an epoch whose mean loss exceeds this multiple of the uniform model's has diverged
 _DIVERGED = 10.0
@@ -267,8 +255,8 @@ def train(
     catalog: EntityCatalog,
     vocab_in: Vocabulary,
 ) -> tuple[ToyModelParams, list[float]]:
-    """Optimize the NLL of one freshly-ordered target per example per epoch,
-    over the catalog's output vocabulary.
+    """Optimize with Adam the NLL of one freshly-ordered target per example
+    per epoch, over the catalog's output vocabulary.
 
     Each example's gold names are ordered and tokenized before the first
     epoch, in mention order or else in name order, and never read again. With
@@ -291,7 +279,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     vocab_out = catalog.output_vocab()
     params = init_params(len(vocab_in), len(vocab_out), config.d, config.k, seed=config.seed)
-    opt = OPTIMIZERS[config.optimizer](params.flat, config.lr)
+    opt = _Adam(params.flat, config.lr)
     # the first step allocates the gradient buffer and each later one rewrites it
     # whole; allocated up front, before any step's temporaries, it left the heap
     # to be released and faulted in again every step (several times the page faults
@@ -375,7 +363,7 @@ def load_checkpoint(path, vocab_out: Vocabulary) -> tuple[ToyModelParams, Vocabu
     vocabulary section spells V_in distinct tokens (reserved first) and every
     weight is finite; a checkpoint for another output vocabulary is rejected
     too."""
-    _, (d, k, v_in, v_out, _), (vocab, weights) = _CHECKPOINT.read(path, vocab_out.content_hash())
+    (d, k, v_in, v_out, _), (vocab, weights) = _CHECKPOINT.read(path, vocab_out.content_hash())
     vocab_in = read_vocabulary(bytes(vocab))
     if vocab_in is None or len(vocab_in) != v_in:
         raise CorruptCheckpoint(f"{path}: bad vocabulary section")

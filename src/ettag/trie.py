@@ -43,14 +43,13 @@ from .sealed import SealedFormat
 ROOT = 0
 FINISHED = -1
 
-# key: the SHA-256 of the names section, the catalog's content hash.
-# dims (n nodes, e edges, m names, v vocabulary bytes, w names bytes); sections:
-# the KB file's SHA-256 (32 bytes), terminal, child counts (n), child keys, child
-# values (e) as int32, then the output vocabulary (v) and the catalog's names (w),
-# each NUL-terminated UTF-8
+# key: the SHA-256 of the KB file the cache was built from.
+# dims (n nodes, e edges, v vocabulary bytes, w names bytes); sections: terminal,
+# child counts (n), child keys, child values (e) as int32, then the output
+# vocabulary (v) and the catalog's names (w), each NUL-terminated UTF-8
 _CACHE = SealedFormat(
-    b"ETRIE5\0\0", "trie cache", CacheMismatch, struct.Struct("<iiiii"),
-    lambda n, e, m, v, w: (32, 4 * n, 4 * n, 4 * e, 4 * e, v, w) if n >= 1 and min(e, m, v, w) >= 0 else None,
+    b"ETRIE6\0\0", "trie cache", CacheMismatch, struct.Struct("<iiii"),
+    lambda n, e, v, w: (4 * n, 4 * n, 4 * e, 4 * e, v, w) if n >= 1 and min(e, v, w) >= 0 else None,
 )
 
 TrieCursor = int  # a position in the automaton is its node; ROOT is the entity boundary, FINISHED follows EOS
@@ -326,15 +325,16 @@ def trie_stats(trie: TokenTrie) -> dict[str, int]:
 
 
 def save_trie_cache(trie: TokenTrie, path, catalog: EntityCatalog, kb_sha256: bytes) -> None:
-    """Write the ``ETRIE5`` cache of ``trie``, the output vocabulary of ``catalog``
-    and its names as it holds them, read from the KB file whose SHA-256 is ``kb_sha256``."""
+    """Write the ``ETRIE6`` cache of ``trie``, the output vocabulary of ``catalog``
+    and its names as it holds them, keyed by ``kb_sha256``, the SHA-256 of the KB
+    file they were read from."""
     counts = np.subtract(trie.child_start[1:], trie.child_start[:-1], dtype=np.int32)
     ints = (trie.terminal, counts, trie.child_keys, trie.child_vals)
     tokens, names = nul_terminated(catalog.output_vocab().tokens), catalog.names_section
-    dims = (trie.node_count, len(trie.child_keys), len(catalog), len(tokens), len(names))
+    dims = (trie.node_count, len(trie.child_keys), len(tokens), len(names))
     # the int32 arrays go out as buffers: hashing and writing them makes no copy
-    sections = [kb_sha256, *(np.asarray(a, dtype="<i4") for a in ints), tokens, names]
-    _CACHE.write(path, catalog.content_hash(), dims, sections)
+    sections = [*(np.asarray(a, dtype="<i4") for a in ints), tokens, names]
+    _CACHE.write(path, kb_sha256, dims, sections)
 
 
 def load_trie_cache(path, kb_sha256: bytes | None = None) -> tuple[EntityCatalog, TokenTrie]:
@@ -342,21 +342,17 @@ def load_trie_cache(path, kb_sha256: bytes | None = None) -> tuple[EntityCatalog
     catalog is a view of the cache's names section and holds its output
     vocabulary. Raises CacheMismatch unless the file is intact, was built from
     the KB file whose SHA-256 is ``kb_sha256`` when one is given, and holds
-    names that hash to its key, a vocabulary covering the trie and a
-    well-formed trie over the names."""
-    key, (_, _, n_names, _, _), (built_from, terminal, counts, keys, vals, vocab, names) = _CACHE.read(path, None)
-    if kb_sha256 is not None and built_from != kb_sha256:
-        raise CacheMismatch(f"{path}: built from a KB file with other bytes; rebuild it with build-kb")
+    strict UTF-8 names, a vocabulary covering the trie and a well-formed trie
+    whose terminals are the names."""
+    _, (terminal, counts, keys, vals, vocab, names) = _CACHE.read(path, kb_sha256)
     vocab = read_vocabulary(bytes(vocab))
-    catalog = read_catalog(names, n_names, vocab)
+    catalog = read_catalog(names, vocab)
     if catalog is None:
         raise CacheMismatch(f"{path}: bad names section")
-    if catalog.content_hash() != key:
-        raise CacheMismatch(f"{path}: names section does not match the key")
     if vocab is None:
         raise CacheMismatch(f"{path}: bad vocabulary section")
     arrays = (np.frombuffer(a, dtype="<i4") for a in (terminal, counts, keys, vals))
     try:
-        return catalog, TokenTrie.from_arrays(*arrays, n_names, len(vocab))
+        return catalog, TokenTrie.from_arrays(*arrays, len(catalog), len(vocab))
     except CacheMismatch as exc:
         raise CacheMismatch(f"{path}: {exc}") from None

@@ -520,8 +520,8 @@ def reference_backward(params: ToyModelParams, example, target):
 
 def reference_train(corpus, config, catalog, vocab_in):
     """The training loop one example at a time: ``reference_backward`` per
-    example, gradients summed into a fresh buffer per batch, and Adam or SGD
-    applied to the four arrays one by one. Initial weights are four draws in
+    example, gradients summed into a fresh buffer per batch, and Adam applied
+    to the four arrays one by one. Initial weights are four draws in
     turn. Each step orders and tokenizes its example's names anew: sorted by
     name, in ``gold_order``, or a permutation of the sorted names.
     ``ettag.toy_model.train`` must return the same curve and weights (bit for
@@ -558,9 +558,6 @@ def reference_train(corpus, config, catalog, vocab_in):
             steps += 1
             c1, c2 = 1.0 - b1 ** steps, 1.0 - b2 ** steps
             for p, g, mm, vv in zip(params.arrays(), acc.arrays(), m.arrays(), v.arrays()):
-                if config.optimizer == "sgd":
-                    p -= config.lr * g
-                    continue
                 mm *= b1
                 mm += (1 - b1) * g
                 vv *= b2

@@ -184,14 +184,16 @@ class TestVocabulary:
                 assert tok not in RESERVED_TOKENS
 
     def test_content_hashes_pinned(self):
-        """Both content hashes keep the digests of earlier versions, so the
-        trie caches and checkpoints they key still load."""
+        """The vocabularies' content hashes keep the digests of earlier
+        versions, so the checkpoints they key still load, and the catalog's
+        names section, which a trie cache holds, keeps its bytes."""
         cat = EntityCatalog(["Solar System", "Earth", "Zürich", "Astronomy & Astrophysics", "東京"])
         vin, vout = build_vocabularies(cat, ["the Earth orbits, Zürich", "naïve café"])
-        assert cat.content_hash().hex() == "a8f2b491cb22f95ced6915f9614883cc10c7ebe5141c565806da286abc3205d4"
+        names_sha256 = hashlib.sha256(cat.names_section).hexdigest()
+        assert names_sha256 == "a8f2b491cb22f95ced6915f9614883cc10c7ebe5141c565806da286abc3205d4"
         assert vout.content_hash().hex() == "46ca477f0a9a4dd13b81502b3af33a25cd0f9e49629bafee4ae6bd13bb3f3cfa"
         assert vin.content_hash().hex() == "a98c7836f2e857a87c74924f7a89189de09608515a6a97f79d0ea7c240015d0a"
-        assert EntityCatalog([]).content_hash() == hashlib.sha256(b"").digest()
+        assert EntityCatalog([]).names_section == b""
 
 
 class TestCatalog:
@@ -239,7 +241,7 @@ class TestCatalog:
         assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
         want, got = EntityCatalog.load(plain), EntityCatalog.load(marked)
         assert list(got) == list(want) == ["Earth", "Parsec"]
-        assert got.content_hash() == want.content_hash()
+        assert got.names_section == want.names_section
 
     def test_tsv_requires_tab(self, tmp_path):
         """A first name line with a tab makes the file TSV, so every later name line needs one."""
@@ -257,22 +259,20 @@ class TestCatalog:
 
     def test_read_catalog_looks_names_up(self):
         names = ["Earth", "Black hole", "São Paulo"]
-        cat = read_catalog(nul_terminated(names), 3)
-        assert tuple(cat) == tuple(names)
+        cat = read_catalog(nul_terminated(names))
+        assert len(cat) == 3 and tuple(cat) == tuple(names)
         assert cat.ids_of(["Black hole", "Mars"]) == {"Black hole": 1} and "São Paulo" in cat and "Mars" not in cat
-        assert cat.content_hash() == EntityCatalog(names).content_hash()
+        assert cat.names_section == EntityCatalog(names).names_section
 
     def test_read_catalog_holds_a_given_vocabulary(self, monkeypatch):
         vocab = EntityCatalog(["Earth", "Black hole"]).output_vocab()
-        cat = read_catalog(nul_terminated(["Earth", "Black hole"]), 2, vocab)
+        cat = read_catalog(nul_terminated(["Earth", "Black hole"]), vocab)
         monkeypatch.setattr(EntityCatalog, "_tokenize_words", None)  # no pass over the names
         assert cat.output_vocab() is vocab
 
-    @pytest.mark.parametrize("section, count", [
-        (b"Earth\0Mars\0", 3), (b"Earth\0Mars\0", 1), (b"Earth\0Mars", 2), (b"Earth\0\xe2\x96\0", 2),
-    ], ids=["too-few", "too-many", "no-final-nul", "not-utf8"])
-    def test_read_catalog_rejects(self, section, count):
-        assert read_catalog(section, count) is None
+    @pytest.mark.parametrize("section", [b"Earth\0Mars", b"Earth\0\xe2\x96\0"], ids=["no-final-nul", "not-utf8"])
+    def test_read_catalog_rejects(self, section):
+        assert read_catalog(section) is None
 
     def test_read_catalog_checks_non_ascii_a_block_at_a_time(self):
         """A 200,000-name section holding one character outside the BMP is checked
@@ -286,14 +286,14 @@ class TestCatalog:
         gc.collect()
         tracemalloc.start()
         try:
-            catalog = read_catalog(section, len(names))
+            catalog = read_catalog(section)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert catalog is not None and catalog.name_of(len(names) // 3).endswith(" 🚀")
         assert peak / len(section) < 1
         middle = section.index(b"\0", len(section) // 2) - 1  # the last byte of a name
-        assert read_catalog(section[:middle] + b"\xff" + section[middle + 1:], len(names)) is None
+        assert read_catalog(section[:middle] + b"\xff" + section[middle + 1:]) is None
 
     def test_separator_glyph_rejected(self):
         with pytest.raises(InvalidName):
@@ -430,7 +430,7 @@ def test_a_catalog_read_from_a_trie_cache_is_the_kb_files(tmp_path, names):
             with pytest.raises(IndexError):
                 catalog.name_of(entity_id)
     assert got.ids_of([*names, "Mars Colony", ""]) == {name: i for i, name in enumerate(names)}
-    assert got.content_hash() == want.content_hash()
+    assert got.names_section == want.names_section
     assert got.output_vocab().tokens == want.output_vocab().tokens
     got_table, want_table = got.name_table(), want.name_table()
     assert np.array_equal(got_table.offsets, want_table.offsets) and np.array_equal(got_table.ids, want_table.ids)
@@ -679,10 +679,10 @@ class TestStreamedLoad:
         kb.write_text("\n".join(names), encoding="utf-8")
         dup_kb.write_text("\n".join(names + names[::-3] + [" name  3 x x x "]), encoding="utf-8")
         script = (
-            "import sys\n"
+            "import hashlib, sys\n"
             "from ettag.catalog import EntityCatalog\n"
             "from ettag.errors import DuplicateName\n"
-            "print(EntityCatalog.load(sys.argv[1]).content_hash().hex())\n"
+            "print(hashlib.sha256(EntityCatalog.load(sys.argv[1]).names_section).hexdigest())\n"
             "try:\n"
             "    EntityCatalog.load(sys.argv[2])\n"
             "except DuplicateName as exc:\n"
@@ -695,7 +695,7 @@ class TestStreamedLoad:
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         want = [names[i] for i in range(len(names) - 1, -1, -3)] + ["name 3 x x x"]
-        assert outputs[0] == outputs[1] == f"{EntityCatalog(names).content_hash().hex()}\n{want}\n"
+        assert outputs[0] == outputs[1] == f"{hashlib.sha256(EntityCatalog(names).names_section).hexdigest()}\n{want}\n"
 
     def test_loading_holds_little_past_the_file(self, kb_200k):
         """Loading a 200,000-name KB peaks, under tracemalloc, below 4.5 times the

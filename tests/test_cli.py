@@ -4,7 +4,9 @@ import csv
 import dataclasses
 import json
 import os
+import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -806,13 +808,13 @@ class TestErrorHandling:
         model = tmp_path / "m.bin"
         argv = ["train", "--train", str(world["train"]), "--kb", str(world["kb"]), "--model-out", str(model)]
         capsys.readouterr()
-        assert main(argv + ["--optimizer", "sgd", "--lr", "1e6", "--epochs", "3"]) == 1
+        assert main(argv + ["--lr", "1e6", "--epochs", "3"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "InputError"
         assert list(tmp_path.iterdir()) == []
 
     def test_finite_divergent_training_exit_1(self, tmp_path, capsys):
-        # the mean loss explodes past 1e50 but stays finite
+        # the mean loss explodes to about 1e12 in epoch 1 but stays finite
         kb, corpus, out = tmp_path / "kb.txt", tmp_path / "train.jsonl", tmp_path / "out"
         kb.write_text("red fox\nblue jay\ngreen frog\n", encoding="utf-8")
         corpus.write_text(
@@ -822,7 +824,7 @@ class TestErrorHandling:
         )
         out.mkdir()
         argv = ["train", "--train", str(corpus), "--kb", str(kb), "--model-out", str(out / "m.bin"),
-                "--optimizer", "sgd", "--lr", "1e6", "--epochs", "3", "--dim", "6", "--window", "2"]
+                "--lr", "1e6", "--epochs", "3", "--dim", "6", "--window", "2"]
         capsys.readouterr()
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
@@ -1230,6 +1232,17 @@ class TestConfigFile:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InputError" and "beams" in err["message"]
 
+    def test_optimizer_config_key_exit_1(self, world, tmp_path, capsys):
+        """Adam is the one optimizer, so ``optimizer`` is no setting of ``train``."""
+        cfg, model = tmp_path / "cfg.json", tmp_path / "m.bin"
+        cfg.write_text(json.dumps({"train": {"optimizer": "adam"}}), encoding="utf-8")
+        argv = ["train", "--train", str(world["train"]), "--kb", str(world["kb"]), "--model-out", str(model)]
+        capsys.readouterr()
+        assert main(["--config", str(cfg), *argv]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InputError", "message": "config section 'train': unknown keys ['optimizer']"}
+        assert not model.exists()
+
     @pytest.mark.parametrize("section, value", [("tagg", {"beam": 0}), ("tag", 5), ("build_kb", [])])
     def test_every_section_is_a_command_object(self, world, tmp_path, capsys, section, value):
         """A section named after no command, or one that is not an object,
@@ -1302,6 +1315,23 @@ def test_every_default_lives_in_one_place():
             assert action.default is None, (name, action.dest)
             if name in ("tag", "train", "ablate-beam", "ablate-order") and action.dest not in NON_CONFIG_DESTS:
                 assert _FIELD_OF.get(action.dest, action.dest) in fields, (name, action.dest)
+
+
+def test_readme_commands_parse():
+    """Every ``ettag`` command in the README's bash blocks, its continuation
+    lines joined, parses with the CLI's parser (none is run), and together
+    they show every command. A flag the CLI drops fails here if the README
+    still shows it."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```bash\n(.*?)^```", readme, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("ettag "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    for argv in commands:
+        build_parser().parse_args(argv)
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in commands} == set(subparsers.choices)
 
 
 class TestOtherFormats:

@@ -430,7 +430,6 @@ class TestTrain:
             config = TrainConfig(
                 epochs=3, seed=seed, lr=0.05,
                 order_strategy=("shuffle", "mention_order", "lexicographic")[seed % 3],
-                optimizer=("adam", "sgd")[seed % 2],
                 batch_size=1 + seed % 3, d=6, k=2,
             )
             _, curve = train(corpus, config, cat, vin)
@@ -482,23 +481,21 @@ class TestTrain:
             example(cat, vin, "blue jay blue jay", {1}, order=[1]),
         ]
 
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    @pytest.mark.parametrize("strategy", ["shuffle", "mention_order", "lexicographic"])
-    def test_batch_one_is_the_reference_bit_for_bit(self, small_world, optimizer, strategy):
+    # each id names the optimizer too: the reference steps Adam as train does
+    @pytest.mark.parametrize("strategy", ["shuffle", "mention_order", "lexicographic"], ids=lambda s: f"{s}-adam")
+    def test_batch_one_is_the_reference_bit_for_bit(self, small_world, strategy):
         cat, vin, vout = small_world
-        config = TrainConfig(epochs=6, seed=4, lr=0.05, order_strategy=strategy, optimizer=optimizer, d=5, k=3)
+        config = TrainConfig(epochs=6, seed=4, lr=0.05, order_strategy=strategy, d=5, k=3)
         params, curve = train(self._corpus(cat, vin), config, cat, vin)
         want, want_curve = reference_train(self._corpus(cat, vin), config, cat, vin)
         assert curve == want_curve
         assert params.flat.tobytes() == want.flat.tobytes()
 
-    @pytest.mark.parametrize("batch_size", [2, 4, 16])
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    def test_larger_batches_follow_the_reference(self, small_world, optimizer, batch_size):
+    @pytest.mark.parametrize("batch_size", [2, 4, 16], ids=lambda b: f"adam-{b}")
+    def test_larger_batches_follow_the_reference(self, small_world, batch_size):
         cat, vin, vout = small_world
         for strategy in ("shuffle", "mention_order", "lexicographic"):
-            config = TrainConfig(epochs=6, seed=5, lr=0.05, order_strategy=strategy, optimizer=optimizer,
-                                 batch_size=batch_size, d=5, k=3)
+            config = TrainConfig(epochs=6, seed=5, lr=0.05, order_strategy=strategy, batch_size=batch_size, d=5, k=3)
             params, curve = train(self._corpus(cat, vin) * 4, config, cat, vin)
             want, want_curve = reference_train(self._corpus(cat, vin) * 4, config, cat, vin)
             np.testing.assert_allclose(curve, want_curve, rtol=1e-9)
@@ -540,25 +537,26 @@ class TestTrain:
     def test_divergence_raises(self, small_world):
         cat, vin, vout = small_world
         corpus = [example(cat, vin, "red fox", {0}), example(cat, vin, "blue jay green frog", {1, 2})]
-        config = TrainConfig(epochs=3, optimizer="sgd", lr=1e200, d=6, k=2)
+        config = TrainConfig(epochs=3, lr=1e200, d=6, k=2)
         with pytest.raises(InputError, match="diverged"):
             train(corpus, config, cat, vin)
 
     def test_non_finite_weights_after_the_last_update_raise(self, small_world):
         # the epoch's loss is taken before its last update, so only the weights
         # show that this update overflowed: SEP occurs twice in the target, its
-        # bias gradient is below -1, and 1.79e308 times that is inf
+        # bias gradient is below -1, and Adam's first step multiplies lr by that
+        # gradient before it divides by its magnitude, so 1.79e308 times it is inf
         cat, vin, vout = small_world
         corpus = [example(cat, vin, "red fox blue jay green frog", {0, 1, 2})]
-        config = TrainConfig(epochs=1, optimizer="sgd", lr=1.79e308, order_strategy="lexicographic", d=6, k=2)
+        config = TrainConfig(epochs=1, lr=1.79e308, order_strategy="lexicographic", d=6, k=2)
         with pytest.raises(InputError, match="diverged"):
             train(corpus, config, cat, vin)
 
     def test_finite_divergence_raises(self, small_world):
-        # the mean loss reaches 4e54 by epoch 3 but stays finite
+        # the mean loss reaches about 1e12 in epoch 1 but stays finite
         cat, vin, vout = small_world
         corpus = [example(cat, vin, "red fox", {0}), example(cat, vin, "blue jay green frog", {1, 2})]
-        config = TrainConfig(epochs=3, optimizer="sgd", lr=1e6, d=6, k=2)
+        config = TrainConfig(epochs=3, lr=1e6, d=6, k=2)
         with pytest.raises(InputError, match="diverged"):
             train(corpus, config, cat, vin)
 
@@ -661,7 +659,7 @@ class TestCheckpoint:
 @pytest.mark.parametrize(
     "kwargs",
     [{"epochs": 0}, {"batch_size": -1}, {"d": 0}, {"k": 0}, {"seed": -1}, {"lr": 0.0},
-     {"lr": float("nan")}, {"epochs": 2.0}, {"optimizer": "rmsprop"}],
+     {"lr": float("nan")}, {"epochs": 2.0}, {"order_strategy": "random"}],
 )
 def test_train_config_rejects_out_of_range(kwargs):
     with pytest.raises(InvalidConfig):

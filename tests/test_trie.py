@@ -21,7 +21,7 @@ from ettag.catalog import (
 )
 from ettag.cli import main
 from ettag.decoding import DecodeConfig
-from ettag.errors import CacheMismatch, CorruptCheckpoint, DisallowedToken, EmptyCatalog
+from ettag.errors import CacheMismatch, CorruptCheckpoint, DisallowedToken, EmptyCatalog, InputError
 from ettag.synthetic import synthetic_kb_names
 from ettag.toy_model import ToyModelParams, init_params, load_checkpoint, save_checkpoint
 from ettag.trie import (
@@ -336,7 +336,7 @@ class TestCache:
         path = tmp_path / "kb.trie"
         save_trie_cache(trie, path, cat, KB_DIGEST)
         loaded_cat, loaded = load_trie_cache(path, KB_DIGEST)
-        assert tuple(loaded_cat) == tuple(cat) and loaded_cat.content_hash() == cat.content_hash()
+        assert tuple(loaded_cat) == tuple(cat) and loaded_cat.names_section == cat.names_section
         assert loaded_cat.output_vocab().tokens == vout.tokens
         assert trie_stats(loaded) == trie_stats(trie)
         for field in TRIE_ARRAYS:
@@ -389,42 +389,64 @@ class TestCache:
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth", "Mars"]))
         path = tmp_path / "kb.trie"
         save_trie_cache(trie, path, cat, KB_DIGEST)
-        with pytest.raises(CacheMismatch, match="other bytes; rebuild it with build-kb"):
+        with pytest.raises(CacheMismatch, match="trie cache was made for a different KB"):
             load_trie_cache(path, bytes(32))
         assert tuple(load_trie_cache(path)[0]) == ("Earth", "Mars")
+
+    def test_a_load_hashes_the_file_once(self, tmp_path, monkeypatch):
+        """The seal is the one SHA-256 a load computes: the names it covers are not hashed again."""
+        cat, vout, trie = catalog_stack(EntityCatalog(["Earth", "Mars"]))
+        path = tmp_path / "kb.trie"
+        save_trie_cache(trie, path, cat, KB_DIGEST)
+        calls = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda *data: calls.append(data) or sha256(*data))
+        load_trie_cache(path, KB_DIGEST)
+        assert len(calls) == 1
+
+    def test_dims_too_large_to_write(self, tmp_path):
+        """A dim past int32, such as a names section of 2 GiB or more, is an
+        InputError naming the file, the artifact and the dims; no file is made."""
+        path = tmp_path / "kb.trie"
+        with pytest.raises(InputError, match=r"kb\.trie: a trie cache cannot hold dims \(2147483648, 0, 0, 0\)"):
+            _CACHE.write(path, bytes(32), (2**31, 0, 0, 0), [])
+        assert not path.exists()
 
     def test_not_a_cache(self, tmp_path):
         cat, vout, trie = catalog_stack(EntityCatalog(["Earth"]))
         path = tmp_path / "junk"
         save_trie_cache(trie, path, cat, KB_DIGEST)
         # the magics of the earlier formats
-        earlier = [magic + path.read_bytes()[6:] for magic in (b"ETRIE2", b"ETRIE3", b"ETRIE4")]
+        earlier = [magic + path.read_bytes()[6:] for magic in (b"ETRIE2", b"ETRIE3", b"ETRIE4", b"ETRIE5")]
         for junk in (b"hello world", *earlier):
             path.write_bytes(junk)
             with pytest.raises(CacheMismatch, match="not a trie cache"):
                 load_trie_cache(path)
 
     def test_sections_equal_the_built_trie(self, tmp_path):
-        """After the 92-byte header come the KB file's SHA-256, the int32
-        sections, which are the trie's own arrays, the catalog's output
-        vocabulary and its names, whose SHA-256 is the key."""
+        """The key is the KB file's SHA-256, and after the 88-byte header come
+        the int32 sections, which are the trie's own arrays, the catalog's
+        output vocabulary and its names."""
         cat, vout, trie = catalog_stack(random_catalog(np.random.default_rng(5), 40))
         path = tmp_path / "kb.trie"
         save_trie_cache(trie, path, cat, KB_DIGEST)
         blob = path.read_bytes()
-        assert blob[8:40] == cat.content_hash() and blob[92:124] == KB_DIGEST
+        assert blob[8:40] == KB_DIGEST
         n, n_edges = trie.node_count, len(trie.child_keys)
-        ints = np.frombuffer(blob, dtype="<i4", offset=124, count=2 * (n + n_edges))
+        ints = np.frombuffer(blob, dtype="<i4", offset=88, count=2 * (n + n_edges))
         expected = (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)
         assert ints.tobytes() == b"".join(np.asarray(a, dtype="<i4").tobytes() for a in expected)
         vocab, names = nul_terminated(vout.tokens), nul_terminated(tuple(cat))
-        assert blob[124 + 4 * len(ints):] == vocab + names
+        assert blob[88 + 4 * len(ints):] == vocab + names
         loaded_cat, _ = load_trie_cache(path)
         assert loaded_cat.output_vocab().tokens == build_vocabularies(cat, [])[1].tokens
 
     def test_artifact_bytes_are_pinned(self, tmp_path):
         """The cache of the tiny catalog and a checkpoint with hand-set weights
-        have these exact bytes, so a change to either layout fails here."""
+        have these exact bytes, so a change to either layout fails here. The
+        cache's body, past its 88-byte header, is the ``ETRIE5`` body past its
+        124-byte header: the layouts differ only in the key, the dims and the
+        ``ETRIE5`` built-from section."""
         cat, vout, trie = catalog_stack(EntityCatalog(TINY_NAMES))
         save_trie_cache(trie, tmp_path / "kb.trie", cat, KB_DIGEST)
         vin, d, k = Vocabulary(["▁red"]), 2, 1
@@ -433,9 +455,11 @@ class TestCache:
         save_checkpoint(params, tmp_path / "m.bin", vin, vout)
         digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ("kb.trie", "m.bin")}
         assert digests == {
-            "kb.trie": "349730d5b60e3e349a1a4e983c3576927ee26ee2d520e4828933e545e220c800",
+            "kb.trie": "5b9958b9473e4d7dcdfa71f8506c9151ff47bed9d54d3c238fa684e069071304",
             "m.bin": "b465415c2de5b81a2445c81989a55247f01eacd1e4f11fbb5ee56268932b8ed2",
         }
+        body = (tmp_path / "kb.trie").read_bytes()[88:]
+        assert hashlib.sha256(body).hexdigest() == "003ede31fccb5678ecdd8424f8eaefe7b3079b0ed9a32794fc2cc7b9869e0629"
 
     def test_every_byte_is_checked(self, tmp_path):
         """Every single-byte flip, truncation and padding of a trie cache or
@@ -448,7 +472,7 @@ class TestCache:
         artifacts = [
             (lambda p: save_trie_cache(trie, p, cat, KB_DIGEST),
              lambda p: save_trie_cache(trie2, p, other, bytes(32)),
-             lambda p: load_trie_cache(p, KB_DIGEST), CacheMismatch, "other bytes"),
+             lambda p: load_trie_cache(p, KB_DIGEST), CacheMismatch, "made for a different KB"),
             (lambda p: save_checkpoint(params, p, vin, vout), lambda p: save_checkpoint(params2, p, vin, vout2),
              lambda p: load_checkpoint(p, vout), CorruptCheckpoint, "made for a different KB"),
         ]
@@ -534,16 +558,14 @@ def _without_kb(tag):
     return tag[:i] + tag[i + 2:]
 
 
-def _write_cache(path, trie, kb_digest, vocab_section, names_section, n_names, key=None):
-    """A cache of these sections under a valid SHA-256, keyed by the names
-    section's SHA-256 unless ``key`` is given."""
+def _write_cache(path, trie, kb_digest, vocab_section, names_section):
+    """A cache of these sections for the KB file ``kb_digest``, under a valid SHA-256."""
     ints = [
         np.asarray(a, dtype="<i4").tobytes()
         for a in (trie.terminal, np.diff(trie.child_start), trie.child_keys, trie.child_vals)
     ]
-    dims = (trie.node_count, len(trie.child_keys), n_names, len(vocab_section), len(names_section))
-    key = key or hashlib.sha256(names_section).digest()
-    _CACHE.write(path, key, dims, [kb_digest, *ints, vocab_section, names_section])
+    dims = (trie.node_count, len(trie.child_keys), len(vocab_section), len(names_section))
+    _CACHE.write(path, kb_digest, dims, [*ints, vocab_section, names_section])
 
 
 def _assert_tag_rejects(tag, path, capsys, error="CacheMismatch"):
@@ -613,31 +635,29 @@ class TestCacheStructure:
         first, covering every child key is rejected under a valid SHA-256."""
         cat, vout, trie, tag, kb_digest = tiny
         path = tmp_path / "kb.trie"
-        _write_cache(path, trie, kb_digest, section(vout.tokens), nul_terminated(tuple(cat)), len(cat))
+        _write_cache(path, trie, kb_digest, section(vout.tokens), nul_terminated(tuple(cat)))
         with pytest.raises(CacheMismatch, match=message):
             load_trie_cache(path, kb_digest)
         _assert_tag_rejects(tag, path, capsys)
 
     @pytest.mark.parametrize(
-        "names, count, key, message",
+        "names, message",
         [
-            (b"a b\0a c\0e\0", 3, "catalog", "names section does not match the key"),
-            (b"a b\0a c\0", 3, None, "bad names section"),
-            (b"a b\0a c\0d\0e\0", 3, None, "bad names section"),
-            (b"a b\0a c\0d", 3, None, "bad names section"),
-            (b"a b\0a c\0\xe2\x96\0", 3, None, "bad names section"),
-            (b"a b\0a c\0d\0e\0", 4, None, "terminal ids"),
+            (b"a b\0a c\0", "terminal ids"),
+            (b"a b\0a c\0d\0\0", "terminal ids"),  # a doubled NUL adds an empty name
+            (b"a b\0a c\0d", "bad names section"),
+            (b"a b\0a c\0\xe2\x96\0", "bad names section"),
+            (b"a b\0a c\0d\0e\0", "terminal ids"),
         ],
-        ids=["not-the-key", "too-few", "too-many", "no-final-nul", "not-utf8", "more-than-the-trie"],
+        ids=["too-few", "too-many", "no-final-nul", "not-utf8", "more-than-the-trie"],
     )
-    def test_bad_names_rejected(self, tiny, tmp_path, capsys, names, count, key, message):
-        """A names section that does not hash to the key, is not strict UTF-8,
-        or does not hold exactly the dims' count of names, each the name of one
-        trie terminal, is rejected under a valid SHA-256."""
+    def test_bad_names_rejected(self, tiny, tmp_path, capsys, names, message):
+        """A names section that is not strict UTF-8 ending in NUL, or that does
+        not hold exactly one name per trie terminal, is rejected under a valid
+        SHA-256."""
         cat, vout, trie, tag, kb_digest = tiny
         path = tmp_path / "kb.trie"
-        key = cat.content_hash() if key == "catalog" else None
-        _write_cache(path, trie, kb_digest, nul_terminated(vout.tokens), names, count, key)
+        _write_cache(path, trie, kb_digest, nul_terminated(vout.tokens), names)
         with pytest.raises(CacheMismatch, match=message):
             load_trie_cache(path, kb_digest)
         _assert_tag_rejects(tag, path, capsys)
@@ -645,8 +665,8 @@ class TestCacheStructure:
 
     @pytest.mark.parametrize("other", ["other-bytes", "other-format"])
     def test_other_kb_rejected(self, tiny, tmp_path, capsys, other):
-        """``tag --kb`` with a KB file other than the cache's exits 1 telling the
-        user to rebuild the cache; the KB file is not parsed. Here the other
+        """``tag --kb`` with a KB file other than the cache's exits 1, as a
+        checkpoint for another KB does; the KB file is not parsed. Here the other
         file holds the same names, after a comment or in the other layout, TSV."""
         cat, vout, trie, tag, kb_digest = tiny
         path = tmp_path / "kb.trie"
@@ -660,4 +680,4 @@ class TestCacheStructure:
         i = tag.index("--kb") + 1
         argv = [*tag[:i], str(kb), *tag[i + 1:]]
         message = _assert_tag_rejects(argv, path, capsys)
-        assert "rebuild it with build-kb" in message
+        assert message == f"{path}: trie cache was made for a different KB"
