@@ -15,9 +15,10 @@ time: stable sorts put the names in sorted order, an equality test gives
 each name's common prefix with the one before, the tokens past it are new
 nodes in preorder, and a running maximum finds their parents. A depth
 touches only the names longer than it, so time and memory grow with the
-total number of name tokens. Both derivations, the build's and the derived
-fields of ``TokenTrie.from_arrays``, index in int32, the cache's width, and
-free each temporary before the next large one is made.
+total number of name tokens. The build and the cache load both end in
+``TokenTrie.from_arrays``, which checks the preorder and derives the rank
+intervals in one pass down from the root. Both derivations index in int32,
+the cache's width, and free each temporary before the next large one is made.
 """
 
 from __future__ import annotations
@@ -78,11 +79,11 @@ class TokenTrie:
         n_entities: int,
         vocab_size: int,
     ) -> TokenTrie:
-        """The trie stored as ``terminal``, per-node child counts and the CSR
-        edge arrays, with every derived field worked out one depth level at a
-        time. Raises CacheMismatch unless the arrays are a preorder trie whose
-        terminals are exactly the ids ``0..n_entities-1`` and whose keys are
-        content ids below ``vocab_size``."""
+        """The trie stored as ``terminal``, per-node child counts and the CSR edge
+        arrays; one pass down from the root checks the preorder and derives the
+        entity-rank intervals. Raises CacheMismatch unless the arrays are a preorder
+        trie whose terminals are exactly the ids ``0..n_entities-1`` and whose keys
+        are content ids below ``vocab_size``."""
 
         def require(ok, what: str) -> None:
             if not ok:
@@ -114,39 +115,36 @@ class TokenTrie:
         del rising
         require(child_vals.min() > ROOT and child_vals.max() < n, "child index out of range")
 
-        # breadth-first levels; more visits than nodes means a node has two parents
-        levels = [np.array([ROOT], dtype=np.int32)]
-        visited = 1
-        while True:
-            counts = child_counts[levels[-1]]
-            total = int(counts.sum())
-            if total == 0:
-                break
-            visited += total
+        # one breadth-first pass writes each node's subtree end (the subtree is
+        # [v, end[v]) in preorder) when it reaches the node: its next sibling, or for
+        # a last child its parent's end. At each depth it checks that a parent's first
+        # child and a leaf's end are the node after it; as every end written is a
+        # reached node or n, that reaches every node, and more visits than nodes
+        # means a node has two parents
+        end = np.empty(n, dtype=np.int32)
+        end[ROOT] = n
+        level, visited, max_depth = np.array([ROOT], dtype=np.int32), 1, 0  # the depth's parents
+        while len(level):
+            max_depth += 1
+            counts = child_counts[level]
+            last = np.cumsum(counts, dtype=np.int32)  # one past each parent's last child in kids
+            visited += int(last[-1])
             require(visited <= n, "a node has more than one parent")
-            # the next level's edges, in int32: each node's run starts at its child_start
-            base = child_start[levels[-1]].astype(np.int32)
-            base -= np.cumsum(counts, dtype=np.int32) - counts
-            edges = np.repeat(base, counts)
-            del base, counts
-            edges += np.arange(total, dtype=np.int32)
-            levels.append(child_vals[edges])
-            del edges
-        max_depth = len(levels) - 1
-
-        # subtree of v is the index range [v, end[v]) when the nodes are in preorder
-        end = np.arange(1, n + 1, dtype=np.int32)
-        while levels:
-            level = levels.pop()
-            inner = level[child_counts[level] > 0]
-            end[inner] = end[child_vals[child_start[inner + 1] - 1]]
-        expected = np.empty(n_edges, dtype=np.int32)
-        expected[1:] = end[child_vals[:-1]]
-        inner = np.flatnonzero(child_counts)
-        expected[child_start[inner]] = inner + 1
-        del inner
-        require(end[ROOT] == n and np.array_equal(expected, child_vals), "nodes are not in preorder")
-        del expected
+            require(np.array_equal(child_vals[child_start[level]], level + 1), "nodes are not in preorder")
+            # the depth's edges, in int32: each parent's run starts at its child_start
+            edges = np.repeat(child_start[level].astype(np.int32) - last + counts, counts)
+            edges += np.arange(len(edges), dtype=np.int32)
+            kids = child_vals[edges]
+            del counts, edges
+            end[kids[:-1]] = kids[1:]  # a last child's entry is rewritten on the next line
+            end[kids[last - 1]] = end[level]
+            del last
+            inner = child_counts[kids] > 0
+            span = end[kids]
+            span -= kids  # a leaf's subtree is the leaf alone
+            require((inner | (span == 1)).all(), "nodes are not in preorder")
+            level = kids[inner]
+            del kids, inner, span
 
         # the terminals before a node are its entity rank
         rank = np.zeros(n + 1, dtype=np.int32)

@@ -1,6 +1,7 @@
 """Shared test scaffolding: deterministic scorers, random catalogs, and the
 independent oracles the spec-level checks compare against, among them the
 name-by-name trie insertion that the per-depth build must reproduce, the
+depth-first walk that the trie's derived fields must reproduce, the
 whole-file KB read that the streamed catalog load must reproduce, the
 per-hypothesis beam search that the batched decoder must reproduce and the
 per-example backward and training loop that batched training must reproduce.
@@ -193,6 +194,33 @@ def reference_build_trie(seqs: list[tuple[int, ...]], vocab_size: int) -> TokenT
         n_entities=len(seqs),
         vocab_size=vocab_size,
     )
+
+
+def reference_preorder_fields(terminal, child_counts, child_vals) -> tuple[list[int], list[int], int] | None:
+    """What ``TokenTrie.from_arrays`` derives from these arrays, read off a
+    depth-first walk from the root in CSR order: each edge's entity-rank
+    interval (``child_lo``, ``child_hi``) and ``max_depth``. None when the
+    walk does not reach every node once and in index order, that is when the
+    arrays are not a preorder trie."""
+    n, vals = len(terminal), [int(v) for v in child_vals]
+    start = [0, *itertools.accumulate(int(c) for c in child_counts)]
+    lo, hi, order, rank, max_depth = [0] * n, [0] * n, [], 0, 0
+    stack = [(ROOT, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if node < 0:  # leaving the subtree of ~node
+            hi[~node] = rank
+            continue
+        order.append(node)
+        if len(order) > n:
+            return None
+        lo[node], max_depth = rank, max(max_depth, depth)
+        rank += int(terminal[node] >= 0)
+        stack.append((~node, depth))
+        stack.extend((child, depth + 1) for child in reversed(vals[start[node]: start[node + 1]]))
+    if order != list(range(n)):
+        return None
+    return [lo[v] for v in vals], [hi[v] for v in vals], max_depth
 
 
 def reference_names_section(names) -> bytes:

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import sys
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 
 from ettag.catalog import (
     EOS,
+    N_RESERVED,
     SEP,
     EntityCatalog,
     Vocabulary,
@@ -28,6 +30,7 @@ from ettag.trie import (
     _CACHE,
     FINISHED,
     ROOT,
+    TokenTrie,
     TrieCursor,
     advance,
     allowed_tokens,
@@ -45,6 +48,7 @@ from helpers import (
     name_token_seqs,
     random_catalog,
     reference_build_trie,
+    reference_preorder_fields,
 )
 
 
@@ -98,23 +102,29 @@ class TestBuild:
         assert stats["node_count"] == 5
 
     def test_derived_fields_match_the_sorted_names(self):
-        # reference: ranks, depth and entity intervals read off the sorted token sequences
-        rng = np.random.default_rng(11)
-        cat, vout, trie = catalog_stack(random_catalog(rng, 60))
-        seqs = name_token_seqs(cat, vout)
-        rank = {eid: r for r, eid in enumerate(sorted(range(len(seqs)), key=seqs.__getitem__))}
-        assert trie.entity_rank.tolist() == [rank[eid] for eid in range(len(seqs))]
-        assert trie.max_depth == max(len(seq) for seq in seqs)
-        under: dict[int, list[int]] = {}
-        for eid, seq in enumerate(seqs):
-            path = [0]
-            for tok in seq:
-                path.append(trie.child(path[-1], tok))
-            for node in path:
-                under.setdefault(node, []).append(rank[eid])
-        assert sorted(under) == list(range(trie.node_count))
-        assert trie.child_lo.tolist() == [min(under[v]) for v in trie.child_vals.tolist()]
-        assert trie.child_hi.tolist() == [max(under[v]) + 1 for v in trie.child_vals.tolist()]
+        # reference: ranks, depth and entity intervals read off the sorted token sequences,
+        # for names of up to 4 tokens and for names of 1 to 8 tokens in prefix chains
+        catalogs = [random_catalog(np.random.default_rng(11), 60)]
+        catalogs += [_punctuated_catalog(np.random.default_rng(seed), 60) for seed in range(3)]
+        depths = set()
+        for cat in catalogs:
+            cat, vout, trie = catalog_stack(cat)
+            seqs = name_token_seqs(cat, vout)
+            rank = {eid: r for r, eid in enumerate(sorted(range(len(seqs)), key=seqs.__getitem__))}
+            assert trie.entity_rank.tolist() == [rank[eid] for eid in range(len(seqs))]
+            assert trie.max_depth == max(len(seq) for seq in seqs)
+            depths.add(trie.max_depth)
+            under: dict[int, list[int]] = {}
+            for eid, seq in enumerate(seqs):
+                path = [0]
+                for tok in seq:
+                    path.append(trie.child(path[-1], tok))
+                for node in path:
+                    under.setdefault(node, []).append(rank[eid])
+            assert sorted(under) == list(range(trie.node_count))
+            assert trie.child_lo.tolist() == [min(under[v]) for v in trie.child_vals.tolist()]
+            assert trie.child_hi.tolist() == [max(under[v]) + 1 for v in trie.child_vals.tolist()]
+        assert max(depths) == 8, depths
 
     def test_deterministic_build(self):
         rng = np.random.default_rng(9)
@@ -313,6 +323,60 @@ def test_build_matches_the_insertion_reference():
         lengths.update(map(len, seqs))
         prefix_pairs += count_prefix_pairs(cat, vout)
     assert lengths == set(range(1, 9)) and prefix_pairs > 0
+
+
+def _structures():
+    """Child counts and child values: every structure of up to 5 nodes with one
+    edge fewer than nodes and of up to 4 nodes with as many edges as nodes, then
+    near-valid ones of 6 to 12 nodes, each a random preorder tree with 0 to 2
+    counts or values changed."""
+    for n, n_edges in [(n, n - 1) for n in range(2, 6)] + [(n, n) for n in range(2, 5)]:
+        for cuts in itertools.combinations_with_replacement(range(n_edges + 1), n - 1):
+            counts = np.diff((0, *cuts, n_edges))
+            for vals in itertools.product(range(1, n), repeat=n_edges):
+                yield counts, vals
+    rng = np.random.default_rng(34)
+    for _ in range(3000):
+        n = int(rng.integers(6, 13))
+        parents, path = [], [ROOT]  # node i + 1 hangs off the path from the root to node i
+        for node in range(1, n):
+            del path[int(rng.integers(1, len(path) + 1)):]
+            parents.append(path[-1])
+            path.append(node)
+        counts = np.bincount(parents, minlength=n)
+        vals = np.argsort(parents, kind="stable") + 1
+        for _ in range(int(rng.integers(0, 3))):
+            i, j = rng.integers(0, n, size=2)
+            if rng.random() < 0.5:
+                vals[i % (n - 1)] = j
+            elif counts[i] > 0:
+                counts[i] -= 1
+                counts[j] += 1
+        yield counts, vals
+
+
+def test_from_arrays_accepts_exactly_the_preorder_tries():
+    """``from_arrays`` raises CacheMismatch exactly when a depth-first walk from
+    the root finds that the arrays are not a preorder trie, and otherwise derives
+    the walk's rank intervals and depth. Leaves are terminal and each node's keys
+    ascend, so only the structure can be at fault."""
+    outcomes = {True: 0, False: 0}
+    for counts, vals in _structures():
+        counts, vals = np.asarray(counts, dtype=np.int32), np.asarray(vals, dtype=np.int32)
+        terminal = np.full(len(counts), -1, dtype=np.int32)
+        leaves = np.flatnonzero(counts[1:] == 0) + 1
+        terminal[leaves] = np.arange(len(leaves))
+        keys = np.concatenate([N_RESERVED + np.arange(c, dtype=np.int32) for c in counts])
+        want = reference_preorder_fields(terminal, counts, vals)
+        try:
+            trie = TokenTrie.from_arrays(terminal, counts, keys, vals, len(leaves), N_RESERVED + len(counts))
+        except CacheMismatch:
+            assert want is None, (counts.tolist(), vals.tolist())
+        else:
+            got = (trie.child_lo.tolist(), trie.child_hi.tolist(), trie.max_depth)
+            assert got == want, (counts.tolist(), vals.tolist())
+        outcomes[want is not None] += 1
+    assert outcomes[True] > 1000 and outcomes[False] > 10_000, outcomes
 
 
 TRIE_ARRAYS = ("terminal", "child_start", "child_keys", "child_vals", "child_lo", "child_hi", "entity_rank")
