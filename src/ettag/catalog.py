@@ -22,6 +22,7 @@ import contextlib
 import hashlib
 import itertools
 import unicodedata
+from array import array
 from collections import Counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -208,6 +209,26 @@ class NameTable(NamedTuple):
     ids: np.ndarray      # int32 [total name tokens]
 
 
+class _WordTable(dict):
+    """Each distinct word of a pass over the names -> its row, made by the word's first
+    lookup: the word is tokenized then, each token new to the pass taking the next id, so
+    token ids follow first encounter. Row ``r``'s token ids are ``ids[offsets[r]:offsets[r + 1]]``."""
+
+    __slots__ = ("tokens", "ids", "offsets")
+
+    def __init__(self):
+        super().__init__()
+        self.tokens = {t: i for i, t in enumerate(RESERVED_TOKENS)}  # token -> id
+        self.ids, self.offsets = array("i", []), array("q", [0])  # int32 and int64, grown in place
+
+    def __missing__(self, word: str) -> int:
+        tokens = self.tokens
+        self.ids.extend([tokens.setdefault(t, len(tokens)) for t in word_tokens(word)])
+        self.offsets.append(len(self.ids))
+        row = self[word] = len(self)
+        return row
+
+
 class EntityCatalog:
     """Ordered, deduplicated collection of canonical entity names, held as
     ``names_section``: the names as ``nul_terminated`` writes them, a trie cache's
@@ -299,8 +320,12 @@ class EntityCatalog:
 
     def _decode(self, lo: int, hi: int) -> list[str]:
         """Names ``lo`` up to ``hi`` (``lo < hi``), decoded from the section."""
+        return self._text(lo, hi).split("\0")
+
+    def _text(self, lo: int, hi: int) -> str:
+        """Names ``lo`` up to ``hi`` (``lo < hi``) decoded from the section as one string, a NUL between names."""
         start = self._ends[lo - 1] + 1 if lo else 0
-        return str(self.names_section[start: self._ends[hi - 1]], "utf-8").split("\0")
+        return str(self.names_section[start: self._ends[hi - 1]], "utf-8")
 
     def _blocks(self) -> Iterator[tuple[EntityId, list[str]]]:
         """The names in blocks of ``_BLOCK_NAMES``, each with the id of its first name."""
@@ -316,15 +341,26 @@ class EntityCatalog:
 
     def name_table(self) -> NameTable:
         """The names tokenized into their NameTable by a new pass over them, which also makes the
-        output vocabulary if there is none yet. Raises EmptyCatalog if there are no names."""
+        output vocabulary if there is none yet. Each block's token ids are gathered from its
+        words' rows of the pass's word table, and a name's token count is the sum over its
+        words, one more than its spaces. Raises EmptyCatalog if there are no names."""
         ids, lengths = bytearray(), bytearray()  # int32 and int64, grown in place: no block waits for a concatenation
+        section, ends = np.frombuffer(self.names_section, np.uint8), np.asarray(self._ends)
 
-        def add_rows(block: list[str], words: list[str], word_ids: dict[str, tuple[int, ...]]) -> None:
-            rows = list(map(word_ids.__getitem__, words))
-            ids.extend(np.fromiter(itertools.chain.from_iterable(rows), np.int32).tobytes())
-            n_words = np.fromiter(map(str.count, block, itertools.repeat(" ")), np.int64, len(block)) + 1
-            word_lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-            lengths.extend(np.add.reduceat(word_lengths, np.cumsum(n_words) - n_words).tobytes())
+        def add_rows(lo: int, hi: int, rows: np.ndarray, table: _WordTable) -> None:
+            offsets = np.frombuffer(table.offsets, np.int64)
+            first = offsets[rows]
+            count = offsets[rows + 1] - first
+            del offsets  # the table grows in the next block, which a view of it would forbid
+            # the block's k-th token is token k - (the block's tokens before its word) of its word's row
+            at = np.repeat(first - np.cumsum(count) + count, count)
+            at += np.arange(len(at))
+            ids.extend(np.frombuffer(table.ids, np.int32)[at].tobytes())
+            start = ends[lo - 1] + 1 if lo else 0
+            name_starts = np.zeros(hi - lo, dtype=np.int64)
+            name_starts[1:] = ends[lo: hi - 1] + 1 - start
+            n_words = np.add.reduceat(section[start: ends[hi - 1]] == ord(" "), name_starts, dtype=np.int64) + 1
+            lengths.extend(np.add.reduceat(count, np.cumsum(n_words) - n_words).tobytes())
 
         vocab = self._tokenize_words(add_rows)
         if self._vocab is None:
@@ -335,23 +371,22 @@ class EntityCatalog:
 
     def _tokenize_words(self, each_block: Callable[..., None] | None = None) -> Vocabulary:
         """The output vocabulary: reserved tokens, then each name token in first-encounter order.
-        Names are words joined by single spaces and word_tokens works word by word, so each distinct
-        word is tokenized once, where it first occurs; blocks bound the words alive. ``each_block``,
-        if given, is called with each block of names, its words and the word -> token ids so far (a
+        Names are words joined by single spaces and word_tokens works word by word, so a block of
+        names is decoded and split into words at once, and each word is looked up once in the pass's
+        _WordTable, which tokenizes a word when it first occurs; what is alive is one block's words
+        and a row per distinct word. ``each_block``, if given, is called with each block's first
+        name id, the id past its last name, the row of each of its words and the table (a
         generator's caller would hold each block's words through the next block, leaving more resident)."""
         if not len(self):
             raise EmptyCatalog("an empty catalog has no output vocabulary")
-        index = {t: i for i, t in enumerate(RESERVED_TOKENS)}
-        word_ids: dict[str, tuple[int, ...]] = {}
-        for _, block in self._blocks():
-            words = " ".join(block).split(" ")
-            if not word_ids.keys() >= set(words):  # once most words are known, most blocks skip the loop
-                for word in dict.fromkeys(words):
-                    if word not in word_ids:
-                        word_ids[word] = tuple([index.setdefault(t, len(index)) for t in word_tokens(word)])
+        table = _WordTable()
+        for lo in range(0, len(self), _BLOCK_NAMES):
+            hi = min(lo + _BLOCK_NAMES, len(self))
+            words = self._text(lo, hi).replace("\0", " ").split(" ")
+            rows = np.fromiter(map(table.__getitem__, words), np.int64, len(words))
             if each_block is not None:
-                each_block(block, words, word_ids)
-        return Vocabulary(list(index)[N_RESERVED:])
+                each_block(lo, hi, rows, table)
+        return Vocabulary(list(table.tokens)[N_RESERVED:])
 
     @classmethod
     def load(cls, path) -> "EntityCatalog":

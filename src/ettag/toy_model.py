@@ -55,7 +55,11 @@ class ToyModelParams:
 
 
 def init_params(v_in: int, v_out: int, d: int, k: int, seed: int) -> ToyModelParams:
+    """Weights drawn uniformly from [-0.1, 0.1). Raises InvalidConfig, before
+    allocating, if their bytes are more than numpy can size."""
     size = sum(map(math.prod, _shapes(d, k, v_in, v_out)))
+    if size > np.iinfo(np.intp).max // np.dtype(np.float64).itemsize:
+        raise InvalidConfig(f"d={d} and k={k} make {size} float64 weights, more bytes than numpy can size")
     return ToyModelParams(np.random.default_rng(seed).uniform(-0.1, 0.1, size=size), d, k, v_in, v_out)
 
 

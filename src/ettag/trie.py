@@ -11,11 +11,14 @@ count equals its size has nothing left to emit, and pruning exactly those
 never paints a decoder into a dead end.
 
 ``build_trie`` works from the catalog's name table one token depth at a
-time: stable sorts put the names in sorted order, an equality test gives
-each name's common prefix with the one before, the tokens past it are new
-nodes in preorder, and a running maximum finds their parents. A depth
-touches only the names longer than it, so time and memory grow with the
-total number of name tokens. The build and the cache load both end in
+time: stable sorts by length and by the token at each depth, from the last
+depth up, put the names in sorted order, an equality test gives each name's
+common prefix with the one before, the tokens past it are new nodes in
+preorder, a running maximum finds their parents, and a stable sort by parent
+gives each node's children in token order. Every stable sort is by 16-bit
+digits, the width numpy radix-sorts in linear time. A depth touches only
+the names longer than it, so time and memory grow with the total number of
+name tokens. The build and the cache load both end in
 ``TokenTrie.from_arrays``, which checks the preorder and derives the rank
 intervals in one pass down from the root. Both derivations index in int32,
 the cache's width, and free each temporary before the next large one is made.
@@ -150,13 +153,15 @@ class TokenTrie:
         rank = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(terminal >= 0, dtype=np.int32, out=rank[1:])
         end = end[child_vals]  # the first node past each child's subtree
+        child_hi = rank[end]
+        del end  # before child_lo is made, so at most three arrays of the edges' size are alive here
         return cls(
             terminal=terminal,
             child_start=child_start,
             child_keys=child_keys,
             child_vals=child_vals,
             child_lo=rank[child_vals],
-            child_hi=rank[end],
+            child_hi=child_hi,
             entity_rank=entity_rank,
             entity_count=n_entities,
             max_depth=max_depth,
@@ -206,12 +211,12 @@ def _preorder_arrays(catalog: EntityCatalog) -> tuple[np.ndarray, ...]:
     n, depth = len(length), int(length.max())
 
     # sorted order by stable sorts from the last depth; names of length d + 1 have not moved yet
-    by_length = np.argsort(length, kind="stable").astype(np.int32)
+    by_length = _stable_order(length)
     at_most = np.cumsum(np.bincount(length, minlength=depth + 1))  # names of at most d tokens
     order = by_length[:0]
     for d in range(depth - 1, -1, -1):
         order = np.concatenate((by_length[at_most[d]: at_most[d + 1]], order))
-        order = order[np.argsort(ids[start[order] + d], kind="stable")]
+        order = order[_stable_order(ids[start[order] + d])]
     del by_length
     start, length = start[order], length[order]
 
@@ -243,11 +248,26 @@ def _preorder_arrays(catalog: EntityCatalog) -> tuple[np.ndarray, ...]:
 
     # a stable sort on parent alone keeps each node's children in key order
     child_counts = np.bincount(parents, minlength=len(terminal)).astype(np.int32)
-    by_parent = np.argsort(parents, kind="stable").astype(np.int32)
+    by_parent = _stable_order(parents)
     del parents
     keys = keys[by_parent]
     by_parent += 1
     return terminal, child_counts, keys, by_parent
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """The order ``np.argsort(keys, kind="stable")`` gives for int32 keys >= 0, as int32, sorted
+    by 16-bit digits, least significant first: numpy's stable sort of 16-bit keys is a radix
+    sort, linear in the keys, where int32 keys take a timsort. Keys below 2**16 take one pass."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable").astype(np.int32)
+    if keys.max(initial=0) >> 16:
+        digit = keys[order]
+        digit >>= 16
+        digit = digit.astype(np.uint16)
+        by_digit = np.argsort(digit, kind="stable")
+        del digit
+        order = order[by_digit]
+    return order
 
 
 _EOS_ARR = np.array([EOS], dtype=np.int32)

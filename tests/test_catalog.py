@@ -407,6 +407,43 @@ def _two_block_names() -> list[str]:
     return names
 
 
+def _seam_names(rng: np.random.Generator, n_names: int) -> list[str]:
+    """Names of 1 to 4 words, punctuated, non-ASCII and multi-token among them; a word
+    of the late pool is first used at the name its position sets, so words keep
+    first occurring in later blocks while earlier words recur."""
+    early = ["Alpha", "beta-9", "(x)", "O'Neill", "Q.", "&", "été", "東京", "Zürich,"]
+    late = ["«Ωmega»", "w1", "St.", "naïve", "[a]-b", "Łódź", "x.y.z", "🚀", "São", "Paulo!"]
+    names: dict[str, None] = {}
+    while len(names) < n_names:
+        pool = early + late[: len(names) // 9]
+        names.setdefault(" ".join(rng.choice(pool, size=int(rng.integers(1, 5)))))
+    return list(names)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_name_pass_across_block_seams(monkeypatch, seed):
+    """With 7 names a block, the name table is each name's tokenize(name, vocab, "output"),
+    the vocabulary is reserved tokens then the name tokens in first-encounter order, and
+    the vocabulary-only pass gives the same vocabulary."""
+    monkeypatch.setattr(catalog_module, "_BLOCK_NAMES", 7)
+    names = _seam_names(np.random.default_rng(seed), 120)
+    tabled = EntityCatalog(names)
+    table, vocab = tabled.name_table(), tabled.output_vocab()
+    assert vocab.tokens == Vocabulary(t for name in names for t in word_tokens(name)).tokens
+    assert EntityCatalog(names).output_vocab().tokens == vocab.tokens
+    assert table.offsets[0] == 0 and len(table.offsets) == len(names) + 1 and table.offsets[-1] == len(table.ids)
+    for eid, name in enumerate(names):
+        assert table.ids[table.offsets[eid]: table.offsets[eid + 1]].tolist() == tokenize(name, vocab, mode="output")
+    # tokens first occur in many blocks, and words recur across blocks
+    first_seen: dict[str, int] = {}
+    for eid, name in enumerate(names):
+        for t in word_tokens(name):
+            first_seen.setdefault(t, eid // 7)
+    assert len(set(first_seen.values())) > 5
+    assert any(len({eid // 7 for eid, name in enumerate(names) if word in name.split(" ")}) > 1
+               for word in ("Alpha", "«Ωmega»"))
+
+
 # NFC names spelled in NFD in the KB file, with two-, three- and four-byte UTF-8
 _NON_ASCII = ["São Paulo", "Zürich", "東京 Tower", "Ωmega «x»", "naïve café", "Łódź", "🚀 Launch", "Ångström"]
 _PUNCTUATED = ["Astronomy & Astrophysics", "A & B", "Q.E.D.", "( x )", "- minus -", "Physical Review D", "&"]

@@ -621,6 +621,26 @@ class TestErrorHandling:
         assert len(err) == 1 and json.loads(err[0])["error"] == "MemoryError"
         assert not model.exists()
 
+    @pytest.mark.parametrize("option, field", [("dim", "d"), ("window", "k")])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_model_too_large_to_size_exit_1(self, world, tmp_path, capsys, option, field, form):
+        # 2**70: more float64 bytes than numpy can size, reported before any weight is allocated
+        model = tmp_path / "m.bin"
+        argv = ["train", "--train", str(world["train"]), "--kb", str(world["kb"]), "--model-out", str(model)]
+        if form == "flag":
+            argv += [f"--{option}", str(2**70)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"train": {option: 2**70}}), encoding="utf-8")
+            argv = ["--config", str(cfg), *argv]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        error = json.loads(err[0])
+        assert error["error"] == "InvalidConfig" and f"{field}={2**70}" in error["message"]
+        assert not model.exists()
+
     def test_duplicate_kb_exit_1(self, tmp_path, capsys):
         kb = tmp_path / "dup.txt"
         kb.write_text("Earth\nEarth\n", encoding="utf-8")

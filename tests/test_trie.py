@@ -3,6 +3,8 @@ import gc
 import hashlib
 import itertools
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -28,6 +30,7 @@ from ettag.synthetic import synthetic_kb_names
 from ettag.toy_model import ToyModelParams, init_params, load_checkpoint, save_checkpoint
 from ettag.trie import (
     _CACHE,
+    _stable_order,
     FINISHED,
     ROOT,
     TokenTrie,
@@ -102,29 +105,19 @@ class TestBuild:
         assert stats["node_count"] == 5
 
     def test_derived_fields_match_the_sorted_names(self):
-        # reference: ranks, depth and entity intervals read off the sorted token sequences,
-        # for names of up to 4 tokens and for names of 1 to 8 tokens in prefix chains
+        # names of up to 4 tokens, and names of 1 to 8 tokens in prefix chains
         catalogs = [random_catalog(np.random.default_rng(11), 60)]
         catalogs += [_punctuated_catalog(np.random.default_rng(seed), 60) for seed in range(3)]
-        depths = set()
-        for cat in catalogs:
-            cat, vout, trie = catalog_stack(cat)
-            seqs = name_token_seqs(cat, vout)
-            rank = {eid: r for r, eid in enumerate(sorted(range(len(seqs)), key=seqs.__getitem__))}
-            assert trie.entity_rank.tolist() == [rank[eid] for eid in range(len(seqs))]
-            assert trie.max_depth == max(len(seq) for seq in seqs)
-            depths.add(trie.max_depth)
-            under: dict[int, list[int]] = {}
-            for eid, seq in enumerate(seqs):
-                path = [0]
-                for tok in seq:
-                    path.append(trie.child(path[-1], tok))
-                for node in path:
-                    under.setdefault(node, []).append(rank[eid])
-            assert sorted(under) == list(range(trie.node_count))
-            assert trie.child_lo.tolist() == [min(under[v]) for v in trie.child_vals.tolist()]
-            assert trie.child_hi.tolist() == [max(under[v]) + 1 for v in trie.child_vals.tolist()]
+        depths = {_assert_derived_fields(cat) for cat in catalogs}
         assert max(depths) == 8, depths
+
+    def test_a_vocabulary_past_16_bits(self):
+        """More than 65,536 distinct one-word names: the sort by token takes two
+        16-bit digits, as on no benchmark KB."""
+        words = [f"w{i}" for i in np.random.default_rng(2).permutation(70_000)]
+        cat = EntityCatalog(words)
+        assert len(cat.output_vocab()) > 1 << 16
+        assert _assert_derived_fields(cat) == 1
 
     def test_deterministic_build(self):
         rng = np.random.default_rng(9)
@@ -292,6 +285,42 @@ class TestLanguage:
                     stack.append((advance(trie, cursor, token), emitted, n_names))
 
 
+def _assert_derived_fields(cat: EntityCatalog) -> int:
+    """Assert the trie's ranks, depth and entity intervals against those read off the
+    sorted token sequences of the names; returns the depth."""
+    cat, vout, trie = catalog_stack(cat)
+    seqs = name_token_seqs(cat, vout)
+    rank = {eid: r for r, eid in enumerate(sorted(range(len(seqs)), key=seqs.__getitem__))}
+    assert trie.entity_rank.tolist() == [rank[eid] for eid in range(len(seqs))]
+    assert trie.max_depth == max(len(seq) for seq in seqs)
+    under: dict[int, list[int]] = {}
+    for eid, seq in enumerate(seqs):
+        path = [0]
+        for tok in seq:
+            path.append(trie.child(path[-1], tok))
+        for node in path:
+            under.setdefault(node, []).append(rank[eid])
+    assert sorted(under) == list(range(trie.node_count))
+    assert trie.child_lo.tolist() == [min(under[v]) for v in trie.child_vals.tolist()]
+    assert trie.child_hi.tolist() == [max(under[v]) + 1 for v in trie.child_vals.tolist()]
+    return trie.max_depth
+
+
+@pytest.mark.parametrize("high", [1 << 8, 1 << 16, (1 << 16) + 1, 1 << 31], ids=["8-bit", "16-bit", "2**16", "31-bit"])
+def test_stable_order_is_the_stable_argsort(high):
+    """The 16-bit-digit sort gives np.argsort(kind="stable")'s order, as int32, for keys
+    below ``high`` and up to its largest (2**16 itself, and 2**31 - 1), ties and no keys among them."""
+    rng = np.random.default_rng(high)
+    cases = [np.empty(0, dtype=np.int32), np.array([high - 1], dtype=np.int32)]
+    for n in (2, 17, 1000, 70_000):
+        keys = rng.integers(0, high, size=n, dtype=np.int32)
+        keys[rng.integers(0, n, size=max(n // 4, 1))] = high - 1  # the largest key, tied
+        cases += [keys, keys[: n // 2].repeat(2), np.sort(keys)[::-1].copy()]
+    for keys in cases:
+        got = _stable_order(keys)
+        assert got.dtype == np.int32 and np.array_equal(got, np.argsort(keys, kind="stable"))
+
+
 def _punctuated_catalog(rng, n_names: int) -> EntityCatalog:
     """Names of 1 to 8 tokens from words that peel into several tokens, with
     some names extended by one word, so that they are prefixes of others."""
@@ -409,6 +438,24 @@ class TestCache:
         assert loaded.max_depth == trie.max_depth
         config = DecodeConfig(max_entities=3)
         assert enumerate_trie_language(loaded, config) == enumerate_trie_language(trie, config)
+
+    def test_build_kb_writes_the_same_bytes_under_any_hash_seed(self, tmp_path):
+        """Python salts ``hash`` of a str per process: token and word ids, and so the
+        cache, must not follow a set's order. Two build-kb runs of a 9,000-name KB,
+        three blocks of punctuated and non-ASCII names, write the same bytes."""
+        words = ["Alpha", "beta-9", "(x)", "O'Neill", "Q.", "&", "été", "東京", "Zürich,", "«Ωmega»"]
+        names = [" ".join(name) for name in itertools.product(words, repeat=4)]
+        kb = tmp_path / "kb.txt"
+        kb.write_text("".join(names[i] + "\n" for i in np.random.default_rng(0).permutation(len(names))[:9000]),
+                      encoding="utf-8")
+        caches = []
+        for seed in ("1", "2"):
+            cache = tmp_path / f"kb.{seed}.trie"
+            proc = subprocess.run([sys.executable, "-m", "ettag.cli", "build-kb", "--kb", str(kb), "--cache-out",
+                                   str(cache)], capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed})
+            assert proc.returncode == 0, proc.stderr
+            caches.append(cache.read_bytes())
+        assert caches[0] == caches[1]
 
     def test_index_arrays_are_int32(self, tmp_path):
         """Built or loaded, every index array has the cache's int32 width,
