@@ -2,8 +2,13 @@
 
 The trie is a flat arena in depth-first preorder: per-node sorted child
 arrays live in one CSR-style block, so child lookup is a binary search and
-the whole structure is a handful of numpy arrays shared read-only across
-decoders. Each edge also carries the half-open interval of entity ranks
+the whole structure is a handful of numpy arrays. A decoder row's queries
+(``child``, ``advance``, ``allowed_tokens``) read them through memoryviews
+made once, with no copy, when the trie is made: a memoryview indexes to a
+Python int, so a node's bounds, its terminal and its child are Python ints,
+a child is found by ``bisect`` over the node's keys, and numpy is called only
+to slice out the keys ``allowed_tokens`` returns and to count emitted ranks
+per child. Each edge also carries the half-open interval of entity ranks
 (positions in sorted-name order) below the child it leads to. A node's
 child intervals tile its subtree after its own terminal, so no-repeat
 pruning is one count of the emitted ranks per child interval: a child whose
@@ -27,6 +32,7 @@ the cache's width, and free each temporary before the next large one is made.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,6 +77,12 @@ class TokenTrie:
     entity_count: int
     max_depth: int
     vocab_size: int           # output vocabulary size, the width of a scorer row
+
+    def __post_init__(self) -> None:
+        # views of the arrays, not copies, for the per-row queries: each index is a Python int
+        self._terminal, self._start, self._keys, self._vals, self._lo, self._hi, self._rank = map(
+            memoryview, (self.terminal, self.child_start, self.child_keys, self.child_vals,
+                         self.child_lo, self.child_hi, self.entity_rank))
 
     @classmethod
     def from_arrays(
@@ -173,15 +185,16 @@ class TokenTrie:
         return len(self.terminal)
 
     def terminal_entity(self, node: TrieCursor) -> int | None:
-        t = int(self.terminal[node])
+        t = self._terminal[node]
         return None if t < 0 else t
 
     def child(self, node: int, token: int) -> int:
-        """Child node index for a content token, or -1."""
-        s, e = self.child_start[node], self.child_start[node + 1]
-        i = s + self.child_keys[s:e].searchsorted(token)
-        if i < e and self.child_keys[i] == token:
-            return int(self.child_vals[i])
+        """Child node index for a content token, or -1: any other int, even one
+        outside the vocabulary, has no child."""
+        keys, e = self._keys, self._start[node + 1]
+        i = bisect_left(keys, token, self._start[node], e)
+        if i < e and keys[i] == token:
+            return self._vals[i]
         return -1
 
     def lookup(self, tokens: Sequence[int]) -> int | None:
@@ -284,17 +297,17 @@ def allowed_tokens(trie: TokenTrie, node: TrieCursor, emitted, config, n_generat
     """
     if node == FINISHED:
         return _EMPTY
-    s, e = trie.child_start[node], trie.child_start[node + 1]
+    s, e = trie._start[node], trie._start[node + 1]
     keys = trie.child_keys[s:e]
     no_repeat = config.no_repeat
 
     if no_repeat and emitted and e > s:
         # emitted ranks below the children (the node's own terminal rank comes
         # first in preorder, so it falls outside), counted per child interval
-        lo, hi = trie.child_lo[s:e], trie.child_hi[s:e]
-        ranks = trie.entity_rank[list(emitted)]
-        ranks = ranks[(ranks >= lo[0]) & (ranks < hi[-1])]
-        if ranks.size:
+        first, past = trie._lo[s], trie._hi[e - 1]
+        ranks = [r for r in map(trie._rank.__getitem__, emitted) if first <= r < past]
+        if ranks:
+            lo, hi = trie.child_lo[s:e], trie.child_hi[s:e]
             counts = np.bincount(lo.searchsorted(ranks, "right") - 1, minlength=e - s)
             keys = keys[counts < hi - lo]
     if node == ROOT:
@@ -302,7 +315,7 @@ def allowed_tokens(trie: TokenTrie, node: TrieCursor, emitted, config, n_generat
             return np.concatenate((_EOS_ARR, keys))
         return keys
 
-    term = int(trie.terminal[node])
+    term = trie._terminal[node]
     if term < 0 or (no_repeat and term in emitted):
         return keys
     # finalizing this entity is legal; EOS always ends here, SEP only when
@@ -321,11 +334,11 @@ def advance(trie: TokenTrie, node: TrieCursor, token: int) -> TrieCursor:
     if node == FINISHED:
         raise DisallowedToken("decode already finished")
     if token == EOS:
-        if node != ROOT and trie.terminal[node] < 0:
+        if node != ROOT and trie._terminal[node] < 0:
             raise DisallowedToken("EOS is only legal at a terminal or the empty boundary")
         return FINISHED
     if token == SEP:
-        if node == ROOT or trie.terminal[node] < 0:
+        if node == ROOT or trie._terminal[node] < 0:
             raise DisallowedToken("SEP is only legal at a terminal")
         return ROOT
     nxt = trie.child(node, token)

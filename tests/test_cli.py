@@ -1144,6 +1144,48 @@ def test_cli_fuzz_corrupted_inputs(world, tmp_path, capsys):
                 assert rc == 1, case
 
 
+# each command's integer options, and the values of each left out of the sweep
+# below: values that only make a run slow, and sizes numpy is asked to allocate
+# (2**31 dims: 1.03 TiB, 2**31 windows: 832 GiB) that a host overcommitting memory could grant
+INTEGER_OPTIONS = {
+    "tag": {"beam": {2**31, 2**63, 2**70}, "max-tokens": set(), "max-entities": set()},
+    "ablate-beam": {"beam": {2**31, 2**63, 2**70}, "beams": {2**31, 2**63, 2**70},
+                    "max-tokens": set(), "max-entities": set()},
+    "train": {"epochs": {2**31, 2**63, 2**70}, "seed": set(), "batch-size": set(), "dim": {2**31},
+              "window": {2**31}, "min-count": set()},
+}
+
+
+def test_integer_options_at_their_edges(world, tmp_path, capsys):
+    """Each integer option of ``tag``, ``ablate-beam`` and ``train`` at 0, -1,
+    2**31, 2**63 and 2**70 exits 0 or 1, a failure with one JSON line on stderr."""
+    out = str(tmp_path / "out")
+    base = {
+        "tag": ["tag", "--model", str(world["model"]), "--kb", str(world["kb"]), "--in", str(world["eval"]),
+                "--out", out, "--beam", "1"],
+        "ablate-beam": ["ablate-beam", "--model", str(world["model"]), "--kb", str(world["kb"]),
+                        "--eval", str(world["eval"]), "--out", out, "--beams", "1"],
+        "train": ["train", "--train", str(world["train"]), "--kb", str(world["kb"]), "--model-out", out,
+                  "--epochs", "1", "--dim", "4"],
+    }
+    runs = 0
+    for command, options in INTEGER_OPTIONS.items():
+        for option, left_out in options.items():
+            for value in (0, -1, 2**31, 2**63, 2**70):
+                if value in left_out:
+                    continue
+                capsys.readouterr()
+                rc = main(base[command] + [f"--{option}", str(value)])
+                err = capsys.readouterr().err
+                case = (command, option, value, rc, err)
+                assert rc in (0, 1) and "Traceback" not in err, case
+                assert len(err.splitlines()) == rc, case
+                if rc:
+                    assert {"error", "message"} <= set(json.loads(err)), case
+                runs += 1
+    assert runs == 51
+
+
 def _train_argv(world, out, flag, path):
     files = {"--train": world["train"], "--kb": world["kb"], flag: path}
     return ["train", "--epochs", "2", "--dim", "8", "--model-out", out, *(str(x) for pair in files.items() for x in pair)]

@@ -682,13 +682,30 @@ class TestParseOutput:
         assert dropped == 1
 
     def test_total_on_arbitrary_sequences(self):
-        cat, vout, trie = catalog_stack(EntityCatalog(["Earth"]))
+        """Any ints, those outside the output vocabulary and past 64 bits among them,
+        parse: a segment spelling no name is dropped and counted."""
+        cat, vout, trie = catalog_stack(EntityCatalog(["Earth", "Earth Moon"]))
+        spelled = {tuple(seq): eid for eid, seq in enumerate(name_token_seqs(cat, vout))}
+        pool = [*range(len(vout)), -1, len(vout), 2**31, 2**63, 2**70]
         rng = np.random.default_rng(4)
-        for _ in range(200):
-            seq = rng.integers(0, len(vout), size=rng.integers(0, 12)).tolist()
-            entities, dropped = parse_output(seq, trie)
-            assert dropped >= 0
-            assert all(0 <= e < len(cat) for e in entities)
+        hits = 0
+        for _ in range(400):
+            seq = [pool[i] for i in rng.integers(0, len(pool), size=rng.integers(0, 12))]
+            if rng.random() < 0.3:  # a name's tokens somewhere, so that some segments spell one
+                at = int(rng.integers(0, len(seq) + 1))
+                seq[at:at] = [SEP, *max(spelled, key=len)[: int(rng.integers(1, 4))], SEP]
+            body = seq[: seq.index(EOS)] if EOS in seq else seq
+            segments, segment = [], []
+            for t in body:
+                if t == SEP:
+                    segments.append(segment)
+                    segment = []
+                else:
+                    segment.append(t)
+            found = [spelled.get(tuple(s)) for s in segments + [segment]] if body else []
+            assert parse_output(seq, trie) == (set(found) - {None}, found.count(None)), seq
+            hits += len(set(found) - {None})
+        assert hits > 0
 
 
 @pytest.mark.parametrize(

@@ -354,6 +354,80 @@ def test_build_matches_the_insertion_reference():
     assert lengths == set(range(1, 9)) and prefix_pairs > 0
 
 
+def _assert_queries_match_brute_force(trie: TokenTrie, seqs: list[tuple[int, ...]], rng) -> None:
+    """Every per-row query at every node against a brute-force answer: ``child``,
+    ``lookup``, ``terminal_entity`` and ``advance`` against a scan of the CSR arrays
+    for each token in [-1, vocab_size], each an int or None; ``allowed_tokens``
+    against the tokens read off the names ``seqs`` for seeded emitted sets."""
+    terminal, start = trie.terminal.tolist(), trie.child_start.tolist()
+    keys, vals = trie.child_keys.tolist(), trie.child_vals.tolist()
+    paths = {ROOT: ()}  # preorder: a node's parent comes before it
+    for node in range(trie.node_count):
+        edges = list(zip(keys[start[node]: start[node + 1]], vals[start[node]: start[node + 1]]))
+        paths.update((v, paths[node] + (t,)) for t, v in edges)
+        term = None if terminal[node] < 0 else terminal[node]
+        assert type(trie.terminal_entity(node)) is type(term) and trie.terminal_entity(node) == term
+        for token in range(-1, trie.vocab_size + 1):
+            want = next((v for t, v in edges if t == token), -1)
+            got = trie.child(node, token)
+            assert type(got) is int and got == want, (node, token)
+            found = None if want < 0 or terminal[want] < 0 else terminal[want]
+            assert type(trie.lookup([*paths[node], token])) is type(found)
+            assert trie.lookup([*paths[node], token]) == found, (node, token)
+            want = None if want < 0 else want  # FINISHED is -1 too
+            if token == EOS:
+                want = FINISHED if node == ROOT or term is not None else None
+            elif token == SEP:
+                want = ROOT if node != ROOT and term is not None else None
+            if want is None:
+                with pytest.raises(DisallowedToken):
+                    advance(trie, node, token)
+            else:
+                got = advance(trie, node, token)
+                assert type(got) is int and got == want, (node, token)
+
+    # allowed_tokens from the names alone: the next tokens of the names under a
+    # node's path that are not all emitted, then EOS and SEP where one may end here
+    n = len(seqs)
+    under: dict[tuple[int, ...], set[int]] = {}
+    for eid, seq in enumerate(seqs):
+        for d in range(len(seq) + 1):
+            under.setdefault(seq[:d], set()).add(eid)
+    spelled = {seq: eid for eid, seq in enumerate(seqs)}
+    draws = [set(), {int(rng.integers(n))}, set(rng.permutation(n)[: n - 1].tolist()),
+             set(rng.permutation(n)[:64].tolist())]
+    for emitted, no_repeat, max_entities, allow_empty in itertools.product(
+            map(frozenset, draws), (True, False), (1, 2, 64), (False, True)):
+        config = DecodeConfig(no_repeat=no_repeat, max_entities=max_entities, allow_empty=allow_empty)
+        blocked = emitted if no_repeat else frozenset()
+        for node, path in paths.items():
+            nexts = {seq[len(path)] for seq in seqs if len(seq) > len(path) and seq[: len(path)] == path}
+            want = sorted(t for t in nexts if under[path + (t,)] - blocked)
+            eid = spelled.get(path)
+            if node == ROOT:
+                want = [EOS] * (allow_empty and not emitted) + want
+            elif eid is not None and eid not in blocked:
+                more = len(emitted) + 1 < max_entities and (not no_repeat or len(emitted) + 1 < n)
+                want = [EOS, SEP][: 1 + more] + want
+            got = allowed_tokens(trie, node, emitted, config, len(emitted))
+            assert got.dtype == np.int32 and got.tolist() == want, (node, sorted(emitted), config)
+
+
+@pytest.mark.parametrize("n_names", [1, 9, 90])
+def test_row_queries_match_brute_force(tmp_path, n_names):
+    """The per-node oracle, on a punctuated catalog's trie as built and as loaded
+    from its cache, whose file-backed arrays are read-only views."""
+    rng = np.random.default_rng(n_names)
+    cat = _punctuated_catalog(rng, n_names)
+    seqs = [tuple(seq) for seq in name_token_seqs(cat, cat.output_vocab())]
+    trie = build_trie(cat)
+    save_trie_cache(trie, tmp_path / "kb.trie", cat, KB_DIGEST)
+    loaded = load_trie_cache(tmp_path / "kb.trie")[1]
+    assert not any(a.flags.writeable for a in (loaded.terminal, loaded.child_keys, loaded.child_vals))
+    for t in (trie, loaded):
+        _assert_queries_match_brute_force(t, seqs, rng)
+
+
 def _structures():
     """Child counts and child values: every structure of up to 5 nodes with one
     edge fewer than nodes and of up to 4 nodes with as many edges as nodes, then
@@ -460,8 +534,8 @@ class TestCache:
     def test_index_arrays_are_int32(self, tmp_path):
         """Built or loaded, every index array has the cache's int32 width,
         except the CSR offsets ``child_start``, which stay int64: as int32 they
-        slowed in-process desk-tag decoding at beam 20 by 2-3 % (2-core Xeon
-        VM), since the decoder slices the edge arrays with them once per row."""
+        slowed kb-470k ``tag`` at beam 1 from 907 to 810 documents/s (perfbench
+        medians of 6 alternating runs, 2-core Xeon VM)."""
         cat, vout, trie = catalog_stack(random_catalog(np.random.default_rng(3), 30))
         save_trie_cache(trie, tmp_path / "kb.trie", cat, KB_DIGEST)
         for t in (trie, load_trie_cache(tmp_path / "kb.trie")[1]):
