@@ -1,10 +1,10 @@
 """Single executable for the whole pipeline.
 
 Subcommands: build-kb, convert, train, tag, eval, ablate-beam, ablate-order.
-Every command that writes outputs also writes a ``.runconfig.json``
-next to them with the fully resolved configuration. Exit codes: 0 success,
-1 input error, 2 internal contract violation; errors go to stderr as one
-JSON object.
+Every command that writes outputs also writes a ``.runconfig.json`` next to
+them: the fully resolved configuration, as a ``--config`` file that replays
+the run. Exit codes: 0 success, 1 input error, 2 internal contract
+violation; errors go to stderr as one JSON object.
 """
 
 from __future__ import annotations
@@ -71,15 +71,16 @@ _BEAMS = "1,5,10,20,30"  # ablate-beam's default sweep
 def _config_value(flag: argparse.Action, section: str, val):
     """A config-file value as its flag would parse it. Raises InvalidConfig
     unless it has the flag's type (an integer will do for a float) and is one
-    of its choices."""
+    of its choices, and also for a string holding a NUL or a lone surrogate,
+    which no path (and no UTF-8 output) can hold."""
     want = {None: str, _bool_flag: bool}.get(flag.type, flag.type)
-    if flag.const is not None:  # a switch such as --allow-empty
-        want = type(flag.const)
     if want is float and type(val) is int:
         val = float(val)
     if type(val) is not want or (flag.choices is not None and val not in flag.choices):
         expected = want.__name__ if flag.choices is None else f"one of {list(flag.choices)}"
         raise InvalidConfig(f"config section {section!r}: {flag.dest} must be {expected}, got {val!r}")
+    if want is str and any(c == "\0" or "\ud800" <= c <= "\udfff" for c in val):
+        raise InvalidConfig(f"config section {section!r}: {flag.dest} holds a NUL or a lone surrogate: {val!r}")
     return val
 
 
@@ -87,11 +88,13 @@ def _resolve(args: argparse.Namespace, cfg: dict, *callees, **defaults) -> dict:
     """Every option of the command: its flag, else the command's config-file
     section, else the default of the parameter it sets in ``callees``
     (dataclasses included), else its entry in ``defaults``. Every section of
-    the file must be named after a command and be a JSON object.
+    the file must be named after a command and be a JSON object; beside them
+    the file may hold the ``version`` string a runconfig records. A required
+    option that neither flag nor file gives is a UsageError.
     """
-    opts = {k: v for k, v in vars(args).items() if k not in ("command", "config", "func", "flags")}
+    opts = {k: v for k, v in vars(args).items() if k not in ("command", "config", "func", "flags", "required")}
     for name, given in cfg.items():
-        if name not in args.flags or not isinstance(given, dict):
+        if not (name in args.flags and isinstance(given, dict) or name == "version" and isinstance(given, str)):
             raise InputError(f"config section {name!r} is not a JSON object named after one of {sorted(args.flags)}")
     section = args.command.replace("-", "_")
     given = cfg.get(section, {})
@@ -99,15 +102,14 @@ def _resolve(args: argparse.Namespace, cfg: dict, *callees, **defaults) -> dict:
     if unknown:
         raise InputError(f"config section {section!r}: unknown keys {unknown}")
     given = {k: _config_value(args.flags[section][k], section, v) for k, v in given.items() if v is not None}
+    opts = {key: given.get(key) if val is None else val for key, val in opts.items()}
+    if missing := [flag.option_strings[0] for flag in args.required[section] if opts[flag.dest] is None]:
+        raise UsageError(f"ettag {args.command}: the following arguments are required: {', '.join(missing)}")
     for fn in callees:
         for name, param in inspect.signature(fn).parameters.items():
             if param.default is not param.empty:
                 defaults.setdefault(name, param.default)
-    for key, val in opts.items():
-        if val is None:
-            val = given.get(key)
-        opts[key] = defaults.get(_FIELD_OF.get(key, key)) if val is None else val
-    return opts
+    return {key: defaults.get(_FIELD_OF.get(key, key)) if val is None else val for key, val in opts.items()}
 
 
 def _sweep(opts: dict, key: str, parse=str) -> list:
@@ -147,7 +149,7 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 
 def _write_runconfig(out_path: str, command: str, resolved: dict) -> None:
-    _write_json(str(out_path) + ".runconfig.json", {"command": command, "version": __version__, "config": resolved})
+    _write_json(str(out_path) + ".runconfig.json", {command.replace("-", "_"): resolved, "version": __version__})
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +321,20 @@ def _add_kb_args(p: argparse.ArgumentParser, cache: bool = False) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a UsageError (exit 1, one JSON line) rather
-    than argparse's usage text and exit 2."""
+    than argparse's usage text and exit 2. A flag is taken by its whole name
+    only, so ``ablate-beam --beam`` is no abbreviation of ``--beams``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
 
 def _add_decode_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beam", type=int, default=None)
-    p.add_argument("--no-repeat", type=_bool_flag, default=None, metavar="BOOL")
-    p.add_argument("--allow-empty", action="store_const", const=True, default=None)
-    p.add_argument("--length-normalize", action="store_const", const=True, default=None)
-    p.add_argument("--renormalize", type=_bool_flag, default=None, metavar="BOOL")
+    """The decode options but --beam, which ablate-beam's --beams replaces."""
+    for flag in ("--no-repeat", "--allow-empty", "--length-normalize", "--renormalize"):
+        p.add_argument(flag, type=_bool_flag, default=None, metavar="BOOL")
     p.add_argument("--max-tokens", type=int, default=None)
     p.add_argument("--max-entities", type=int, default=None)
 
@@ -346,7 +350,7 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ettag", description=__doc__)
-    parser.add_argument("--config", default=None, help="JSON config file; flags override it")
+    parser.add_argument("--config", default=None, help="JSON config file, such as a run's runconfig; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-kb", help="build and cache the constraint trie")
@@ -359,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
     _add_kb_args(p)
-    p.add_argument("--keep-empty", action="store_const", const=True, default=None)
+    p.add_argument("--keep-empty", type=_bool_flag, default=None, metavar="BOOL")
     p.add_argument("--stats-out", default=None)
     p.add_argument("--split", choices=["train", "testa", "testb", "all"], default=None)
     p.set_defaults(func=cmd_convert)
@@ -378,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kb_args(p, cache=True)
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--beam", type=int, default=None)
     _add_decode_args(p)
     p.set_defaults(func=cmd_tag)
 
@@ -406,12 +411,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--min-count", type=int, default=None)
     _add_train_args(p)
+    p.add_argument("--beam", type=int, default=None)
     _add_decode_args(p)
     p.set_defaults(func=cmd_ablate_order)
 
-    # each command's config-file section -> its flags
-    parser.set_defaults(flags={name.replace("-", "_"): {a.dest: a for a in p._actions}
-                               for name, p in sub.choices.items()})
+    # each command's config-file section -> its flags, and -> the flags it requires. A config
+    # file may give a required option too, so _resolve checks them, not argparse.
+    flags = {name.replace("-", "_"): {a.dest: a for a in p._actions} for name, p in sub.choices.items()}
+    required = {section: [a for a in actions.values() if a.required] for section, actions in flags.items()}
+    for action in (a for actions in required.values() for a in actions):
+        action.required = False
+    parser.set_defaults(flags=flags, required=required)
     return parser
 
 

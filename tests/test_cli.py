@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+import ettag
 from ettag import cli
 from ettag.catalog import UNK, EntityCatalog, build_vocabularies, nul_terminated, tokenize
 from ettag.cli import _FIELD_OF, build_parser, main
@@ -29,7 +30,7 @@ from ettag.toy_model import (
 )
 from ettag.trie import build_trie, load_trie_cache
 
-from helpers import decode_spans, write_aida_file
+from helpers import AIDA_KB_NAMES, decode_spans, write_aida_file
 
 
 @pytest.fixture(scope="module")
@@ -178,9 +179,9 @@ class TestTrainArtifacts:
         assert loss_rows[0] == ["epoch", "mean_nll"]
         assert len(loss_rows) == 61
         runconfig = json.loads((world["root"] / "model.bin.runconfig.json").read_text())
-        assert runconfig["command"] == "train"
-        assert runconfig["config"]["epochs"] == 60
-        assert runconfig["config"]["seed"] == 3
+        assert set(runconfig) == {"train", "version"} and runconfig["version"] == ettag.__version__
+        assert runconfig["train"]["epochs"] == 60
+        assert runconfig["train"]["seed"] == 3
 
     def test_loss_decreases(self, world):
         rows = list(csv.reader((world["root"] / "model.bin.loss.csv").read_text().splitlines()))[1:]
@@ -237,7 +238,7 @@ class TestTagAndEval:
             assert abs(records[doc_id]["score"] - score) <= 1e-12
         if options:  # the flags change the decode, so an ignored flag would show
             assert decodes != _decode_one_by_one(world, beam)
-        recorded = json.loads(out.with_name(out.name + ".runconfig.json").read_text())["config"]
+        recorded = json.loads(out.with_name(out.name + ".runconfig.json").read_text())["tag"]
         assert (recorded["no_repeat"], recorded["renormalize"]) == (not options, not options)
 
     @pytest.mark.parametrize("words, want", [(("1", "true", "yes", "on"), True), (("0", "false", "no", "off"), False)],
@@ -369,6 +370,21 @@ class TestAblations:
             assert main(argv + ["--out", str(out)]) == 0
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1]
+
+    def test_ablate_beam_takes_no_beam(self, world, tmp_path, capsys):
+        """Each setting's beam comes from --beams, so ``--beam`` and a config file's ``beam`` are refused."""
+        cfg, out = tmp_path / "cfg.json", tmp_path / "beam.csv"
+        cfg.write_text(json.dumps({"ablate_beam": {"beam": 5}}), encoding="utf-8")
+        argv = ["ablate-beam", "--model", str(world["model"]), "--kb", str(world["kb"]),
+                "--eval", str(world["eval"]), "--beams", "1", "--out", str(out)]
+        capsys.readouterr()
+        assert main([*argv, "--beam", "1"]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "UsageError", "message": "ettag: unrecognized arguments: --beam 1"}
+        assert main(["--config", str(cfg), *argv]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "InputError", "message": "config section 'ablate_beam': unknown keys ['beam']"}
+        assert not out.exists()
 
     def test_ablate_order_csv(self, world, capsys):
         out = world["root"] / "order.csv"
@@ -588,7 +604,7 @@ class TestErrorHandling:
                 "--in", str(world["eval"]), "--out", str(out)]
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
-        assert json.loads(out.with_name(out.name + ".runconfig.json").read_text())["config"]["beam"] == 2
+        assert json.loads(out.with_name(out.name + ".runconfig.json").read_text())["tag"]["beam"] == 2
 
     def test_nul_in_kb_name_exit_1(self, tmp_path, capsys):
         kb = tmp_path / "kb.txt"
@@ -1149,7 +1165,7 @@ def test_cli_fuzz_corrupted_inputs(world, tmp_path, capsys):
 # (2**31 dims: 1.03 TiB, 2**31 windows: 832 GiB) that a host overcommitting memory could grant
 INTEGER_OPTIONS = {
     "tag": {"beam": {2**31, 2**63, 2**70}, "max-tokens": set(), "max-entities": set()},
-    "ablate-beam": {"beam": {2**31, 2**63, 2**70}, "beams": {2**31, 2**63, 2**70},
+    "ablate-beam": {"beams": {2**31, 2**63, 2**70},
                     "max-tokens": set(), "max-entities": set()},
     "train": {"epochs": {2**31, 2**63, 2**70}, "seed": set(), "batch-size": set(), "dim": {2**31},
               "window": {2**31}, "min-count": set()},
@@ -1183,7 +1199,82 @@ def test_integer_options_at_their_edges(world, tmp_path, capsys):
                 if rc:
                     assert {"error", "message"} <= set(json.loads(err)), case
                 runs += 1
-    assert runs == 51
+    assert runs == 49
+
+
+def _settled_runs(world, tmp_path) -> dict:
+    """command -> its argv, which sets most of its options away from their defaults, and its
+    output flags -> the names of their files, the one whose runconfig is written first."""
+    aida, aida_kb, pred = tmp_path / "aida.conll", tmp_path / "aida_kb.txt", tmp_path / "gold_as_pred.jsonl"
+    write_aida_file(aida, n_train=6, n_testa=3, n_testb=4)
+    aida_kb.write_text("".join(n + "\n" for n in AIDA_KB_NAMES), encoding="utf-8")
+    with world["eval"].open(encoding="utf-8") as f:
+        pred.write_text("".join(json.dumps({"doc_id": r["doc_id"], "entities": r["gold"][1:]}) + "\n"
+                                for r in map(json.loads, f)), encoding="utf-8")
+    kb, model, train, evals = (str(world[k]) for k in ("kb", "model", "train", "eval"))
+    return {
+        "build-kb": (["--kb", kb], {"--cache-out": "kb.trie"}),
+        "convert": (["--format", "aida-conll", "--in", str(aida), "--kb", str(aida_kb), "--split", "train",
+                     "--keep-empty", "true"], {"--out": "et.jsonl", "--stats-out": "stats.json"}),
+        "train": (["--train", train, "--kb", kb, "--order-strategy", "lexicographic", "--min-count", "2",
+                   "--epochs", "3", "--seed", "5", "--lr", "0.05", "--batch-size", "4", "--dim", "8",
+                   "--window", "2"], {"--model-out": "m.bin"}),
+        "tag": (["--model", model, "--kb", kb, "--in", evals, "--beam", "3", "--no-repeat", "false",
+                 "--length-normalize", "true", "--max-entities", "4"], {"--out": "pred.jsonl"}),
+        "eval": (["--pred", str(pred), "--gold", evals, "--style", "table2", "--dataset-name", "synthetic"],
+                 {"--json-out": "report.json"}),
+        "ablate-beam": (["--model", model, "--kb", kb, "--eval", evals, "--beams", "1,3", "--renormalize", "false",
+                         "--allow-empty", "true"], {"--out": "beam.csv"}),
+        "ablate-order": (["--train", train, "--eval", evals, "--kb", kb, "--strategies", "shuffle,lexicographic",
+                          "--epochs", "2", "--dim", "8", "--beam", "2"], {"--out": "order.csv"}),
+    }
+
+
+def _output_flags(outputs: dict, directory) -> list:
+    return [x for flag, name in outputs.items() for x in (flag, str(directory / name))]
+
+
+# the values the config-value sweep sets each option to
+CONFIG_VALUES = [None, -1, 0, 1e308, 2**70, "", [], {}, "\u2581", "\0", "a\0b", "\ud800", True]
+# the options left out of the sweep at 2**70, which only makes a run slow
+SLOW_AT_2_70 = {("train", "epochs"), ("ablate-order", "epochs"), ("tag", "beam"), ("ablate-order", "beam")}
+
+
+def test_cli_fuzz_config_values(world, tmp_path, monkeypatch, capsys):
+    """Each option of each command set from a config file, which gives the command's
+    required options too, to each of CONFIG_VALUES: every run exits 0 or 1, a failure
+    with one JSON line on stderr, but for the one known exit 2. A string no path can
+    hold is an InvalidConfig naming its section and key."""
+    monkeypatch.chdir(tmp_path)  # an output named by a relative path such as "\u2581" lands here
+    cfg, runs, cut_off = tmp_path / "cfg.json", 0, []
+    for command, (argv, outputs) in _settled_runs(world, tmp_path).items():
+        section = command.replace("-", "_")
+        assert main([command, *argv, *_output_flags(outputs, tmp_path)]) == 0, command
+        base = json.loads((tmp_path / (next(iter(outputs.values())) + ".runconfig.json")).read_text())[section]
+        for key, value in [(None, None)] + [(key, value) for key in base for value in CONFIG_VALUES]:
+            if value == 2**70 and (command, key) in SLOW_AT_2_70:
+                continue
+            cfg.write_text(json.dumps({section: base if key is None else {**base, key: value}}), encoding="utf-8")
+            capsys.readouterr()
+            rc = main(["--config", str(cfg), command])
+            err = capsys.readouterr().err
+            case = (command, key, value, rc, err)
+            assert "Traceback" not in err and len(err.splitlines()) == (rc != 0), case
+            if rc == 2:  # a decode the token budget cuts off, listed below
+                assert json.loads(err)["error"] == "NoFinishedHypothesis", case
+                cut_off.append((command, key, value))
+            if key is None:  # the runconfig alone replays the run
+                assert rc == 0, case
+            elif rc:
+                assert {"error", "message"} <= set(json.loads(err)), case
+            if isinstance(value, str) and ("\0" in value or "\ud800" in value):
+                error = json.loads(err)
+                assert error["error"] == "InvalidConfig", case
+                assert error["message"].startswith(f"config section {section!r}: {key} "), case
+            runs += 1
+    assert runs == 68 * len(CONFIG_VALUES) - len(SLOW_AT_2_70) + 7
+    # without no-repeat, the world's scorer repeats names until the 256-token budget ends every hypothesis
+    assert cut_off == [("tag", "max_entities", 2**70)]
 
 
 def _train_argv(world, out, flag, path):
@@ -1276,9 +1367,9 @@ class TestConfigFile:
         )
         assert rc == 0
         run = json.loads((tmp_path / "m.bin.runconfig.json").read_text())
-        assert run["config"]["epochs"] == 3  # flag wins
-        assert run["config"]["dim"] == 8  # config fills the gap
-        assert run["config"]["seed"] == 11
+        assert run["train"]["epochs"] == 3  # flag wins
+        assert run["train"]["dim"] == 8  # config fills the gap
+        assert run["train"]["seed"] == 11
 
     def test_unknown_config_key_exit_1(self, world, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1337,7 +1428,7 @@ class TestConfigFile:
         model = tmp_path / "m.bin"
         argv = ["train", "--train", str(world["train"]), "--kb", str(world["kb"]), "--model-out", str(model)]
         assert main(["--config", str(cfg), *argv]) == 0
-        lr = json.loads((tmp_path / "m.bin.runconfig.json").read_text())["config"]["lr"]
+        lr = json.loads((tmp_path / "m.bin.runconfig.json").read_text())["train"]["lr"]
         assert lr == 1.0 and type(lr) is float
 
     def test_flagless_runconfig_records_dataclass_defaults(self, world, tmp_path, capsys):
@@ -1353,10 +1444,70 @@ class TestConfigFile:
         assert main(
             ["train", "--train", str(world["train"]), "--kb", str(world["kb"]), "--model-out", str(model)]
         ) == 0
-        for out, cls in ((pred, DecodeConfig), (model, TrainConfig)):
-            recorded = json.loads(out.with_name(out.name + ".runconfig.json").read_text())["config"]
+        for out, cls, section in ((pred, DecodeConfig, "tag"), (model, TrainConfig, "train")):
+            recorded = json.loads(out.with_name(out.name + ".runconfig.json").read_text())[section]
             for field in dataclasses.fields(cls):
                 assert recorded[flag_of.get(field.name, field.name)] == getattr(cls(), field.name)
+
+    @pytest.mark.parametrize("command", ["build-kb", "convert", "train", "tag", "eval", "ablate-beam", "ablate-order"])
+    def test_a_runconfig_replays_its_run(self, world, tmp_path, capsys, command):
+        """``--config <runconfig> <command>``, given only the output flags, prints and writes
+        every output byte for byte as the run did, and records the run's runconfig but for
+        the output paths."""
+        argv, outputs = _settled_runs(world, tmp_path)[command]
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        first.mkdir()
+        replay.mkdir()
+        capsys.readouterr()
+        assert main([command, *argv, *_output_flags(outputs, first)]) == 0
+        printed = capsys.readouterr().out
+        runconfig = first / (next(iter(outputs.values())) + ".runconfig.json")
+        assert main(["--config", str(runconfig), command, *_output_flags(outputs, replay)]) == 0
+        assert capsys.readouterr().out == printed
+        written = sorted(p.name for p in first.iterdir())
+        assert written == sorted(p.name for p in replay.iterdir()) and len(written) > len(outputs)
+        for name in written:
+            if name != runconfig.name:
+                assert (first / name).read_bytes() == (replay / name).read_bytes(), name
+        section = command.replace("-", "_")
+        recorded = json.loads(runconfig.read_text())
+        moved = {flag[2:].replace("-", "_"): str(replay / name) for flag, name in outputs.items()}
+        assert json.loads((replay / runconfig.name).read_text()) == {
+            section: {**recorded[section], **moved}, "version": ettag.__version__}
+
+    def test_a_required_option_may_come_from_the_file(self, world, tmp_path, capsys):
+        """A required option comes from its flag or from the config file. Given by
+        neither, it is a UsageError in argparse's words, and nothing is written."""
+        cfg, out = tmp_path / "cfg.json", tmp_path / "p.jsonl"
+        cfg.write_text(json.dumps({"tag": {"kb": str(world["kb"]), "out": str(out)}}), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "tag"]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "UsageError", "message": "ettag tag: the following arguments are required: --model, --in"}
+        assert not out.exists()
+        assert main(["--config", str(cfg), "tag", "--model", str(world["model"]), "--in", str(world["eval"])]) == 0
+        assert out.exists()
+
+    def test_a_flag_turns_a_runconfig_s_true_off(self, world, tmp_path, capsys):
+        """Every boolean option takes a BOOL, so a flag can override a ``true`` in the file."""
+        pred, again = tmp_path / "p.jsonl", tmp_path / "q.jsonl"
+        assert main(["tag", "--model", str(world["model"]), "--kb", str(world["kb"]), "--in", str(world["eval"]),
+                     "--out", str(pred), "--allow-empty", "true", "--length-normalize", "true"]) == 0
+        runconfig = pred.with_name(pred.name + ".runconfig.json")
+        assert main(["--config", str(runconfig), "tag", "--allow-empty", "false", "--out", str(again)]) == 0
+        recorded = json.loads(again.with_name(again.name + ".runconfig.json").read_text())["tag"]
+        assert (recorded["allow_empty"], recorded["length_normalize"]) == (False, True)
+
+    @pytest.mark.parametrize("version, rc", [("0.1.0", 0), ("not this package's", 0), (1, 1), ({}, 1)])
+    def test_a_version_string_may_stand_beside_the_sections(self, world, tmp_path, capsys, version, rc):
+        cfg, cache = tmp_path / "cfg.json", tmp_path / "kb.trie"
+        cfg.write_text(json.dumps({"build_kb": {"kb": str(world["kb"])}, "version": version}), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "build-kb", "--cache-out", str(cache)]) == rc
+        if rc:
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "InputError" and "'version'" in err["message"]
+        assert cache.exists() is not rc
 
 
 # Options of the decode/train commands that configure neither dataclass.
@@ -1390,10 +1541,9 @@ def test_readme_commands_parse():
         for line in block.replace("\\\n", " ").splitlines():
             if line.startswith("ettag "):
                 commands.append(shlex.split(line, comments=True)[1:])
-    for argv in commands:
-        build_parser().parse_args(argv)
+    shown = {build_parser().parse_args(argv).command for argv in commands}  # a line may start with --config
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert {argv[0] for argv in commands} == set(subparsers.choices)
+    assert shown == set(subparsers.choices)
 
 
 class TestOtherFormats:
