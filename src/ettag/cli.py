@@ -72,14 +72,16 @@ def _config_value(flag: argparse.Action, section: str, val):
     """A config-file value as its flag would parse it. Raises InvalidConfig
     unless it has the flag's type (an integer will do for a float) and is one
     of its choices, and also for a string holding a NUL or a lone surrogate,
-    which no path (and no UTF-8 output) can hold."""
+    which no path (and no UTF-8 output) can hold. The surrogate escapes
+    U+DC80-U+DCFF are accepted: they are how Python reads the non-UTF-8 bytes
+    of a command line, so a runconfig records such a path or name with them."""
     want = {None: str, _bool_flag: bool}.get(flag.type, flag.type)
     if want is float and type(val) is int:
         val = float(val)
     if type(val) is not want or (flag.choices is not None and val not in flag.choices):
         expected = want.__name__ if flag.choices is None else f"one of {list(flag.choices)}"
         raise InvalidConfig(f"config section {section!r}: {flag.dest} must be {expected}, got {val!r}")
-    if want is str and any(c == "\0" or "\ud800" <= c <= "\udfff" for c in val):
+    if want is str and any(c == "\0" or "\ud800" <= c < "\udc80" or "\udcff" < c <= "\udfff" for c in val):
         raise InvalidConfig(f"config section {section!r}: {flag.dest} holds a NUL or a lone surrogate: {val!r}")
     return val
 

@@ -1475,6 +1475,27 @@ class TestConfigFile:
         assert json.loads((replay / runconfig.name).read_text()) == {
             section: {**recorded[section], **moved}, "version": ettag.__version__}
 
+    def test_a_runconfig_replays_non_utf8_arguments(self, world, tmp_path):
+        """A path and a dataset name holding a byte that is not UTF-8 reach the program as
+        the surrogate escape U+DCFF, and the runconfig records them so; replaying it prints
+        and writes every output byte for byte as the run did."""
+        argv, outputs = _settled_runs(world, tmp_path)["eval"]
+        argv = [a if a != "synthetic" else "\udcff" for a in argv]
+        report = "r\udcff.json"
+        env = {**os.environ, "PYTHONUTF8": "1"}  # stdout writes the escape back as its byte
+
+        def run(*args):
+            done = subprocess.run([sys.executable, "-m", "ettag.cli", *args], cwd=tmp_path, env=env,
+                                  capture_output=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            return done.stdout, {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name.startswith("r")}
+
+        printed, written = run("eval", *argv, "--json-out", report)
+        assert b"\xff" in printed and sorted(written) == [report, report + ".runconfig.json"]
+        recorded = json.loads(written[report + ".runconfig.json"])["eval"]
+        assert (recorded["json_out"], recorded["dataset_name"]) == (report, "\udcff")
+        assert run("--config", report + ".runconfig.json", "eval") == (printed, written)
+
     def test_a_required_option_may_come_from_the_file(self, world, tmp_path, capsys):
         """A required option comes from its flag or from the config file. Given by
         neither, it is a UsageError in argparse's words, and nothing is written."""

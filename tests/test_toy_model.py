@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from ettag.toy_model import (
     save_checkpoint,
     train,
 )
+from ettag import toy_model
 from ettag.toy_model import _CHECKPOINT, _scatter_rows
 from ettag.trie import build_trie
 from helpers import reference_backward, reference_train
@@ -559,6 +562,46 @@ class TestTrain:
         config = TrainConfig(epochs=3, lr=1e6, d=6, k=2)
         with pytest.raises(InputError, match="diverged"):
             train(corpus, config, cat, vin)
+
+
+def test_batch_backward_holds_two_logit_arrays():
+    """At kb-470k's V_out of 3,424 and ΣT = 64, one step into a given gradient buffer
+    peaks below 2.5 [ΣT, V_out] float64 arrays: the softmax chain runs in place in two."""
+    v_out, lens = 3424, [16, 7, 30, 11]
+    params = init_params(500, v_out, d=8, k=10, seed=0)
+    rng = np.random.default_rng(0)
+    batch = [ETExample("d", "", frozenset(), input=rng.integers(0, 500, size=9).tolist()) for _ in lens]
+    targets = [rng.integers(3, v_out, size=n).tolist() for n in lens]
+    grads = params.zeros_like()
+    batch_backward(params, batch, targets, grads)
+    tracemalloc.start()
+    try:
+        batch_backward(params, batch, targets, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * sum(lens) * v_out * 8
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 16])
+def test_adam_blocks_change_no_bit(small_world, monkeypatch, batch_size):
+    """Adam over blocks of 7 weights, so that the buffer spans many and ends in a partial
+    one, trains the weights and curve of the default block (the buffer whole), and at
+    batch 1 the reference's, bit for bit."""
+    cat, vin, _ = small_world
+    corpus = TestTrain._corpus(cat, vin) * 4  # 20 examples: batches of 3 and 16 end in a smaller one
+    config = TrainConfig(epochs=6, seed=5, lr=0.05, order_strategy="shuffle", batch_size=batch_size, d=5, k=3)
+    whole, whole_curve = train(corpus, config, cat, vin)
+    assert len(whole.flat) <= toy_model._ADAM_BLOCK
+    monkeypatch.setattr(toy_model, "_ADAM_BLOCK", 7)
+    assert len(whole.flat) > 20 * 7 and len(whole.flat) % 7
+    params, curve = train(corpus, config, cat, vin)
+    assert curve == whole_curve
+    assert params.flat.tobytes() == whole.flat.tobytes()
+    if batch_size == 1:
+        want, want_curve = reference_train(corpus, config, cat, vin)
+        assert curve == want_curve
+        assert params.flat.tobytes() == want.flat.tobytes()
 
 
 class TestCheckpoint:
